@@ -1,32 +1,46 @@
-"""Batch-parallel chip runtime: replicas/sec vs. sequential Runtime stepping.
+"""Chip runtime throughput: per-step reference vs. fused, 1 vs. 32 replicas.
 
-Not a paper figure — the engineering benchmark behind the batch-parallel
-sharded Loihi runtime.  The sequential path steps one network replica per
-call (per-sample Python dispatch through every group and connection of the
-two-phase presentation); the batched path replicates the network ``R``
-times (``build_emstdp_network(..., replicas=R)``) and advances all replicas
-in one vectorized pass per timestep through a :class:`ShardedRuntime`.
+Not a paper figure — the engineering benchmark behind the chip runtime.
+Two execution paths advance a network phase (see ``repro.loihi.runtime``):
 
-Measured here, DFA feedback, dims (64, 64, 10), T = 32:
+* the **per-step reference** — ``Runtime.run(T)`` as ``T`` calls of
+  ``Runtime.step()``, Python dispatching every group and connection each
+  timestep.  This benchmark routes ``run`` through it locally (a context
+  manager around the timed legs), not through any product setting;
+* the **fused** path — ``Runtime.run(T)`` as one ``kernels.network_run``
+  call, which the active ``cext`` backend provides.
 
-* inference: ``infer`` loop vs ``infer_batch`` at 32 replicas — the
-  acceptance gate is >= 4x samples/sec;
-* training: ``train_sample`` loop vs ``fit_batch(update_mode="minibatch")``
-  at 32 replicas;
-* equivalence: every benchmark run re-asserts that batched learning is
-  bit-identical (weights and output spike counts) to sequential
-  per-replica execution before timing anything — a fast batched runtime
-  that drifted from the chip semantics would be worthless.
+Each path is timed sequentially (one replica per call: ``infer`` /
+``train_sample`` loops) and batched (``build_emstdp_network(...,
+replicas=32)`` through a ``ShardedRuntime``: ``infer_batch`` /
+``fit_batch(update_mode="minibatch")``).  DFA feedback, dims (64, 64, 10),
+T = 32.  Gates:
+
+* replication on the per-step legs (the batching amortizes per-step
+  dispatch; calibrated on those legs): >= 4x inference, >= 2x training;
+* fused vs. per-step, inference and training: >= 4x at one replica and
+  >= 2x at 32 replicas.
+
+The fused replication ratio is recorded without a gate: fusion removes the
+dispatch that replication amortized, so the fused cost per sample is
+nearly flat in the replica count and the ratio is smaller even though
+both legs are faster.  Every run first re-asserts that batched learning is
+bit-identical (weights and output spike counts) to sequential per-replica
+execution — a fast runtime that drifted from the chip semantics would be
+worthless.
 
 ``bench_loihi_smoke`` is the <60s CI variant: smaller sample budget, same
 assertions.
 """
 
+import contextlib
 import time
 
 import numpy as np
+import pytest
 
-from repro.core import loihi_default_config
+from repro.core import kernels, loihi_default_config
+from repro.loihi import Runtime
 from repro.onchip import LoihiEMSTDPTrainer, build_emstdp_network
 
 from _bench_utils import make_blobs, write_bench_json
@@ -84,6 +98,23 @@ def _assert_bit_identical(replicas: int = 4) -> None:
             f"connection {i}: batched mean-of-deltas write-back differs"
 
 
+@contextlib.contextmanager
+def _per_step_runs():
+    """Route ``Runtime.run(T)`` through ``T`` x ``Runtime.step()``."""
+    fused_run = Runtime.run
+
+    def run(self, steps):
+        for _ in range(steps):
+            self.step()
+        fused_run(self, 0)  # collects the synaptic-event counters
+
+    Runtime.run = run
+    try:
+        yield
+    finally:
+        Runtime.run = fused_run
+
+
 def _infer_throughput(n_samples: int):
     xs, _ = make_blobs(DIMS[0], DIMS[-1], n_samples, seed=0)
     seq = _trainer(batch_replicas=1)      # sequential Runtime stepping
@@ -108,25 +139,26 @@ def _train_throughput(n_samples: int):
     return seq_sps, bat_sps
 
 
-def _report(kind, seq_sps, bat_sps):
-    speedup = bat_sps / seq_sps
-    print(f"{kind:9s}  sequential {seq_sps:7.1f} sps   "
-          f"batched({REPLICAS:3d}) {bat_sps:7.1f} sps   "
-          f"speedup {speedup:5.1f}x")
-    return speedup
+def _legs(per_step: bool, n_infer: int, n_train: int) -> dict:
+    """Samples/sec of the four legs of one execution path."""
+    with _per_step_runs() if per_step else contextlib.nullcontext():
+        infer = _infer_throughput(n_infer)
+        train = _train_throughput(n_train)
+    return {"infer_sequential": infer[0], "infer_batched": infer[1],
+            "train_sequential": train[0], "train_batched": train[1]}
 
 
 def _run(n_train: int, n_infer: int, variant):
+    if not kernels.backend_provides("network_run"):
+        pytest.skip(f"kernel backend {kernels.backend_name()!r} has no "
+                    f"fused network_run")
     print()
-    print(f"batch-parallel chip runtime — DFA, dims {DIMS}, T={T}, "
-          f"{REPLICAS} replicas")
+    print(f"chip runtime — DFA, dims {DIMS}, T={T}, {REPLICAS} replicas")
     _assert_bit_identical()
     print("equivalence: batched learning bit-identical to sequential "
           "per-replica execution ✓")
-    infer_seq, infer_bat = _infer_throughput(n_infer)
-    train_seq, train_bat = _train_throughput(n_train)
-    infer_speedup = _report("inference", infer_seq, infer_bat)
-    train_speedup = _report("training", train_seq, train_bat)
+    step = _legs(True, n_infer, n_train)
+    fused = _legs(False, n_infer, n_train)
     payload = {
         "dims": list(DIMS),
         "T": T,
@@ -134,36 +166,71 @@ def _run(n_train: int, n_infer: int, variant):
         "n_train": n_train,
         "n_infer": n_infer,
         "bit_identical": True,
-        "infer_sequential_sps": round(infer_seq, 1),
-        "infer_batched_sps": round(infer_bat, 1),
-        "infer_speedup": round(infer_speedup, 2),
-        "train_sequential_sps": round(train_seq, 1),
-        "train_batched_sps": round(train_bat, 1),
-        "train_speedup": round(train_speedup, 2),
     }
+    print(f"{'':9s}  {'path':8s}  {'1 replica':>10s}  "
+          f"{f'{REPLICAS} replicas':>11s}  replication")
+    for kind in ("infer", "train"):
+        for path, legs in (("per-step", step), ("fused", fused)):
+            seq, bat = legs[f"{kind}_sequential"], legs[f"{kind}_batched"]
+            print(f"{kind:9s}  {path:8s}  {seq:10.1f}  {bat:11.1f}  "
+                  f"{bat / seq:10.2f}x")
+        payload.update({
+            # The per-step legs keep their historical keys.
+            f"{kind}_sequential_sps": round(step[f"{kind}_sequential"], 1),
+            f"{kind}_batched_sps": round(step[f"{kind}_batched"], 1),
+            f"{kind}_speedup": round(step[f"{kind}_batched"]
+                                     / step[f"{kind}_sequential"], 2),
+            f"{kind}_fused_sequential_sps": round(
+                fused[f"{kind}_sequential"], 1),
+            f"{kind}_fused_batched_sps": round(fused[f"{kind}_batched"], 1),
+            f"{kind}_fused_replication": round(
+                fused[f"{kind}_batched"] / fused[f"{kind}_sequential"], 2),
+            f"{kind}_fused_vs_step_1": round(
+                fused[f"{kind}_sequential"] / step[f"{kind}_sequential"], 2),
+            f"{kind}_fused_vs_step_{REPLICAS}": round(
+                fused[f"{kind}_batched"] / step[f"{kind}_batched"], 2),
+        })
+    for kind in ("infer", "train"):
+        print(f"{kind:9s}  fused vs per-step: "
+              f"{payload[f'{kind}_fused_vs_step_1']:.1f}x at 1 replica, "
+              f"{payload[f'{kind}_fused_vs_step_{REPLICAS}']:.1f}x at "
+              f"{REPLICAS}")
     if variant:
         payload["variant"] = variant
     write_bench_json("loihi_runtime", payload)
-    return infer_speedup, train_speedup
+    return payload
 
 
-def bench_loihi_smoke(benchmark):
-    """CI gate: the acceptance assertions on a small sample budget."""
-    infer_speedup, train_speedup = benchmark.pedantic(
-        lambda: _run(n_train=96, n_infer=192, variant="smoke"),
-        rounds=1, iterations=1)
+def _assert_gates(payload):
+    infer_speedup = payload["infer_speedup"]
+    train_speedup = payload["train_speedup"]
     assert infer_speedup >= 4.0, \
         f"batched inference speedup {infer_speedup:.1f}x < 4x " \
         f"at {REPLICAS} replicas"
     assert train_speedup >= 2.0, \
         f"batched training speedup {train_speedup:.1f}x < 2x " \
         f"at {REPLICAS} replicas"
+    for kind in ("infer", "train"):
+        one = payload[f"{kind}_fused_vs_step_1"]
+        wide = payload[f"{kind}_fused_vs_step_{REPLICAS}"]
+        assert one >= 4.0, \
+            f"fused {kind} {one:.1f}x < 4x the per-step path at 1 replica"
+        assert wide >= 2.0, \
+            f"fused {kind} {wide:.1f}x < 2x the per-step path at " \
+            f"{REPLICAS} replicas"
+
+
+def bench_loihi_smoke(benchmark):
+    """CI gate: the acceptance assertions on a small sample budget."""
+    payload = benchmark.pedantic(
+        lambda: _run(n_train=96, n_infer=192, variant="smoke"),
+        rounds=1, iterations=1)
+    _assert_gates(payload)
 
 
 def bench_loihi_runtime(benchmark):
     """Full measurement (longer run, tighter timing noise)."""
-    infer_speedup, train_speedup = benchmark.pedantic(
+    payload = benchmark.pedantic(
         lambda: _run(n_train=256, n_infer=512, variant=None),
         rounds=1, iterations=1)
-    assert infer_speedup >= 4.0
-    assert train_speedup >= 2.0
+    _assert_gates(payload)

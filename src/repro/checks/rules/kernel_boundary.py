@@ -1,9 +1,9 @@
 """REP002 — kernel boundary: only the public kernel API crosses it.
 
-``repro.core.kernels`` pins three interchangeable backends bit-identical
-to each other; that guarantee holds *only* for the seven public entry
+``repro.core.kernels`` pins two interchangeable backends bit-identical
+to each other; that guarantee holds *only* for the eight public entry
 points, which normalize dtypes/contiguity before dispatch.  Importing a
-backend module (``_numpy`` / ``_numba`` / ``_cext`` / ``_csrc``)
+backend module (``_numpy`` / ``_cext`` / ``_csrc``)
 directly skips the normalization and the selection logic; redefining a
 function with a public kernel's name outside the package reintroduces
 the exact drift the equivalence suite exists to prevent (a reimplemented
@@ -21,11 +21,11 @@ from . import dotted
 #: The public kernel signatures (see repro.core.kernels.__all__).
 PUBLIC_KERNELS = {
     "if_step", "cuba_step", "trace_update", "delta_w", "delta_w_batch",
-    "delta_w_loihi", "sum_of_products",
+    "delta_w_loihi", "sum_of_products", "network_run",
 }
 
 #: Private backend modules of the kernels package.
-BACKEND_MODULES = {"_numpy", "_numba", "_cext", "_csrc"}
+BACKEND_MODULES = {"_numpy", "_cext", "_csrc"}
 
 
 @register
@@ -70,7 +70,7 @@ class KernelBoundaryRule(Rule):
                            node: ast.ImportFrom) -> Iterable[Finding]:
         module = node.module or ""
         tail = module.split(".")[-1]
-        # from repro.core.kernels._numba import ... / from .kernels._cext ...
+        # from repro.core.kernels._numpy import ... / from .kernels._cext ...
         if tail in BACKEND_MODULES and "kernels" in module.split("."):
             yield self.finding(
                 ctx, node,

@@ -1,34 +1,39 @@
 """Backend-selected compiled kernels for the per-timestep inner loops.
 
-Every number in ``BENCH_*.json`` bottoms out in the same four hot loops:
-the IF membrane update (:mod:`repro.core.neuron` and the chip compartments
-in :mod:`repro.loihi.compartment`), trace decay/accumulation
+Every number in ``BENCH_*.json`` bottoms out in the same hot loops: the
+IF membrane update (:mod:`repro.core.neuron` and the chip compartments in
+:mod:`repro.loihi.compartment`), trace decay/accumulation
 (:mod:`repro.loihi.traces`), the EMSTDP ``dW`` accumulation (Eq. 7 /
-Eq. 12 in :mod:`repro.core.learning`) and the microcode sum-of-products
-(:mod:`repro.loihi.microcode`).  This package routes them through one of
-three interchangeable backends:
+Eq. 12 in :mod:`repro.core.learning`), the microcode sum-of-products
+(:mod:`repro.loihi.microcode`) and, fused over whole phases, the chip
+runtime's timestep loop (:func:`network_run`).  This package routes them
+through one of two interchangeable backends:
 
-``numba``
-    The reference loops under ``@njit(cache=True)``.  Preferred when numba
-    is installed.
 ``cext``
-    The same loops as C, compiled once with the system compiler and loaded
-    via ctypes (no third-party dependency beyond a C compiler).
+    The loops as C, compiled once with the system compiler and loaded via
+    ctypes (no third-party dependency beyond a C compiler).  Also provides
+    :func:`network_run`, which advances a flattened chip network ``T``
+    steps in one call.
 ``numpy``
-    The pure-NumPy reference implementation — always available.
+    The pure-NumPy reference implementation — always available.  It has
+    no fused :func:`network_run`: the chip runtime steps such networks one
+    timestep at a time, which is the reference the fused loop is pinned
+    to.
 
 Selection happens once at import: the first available backend in the order
 above wins, with a single ``RuntimeWarning`` if only NumPy is left.  The
 ``REPRO_KERNEL_BACKEND`` environment variable overrides autodetection
-(values: ``numba``, ``cext``, ``numpy``); an unknown value raises
-``ValueError``, a known-but-unavailable one raises ``ImportError`` — an
-explicit request must never silently degrade.
+(values: ``cext``, ``numpy``); an unknown value raises ``ValueError``, a
+known-but-unavailable one raises ``ImportError`` — an explicit request must
+never silently degrade.
 
 The backends are pinned bit-identical to each other — exact
 ``np.array_equal``, never ``allclose`` — by ``tests/test_kernels.py`` and
 the golden fixtures in ``tests/golden/``, because the EMSTDP learning rule
 is the paper's core contribution: a fast kernel that drifts the math by one
-ulp is a wrong kernel.  ``benchmarks/bench_kernels.py`` gates the speedup.
+ulp is a wrong kernel.  ``tests/test_loihi_fused.py`` pins
+:func:`network_run` to the per-step runtime the same way.
+``benchmarks/bench_kernels.py`` gates the speedup.
 """
 
 from __future__ import annotations
@@ -42,21 +47,17 @@ from typing import Optional, Tuple
 import numpy as np
 
 __all__ = [
-    "available_backends", "backend_name", "cuba_step", "delta_w",
-    "delta_w_batch", "delta_w_loihi", "forced_backend", "if_step",
-    "select_backend", "sum_of_products", "trace_update",
+    "available_backends", "backend_name", "backend_provides", "cuba_step",
+    "delta_w", "delta_w_batch", "delta_w_loihi", "forced_backend",
+    "if_step", "network_run", "select_backend", "sum_of_products",
+    "trace_update",
 ]
 
 #: Autodetection preference order.
-BACKENDS = ("numba", "cext", "numpy")
+BACKENDS = ("cext", "numpy")
 
 #: Environment variable overriding backend autodetection.
 ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-
-def _import_numba():
-    from . import _numba
-    return _numba
 
 
 def _import_cext():
@@ -72,7 +73,6 @@ def _import_numpy():
 #: name -> loader.  Kept as a module-level dict so tests can monkeypatch a
 #: loader to raise ImportError and exercise the degradation chain.
 _LOADERS = {
-    "numba": _import_numba,
     "cext": _import_cext,
     "numpy": _import_numpy,
 }
@@ -126,8 +126,18 @@ def select_backend(name: Optional[str] = None) -> str:
 
 
 def backend_name() -> str:
-    """Name of the active backend (``numba``, ``cext`` or ``numpy``)."""
+    """Name of the active backend (``cext`` or ``numpy``)."""
     return _active_name
+
+
+def backend_provides(kernel: str) -> bool:
+    """Whether the active backend implements ``kernel`` natively.
+
+    Every backend implements the per-step kernels; only compiled ones
+    provide the fused :func:`network_run`, so callers ask before choosing
+    between one fused call and a per-step loop.
+    """
+    return hasattr(_active_impl, kernel)
 
 
 def available_backends() -> Tuple[str, ...]:
@@ -381,6 +391,105 @@ def sum_of_products(rule, x0, x1, y0, y1, tag, w) -> np.ndarray:
     return dz.reshape(syn_shape)
 
 
+# -- fused chip-network run ---------------------------------------------
+
+#: Columns of :func:`network_run`'s int64 group table.  ``gate`` and
+#: ``merge`` are group indices (-1 for none); ``mask_stride`` is 0 for one
+#: ``(n,)`` mask shared by every replica, ``n`` for an ``(R, n)`` mask.
+NETWORK_GROUP_FIELDS = (
+    "n", "decay_u", "decay_v", "vth", "soft_reset", "refractory",
+    "floor_at_zero", "non_spiking", "gate", "merge", "enabled",
+    "mask_stride")
+
+#: Columns of the group address table: int64 ``u``, ``v``, ``refrac``,
+#: ``bias`` and ``spike_count``, bool ``spikes`` (all ``R * n``, C order)
+#: and the bool ``mask``.
+NETWORK_GROUP_ARRAYS = (
+    "u", "v", "refrac", "bias", "spikes", "spike_count", "mask")
+
+#: Columns of the int64 connection table.  ``per_replica`` marks an
+#: ``(R, S, D)`` weight block; otherwise one ``(S, D)`` block serves every
+#: replica.
+NETWORK_CONN_FIELDS = ("src", "dst", "weight_scale", "per_replica",
+                       "plastic")
+
+#: Columns of the float64 connection trace table (plastic connections).
+NETWORK_CONN_TRACE_FIELDS = ("pre_impulse", "pre_decay", "post_impulse",
+                             "post_decay")
+
+#: Columns of the connection address table: int64 weights and the float64
+#: pre/post trace values (ignored for static connections).
+NETWORK_CONN_ARRAYS = ("weight", "pre_trace", "post_trace")
+
+
+def _table(name: str, a, dtype, fields) -> None:
+    if not isinstance(a, np.ndarray) or a.dtype != dtype or a.ndim != 2 \
+            or a.shape[1] != len(fields) or not a.flags.c_contiguous:
+        raise TypeError(
+            f"{name} must be a C-contiguous {np.dtype(dtype)} array of "
+            f"shape (rows, {len(fields)}), got "
+            f"{getattr(a, 'dtype', type(a))} {getattr(a, 'shape', '')}")
+
+
+def network_run(steps: int, replicas: int, groups: np.ndarray,
+                group_arrays: np.ndarray, conns: np.ndarray,
+                conn_traces: np.ndarray, conn_arrays: np.ndarray,
+                group_spikes: np.ndarray, conn_events: np.ndarray,
+                trace_max: float) -> None:
+    """Advance a flattened chip network ``steps`` timesteps in one call.
+
+    The network arrives as the tables laid out by ``NETWORK_*`` (one row
+    per group or connection, in declaration order); the address tables
+    (``np.uintp``) point at the state arrays, which are updated in place.
+    Every step reproduces :meth:`repro.loihi.runtime.Runtime.step` bit for
+    bit:
+
+    1. **deliver** — each connection in order adds
+       ``spikes @ weight * weight_scale`` (int64) from its source's
+       previous-step spikes into its destination's input, and counts
+       ``active sources x dst.n`` synaptic events when the source fired;
+    2. **integrate** — each group in order runs :func:`cuba_step`
+       semantics; a disabled group holds its state and emits no spikes, a
+       non-spiking one integrates and emits none; otherwise the spikes are
+       ANDed with ``gate.v > 0``, ORed with the merge group's spikes as
+       currently stored and ANDed with the mask, then counted;
+    3. **trace** — each plastic connection updates its pre trace, then its
+       post trace, with :func:`trace_update` semantics.
+
+    Spike totals accumulate per group into ``group_spikes`` and synaptic
+    events per connection into ``conn_events`` (both int64).  The caller
+    owns the pointed-to arrays and must keep them alive and correctly
+    shaped for the call.  Table dtypes and shapes are checked here; sizes,
+    group indices, mask strides and null addresses are checked by the
+    backend before the first dereference, raising ``ValueError``.  Raises
+    ``NotImplementedError`` when the active backend has no fused loop (see
+    :func:`backend_provides`).
+    """
+    impl = _impl()
+    if not hasattr(impl, "network_run"):
+        raise NotImplementedError(
+            f"kernel backend {_active_name!r} has no fused network_run; "
+            f"step the network one timestep at a time instead")
+    _table("groups", groups, np.int64, NETWORK_GROUP_FIELDS)
+    _table("group_arrays", group_arrays, np.uintp, NETWORK_GROUP_ARRAYS)
+    _table("conns", conns, np.int64, NETWORK_CONN_FIELDS)
+    _table("conn_traces", conn_traces, np.float64,
+           NETWORK_CONN_TRACE_FIELDS)
+    _table("conn_arrays", conn_arrays, np.uintp, NETWORK_CONN_ARRAYS)
+    if len(group_arrays) != len(groups) or len(conn_traces) != len(conns) \
+            or len(conn_arrays) != len(conns):
+        raise ValueError("network tables disagree on row counts")
+    for name, out, rows in (("group_spikes", group_spikes, len(groups)),
+                            ("conn_events", conn_events, len(conns))):
+        if not isinstance(out, np.ndarray) or out.dtype != np.int64 \
+                or out.shape != (rows,) or not out.flags.c_contiguous:
+            raise TypeError(f"{name} must be a contiguous int64 ({rows},) "
+                            f"array")
+    impl.network_run(int(steps), int(replicas), groups, group_arrays, conns,
+                     conn_traces, conn_arrays, group_spikes, conn_events,
+                     float(trace_max))
+
+
 # Backend bootstrap: the env override wins over autodetection; unknown
 # values are rejected here, at import, with the ValueError from
 # select_backend.
@@ -400,3 +509,4 @@ delta_w_batch = _obs.kernel_profiler.wrap("delta_w_batch", delta_w_batch)
 delta_w_loihi = _obs.kernel_profiler.wrap("delta_w_loihi", delta_w_loihi)
 sum_of_products = _obs.kernel_profiler.wrap("sum_of_products",
                                             sum_of_products)
+network_run = _obs.kernel_profiler.wrap("network_run", network_run)

@@ -4,16 +4,21 @@ On first import the embedded C source (:mod:`._csrc`) is compiled with the
 system C compiler into a shared library cached under
 ``$REPRO_KERNEL_CACHE`` (default ``$XDG_CACHE_HOME/repro-kernels``, falling
 back to ``~/.cache/repro-kernels``).  The cache key hashes the source, the
-compiler and the flags, so upgrading any of them rebuilds; concurrent
-builders (e.g. the ProcessPoolExecutor seed fan-out) race benignly through
-an atomic ``os.replace``.
+compiler, the flags and the host CPU (``-march=native`` builds for the
+build host's instruction set, and a library loaded on an older CPU would
+die of SIGILL, which no ``ImportError`` fallback can catch), so changing
+any of them rebuilds.  Concurrent builders (e.g. several worker processes
+importing at once) race benignly: the ``.c`` and the ``.so`` are each
+written to a temporary file and moved into place with an atomic
+``os.replace``.
 
 Any failure — no compiler, compilation error, unloadable library — raises
 ``ImportError`` so the selection chain in :mod:`repro.core.kernels` can
 fall through to the next backend.
 
 Calls release the GIL while the C loop runs (plain ctypes semantics), which
-lets the sharded Loihi runtime's thread pool overlap shard steps for real.
+lets the sharded Loihi runtime's thread pool overlap per-step shard work
+for real.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -66,23 +72,67 @@ def _find_compiler() -> str:
         "backend")
 
 
+#: /proc/cpuinfo keys naming the CPU model and its instruction-set
+#: extensions (x86 and ARM spellings).
+_CPUINFO_KEYS = ("vendor_id", "model name", "flags", "CPU implementer",
+                 "CPU part", "Features")
+
+
+def _cpu_fingerprint() -> str:
+    """Digest of the host CPU's model and instruction-set extensions.
+
+    Read from the first processor block of ``/proc/cpuinfo`` where it
+    exists (Linux), plus the machine and processor strings everywhere.
+    """
+    parts = [platform.machine(), platform.processor()]
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if not line.strip():
+                    if len(parts) > 2:
+                        break
+                    continue
+                if line.split(":", 1)[0].strip() in _CPUINFO_KEYS:
+                    parts.append(line.strip())
+    except OSError:
+        pass
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+
+def _lib_path(cc: str, flags, cpu: str) -> Path:
+    """Cache path of the library built by ``cc flags`` for CPU ``cpu``."""
+    key = "|".join((str(SOURCE_VERSION), cc, " ".join(flags), cpu, SOURCE))
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return _cache_dir() / f"repro_kernels_{digest}.so"
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    fd, tmp_path = tempfile.mkstemp(dir=path.parent, suffix=path.suffix)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp_path, path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+
+
 def _build() -> ctypes.CDLL:
     cc = _find_compiler()
+    cpu = _cpu_fingerprint()
     # Try the optimized flag set first; a compiler that rejects any of
     # OPT_FLAGS (old gcc, non-x86 clang spellings, ...) falls back to the
     # portable baseline.  The cache key hashes the exact flags used, so
     # the two variants never collide.
     last_error = None
     for flags in (CFLAGS + OPT_FLAGS, CFLAGS):
-        key = "|".join((str(SOURCE_VERSION), cc, " ".join(flags), SOURCE))
-        digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-        cache = _cache_dir()
-        lib_path = cache / f"repro_kernels_{digest}.so"
+        lib_path = _lib_path(cc, flags, cpu)
+        cache = lib_path.parent
         if not lib_path.exists():
             try:
                 cache.mkdir(parents=True, exist_ok=True)
-                src_path = cache / f"repro_kernels_{digest}.c"
-                src_path.write_text(SOURCE)
+                src_path = lib_path.with_suffix(".c")
+                _write_atomic(src_path, SOURCE)
                 fd, tmp_path = tempfile.mkstemp(dir=cache, suffix=".so")
                 os.close(fd)
                 try:
@@ -143,10 +193,12 @@ for _name, _argtypes in {
                           _c_ssize],
     "sop_eval_f64": [_ptr, _ptr, _ptr, _ptr, _ptr, _c_ssize, _ptr, _ptr,
                      _ptr, _ptr, _c_ssize, _c_ssize, _c_ssize],
+    "network_run_i64": [_c_int64, _c_int64, _c_ssize, _ptr, _ptr, _ptr,
+                        _c_ssize, _ptr, _ptr, _ptr, _ptr, _c_double],
 }.items():
     _fn = getattr(_lib, _name)
     _fn.argtypes = _argtypes
-    _fn.restype = None
+    _fn.restype = _c_int if _name == "network_run_i64" else None
 
 
 def _p(a: np.ndarray):
@@ -214,3 +266,18 @@ def sop_eval(scales, offs, kinds, idxs, consts, pre_stack, post_stack,
         _p(pre_stack), _p(post_stack), _p(syn_stack), _p(dz),
         n_rep, n_src, n_dst)
     return dz
+
+
+def network_run(steps, replicas, groups, group_arrays, conns, conn_traces,
+                conn_arrays, group_spikes, conn_events, trace_max):
+    status = _lib.network_run_i64(
+        steps, replicas, len(groups), groups.ctypes.data,
+        group_arrays.ctypes.data, group_spikes.ctypes.data, len(conns),
+        conns.ctypes.data, conn_traces.ctypes.data, conn_arrays.ctypes.data,
+        conn_events.ctypes.data, trace_max)
+    if status == -2:
+        raise ValueError("network tables hold an out-of-range size, group "
+                         "index or mask stride, or a null address")
+    if status:
+        raise MemoryError("network_run could not allocate its scratch "
+                          "buffers")

@@ -10,16 +10,20 @@ operations, in the same per-element order, as the pure-NumPy reference in
 optimizations — no ``-ffast-math`` and no FMA contraction
 (``-ffp-contract=off``): a fused multiply-add rounds once where the
 reference rounds twice, which would break the ``array_equal`` equivalence
-suite in ``tests/test_kernels.py``.
+suite in ``tests/test_kernels.py``.  The fused ``network_run_i64`` loop
+reuses the per-step ``cuba_step_i64`` and ``trace_update_f64`` functions
+verbatim, so it inherits their contract; its remaining arithmetic is exact
+int64.
 """
 
 #: Bump when the C ABI below changes; part of the compile-cache key.
-SOURCE_VERSION = 2
+SOURCE_VERSION = 3
 
 SOURCE = r"""
 #include <stdint.h>
 #include <stddef.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* Python floor division (// rounds toward -inf; C / truncates toward 0). */
 static int64_t floordiv(int64_t a, int64_t b) {
@@ -318,5 +322,178 @@ void sop_eval_f64(const double *scales, const int32_t *offs,
     free(pre_buf);
     free(post_buf);
     free(syn_f);
+}
+
+/* -- Fused network run (loihi/runtime.py: Runtime.run) ----------------- *
+ * Advances a flattened network `steps` timesteps in one call with the
+ * exact semantics of that many Runtime.step() calls; the table layouts
+ * are kernels.NETWORK_* (one row per group / connection, declaration
+ * order), and the enums below must match them.  Every step:
+ *   deliver   — each connection adds spikes @ W * weight_scale from its
+ *               source's previous-step spikes (int64: exact in any order)
+ *               and counts active * dst.n synaptic events;
+ *   integrate — each group runs cuba_step_i64, then ANDs gate.v > 0, ORs
+ *               the merge group's spikes as currently stored and ANDs the
+ *               mask; disabled groups hold state and emit nothing,
+ *               non-spiking groups integrate and emit nothing;
+ *   trace     — each plastic connection updates its pre, then its post
+ *               trace with trace_update_f64.
+ * Returns 0; -1 if scratch allocation fails, -2 if a table holds an
+ * out-of-range size, group index or mask stride, or a null address —
+ * both before any state is touched.                                      */
+enum { G_N, G_DECAY_U, G_DECAY_V, G_VTH, G_SOFT_RESET, G_REFRACTORY,
+       G_FLOOR_AT_ZERO, G_NON_SPIKING, G_GATE, G_MERGE, G_ENABLED,
+       G_MASK_STRIDE, G_FIELDS };
+enum { GA_U, GA_V, GA_REFRAC, GA_BIAS, GA_SPIKES, GA_SPIKE_COUNT, GA_MASK,
+       GA_FIELDS };
+enum { C_SRC, C_DST, C_WEIGHT_SCALE, C_PER_REPLICA, C_PLASTIC, C_FIELDS };
+enum { CT_PRE_IMPULSE, CT_PRE_DECAY, CT_POST_IMPULSE, CT_POST_DECAY,
+       CT_FIELDS };
+enum { CA_WEIGHT, CA_PRE_TRACE, CA_POST_TRACE, CA_FIELDS };
+
+#define GROUP_ARRAY(T, k, f) ((T *)ga[(k) * GA_FIELDS + (f)])
+
+static int network_tables_ok(int64_t R, ptrdiff_t n_groups,
+                             const int64_t *g, const uintptr_t *ga,
+                             ptrdiff_t n_conns, const int64_t *c,
+                             const uintptr_t *ca) {
+    if (R < 1) return 0;
+    for (ptrdiff_t k = 0; k < n_groups; k++) {
+        const int64_t *gk = g + k * G_FIELDS;
+        int64_t stride = gk[G_MASK_STRIDE];
+        if (gk[G_N] < 1 || gk[G_GATE] < -1 || gk[G_GATE] >= n_groups
+            || gk[G_MERGE] < -1 || gk[G_MERGE] >= n_groups
+            || (stride != 0 && stride != gk[G_N]))
+            return 0;
+        for (int f = 0; f < GA_FIELDS; f++)
+            if (!ga[k * GA_FIELDS + f]) return 0;
+    }
+    for (ptrdiff_t k = 0; k < n_conns; k++) {
+        const int64_t *ck = c + k * C_FIELDS;
+        if (ck[C_SRC] < 0 || ck[C_SRC] >= n_groups || ck[C_DST] < 0
+            || ck[C_DST] >= n_groups || !ca[k * CA_FIELDS + CA_WEIGHT])
+            return 0;
+        if (ck[C_PLASTIC] && (!ca[k * CA_FIELDS + CA_PRE_TRACE]
+                              || !ca[k * CA_FIELDS + CA_POST_TRACE]))
+            return 0;
+    }
+    return 1;
+}
+
+int network_run_i64(int64_t steps, int64_t R, ptrdiff_t n_groups,
+                    const int64_t *g, const uintptr_t *ga,
+                    int64_t *g_spikes, ptrdiff_t n_conns, const int64_t *c,
+                    const double *ct, const uintptr_t *ca,
+                    int64_t *c_events, double trace_max) {
+    if (!network_tables_ok(R, n_groups, g, ga, n_conns, c, ca)) return -2;
+    ptrdiff_t total = 0, widest = 1;
+    ptrdiff_t *off = (ptrdiff_t *)malloc((size_t)(n_groups > 0 ? n_groups
+                                                              : 1)
+                                         * sizeof(ptrdiff_t));
+    if (!off) return -1;
+    for (ptrdiff_t k = 0; k < n_groups; k++) {
+        ptrdiff_t m = R * g[k * G_FIELDS + G_N];
+        off[k] = total;
+        total += m;
+        if (m > widest) widest = m;
+    }
+    int64_t *cur = (int64_t *)malloc((size_t)(total > 0 ? total : 1)
+                                     * sizeof(int64_t));
+    uint8_t *fired = (uint8_t *)malloc((size_t)widest);
+    if (!cur || !fired) {
+        free(off);
+        free(cur);
+        free(fired);
+        return -1;
+    }
+    for (int64_t t = 0; t < steps; t++) {
+        memset(cur, 0, (size_t)total * sizeof(int64_t));
+        for (ptrdiff_t k = 0; k < n_conns; k++) {            /* deliver */
+            const int64_t *ck = c + k * C_FIELDS;
+            int64_t src = ck[C_SRC], dst = ck[C_DST];
+            int64_t scale = ck[C_WEIGHT_SCALE];
+            ptrdiff_t S = g[src * G_FIELDS + G_N];
+            ptrdiff_t D = g[dst * G_FIELDS + G_N];
+            const uint8_t *sp = GROUP_ARRAY(const uint8_t, src, GA_SPIKES);
+            int64_t active = 0;
+            for (ptrdiff_t i = 0; i < R * S; i++) active += sp[i];
+            if (!active) continue;
+            c_events[k] += active * D;
+            const int64_t *w = (const int64_t *)ca[k * CA_FIELDS + CA_WEIGHT];
+            for (int64_t r = 0; r < R; r++) {
+                const int64_t *wr = ck[C_PER_REPLICA] ? w + r * S * D : w;
+                const uint8_t *spr = sp + r * S;
+                int64_t *out = cur + off[dst] + r * D;
+                for (ptrdiff_t s = 0; s < S; s++) {
+                    if (!spr[s]) continue;
+                    const int64_t *row = wr + s * D;
+                    for (ptrdiff_t d = 0; d < D; d++)
+                        out[d] += row[d] * scale;
+                }
+            }
+        }
+        for (ptrdiff_t k = 0; k < n_groups; k++) {          /* integrate */
+            const int64_t *gk = g + k * G_FIELDS;
+            ptrdiff_t n = gk[G_N], m = R * n;
+            uint8_t *spikes = GROUP_ARRAY(uint8_t, k, GA_SPIKES);
+            if (!gk[G_ENABLED]) {
+                memset(spikes, 0, (size_t)m);
+                continue;
+            }
+            cuba_step_i64(GROUP_ARRAY(int64_t, k, GA_U),
+                          GROUP_ARRAY(int64_t, k, GA_V),
+                          GROUP_ARRAY(int64_t, k, GA_REFRAC),
+                          GROUP_ARRAY(const int64_t, k, GA_BIAS),
+                          cur + off[k], gk[G_DECAY_U], gk[G_DECAY_V],
+                          gk[G_VTH], (int)gk[G_SOFT_RESET],
+                          gk[G_REFRACTORY], (int)gk[G_FLOOR_AT_ZERO],
+                          (int)gk[G_NON_SPIKING], fired, m);
+            if (gk[G_NON_SPIKING]) {
+                memset(spikes, 0, (size_t)m);
+                continue;
+            }
+            if (gk[G_GATE] >= 0) {
+                const int64_t *gv = GROUP_ARRAY(const int64_t, gk[G_GATE],
+                                                GA_V);
+                for (ptrdiff_t i = 0; i < m; i++) fired[i] &= gv[i] > 0;
+            }
+            if (gk[G_MERGE] >= 0) {
+                const uint8_t *ms = GROUP_ARRAY(const uint8_t, gk[G_MERGE],
+                                                GA_SPIKES);
+                for (ptrdiff_t i = 0; i < m; i++) fired[i] |= ms[i];
+            }
+            const uint8_t *mask = GROUP_ARRAY(const uint8_t, k, GA_MASK);
+            int64_t *count = GROUP_ARRAY(int64_t, k, GA_SPIKE_COUNT);
+            ptrdiff_t stride = gk[G_MASK_STRIDE];
+            int64_t emitted = 0;
+            for (int64_t r = 0; r < R; r++) {
+                for (ptrdiff_t j = 0; j < n; j++) {
+                    uint8_t f = fired[r * n + j] & mask[r * stride + j];
+                    spikes[r * n + j] = f;
+                    count[r * n + j] += f;
+                    emitted += f;
+                }
+            }
+            g_spikes[k] += emitted;
+        }
+        for (ptrdiff_t k = 0; k < n_conns; k++) {              /* trace */
+            const int64_t *ck = c + k * C_FIELDS;
+            if (!ck[C_PLASTIC]) continue;
+            const double *tk = ct + k * CT_FIELDS;
+            int64_t src = ck[C_SRC], dst = ck[C_DST];
+            trace_update_f64((double *)ca[k * CA_FIELDS + CA_PRE_TRACE],
+                             GROUP_ARRAY(const uint8_t, src, GA_SPIKES),
+                             tk[CT_PRE_IMPULSE], tk[CT_PRE_DECAY], trace_max,
+                             R * g[src * G_FIELDS + G_N]);
+            trace_update_f64((double *)ca[k * CA_FIELDS + CA_POST_TRACE],
+                             GROUP_ARRAY(const uint8_t, dst, GA_SPIKES),
+                             tk[CT_POST_IMPULSE], tk[CT_POST_DECAY],
+                             trace_max, R * g[dst * G_FIELDS + G_N]);
+        }
+    }
+    free(off);
+    free(cur);
+    free(fired);
+    return 0;
 }
 """

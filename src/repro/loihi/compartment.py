@@ -205,10 +205,12 @@ class CompartmentGroup:
         """Advance one timestep given integer synaptic input.
 
         Disabled groups hold their state and stay silent (the host-side
-        phase gate of the two-phase EMSTDP schedule).
+        phase gate of the two-phase EMSTDP schedule).  ``spikes`` is
+        written in place, as the fused runtime loop writes it, so both
+        execution paths keep one buffer per group.
         """
         if not self.enabled:
-            self.spikes = np.zeros(self.state_shape, dtype=bool)
+            self.spikes.fill(False)
             return self.spikes
         syn_input = np.asarray(syn_input, dtype=np.int64)
         p = self.proto
@@ -223,16 +225,16 @@ class CompartmentGroup:
                                   floor_at_zero=p.floor_at_zero,
                                   non_spiking=p.non_spiking)
         if p.non_spiking:
-            self.spikes = np.zeros(self.state_shape, dtype=bool)
+            self.spikes.fill(False)
             return self.spikes
         if self.gate_group is not None:
             fired = fired & self.gate_group.active()
         if self.merge_group is not None:
             fired = fired | self.merge_group.spikes
         fired = fired & self.mask
-        self.spikes = fired
+        self.spikes[...] = fired
         self.spike_count += fired
-        return fired
+        return self.spikes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CompartmentGroup {self.name!r} n={self.n}>"

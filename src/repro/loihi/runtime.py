@@ -14,6 +14,21 @@ update):
 
 The runtime also owns the counters (:class:`~repro.loihi.energy.RunStats`)
 that the energy model turns into Table II / Fig. 3 rows.
+
+Two execution paths implement these semantics.  :meth:`Runtime.step` is
+the per-step reference: Python walks the groups and connections and calls
+one kernel per group and trace.  :meth:`Runtime.run` advances a whole
+phase; when the active kernel backend provides the fused
+:func:`~repro.core.kernels.network_run` (``cext``), it is one C call over
+a flattened copy of the network (:class:`_NetworkPlan`), built once per
+runtime and re-bound to the host's arrays before every call.  Under the
+``numpy`` backend ``run`` loops over ``step``.  Delivery is int64 and the
+loop reuses the per-step compartment and trace kernels, so the two paths
+are bit-identical — ``tests/test_loihi_fused.py`` pins weights, spikes,
+counts, traces, tags and stats with ``array_equal``.  Host work between
+runs (programming biases, masks and enable flags, learning epochs,
+resets) stays in Python: it happens a few times per sample, not every
+step.
 """
 
 from __future__ import annotations
@@ -23,12 +38,14 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
+from ..core import kernels
 from ..seeding import as_rng
 from .compartment import CompartmentGroup
 from .energy import RunStats
 from .mapping import Mapping, shard_groups
 from .microcode import LearningEngine, SumOfProducts
 from .sdk import Network
+from .traces import TRACE_MAX
 
 
 def _replica_engine(network: Network, rng, stochastic_rounding: bool,
@@ -60,6 +77,181 @@ def _replica_engine(network: Network, rng, stochastic_rounding: bool,
                           stochastic_rounding=stochastic_rounding)
 
 
+def _kernel_array(owner, attr: str, dtype, shape, broadcast: bool = False
+                  ) -> np.ndarray:
+    """``owner.attr`` as a C-contiguous ``dtype`` array of ``shape``.
+
+    A conforming array is returned as is, so the fused loop writes the
+    owner's own state in place.  Anything else (another dtype, a strided
+    view, a broadcastable bias) is converted once and stored back on the
+    owner, which keeps the same object bound on the next run.
+    """
+    a = getattr(owner, attr)
+    if np.shape(a) != shape:
+        if not broadcast:
+            raise ValueError(
+                f"{attr} of {getattr(owner, 'name', owner)!r} has shape "
+                f"{np.shape(a)}, expected {shape}")
+        a = np.broadcast_to(np.asarray(a, dtype=dtype), shape)
+    out = np.ascontiguousarray(a, dtype=dtype)
+    if out is not getattr(owner, attr):
+        setattr(owner, attr, out)
+    return out
+
+
+#: ``kernels.NETWORK_GROUP_ARRAYS`` column -> CompartmentGroup attribute
+#: and dtype.
+_GROUP_ARRAYS = {"u": ("u", np.int64), "v": ("v", np.int64),
+                 "refrac": ("_refrac", np.int64), "bias": ("bias", np.int64),
+                 "spikes": ("spikes", bool),
+                 "spike_count": ("spike_count", np.int64),
+                 "mask": ("mask", bool)}
+
+#: CompartmentPrototype attributes copied into the group table.
+_PROTO_FIELDS = ("decay_u", "decay_v", "vth", "soft_reset", "refractory",
+                 "floor_at_zero", "non_spiking")
+
+
+def _columns(names) -> dict:
+    return {name: i for i, name in enumerate(names)}
+
+
+_G = _columns(kernels.NETWORK_GROUP_FIELDS)
+_C = _columns(kernels.NETWORK_CONN_FIELDS)
+_CT = _columns(kernels.NETWORK_CONN_TRACE_FIELDS)
+_CA = _columns(kernels.NETWORK_CONN_ARRAYS)
+
+
+class _NetworkPlan:
+    """A network flattened into the tables of ``kernels.network_run``.
+
+    Group sizes and connection endpoints are fixed when the plan is built.
+    :meth:`bind` re-reads everything the host may change between runs —
+    enable flags, prototypes, gate/merge links, weight scales, trace
+    configs and the state arrays, which ``set_bias``, ``set_weights``,
+    ``set_class_mask`` and learning epochs replace with new objects.  An
+    address is re-derived only when the object behind it changed, so a
+    steady-state bind costs one identity check per array.
+    """
+
+    def __init__(self, network: Network):
+        self.group_objs = list(network.groups)
+        self.conn_objs = list(network.connections)
+        self.replicas = network.replicas
+        self.index = {id(g): i for i, g in enumerate(self.group_objs)}
+        n_g, n_c = len(self.group_objs), len(self.conn_objs)
+        self.groups = np.zeros((n_g, len(_G)), dtype=np.int64)
+        self.group_arrays = np.zeros((n_g, len(_GROUP_ARRAYS)),
+                                     dtype=np.uintp)
+        self.conns = np.zeros((n_c, len(_C)), dtype=np.int64)
+        self.conn_traces = np.zeros((n_c, len(_CT)), dtype=np.float64)
+        self.conn_arrays = np.zeros((n_c, len(_CA)), dtype=np.uintp)
+        self.group_spikes = np.zeros(n_g, dtype=np.int64)
+        self.conn_events = np.zeros(n_c, dtype=np.int64)
+        self.groups[:, _G["gate"]] = self.groups[:, _G["merge"]] = -1
+        for i, g in enumerate(self.group_objs):
+            self.groups[i, _G["n"]] = g.n
+        for k, conn in enumerate(self.conn_objs):
+            self.conns[k, _C["src"]] = self.index[id(conn.src)]
+            self.conns[k, _C["dst"]] = self.index[id(conn.dst)]
+            self.conns[k, _C["plastic"]] = conn.plastic
+        #: name -> the object each table entry was last derived from.
+        self._group_seen = [{} for _ in self.group_objs]
+        self._conn_seen = [{} for _ in self.conn_objs]
+
+    def matches(self, network: Network) -> bool:
+        return (len(network.groups) == len(self.group_objs)
+                and len(network.connections) == len(self.conn_objs))
+
+    def bind(self) -> bool:
+        """Refresh the tables from the host's objects.
+
+        Returns False, leaving the network to the per-step path, when a
+        gate or merge partner lies outside the network or differs in size,
+        or a mask is neither ``(n,)`` nor the state shape (the per-step
+        path broadcasts these; the tables cannot express them).
+        """
+        for i, g in enumerate(self.group_objs):
+            seen = self._group_seen[i]
+            row = self.groups[i]
+            if g.proto is not seen.get("proto"):
+                seen["proto"] = g.proto
+                for field in _PROTO_FIELDS:
+                    row[_G[field]] = getattr(g.proto, field)
+            for field, other in (("gate", g.gate_group),
+                                 ("merge", g.merge_group)):
+                if other is seen.get(field):
+                    continue
+                if other is not None:
+                    if id(other) not in self.index or other.n != g.n:
+                        return False
+                    row[_G[field]] = self.index[id(other)]
+                else:
+                    row[_G[field]] = -1
+                seen[field] = other
+            if g.enabled is not seen.get("enabled"):
+                seen["enabled"] = g.enabled
+                row[_G["enabled"]] = bool(g.enabled)
+            for j, name in enumerate(kernels.NETWORK_GROUP_ARRAYS):
+                attr, dtype = _GROUP_ARRAYS[name]
+                if getattr(g, attr) is seen.get(name):
+                    continue
+                if name == "mask":
+                    a = _kernel_array(g, attr, dtype, np.shape(g.mask))
+                    if a.shape not in ((g.n,), g.state_shape):
+                        return False
+                    row[_G["mask_stride"]] = g.n if a.ndim == 2 else 0
+                else:
+                    a = _kernel_array(g, attr, dtype, g.state_shape,
+                                      broadcast=(name == "bias"))
+                seen[name] = a
+                self.group_arrays[i, j] = a.ctypes.data
+        for k, conn in enumerate(self.conn_objs):
+            self._bind_conn(k, conn)
+        return True
+
+    def _bind_conn(self, k: int, conn) -> None:
+        seen = self._conn_seen[k]
+        if conn.weight_scale != seen.get("weight_scale"):
+            seen["weight_scale"] = conn.weight_scale
+            self.conns[k, _C["weight_scale"]] = conn.weight_scale
+        if conn.weight_mant is not seen.get("weight"):
+            block = (conn.src.n, conn.dst.n)
+            per_replica = np.ndim(conn.weight_mant) == 3
+            w = seen["weight"] = _kernel_array(
+                conn, "weight_mant", np.int64,
+                (self.replicas,) + block if per_replica else block)
+            self.conns[k, _C["per_replica"]] = per_replica
+            self.conn_arrays[k, _CA["weight"]] = w.ctypes.data
+        if not conn.plastic:
+            return
+        for side, trace, group in (("pre", conn.pre_trace, conn.src),
+                                   ("post", conn.post_trace, conn.dst)):
+            if trace.config is not seen.get(f"{side}_config"):
+                seen[f"{side}_config"] = trace.config
+                self.conn_traces[k, _CT[f"{side}_impulse"]] = \
+                    trace.config.impulse
+                self.conn_traces[k, _CT[f"{side}_decay"]] = \
+                    trace.config.decay
+            if trace.values is not seen.get(f"{side}_trace"):
+                values = seen[f"{side}_trace"] = _kernel_array(
+                    trace, "values", np.float64, group.state_shape)
+                self.conn_arrays[k, _CA[f"{side}_trace"]] = \
+                    values.ctypes.data
+
+    def run(self, steps: int) -> None:
+        """One ``network_run`` call; per-connection events land on the
+        connections, per-group spike totals stay in :attr:`group_spikes`."""
+        self.group_spikes.fill(0)
+        self.conn_events.fill(0)
+        kernels.network_run(steps, self.replicas, self.groups,
+                            self.group_arrays, self.conns, self.conn_traces,
+                            self.conn_arrays, self.group_spikes,
+                            self.conn_events, TRACE_MAX)
+        for conn, events in zip(self.conn_objs, self.conn_events.tolist()):
+            conn.syn_events += events
+
+
 class Runtime:
     """Steps a network and orchestrates learning epochs.
 
@@ -79,6 +271,14 @@ class Runtime:
         self.stats = RunStats()
         self.stats.plastic_synapses = network.n_plastic_synapses()
         self._syn_events_seen = 0
+        self._plan: Optional[_NetworkPlan] = None
+
+    def __getstate__(self) -> dict:
+        # The plan holds raw addresses of this object's arrays; a copy or
+        # an unpickled runtime must build its own.
+        state = self.__dict__.copy()
+        state["_plan"] = None
+        return state
 
     # -- learning-rule registry ---------------------------------------------
 
@@ -122,9 +322,27 @@ class Runtime:
         self.stats.spikes += n_spikes
 
     def run(self, steps: int) -> None:
-        for _ in range(steps):
-            self.step()
+        """Advance ``steps`` timesteps: one fused kernel call when the
+        active backend provides ``network_run``, else ``steps`` calls of
+        :meth:`step` (the two are bit-identical)."""
+        if steps <= 0 or not kernels.backend_provides("network_run") \
+                or self._run_fused(int(steps)) is None:
+            for _ in range(steps):
+                self.step()
         self._collect_syn_events()
+
+    def _run_fused(self, steps: int) -> Optional[_NetworkPlan]:
+        """Run through the flattened plan; None (nothing run) if the
+        network cannot be expressed in its tables."""
+        plan = self._plan
+        if plan is None or not plan.matches(self.network):
+            plan = self._plan = _NetworkPlan(self.network)
+        if not plan.bind():
+            return None
+        plan.run(steps)
+        self.stats.steps += steps
+        self.stats.spikes += int(plan.group_spikes.sum())
+        return plan
 
     def _collect_syn_events(self) -> None:
         total = sum(c.syn_events for c in self.network.connections)
@@ -236,6 +454,12 @@ class ShardedRuntime(Runtime):
     stochastic-rounding streams are consumed in connection order, and that
     order is part of the bit-identical contract with the plain runtime.
 
+    That pool serves :meth:`step`.  :meth:`run` with a fused backend is
+    one ``network_run`` call over the whole network (the barrier
+    semantics are the same), after which each shard is credited with the
+    spikes of its groups and the synaptic events of its inbound
+    connections.
+
     Per-shard counters live in ``shard.stats`` and are merged into the
     global :class:`RunStats` (see :meth:`merged_shard_stats`).
     """
@@ -310,8 +534,19 @@ class ShardedRuntime(Runtime):
         self.stats.steps += 1
         self.stats.spikes += sum(spike_counts)
 
+    def _run_fused(self, steps: int) -> Optional[_NetworkPlan]:
+        plan = super()._run_fused(steps)
+        if plan is not None:
+            for shard in self.shards:
+                shard.stats.steps += steps
+                shard.stats.spikes += sum(
+                    int(plan.group_spikes[plan.index[id(g)]])
+                    for g in shard.groups)
+        return plan
+
     def _collect_syn_events(self) -> None:
-        self._each_shard(_Shard.collect_syn_events)
+        for shard in self.shards:
+            shard.collect_syn_events()
         super()._collect_syn_events()
 
     def merged_shard_stats(self) -> RunStats:

@@ -12,8 +12,8 @@ and one modulo — priced by ``benchmarks/bench_obs_overhead.py`` against a
 ``REPRO_OBS_KERNEL_SAMPLE`` picks the sampling stride (default 64);
 ``0`` disables the probes entirely (the wrapper collapses to a single
 ``if`` plus the real call).  The first call of each kernel is never the
-sampled one — with numba backends it pays JIT compilation and would skew
-``est_total_ms`` by orders of magnitude.
+sampled one — it pays one-time costs (lazy symbol binding, first-touch
+page faults) that would skew ``est_total_ms``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class KernelProfiler:
             if not sample:
                 return fn(*args, **kwargs)
             stat.calls += 1
-            if stat.calls % sample:  # call 1 never sampled: JIT warmup
+            if stat.calls % sample:  # call 1 never sampled: warm-up
                 return fn(*args, **kwargs)
             t0 = time.perf_counter()
             out = fn(*args, **kwargs)

@@ -1,6 +1,6 @@
 """REP002 fixture: backend imports + a kernel reimplementation (5)."""
 from repro.core.kernels import _numpy
-from repro.core.kernels._numba import delta_w_dense
+from repro.core.kernels._numpy import delta_w_dense
 from .kernels import _cext
 
 import repro.core.kernels._csrc

@@ -1,6 +1,6 @@
 """Bit-identical equivalence suite for the kernel backends.
 
-Every available backend (numba, cext, numpy) must produce *exactly* the
+Every available backend (cext, numpy) must produce *exactly* the
 same bits as the pure-NumPy reference — ``np.array_equal``, never
 ``allclose`` — across edge shapes: empty batches, single neurons, single
 replicas, non-contiguous views, float32 and float64 state.  The golden
@@ -331,16 +331,15 @@ class TestBackendSelection:
     def test_explicitly_requested_unavailable_backend_raises(
             self, monkeypatch, restore_backend):
         def boom():
-            raise ImportError("numba is not installed")
-        monkeypatch.setitem(kernels._LOADERS, "numba", boom)
+            raise ImportError("no C compiler")
+        monkeypatch.setitem(kernels._LOADERS, "cext", boom)
         with pytest.raises(ImportError, match="requested explicitly"):
-            kernels.select_backend("numba")
+            kernels.select_backend("cext")
 
     def test_autodetect_degrades_to_numpy_with_single_warning(
             self, monkeypatch, restore_backend):
         def boom():
             raise ImportError("unavailable in this test")
-        monkeypatch.setitem(kernels._LOADERS, "numba", boom)
         monkeypatch.setitem(kernels._LOADERS, "cext", boom)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -357,6 +356,82 @@ class TestBackendSelection:
         with kernels.forced_backend("numpy"):
             assert kernels.backend_name() == "numpy"
         assert kernels.backend_name() == before
+
+    def test_fused_network_run_only_on_compiled_backends(self):
+        with kernels.forced_backend("numpy"):
+            assert not kernels.backend_provides("network_run")
+            with pytest.raises(NotImplementedError, match="one timestep"):
+                kernels.network_run(1, 1, *([None] * 7), 127.0)
+        for backend in COMPILED:
+            with kernels.forced_backend(backend):
+                assert kernels.backend_provides("network_run")
+
+    @pytest.mark.skipif("cext" not in AVAILABLE, reason="needs a C compiler")
+    def test_network_run_rejects_malformed_tables(self):
+        empty = {name: np.zeros((0, len(fields)), dtype=dtype)
+                 for name, fields, dtype in (
+                     ("groups", kernels.NETWORK_GROUP_FIELDS, np.int64),
+                     ("group_arrays", kernels.NETWORK_GROUP_ARRAYS, np.uintp),
+                     ("conns", kernels.NETWORK_CONN_FIELDS, np.int64),
+                     ("conn_traces", kernels.NETWORK_CONN_TRACE_FIELDS,
+                      np.float64),
+                     ("conn_arrays", kernels.NETWORK_CONN_ARRAYS, np.uintp))}
+        counters = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        with kernels.forced_backend("cext"):
+            kernels.network_run(3, 1, *empty.values(), *counters, 127.0)
+            bad = dict(empty, groups=np.zeros((0, 3), dtype=np.int64))
+            with pytest.raises(TypeError, match="groups"):
+                kernels.network_run(3, 1, *bad.values(), *counters, 127.0)
+            with pytest.raises(TypeError, match="conn_events"):
+                kernels.network_run(3, 1, *empty.values(), counters[0],
+                                    np.zeros(1, dtype=np.int64), 127.0)
+            # One real group, then a connection from a group that does
+            # not exist: rejected before any address is dereferenced.
+            state = np.zeros(4, dtype=np.int64)
+            spikes, mask = np.zeros(4, dtype=bool), np.ones(4, dtype=bool)
+            group = np.zeros((1, len(kernels.NETWORK_GROUP_FIELDS)),
+                             dtype=np.int64)
+            group[0, 0] = 4
+            group[0, 8:10] = -1
+            arrays = np.array([[a.ctypes.data for a in (
+                state, state, state, state, spikes, state, mask)]],
+                dtype=np.uintp)
+            conn = np.array([[3, 0, 1, 0, 0]], dtype=np.int64)
+            conn_arrays = np.array([[state.ctypes.data, 0, 0]],
+                                   dtype=np.uintp)
+            with pytest.raises(ValueError, match="out-of-range"):
+                kernels.network_run(
+                    3, 1, group, arrays, conn,
+                    np.zeros((1, 4)), conn_arrays, np.zeros(1, np.int64),
+                    np.zeros(1, np.int64), 127.0)
+
+
+@pytest.mark.skipif("cext" not in AVAILABLE, reason="needs a C compiler")
+class TestCextBuildCache:
+    def test_cpu_fingerprint_keys_the_library(self, monkeypatch, tmp_path):
+        """A library built for another CPU is never loaded: the host CPU
+        is part of the cache key (``-march=native`` is tried first)."""
+        from repro.core.kernels import _cext
+
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        assert _cext._cpu_fingerprint() == _cext._cpu_fingerprint()
+        cc = _cext._find_compiler()
+        candidates = {}
+        for cpu in (_cext._cpu_fingerprint(), "another-cpu"):
+            candidates[cpu] = {_cext._lib_path(cc, flags, cpu).name
+                               for flags in (_cext.CFLAGS + _cext.OPT_FLAGS,
+                                             _cext.CFLAGS)}
+        assert not candidates["another-cpu"] & candidates[
+            _cext._cpu_fingerprint()]
+        monkeypatch.setattr(_cext, "_cpu_fingerprint", lambda: "another-cpu")
+        _cext._build()
+        built = [p.name for p in tmp_path.glob("*.so")]
+        assert len(built) == 1 and built[0] in candidates["another-cpu"]
+        # The .c was written through a temporary file and moved into
+        # place: only the source and the library remain.
+        stem = built[0][:-len(".so")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{stem}.c", f"{stem}.so"]
 
 
 class TestEnvOverride:

@@ -582,5 +582,5 @@ def test_bench_environment_stamp():
     assert set(stamp) == {"git_sha", "hostname", "cpu_count",
                           "kernel_backend"}
     assert stamp["cpu_count"] >= 1
-    assert stamp["kernel_backend"] in ("numpy", "cext", "numba")
+    assert stamp["kernel_backend"] in ("numpy", "cext")
     assert stamp["git_sha"]  # a sha in a work tree, "unknown" outside
