@@ -12,6 +12,7 @@ merged stats.
 """
 
 import contextlib
+import copy
 import dataclasses
 
 import numpy as np
@@ -249,8 +250,6 @@ def test_host_writes_between_runs_are_seen():
 
 def test_copied_runtime_binds_its_own_arrays():
     """A deep copy must not inherit the original's bound addresses."""
-    import copy
-
     X, y = make_blobs(DIMS[0], DIMS[-1], 4, seed=2)
     with fused():
         original = _trainer()
@@ -353,15 +352,17 @@ def network_specs(draw):
                 "decay_v": draw(st.sampled_from([0, 1, 300, 4096])),
                 "soft_reset": draw(st.booleans()),
                 "refractory": draw(st.integers(0, 3)),
-                "non_spiking": draw(st.booleans()),
+                "non_spiking": draw(st.sampled_from([False] * 3 + [True])),
                 "floor_at_zero": draw(st.booleans()),
             },
-            "gate": draw(st.none() | st.sampled_from(same_size)),
-            "merge": draw(st.none() | st.sampled_from(same_size)),
+            "gate": draw(st.sampled_from([None] * 2 * len(same_size)
+                                         + same_size)),
+            "merge": draw(st.sampled_from([None] * 2 * len(same_size)
+                                          + same_size)),
             "mask": draw(st.sampled_from(
                 ["all", "shared"] + (["per_replica"] if replicas > 1
                                      else []))),
-            "enabled": draw(st.booleans()),
+            "enabled": draw(st.sampled_from([True] * 3 + [False])),
         })
     conns = [{
         "src": draw(st.integers(0, n_groups - 1)),
@@ -369,10 +370,10 @@ def network_specs(draw):
         "scale": draw(st.integers(1, 8)),
         "plastic": draw(st.booleans()),
         "trace": draw(st.sampled_from([(1, 1.0), (16, 0.7), (127, 0.5)])),
-    } for _ in range(draw(st.integers(0, 6)))]
+    } for _ in range(draw(st.integers(1, 6)))]
     schedule = draw(st.lists(
-        st.tuples(st.integers(0, 6), st.sampled_from(
-            ["epoch", "toggle", "bias", "none"])), min_size=1, max_size=4))
+        st.tuples(st.integers(0, 8), st.sampled_from(
+            ["epoch", "toggle", "bias", "none"])), min_size=1, max_size=5))
     return {"replicas": replicas, "groups": groups, "conns": conns,
             "schedule": schedule, "seed": draw(st.integers(0, 2 ** 16))}
 
@@ -432,7 +433,7 @@ def _play(spec):
 
 
 @given(spec=network_specs())
-@settings(max_examples=80, deadline=None,
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_random_networks_fused_equals_per_step(spec):
     with per_step():
