@@ -465,8 +465,7 @@ def network_run(steps: int, replicas: int, groups: np.ndarray,
     ``NotImplementedError`` when the active backend has no fused loop (see
     :func:`backend_provides`).
     """
-    impl = _impl()
-    if not hasattr(impl, "network_run"):
+    if not backend_provides("network_run"):
         raise NotImplementedError(
             f"kernel backend {_active_name!r} has no fused network_run; "
             f"step the network one timestep at a time instead")
@@ -485,9 +484,9 @@ def network_run(steps: int, replicas: int, groups: np.ndarray,
                 or out.shape != (rows,) or not out.flags.c_contiguous:
             raise TypeError(f"{name} must be a contiguous int64 ({rows},) "
                             f"array")
-    impl.network_run(int(steps), int(replicas), groups, group_arrays, conns,
-                     conn_traces, conn_arrays, group_spikes, conn_events,
-                     float(trace_max))
+    _impl().network_run(int(steps), int(replicas), groups, group_arrays,
+                        conns, conn_traces, conn_arrays, group_spikes,
+                        conn_events, float(trace_max))
 
 
 # Backend bootstrap: the env override wins over autodetection; unknown
