@@ -21,6 +21,11 @@ T = 32.  Gates:
 * fused vs. per-step, inference and training: >= 4x at one replica and
   >= 2x at 32 replicas.
 
+The bit-identity check and the per-step legs with their gates run on
+every kernel backend; the fused legs and their gates only where the
+active backend provides ``network_run`` (CI pins ``cext``, so a broken
+build fails there instead of dropping the fused gates).
+
 The fused replication ratio is recorded without a gate: fusion removes the
 dispatch that replication amortized, so the fused cost per sample is
 nearly flat in the replica count and the ratio is smaller even though
@@ -37,7 +42,6 @@ import contextlib
 import time
 
 import numpy as np
-import pytest
 
 from repro.core import kernels, loihi_default_config
 from repro.loihi import Runtime
@@ -149,16 +153,19 @@ def _legs(per_step: bool, n_infer: int, n_train: int) -> dict:
 
 
 def _run(n_train: int, n_infer: int, variant):
-    if not kernels.backend_provides("network_run"):
-        pytest.skip(f"kernel backend {kernels.backend_name()!r} has no "
-                    f"fused network_run")
     print()
     print(f"chip runtime — DFA, dims {DIMS}, T={T}, {REPLICAS} replicas")
     _assert_bit_identical()
     print("equivalence: batched learning bit-identical to sequential "
           "per-replica execution ✓")
-    step = _legs(True, n_infer, n_train)
-    fused = _legs(False, n_infer, n_train)
+    paths = {"per-step": _legs(True, n_infer, n_train)}
+    if kernels.backend_provides("network_run"):
+        paths["fused"] = _legs(False, n_infer, n_train)
+    else:
+        print(f"fused legs skipped: kernel backend "
+              f"{kernels.backend_name()!r} has no network_run")
+    step = paths["per-step"]
+    fused = paths.get("fused")
     payload = {
         "dims": list(DIMS),
         "T": T,
@@ -170,7 +177,7 @@ def _run(n_train: int, n_infer: int, variant):
     print(f"{'':9s}  {'path':8s}  {'1 replica':>10s}  "
           f"{f'{REPLICAS} replicas':>11s}  replication")
     for kind in ("infer", "train"):
-        for path, legs in (("per-step", step), ("fused", fused)):
+        for path, legs in paths.items():
             seq, bat = legs[f"{kind}_sequential"], legs[f"{kind}_batched"]
             print(f"{kind:9s}  {path:8s}  {seq:10.1f}  {bat:11.1f}  "
                   f"{bat / seq:10.2f}x")
@@ -180,6 +187,10 @@ def _run(n_train: int, n_infer: int, variant):
             f"{kind}_batched_sps": round(step[f"{kind}_batched"], 1),
             f"{kind}_speedup": round(step[f"{kind}_batched"]
                                      / step[f"{kind}_sequential"], 2),
+        })
+        if fused is None:
+            continue
+        payload.update({
             f"{kind}_fused_sequential_sps": round(
                 fused[f"{kind}_sequential"], 1),
             f"{kind}_fused_batched_sps": round(fused[f"{kind}_batched"], 1),
@@ -190,7 +201,6 @@ def _run(n_train: int, n_infer: int, variant):
             f"{kind}_fused_vs_step_{REPLICAS}": round(
                 fused[f"{kind}_batched"] / step[f"{kind}_batched"], 2),
         })
-    for kind in ("infer", "train"):
         print(f"{kind:9s}  fused vs per-step: "
               f"{payload[f'{kind}_fused_vs_step_1']:.1f}x at 1 replica, "
               f"{payload[f'{kind}_fused_vs_step_{REPLICAS}']:.1f}x at "
@@ -211,6 +221,8 @@ def _assert_gates(payload):
         f"batched training speedup {train_speedup:.1f}x < 2x " \
         f"at {REPLICAS} replicas"
     for kind in ("infer", "train"):
+        if f"{kind}_fused_vs_step_1" not in payload:
+            continue  # no fused backend: nothing fused to gate
         one = payload[f"{kind}_fused_vs_step_1"]
         wide = payload[f"{kind}_fused_vs_step_{REPLICAS}"]
         assert one >= 4.0, \
