@@ -82,14 +82,16 @@ def _cpu_fingerprint() -> str:
     """Digest of the host CPU's model and instruction-set extensions.
 
     Read from the first processor block of ``/proc/cpuinfo`` where it
-    exists (Linux), plus the machine and processor strings everywhere.
+    exists (Linux), plus the machine name everywhere.  (Not
+    ``platform.processor()``: on Linux it runs ``uname -p`` in a child
+    process on every import.)
     """
-    parts = [platform.machine(), platform.processor()]
+    parts = [platform.machine()]
     try:
         with open("/proc/cpuinfo") as fh:
             for line in fh:
                 if not line.strip():
-                    if len(parts) > 2:
+                    if len(parts) > 1:
                         break
                     continue
                 if line.split(":", 1)[0].strip() in _CPUINFO_KEYS:
