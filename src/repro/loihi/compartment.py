@@ -161,7 +161,9 @@ class CompartmentGroup:
             raise ValueError(
                 f"bias must have shape {self.state_shape} (or ({self.n},)), "
                 f"got {bias.shape}")
-        self.bias = bias.astype(np.int64)
+        # C order (a broadcast (n,) bias would otherwise copy column-major):
+        # the fused runtime loop reads state arrays in place.
+        self.bias = bias.astype(np.int64, order="C")
 
     def set_bias_mant(self, bias_mant: np.ndarray) -> None:
         """Program biases via Loihi's mantissa convention."""

@@ -77,26 +77,11 @@ def _replica_engine(network: Network, rng, stochastic_rounding: bool,
                           stochastic_rounding=stochastic_rounding)
 
 
-def _kernel_array(owner, attr: str, dtype, shape, broadcast: bool = False
-                  ) -> np.ndarray:
-    """``owner.attr`` as a C-contiguous ``dtype`` array of ``shape``.
-
-    A conforming array is returned as is, so the fused loop writes the
-    owner's own state in place.  Anything else (another dtype, a strided
-    view, a broadcastable bias) is converted once and stored back on the
-    owner, which keeps the same object bound on the next run.
-    """
-    a = getattr(owner, attr)
-    if np.shape(a) != shape:
-        if not broadcast:
-            raise ValueError(
-                f"{attr} of {getattr(owner, 'name', owner)!r} has shape "
-                f"{np.shape(a)}, expected {shape}")
-        a = np.broadcast_to(np.asarray(a, dtype=dtype), shape)
-    out = np.ascontiguousarray(a, dtype=dtype)
-    if out is not getattr(owner, attr):
-        setattr(owner, attr, out)
-    return out
+def _conforms(a, dtype, shapes) -> bool:
+    """Whether the fused loop can use ``a`` in place: a C-contiguous
+    ``dtype`` array of one of ``shapes``."""
+    return (isinstance(a, np.ndarray) and a.dtype == dtype
+            and a.shape in shapes and a.flags.c_contiguous)
 
 
 #: ``kernels.NETWORK_GROUP_ARRAYS`` column -> CompartmentGroup attribute
@@ -168,8 +153,11 @@ class _NetworkPlan:
 
         Returns False, leaving the network to the per-step path, when a
         gate or merge partner lies outside the network or differs in size,
-        or a mask is neither ``(n,)`` nor the state shape (the per-step
-        path broadcasts these; the tables cannot express them).
+        a mask is neither ``(n,)`` nor the state shape (the per-step path
+        broadcasts these; the tables cannot express them), or a state
+        array is not a C-contiguous array of the kernel's dtype and the
+        state shape (the loop writes the host's arrays in place and never
+        replaces them).
         """
         for i, g in enumerate(self.group_objs):
             seen = self._group_seen[i]
@@ -194,37 +182,37 @@ class _NetworkPlan:
                 row[_G["enabled"]] = bool(g.enabled)
             for j, name in enumerate(kernels.NETWORK_GROUP_ARRAYS):
                 attr, dtype = _GROUP_ARRAYS[name]
-                if getattr(g, attr) is seen.get(name):
+                a = getattr(g, attr)
+                if a is seen.get(name):
                     continue
+                shapes = ((g.n,), g.state_shape) if name == "mask" \
+                    else (g.state_shape,)
+                if not _conforms(a, dtype, shapes):
+                    return False
                 if name == "mask":
-                    a = _kernel_array(g, attr, dtype, np.shape(g.mask))
-                    if a.shape not in ((g.n,), g.state_shape):
-                        return False
                     row[_G["mask_stride"]] = g.n if a.ndim == 2 else 0
-                else:
-                    a = _kernel_array(g, attr, dtype, g.state_shape,
-                                      broadcast=(name == "bias"))
                 seen[name] = a
                 self.group_arrays[i, j] = a.ctypes.data
-        for k, conn in enumerate(self.conn_objs):
-            self._bind_conn(k, conn)
-        return True
+        return all(self._bind_conn(k, conn)
+                   for k, conn in enumerate(self.conn_objs))
 
-    def _bind_conn(self, k: int, conn) -> None:
+    def _bind_conn(self, k: int, conn) -> bool:
         seen = self._conn_seen[k]
         if conn.weight_scale != seen.get("weight_scale"):
             seen["weight_scale"] = conn.weight_scale
             self.conns[k, _C["weight_scale"]] = conn.weight_scale
-        if conn.weight_mant is not seen.get("weight"):
+        w = conn.weight_mant
+        if w is not seen.get("weight"):
             block = (conn.src.n, conn.dst.n)
-            per_replica = np.ndim(conn.weight_mant) == 3
-            w = seen["weight"] = _kernel_array(
-                conn, "weight_mant", np.int64,
-                (self.replicas,) + block if per_replica else block)
+            per_replica = np.ndim(w) == 3
+            if not _conforms(w, np.int64, ((self.replicas,) + block
+                                           if per_replica else block,)):
+                return False
+            seen["weight"] = w
             self.conns[k, _C["per_replica"]] = per_replica
             self.conn_arrays[k, _CA["weight"]] = w.ctypes.data
         if not conn.plastic:
-            return
+            return True
         for side, trace, group in (("pre", conn.pre_trace, conn.src),
                                    ("post", conn.post_trace, conn.dst)):
             if trace.config is not seen.get(f"{side}_config"):
@@ -233,11 +221,14 @@ class _NetworkPlan:
                     trace.config.impulse
                 self.conn_traces[k, _CT[f"{side}_decay"]] = \
                     trace.config.decay
-            if trace.values is not seen.get(f"{side}_trace"):
-                values = seen[f"{side}_trace"] = _kernel_array(
-                    trace, "values", np.float64, group.state_shape)
+            values = trace.values
+            if values is not seen.get(f"{side}_trace"):
+                if not _conforms(values, np.float64, (group.state_shape,)):
+                    return False
+                seen[f"{side}_trace"] = values
                 self.conn_arrays[k, _CA[f"{side}_trace"]] = \
                     values.ctypes.data
+        return True
 
     def run(self, steps: int) -> None:
         """One ``network_run`` call; per-connection events land on the

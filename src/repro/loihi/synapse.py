@@ -70,7 +70,7 @@ class ConnectionGroup:
         #: weight/tag copy per replica so batched learning matches
         #: sequential per-replica execution bit for bit.
         self.replicas = src.replicas
-        weight_mant = weight_mant.astype(np.int64)
+        weight_mant = weight_mant.astype(np.int64, order="C")
         if plastic and self.replicas > 1:
             weight_mant = np.broadcast_to(
                 weight_mant, (self.replicas,) + weight_mant.shape).copy()
@@ -142,8 +142,9 @@ class ConnectionGroup:
                 weight_mant, self.weight_mant.shape)
         if weight_mant.shape != self.weight_mant.shape:
             raise ValueError("shape mismatch")
-        self.weight_mant = np.clip(weight_mant, -WEIGHT_MANT_MAX,
-                                   WEIGHT_MANT_MAX).astype(np.int64)
+        weight_mant = np.clip(weight_mant, -WEIGHT_MANT_MAX, WEIGHT_MANT_MAX)
+        # C order, like every state array the fused runtime loop reads.
+        self.weight_mant = weight_mant.astype(np.int64, order="C")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "plastic" if self.plastic else "static"

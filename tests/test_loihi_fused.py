@@ -308,20 +308,46 @@ def test_sharded_runtime_attributes_shard_stats():
     assert all(shard.stats.steps == 23 for shard in rt.shards)
 
 
-def test_unfusable_network_falls_back_to_per_step():
-    """A gate partner of another size only exists through broadcasting,
-    which the fused tables do not express: run() steps instead."""
+def _odd_gate(net, soma):
+    aux = net.create_group(1, CompartmentPrototype(
+        vth_mant=4, non_spiking=True), "aux")
+    soma.gate_group = aux
+    aux.set_bias(np.array([5]))
+
+
+def _column_major_weights(net, soma):
+    conn = net.connections[0]
+    conn.weight_mant = np.asfortranarray(conn.weight_mant)
+    return conn, "weight_mant"
+
+
+def _int32_bias(net, soma):
+    soma.bias = soma.bias.astype(np.int32)
+    return soma, "bias"
+
+
+@pytest.mark.parametrize("unfusable", [
+    _odd_gate, _column_major_weights, _int32_bias])
+def test_unfusable_network_falls_back_to_per_step(unfusable):
+    """The fused tables cannot express a gate partner of another size
+    (it only exists through broadcasting), nor use in place a state array
+    of another dtype or memory order: run() steps instead and leaves the
+    host's arrays as they are."""
     def drive():
         net = Network("odd")
         proto = CompartmentPrototype(vth_mant=4)
         soma = net.create_group(3, proto, "soma")
-        aux = net.create_group(1, CompartmentPrototype(
-            vth_mant=4, non_spiking=True), "aux")
-        soma.gate_group = aux
-        soma.set_bias(np.full(3, proto.vth))
-        aux.set_bias(np.array([5]))
+        src = net.create_group(2, proto, "src")
+        src.set_bias(np.full(2, proto.vth))
+        net.connect(src, soma, np.array([[3, -1, 2], [1, 2, -2]]),
+                    weight_scale=proto.vth // 4)
+        soma.set_bias(np.full(3, proto.vth // 2))
+        host = unfusable(net, soma)
+        before = None if host is None else getattr(*host)
         rt = Runtime(net)
         rt.run(6)
+        if host is not None:
+            assert getattr(*host) is before
         return snapshot(net, rt)
 
     with per_step():
