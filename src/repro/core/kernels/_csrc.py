@@ -16,8 +16,20 @@ verbatim, so it inherits their contract; its remaining arithmetic is exact
 int64.
 """
 
+from ._layout import (NETWORK_CONN_ARRAYS, NETWORK_CONN_FIELDS,
+                      NETWORK_CONN_TRACE_FIELDS, NETWORK_GROUP_ARRAYS,
+                      NETWORK_GROUP_FIELDS)
+
 #: Bump when the C ABI below changes; part of the compile-cache key.
 SOURCE_VERSION = 3
+
+
+def _c_enum(prefix: str, fields) -> str:
+    """``enum { PREFIX_FIELD, ..., PREFIX_FIELDS };``: one table's column
+    indices, in the order of its ``kernels.NETWORK_*`` tuple."""
+    names = [f"{prefix}_{field.upper()}" for field in fields]
+    return "enum { " + ", ".join(names + [f"{prefix}_FIELDS"]) + " };\n"
+
 
 SOURCE = r"""
 #include <stdint.h>
@@ -328,7 +340,8 @@ void sop_eval_f64(const double *scales, const int32_t *offs,
  * Advances a flattened network `steps` timesteps in one call with the
  * exact semantics of that many Runtime.step() calls; the table layouts
  * are kernels.NETWORK_* (one row per group / connection, declaration
- * order), and the enums below must match them.  Every step:
+ * order), whose column enums are generated from those tuples.  Every
+ * step:
  *   deliver   — each connection adds spikes @ W * weight_scale from its
  *               source's previous-step spikes (int64: exact in any order)
  *               and counts active * dst.n synaptic events;
@@ -341,16 +354,10 @@ void sop_eval_f64(const double *scales, const int32_t *offs,
  * Returns 0; -1 if scratch allocation fails, -2 if a table holds an
  * out-of-range size, group index or mask stride, or a null address —
  * both before any state is touched.                                      */
-enum { G_N, G_DECAY_U, G_DECAY_V, G_VTH, G_SOFT_RESET, G_REFRACTORY,
-       G_FLOOR_AT_ZERO, G_NON_SPIKING, G_GATE, G_MERGE, G_ENABLED,
-       G_MASK_STRIDE, G_FIELDS };
-enum { GA_U, GA_V, GA_REFRAC, GA_BIAS, GA_SPIKES, GA_SPIKE_COUNT, GA_MASK,
-       GA_FIELDS };
-enum { C_SRC, C_DST, C_WEIGHT_SCALE, C_PER_REPLICA, C_PLASTIC, C_FIELDS };
-enum { CT_PRE_IMPULSE, CT_PRE_DECAY, CT_POST_IMPULSE, CT_POST_DECAY,
-       CT_FIELDS };
-enum { CA_WEIGHT, CA_PRE_TRACE, CA_POST_TRACE, CA_FIELDS };
-
+""" + "".join(_c_enum(prefix, fields) for prefix, fields in (
+    ("G", NETWORK_GROUP_FIELDS), ("GA", NETWORK_GROUP_ARRAYS),
+    ("C", NETWORK_CONN_FIELDS), ("CT", NETWORK_CONN_TRACE_FIELDS),
+    ("CA", NETWORK_CONN_ARRAYS))) + r"""
 #define GROUP_ARRAY(T, k, f) ((T *)ga[(k) * GA_FIELDS + (f)])
 
 static int network_tables_ok(int64_t R, ptrdiff_t n_groups,

@@ -389,20 +389,29 @@ class TestBackendSelection:
             # not exist: rejected before any address is dereferenced.
             state = np.zeros(4, dtype=np.int64)
             spikes, mask = np.zeros(4, dtype=bool), np.ones(4, dtype=bool)
-            group = np.zeros((1, len(kernels.NETWORK_GROUP_FIELDS)),
-                             dtype=np.int64)
-            group[0, 0] = 4
-            group[0, 8:10] = -1
-            arrays = np.array([[a.ctypes.data for a in (
-                state, state, state, state, spikes, state, mask)]],
-                dtype=np.uintp)
-            conn = np.array([[3, 0, 1, 0, 0]], dtype=np.int64)
-            conn_arrays = np.array([[state.ctypes.data, 0, 0]],
-                                   dtype=np.uintp)
+            fields = kernels.NETWORK_GROUP_FIELDS
+            group = np.zeros((1, len(fields)), dtype=np.int64)
+            group[0, fields.index("n")] = 4
+            group[0, fields.index("gate")] = -1
+            group[0, fields.index("merge")] = -1
+            by_name = dict.fromkeys(kernels.NETWORK_GROUP_ARRAYS, state)
+            by_name.update(spikes=spikes, mask=mask)
+            arrays = np.array([[by_name[name].ctypes.data
+                                for name in kernels.NETWORK_GROUP_ARRAYS]],
+                              dtype=np.uintp)
+            conn_fields = kernels.NETWORK_CONN_FIELDS
+            conn = np.zeros((1, len(conn_fields)), dtype=np.int64)
+            conn[0, conn_fields.index("src")] = 3
+            conn[0, conn_fields.index("weight_scale")] = 1
+            conn_arrays = np.zeros(
+                (1, len(kernels.NETWORK_CONN_ARRAYS)), dtype=np.uintp)
+            conn_arrays[0, kernels.NETWORK_CONN_ARRAYS.index("weight")] = \
+                state.ctypes.data
             with pytest.raises(ValueError, match="out-of-range"):
                 kernels.network_run(
                     3, 1, group, arrays, conn,
-                    np.zeros((1, 4)), conn_arrays, np.zeros(1, np.int64),
+                    np.zeros((1, len(kernels.NETWORK_CONN_TRACE_FIELDS))),
+                    conn_arrays, np.zeros(1, np.int64),
                     np.zeros(1, np.int64), 127.0)
 
 
