@@ -37,8 +37,16 @@ Connections are HTTP/1.1 keep-alive, which makes body accounting part of
 correctness: an error response sent with request bytes still unread would
 leave those bytes in front of the next request on the same connection and
 desync it.  Error paths therefore either drain the unread body first
-(small bodies, wrong route) or send ``Connection: close`` (oversized or
-unparseable-length requests, where draining is the wrong tool).
+(small bodies, wrong route) or send ``Connection: close`` (oversized,
+invalid or conflicting ``Content-Length``, where draining is the wrong
+tool).
+
+Keep-alive is also why accepted sockets run with Nagle's algorithm off
+(``TCP_NODELAY``).  Each response leaves in two writes, head then body;
+with Nagle on, the kernel holds the small body until the client ACKs the
+head, and a client on a reused connection delays that ACK (up to ~40 ms
+on Linux), so every response would stall by that much.  A client that
+opens a connection per request ACKs at once and never sees it.
 """
 
 from __future__ import annotations
@@ -60,6 +68,10 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 class _Handler(BaseHTTPRequestHandler):
     service = None  # injected by the server factory (InferenceService-like)
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket (see the module docstring).
+    # wfile stays unbuffered: handle_expect_100 writes "100 Continue"
+    # through it, which a buffered writer would hold until the response.
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------
 
@@ -91,6 +103,24 @@ class _Handler(BaseHTTPRequestHandler):
         retry_after = max(1, math.ceil(exc.retry_after_s))
         self._send_error_json(503, str(exc),
                               extra_headers={"Retry-After": str(retry_after)})
+
+    def _content_length(self) -> int:
+        """The body length the request declares, or -1 if it is unusable.
+
+        RFC 9112 §6.3: a length that is not all ASCII digits (``int()``
+        would read ``1_4`` or ``+14`` as 14), or repeated lines that
+        disagree, leave the request's end unknowable.  No header means an
+        empty body.
+        """
+        values = [v.strip(" \t")
+                  for v in self.headers.get_all("Content-Length", ["0"])]
+        if not all(v.isascii() and v.isdigit() for v in values):
+            return -1
+        try:
+            lengths = {int(v) for v in values}
+        except ValueError:  # more digits than int() will convert
+            return -1
+        return lengths.pop() if len(lengths) == 1 else -1
 
     def _drain_body(self, remaining: int) -> None:
         """Discard unread request body so keep-alive framing stays aligned."""
@@ -139,13 +169,10 @@ class _Handler(BaseHTTPRequestHandler):
                 411, "chunked bodies unsupported; send Content-Length",
                 close=True)
             return
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except (ValueError, TypeError):
-            length = -1
+        length = self._content_length()
         if length < 0:
-            # Without a parseable length this request's end is unknowable;
-            # the only way to resync the connection is to drop it.
+            # Without a valid length this request's end is unknowable; the
+            # only way to resync the connection is to drop it.
             self._send_error_json(400, "bad Content-Length", close=True)
             return
         if length > MAX_BODY_BYTES:

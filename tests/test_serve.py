@@ -615,6 +615,74 @@ def test_http_chunked_body_is_rejected_with_close(http_server):
         conn.close()
 
 
+@pytest.mark.parametrize("lengths, status", [
+    (lambda n: [f"{n[:1]}_{n[1:]}"], 400),  # int() reads "1_4" as 14
+    (lambda n: [f"+{n}"], 400),
+    (lambda n: [n, "3"], 400),              # conflicting repeats
+    (lambda n: [n, n], 200),                # agreeing repeats are one length
+], ids=["underscore", "plus-sign", "conflicting-lines", "equal-lines"])
+def test_http_content_length_must_be_digits_and_agree(http_server, lengths,
+                                                      status):
+    """RFC 9112 §6.3: an invalid or conflicting length is a 400 + close."""
+    xs, _ = _task(seed=9)
+    body = json.dumps({"input": xs[0].tolist()}).encode()
+    host, port = http_server.address
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        conn.putrequest("POST", "/predict")
+        conn.putheader("Content-Type", "application/json")
+        for value in lengths(str(len(body))):
+            conn.putheader("Content-Length", value)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        resp.read()
+        assert resp.status == status
+        assert (resp.getheader("Connection") == "close") == (status == 400)
+    finally:
+        conn.close()
+
+
+class _StubService:
+    """Answers every route at once, so only the HTTP layer is timed."""
+
+    def predict(self, x, **kwargs):
+        return {"prediction": 0}
+
+    def healthz(self):
+        return {"status": "ok"}
+
+    def metrics(self):
+        return {"requests": 0}
+
+
+def test_http_keep_alive_responses_do_not_stall():
+    """Sequential requests on one connection answer in well under 10 ms.
+
+    With Nagle on, each response's body waits for the client's delayed
+    ACK of its head (~40 ms on Linux); a connection per request would not
+    show it, so every route is timed on one reused connection.
+    """
+    server = InferenceHTTPServer(_StubService(), port=0).start()
+    conn = http.client.HTTPConnection(*server.address, timeout=10)
+    routes = [("POST", "/predict", b'{"input": [0.0]}'),
+              ("GET", "/healthz", None), ("GET", "/metrics", None),
+              ("GET", "/nowhere", None)]
+    try:
+        for method, path, body in routes:
+            round_trips = []
+            for _ in range(25):
+                t0 = time.perf_counter()
+                conn.request(method, path, body=body)
+                resp = conn.getresponse()
+                resp.read()
+                round_trips.append((time.perf_counter() - t0) * 1e3)
+                assert resp.status == (404 if path == "/nowhere" else 200)
+            assert np.median(round_trips) < 10.0, (path, round_trips)
+    finally:
+        conn.close()
+        server.stop()
+
+
 def test_registry_register_without_activate_stages_the_version():
     registry = ModelRegistry()
     staged = registry.register("canary", _trained_net(seed=1),
