@@ -1,7 +1,7 @@
 """REP002 — kernel boundary: only the public kernel API crosses it.
 
 ``repro.core.kernels`` pins two interchangeable backends bit-identical
-to each other; that guarantee holds *only* for the eight public entry
+to each other; that guarantee holds *only* for the nine public entry
 points, which normalize dtypes/contiguity before dispatch.  Importing a
 backend module (``_numpy`` / ``_cext`` / ``_csrc``)
 directly skips the normalization and the selection logic; redefining a
@@ -21,7 +21,7 @@ from . import dotted
 #: The public kernel signatures (see repro.core.kernels.__all__).
 PUBLIC_KERNELS = {
     "if_step", "cuba_step", "trace_update", "delta_w", "delta_w_batch",
-    "delta_w_loihi", "sum_of_products", "network_run",
+    "delta_w_loihi", "sum_of_products", "network_run", "spike_present",
 }
 
 #: Private backend modules of the kernels package.

@@ -6,19 +6,21 @@ IF membrane update (:mod:`repro.core.neuron` and the chip compartments in
 (:mod:`repro.loihi.traces`), the EMSTDP ``dW`` accumulation (Eq. 7 /
 Eq. 12 in :mod:`repro.core.learning`), the microcode sum-of-products
 (:mod:`repro.loihi.microcode`) and, fused over whole phases, the chip
-runtime's timestep loop (:func:`network_run`).  This package routes them
-through one of two interchangeable backends:
+runtime's timestep loop (:func:`network_run`) and the reference spike
+engine's two-phase presentation (:func:`spike_present`).  This package
+routes them through one of two interchangeable backends:
 
 ``cext``
     The loops as C, compiled once with the system compiler and loaded via
     ctypes (no third-party dependency beyond a C compiler).  Also provides
-    :func:`network_run`, which advances a flattened chip network ``T``
-    steps in one call.
+    the fused loops: :func:`network_run`, which advances a flattened chip
+    network ``T`` steps in one call, and :func:`spike_present`, which
+    runs one EMSTDP presentation of a ``(B, n_in)`` block in one call.
 ``numpy``
     The pure-NumPy reference implementation — always available.  It has
-    no fused :func:`network_run`: the chip runtime steps such networks one
-    timestep at a time, which is the reference the fused loop is pinned
-    to.
+    no fused loop: the chip runtime and the spike engine step their
+    layers one timestep at a time, which is the reference each fused
+    loop is pinned to.
 
 Selection happens once at import: the first available backend in the order
 above wins, with a single ``RuntimeWarning`` if only NumPy is left.  The
@@ -32,7 +34,9 @@ The backends are pinned bit-identical to each other — exact
 the golden fixtures in ``tests/golden/``, because the EMSTDP learning rule
 is the paper's core contribution: a fast kernel that drifts the math by one
 ulp is a wrong kernel.  ``tests/test_loihi_fused.py`` pins
-:func:`network_run` to the per-step runtime the same way.
+:func:`network_run` to the per-step runtime the same way, and
+``tests/test_spike_fused.py`` pins :func:`spike_present` to the per-step
+spike engine.
 ``benchmarks/bench_kernels.py`` gates the speedup.
 """
 
@@ -53,8 +57,8 @@ from ._layout import (NETWORK_CONN_ARRAYS, NETWORK_CONN_FIELDS,
 __all__ = [
     "available_backends", "backend_name", "backend_provides", "cuba_step",
     "delta_w", "delta_w_batch", "delta_w_loihi", "forced_backend",
-    "if_step", "network_run", "select_backend", "sum_of_products",
-    "trace_update",
+    "if_step", "network_run", "select_backend", "spike_present",
+    "sum_of_products", "trace_update",
 ]
 
 #: Autodetection preference order.
@@ -138,8 +142,9 @@ def backend_provides(kernel: str) -> bool:
     """Whether the active backend implements ``kernel`` natively.
 
     Every backend implements the per-step kernels; only compiled ones
-    provide the fused :func:`network_run`, so callers ask before choosing
-    between one fused call and a per-step loop.
+    provide the fused :func:`network_run` and :func:`spike_present`, so
+    callers ask before choosing between one fused call and a per-step
+    loop.
     """
     return hasattr(_active_impl, kernel)
 
@@ -395,16 +400,31 @@ def sum_of_products(rule, x0, x1, y0, y1, tag, w) -> np.ndarray:
     return dz.reshape(syn_shape)
 
 
+# -- fused loops: operand checks ----------------------------------------
+
+def _operand(name: str, a, dtype, shape) -> None:
+    """Reject an array a fused C loop cannot read safely.
+
+    Anything but a C-contiguous ``dtype`` array of ``shape`` (``None``
+    matches any length) raises ``TypeError`` before its address is taken.
+    """
+    if isinstance(a, np.ndarray) and a.dtype == dtype \
+            and a.flags.c_contiguous and a.ndim == len(shape):
+        for got, want in zip(a.shape, shape):
+            if want is not None and got != want:
+                break
+        else:
+            return
+    want = ", ".join("rows" if n is None else str(n) for n in shape)
+    got = type(a)
+    if isinstance(a, np.ndarray):
+        layout = "C-contiguous" if a.flags.c_contiguous else "non-contiguous"
+        got = f"a {layout} {a.dtype} array of shape {a.shape}"
+    raise TypeError(f"{name} must be a C-contiguous {np.dtype(dtype)} array "
+                    f"of shape ({want}{',' * (len(shape) == 1)}), got {got}")
+
+
 # -- fused chip-network run ---------------------------------------------
-
-def _table(name: str, a, dtype, fields) -> None:
-    if not isinstance(a, np.ndarray) or a.dtype != dtype or a.ndim != 2 \
-            or a.shape[1] != len(fields) or not a.flags.c_contiguous:
-        raise TypeError(
-            f"{name} must be a C-contiguous {np.dtype(dtype)} array of "
-            f"shape (rows, {len(fields)}), got "
-            f"{getattr(a, 'dtype', type(a))} {getattr(a, 'shape', '')}")
-
 
 def network_run(steps: int, replicas: int, groups: np.ndarray,
                 group_arrays: np.ndarray, conns: np.ndarray,
@@ -444,24 +464,109 @@ def network_run(steps: int, replicas: int, groups: np.ndarray,
         raise NotImplementedError(
             f"kernel backend {_active_name!r} has no fused network_run; "
             f"step the network one timestep at a time instead")
-    _table("groups", groups, np.int64, NETWORK_GROUP_FIELDS)
-    _table("group_arrays", group_arrays, np.uintp, NETWORK_GROUP_ARRAYS)
-    _table("conns", conns, np.int64, NETWORK_CONN_FIELDS)
-    _table("conn_traces", conn_traces, np.float64,
-           NETWORK_CONN_TRACE_FIELDS)
-    _table("conn_arrays", conn_arrays, np.uintp, NETWORK_CONN_ARRAYS)
+    _operand("groups", groups, np.int64, (None, len(NETWORK_GROUP_FIELDS)))
+    _operand("group_arrays", group_arrays, np.uintp,
+             (None, len(NETWORK_GROUP_ARRAYS)))
+    _operand("conns", conns, np.int64, (None, len(NETWORK_CONN_FIELDS)))
+    _operand("conn_traces", conn_traces, np.float64,
+             (None, len(NETWORK_CONN_TRACE_FIELDS)))
+    _operand("conn_arrays", conn_arrays, np.uintp,
+             (None, len(NETWORK_CONN_ARRAYS)))
     if len(group_arrays) != len(groups) or len(conn_traces) != len(conns) \
             or len(conn_arrays) != len(conns):
         raise ValueError("network tables disagree on row counts")
-    for name, out, rows in (("group_spikes", group_spikes, len(groups)),
-                            ("conn_events", conn_events, len(conns))):
-        if not isinstance(out, np.ndarray) or out.dtype != np.int64 \
-                or out.shape != (rows,) or not out.flags.c_contiguous:
-            raise TypeError(f"{name} must be a contiguous int64 ({rows},) "
-                            f"array")
+    _operand("group_spikes", group_spikes, np.int64, (len(groups),))
+    _operand("conn_events", conn_events, np.int64, (len(conns),))
     _impl().network_run(int(steps), int(replicas), groups, group_arrays,
                         conns, conn_traces, conn_arrays, group_spikes,
                         conn_events, float(trace_max))
+
+
+# -- fused EMSTDP presentation ------------------------------------------
+
+def spike_present(dims, steps: int, drive: np.ndarray, weights,
+                  class_mask: np.ndarray, target: Optional[np.ndarray] = None,
+                  feedback=(), *, fa: bool = False, bias_unit: bool = True,
+                  gate_hidden: bool = True, gate_output: bool = False,
+                  error_gain: float = 1.0, hidden_error_gain: float = 1.0):
+    """One EMSTDP spike-domain presentation of a ``(B, n_in)`` block.
+
+    Runs ``steps`` timesteps of phase 1 (the inference pass) and, given a
+    ``target``, ``steps`` more of phase 2 in the same call, with the exact
+    semantics of :func:`repro.core.network.spike_present_reference`, the
+    per-step NumPy path it is pinned to:
+
+    * every population is an IF layer with threshold 1 and soft reset,
+      stepped with :func:`if_step` semantics; ``drive`` is the input
+      layer's per-step bias;
+    * every weighted input — ``[spikes, 1] @ W`` forward (the ``1`` only
+      with ``bias_unit``), ``pending_out @ D`` for DFA, ``e_above @ B``
+      for FA — is the sum of the active rows of the matrix in row order,
+      starting from +0.0, a signed spike adding or subtracting its row.
+      The order is part of the contract: it is what a C loop and the
+      NumPy reference can both reproduce, where a BLAS GEMV's is not;
+    * phase 2 keeps the forward membranes.  Each timestep steps the
+      forward stack, each layer's input plus the previous step's signed
+      spikes of its error pair (the output pair's masked by
+      ``class_mask``); a label layer driven by ``target``; the output
+      error pair, driven by ``error_gain * (label - masked output)``;
+      and one error pair per hidden layer, driven by
+      ``hidden_error_gain`` times the error spikes through
+      ``feedback[i]``: the layer above's with ``fa`` (shape
+      ``(dims[i+2], dims[i+1])``), the output's without (shape
+      ``(dims[-1], dims[i+1])``).  ``gate_output`` / ``gate_hidden``
+      shut the error spikes of neurons silent in phase 1.
+
+    Returns ``(phase1, phase2)``: per layer, the ``(B, dims[k])`` int64
+    spike counts of each phase (``phase2`` is ``None`` without a target).
+    Every array is checked against ``dims`` before its address reaches
+    the backend: one that is not a C-contiguous array of the right dtype
+    and shape raises ``TypeError``; a wrong number of weight or feedback
+    matrices raises ``ValueError``.  Raises ``NotImplementedError`` when
+    the active backend has no fused loop (see :func:`backend_provides`).
+    """
+    if not backend_provides("spike_present"):
+        raise NotImplementedError(
+            f"kernel backend {_active_name!r} has no fused spike_present; "
+            f"step the layers one timestep at a time instead")
+    dims = tuple(int(n) for n in dims)
+    n_layers = len(dims) - 1
+    if n_layers < 1 or min(dims) < 1 or int(steps) < 0:
+        raise ValueError(f"need dims of >= 2 positive sizes and steps >= 0, "
+                         f"got {dims} and {steps}")
+    f64 = np.dtype(np.float64)
+    _operand("drive", drive, f64, (None, dims[0]))
+    batch = len(drive)
+    if len(weights) != n_layers:
+        raise ValueError(f"{len(weights)} weight matrices for {n_layers} "
+                         f"layers")
+    for i, w in enumerate(weights):
+        _operand(f"weights[{i}]", w, f64,
+                 (dims[i] + bool(bias_unit), dims[i + 1]))
+    _operand("class_mask", class_mask, np.bool_, (dims[-1],))
+    two_phase = target is not None
+    if two_phase:
+        _operand("target", target, f64, (batch, dims[-1]))
+        if len(feedback) != n_layers - 1:
+            raise ValueError(f"{len(feedback)} feedback matrices for "
+                             f"{n_layers - 1} hidden layers")
+        for i, b in enumerate(feedback):
+            _operand(f"feedback[{i}]", b, f64,
+                     (dims[i + 2] if fa else dims[-1], dims[i + 1]))
+    weight_addr = np.array([w.ctypes.data for w in weights], dtype=np.uintp)
+    feedback_addr = np.array([b.ctypes.data for b in feedback]
+                             if two_phase else [], dtype=np.uintp)
+    counts = np.empty((1 + two_phase, batch, sum(dims)), dtype=np.int64)
+    _impl().spike_present(np.array(dims, dtype=np.int64), int(steps), drive,
+                          weight_addr, feedback_addr, class_mask, target,
+                          bool(fa), bool(bias_unit), bool(gate_hidden),
+                          bool(gate_output), float(error_gain),
+                          float(hidden_error_gain), counts[0],
+                          counts[1] if two_phase else None)
+    edges = np.cumsum((0,) + dims)
+    phases = [[c[:, lo:hi] for lo, hi in zip(edges, edges[1:])]
+              for c in counts]
+    return phases[0], (phases[1] if two_phase else None)
 
 
 # Backend bootstrap: the env override wins over autodetection; unknown
@@ -484,3 +589,4 @@ delta_w_loihi = _obs.kernel_profiler.wrap("delta_w_loihi", delta_w_loihi)
 sum_of_products = _obs.kernel_profiler.wrap("sum_of_products",
                                             sum_of_products)
 network_run = _obs.kernel_profiler.wrap("network_run", network_run)
+spike_present = _obs.kernel_profiler.wrap("spike_present", spike_present)

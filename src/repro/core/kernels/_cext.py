@@ -197,10 +197,14 @@ for _name, _argtypes in {
                      _ptr, _ptr, _c_ssize, _c_ssize, _c_ssize],
     "network_run_i64": [_c_int64, _c_int64, _c_ssize, _ptr, _ptr, _ptr,
                         _c_ssize, _ptr, _ptr, _ptr, _ptr, _c_double],
+    "spike_present_f64": [_c_ssize, _ptr, _c_int64, _c_ssize, _ptr, _ptr,
+                          _ptr, _ptr, _ptr, _c_int, _c_int, _c_int, _c_int,
+                          _c_double, _c_double, _ptr, _ptr],
 }.items():
     _fn = getattr(_lib, _name)
     _fn.argtypes = _argtypes
-    _fn.restype = _c_int if _name == "network_run_i64" else None
+    _fn.restype = (_c_int if _name in ("network_run_i64", "spike_present_f64")
+                   else None)
 
 
 def _p(a: np.ndarray):
@@ -282,4 +286,22 @@ def network_run(steps, replicas, groups, group_arrays, conns, conn_traces,
                          "index or mask stride, or a null address")
     if status:
         raise MemoryError("network_run could not allocate its scratch "
+                          "buffers")
+
+
+def spike_present(dims, steps, drive, weights, feedback, class_mask, target,
+                  fa, bias_unit, gate_hidden, gate_output, error_gain,
+                  hidden_error_gain, counts1, counts2):
+    status = _lib.spike_present_f64(
+        len(dims) - 1, dims.ctypes.data, steps, len(drive), drive.ctypes.data,
+        weights.ctypes.data, feedback.ctypes.data, class_mask.ctypes.data,
+        None if target is None else target.ctypes.data, int(bias_unit),
+        int(fa), int(gate_hidden), int(gate_output), error_gain,
+        hidden_error_gain, counts1.ctypes.data,
+        None if counts2 is None else counts2.ctypes.data)
+    if status == -2:
+        raise ValueError("spike_present got a non-positive size or a null "
+                         "address")
+    if status:
+        raise MemoryError("spike_present could not allocate its scratch "
                           "buffers")

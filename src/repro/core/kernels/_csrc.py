@@ -13,7 +13,10 @@ reference rounds twice, which would break the ``array_equal`` equivalence
 suite in ``tests/test_kernels.py``.  The fused ``network_run_i64`` loop
 reuses the per-step ``cuba_step_i64`` and ``trace_update_f64`` functions
 verbatim, so it inherits their contract; its remaining arithmetic is exact
-int64.
+int64.  The fused ``spike_present_f64`` loop steps every population with
+``if_step_f64`` and sums weight rows in the order the per-step reference
+in :mod:`repro.core.network` defines, so it reproduces that path bit for
+bit (``tests/test_spike_fused.py``).
 """
 
 from ._layout import (NETWORK_CONN_ARRAYS, NETWORK_CONN_FIELDS,
@@ -21,7 +24,7 @@ from ._layout import (NETWORK_CONN_ARRAYS, NETWORK_CONN_FIELDS,
                       NETWORK_GROUP_FIELDS)
 
 #: Bump when the C ABI below changes; part of the compile-cache key.
-SOURCE_VERSION = 3
+SOURCE_VERSION = 5
 
 
 def _c_enum(prefix: str, fields) -> str:
@@ -501,6 +504,241 @@ int network_run_i64(int64_t steps, int64_t R, ptrdiff_t n_groups,
     free(off);
     free(cur);
     free(fired);
+    return 0;
+}
+
+/* -- Fused EMSTDP presentation (core/network.py: spike dynamics) -------- *
+ * One presentation of a (B, n_in) block with the exact semantics of the
+ * per-step reference, network.spike_present_reference: phase 1 for T
+ * steps, then (given a target) phase 2 for T steps with membranes carried
+ * over, the label layer, the output error pair, the FA chain or DFA
+ * broadcast of hidden error pairs, and gates from the phase-1 counts.
+ * Every IF population steps through if_step_f64 (threshold 1, soft
+ * reset), so it inherits that kernel's contract.  Every weighted input is
+ * the sum of the active rows of its matrix in row order, starting from
+ * +0.0 (the bias unit's row last); a signed spike adds or subtracts its
+ * row.  Samples are independent under frozen weights, so the loop runs
+ * each sample's whole presentation before the next one.
+ * Returns 0; -1 if scratch allocation fails, -2 on a bad size or a null
+ * address — both before any output is written.                           */
+/* Row sums.  acc[j] += sign[q] * rows[q][j] for q = 0, 1, ... k-1 in that
+ * order; the signs are +1 or -1, so each product is exact.  The columns go
+ * in blocks whose running sums stay in vector registers across all k rows
+ * instead of making a load/store round trip through acc per row.  Each
+ * lane still adds one row at a time in list order, the same scalar IEEE
+ * adds as a plain row loop, so no vector width can change a bit.         */
+#if defined(__AVX__)
+typedef double vec_f64 __attribute__((vector_size(32)));
+#else
+typedef double vec_f64 __attribute__((vector_size(16)));
+#endif
+enum { LANES = sizeof(vec_f64) / sizeof(double), BLOCK = 4 * LANES };
+
+static vec_f64 vec_load(const double *p) {
+    vec_f64 x;
+    memcpy(&x, p, sizeof x);
+    return x;
+}
+
+static void sum_rows(double *restrict acc, const double *const *rows,
+                     const double *sign, ptrdiff_t k, ptrdiff_t cols) {
+    ptrdiff_t j = 0;
+    for (; j + BLOCK <= cols; j += BLOCK) {
+        vec_f64 a[4];
+        for (int u = 0; u < 4; u++) a[u] = vec_load(acc + j + u * LANES);
+        for (ptrdiff_t q = 0; q < k; q++)
+            for (int u = 0; u < 4; u++)
+                a[u] += sign[q] * vec_load(rows[q] + j + u * LANES);
+        memcpy(acc + j, a, sizeof a);
+    }
+    for (; j + LANES <= cols; j += LANES) {
+        vec_f64 a = vec_load(acc + j);
+        for (ptrdiff_t q = 0; q < k; q++) a += sign[q] * vec_load(rows[q] + j);
+        memcpy(acc + j, &a, sizeof a);
+    }
+    for (; j < cols; j++) {
+        double a = acc[j];
+        for (ptrdiff_t q = 0; q < k; q++) a += sign[q] * rows[q][j];
+        acc[j] = a;
+    }
+}
+
+/* List the rows of w (cols wide) whose spike is nonzero, in row order,
+ * with the spike as the sign; returns how many.  Branchless (every row is
+ * written, only an active one advances the count): spikes are close to
+ * random, so a branch per row would mispredict about every other time.   */
+static ptrdiff_t list_spiking(const double **rows, double *sign,
+                              const uint8_t *s, const double *w,
+                              ptrdiff_t n, ptrdiff_t cols) {
+    ptrdiff_t k = 0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        rows[k] = w + i * cols;
+        sign[k] = 1.0;
+        k += s[i] != 0;
+    }
+    return k;
+}
+
+static ptrdiff_t list_signed(const double **rows, double *sign,
+                             const double *s, const double *w, ptrdiff_t n,
+                             ptrdiff_t cols) {
+    ptrdiff_t k = 0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        rows[k] = w + i * cols;
+        sign[k] = s[i];
+        k += s[i] != 0.0;
+    }
+    return k;
+}
+
+/* A signed error pair: the positive channel integrates d, the negative
+ * one -d; out = gated positive spike - gated negative spike, times scale
+ * (the class mask for the output pair, 1 otherwise).                     */
+static void error_pair_step(double *v_pos, double *v_neg, int64_t *refrac,
+                            const double *d, double *neg_d, uint8_t *sp,
+                            uint8_t *sn, const int64_t *gate_count,
+                            const double *scale, double *out, ptrdiff_t n) {
+    for (ptrdiff_t j = 0; j < n; j++) neg_d[j] = -d[j];
+    if_step_f64(v_pos, refrac, d, 1.0, 1, 0, sp, n);
+    if_step_f64(v_neg, refrac, neg_d, 1.0, 1, 0, sn, n);
+    for (ptrdiff_t j = 0; j < n; j++) {
+        uint8_t g = gate_count ? gate_count[j] > 0 : 1;
+        double e = (double)(sp[j] & g) - (double)(sn[j] & g);
+        out[j] = scale ? e * scale[j] : e;
+    }
+}
+
+int spike_present_f64(ptrdiff_t n_layers, const int64_t *dims, int64_t T,
+                      ptrdiff_t B, const double *drive,
+                      const uintptr_t *weights, const uintptr_t *feedback,
+                      const uint8_t *class_mask, const double *target,
+                      int bias_unit, int fa, int gate_hidden,
+                      int gate_output, double error_gain,
+                      double hidden_error_gain, int64_t *counts1,
+                      int64_t *counts2) {
+    if (n_layers < 1 || T < 0 || B < 0 || !dims || !weights || !class_mask
+        || !counts1 || (B && !drive)
+        || (target && (!counts2 || (n_layers > 1 && !feedback))))
+        return -2;
+    ptrdiff_t total = 0, widest = 1;
+    for (ptrdiff_t k = 0; k <= n_layers; k++) {
+        if (dims[k] < 1) return -2;
+        total += dims[k];
+        if (dims[k] > widest) widest = dims[k];
+    }
+    for (ptrdiff_t i = 0; i < n_layers; i++)
+        if (!weights[i] || (target && i < n_layers - 1 && !feedback[i]))
+            return -2;
+    ptrdiff_t n_out = dims[n_layers];
+    ptrdiff_t hidden = total - dims[0] - n_out;
+    /* Phase-2 state, zeroed per sample: the label layer, the output error
+     * pair and its pending spikes (n_out each), then the hidden error
+     * pairs and their pending spikes (hidden each).                      */
+    ptrdiff_t n_err = 4 * n_out + 3 * hidden;
+    double *buf = (double *)malloc((size_t)(total + 4 * widest + 1 + n_out
+                                            + n_err) * sizeof(double));
+    ptrdiff_t *off = (ptrdiff_t *)malloc((size_t)(n_layers + 1)
+                                         * sizeof(ptrdiff_t));
+    int64_t *refrac = (int64_t *)calloc((size_t)widest, sizeof(int64_t));
+    uint8_t *spk = (uint8_t *)malloc((size_t)(total + 3 * widest));
+    /* Active-row lists: a layer's inputs plus the bias row.              */
+    const double **rows = (const double **)malloc((size_t)(widest + 1)
+                                                  * sizeof(double *));
+    if (!buf || !off || !refrac || !spk || !rows) {
+        free(buf);
+        free(off);
+        free(refrac);
+        free(spk);
+        free(rows);
+        return -1;
+    }
+    double *v = buf, *acc = v + total, *d = acc + widest;
+    double *neg_d = d + widest, *sign = neg_d + widest;
+    double *mask = sign + widest + 1;
+    double *v_label = mask + n_out, *v_opos = v_label + n_out;
+    double *v_oneg = v_opos + n_out, *pend_out = v_oneg + n_out;
+    double *v_hpos = pend_out + n_out, *v_hneg = v_hpos + hidden;
+    double *pend_hid = v_hneg + hidden;
+    uint8_t *sp = spk + total, *sn = sp + widest, *s_label = sn + widest;
+    for (ptrdiff_t k = 0, o = 0; k <= n_layers; o += dims[k], k++)
+        off[k] = o;
+    for (ptrdiff_t j = 0; j < n_out; j++) mask[j] = class_mask[j] ? 1.0 : 0.0;
+    const ptrdiff_t last = off[n_layers];
+
+    for (ptrdiff_t b = 0; b < B; b++) {
+        const double *x = drive + b * dims[0];
+        int64_t *c1 = counts1 + b * total;
+        memset(v, 0, (size_t)total * sizeof(double));
+        for (int phase = 0; phase < (target ? 2 : 1); phase++) {
+            int64_t *c = phase ? counts2 + b * total : c1;
+            memset(c, 0, (size_t)total * sizeof(int64_t));
+            if (phase) memset(v_label, 0, (size_t)n_err * sizeof(double));
+            for (int64_t t = 0; t < T; t++) {
+                if_step_f64(v, refrac, x, 1.0, 1, 0, spk, dims[0]);
+                for (ptrdiff_t j = 0; j < dims[0]; j++) c[j] += spk[j];
+                for (ptrdiff_t i = 0; i < n_layers; i++) {     /* forward */
+                    ptrdiff_t n_pre = dims[i], n = dims[i + 1];
+                    const double *w = (const double *)weights[i];
+                    ptrdiff_t active = list_spiking(rows, sign, spk + off[i],
+                                                    w, n_pre, n);
+                    if (bias_unit) {
+                        rows[active] = w + n_pre * n;
+                        sign[active++] = 1.0;
+                    }
+                    for (ptrdiff_t j = 0; j < n; j++) acc[j] = 0.0;
+                    sum_rows(acc, rows, sign, active, n);
+                    if (phase && i < n_layers - 1) {
+                        const double *e = pend_hid + off[i + 1] - off[1];
+                        for (ptrdiff_t j = 0; j < n; j++)
+                            acc[j] = acc[j] + e[j];
+                    } else if (phase) {
+                        for (ptrdiff_t j = 0; j < n; j++)
+                            acc[j] = acc[j] + pend_out[j] * mask[j];
+                    }
+                    uint8_t *s = spk + off[i + 1];
+                    int64_t *ci = c + off[i + 1];
+                    if_step_f64(v + off[i + 1], refrac, acc, 1.0, 1, 0, s, n);
+                    for (ptrdiff_t j = 0; j < n; j++) ci[j] += s[j];
+                }
+                if (!phase) continue;
+                /* Output error: label spikes minus masked output spikes. */
+                if_step_f64(v_label, refrac, target + b * n_out, 1.0, 1, 0,
+                            s_label, n_out);
+                for (ptrdiff_t j = 0; j < n_out; j++)
+                    d[j] = error_gain * ((double)s_label[j]
+                                         - (double)spk[last + j] * mask[j]);
+                error_pair_step(v_opos, v_oneg, refrac, d, neg_d, sp, sn,
+                                gate_output ? c1 + last : NULL, mask,
+                                pend_out, n_out);
+                /* Hidden errors: FA relays down the chain from the layer
+                 * above, DFA broadcasts the output error to every layer. */
+                const double *e_above = pend_out;
+                ptrdiff_t n_above = n_out;
+                for (ptrdiff_t k = 0; k < n_layers - 1; k++) {
+                    ptrdiff_t i = fa ? n_layers - 2 - k : k;
+                    ptrdiff_t n = dims[i + 1], h = off[i + 1] - off[1];
+                    ptrdiff_t active = list_signed(
+                        rows, sign, fa ? e_above : pend_out,
+                        (const double *)feedback[i], fa ? n_above : n_out, n);
+                    for (ptrdiff_t j = 0; j < n; j++) acc[j] = 0.0;
+                    sum_rows(acc, rows, sign, active, n);
+                    for (ptrdiff_t j = 0; j < n; j++)
+                        d[j] = hidden_error_gain * acc[j];
+                    error_pair_step(v_hpos + h, v_hneg + h, refrac, d, neg_d,
+                                    sp, sn,
+                                    gate_hidden ? c1 + off[i + 1] : NULL,
+                                    NULL, pend_hid + h, n);
+                    e_above = pend_hid + h;
+                    n_above = n;
+                }
+            }
+        }
+    }
+    free(buf);
+    free(off);
+    free(refrac);
+    free(spk);
+    free(rows);
     return 0;
 }
 """

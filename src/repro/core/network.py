@@ -14,7 +14,15 @@ hardware resource constraints.  Two dynamics backends are provided:
     Simulates all ``2*T`` timesteps with explicit integrate-and-fire neurons,
     two-channel error populations, gated error output and per-step
     corrections — the ground truth the rate backend is validated against
-    (see ``tests/test_network_equivalence.py``).
+    (see ``tests/test_network_equivalence.py``).  Every spike entry point
+    runs one batched ``(B, n)`` presentation, a single sample being
+    ``B = 1``: one :func:`repro.core.kernels.spike_present` call when the
+    kernel backend provides that fused loop, else
+    :func:`spike_present_reference`, the per-step NumPy path it is pinned
+    to bit for bit (``tests/test_spike_fused.py``).  Each weighted input
+    is the sum of the active weight rows in row order from +0.0 —
+    event-driven like the chip, and reproducible by a C loop where a BLAS
+    mat-vec is not.
 
 The paper trains strictly online (batch size 1, Section IV-A) and
 :meth:`EMSTDPNetwork.train_sample` / :meth:`EMSTDPNetwork.train_stream`
@@ -46,6 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import kernels
 from .config import EMSTDPConfig, validate_dims
 from .encoding import (as_sample_batch, bias_encode, encode_label,
                        encode_labels, quantize_to_bins)
@@ -53,6 +62,96 @@ from .feedback import make_dfa_weights, make_fa_weights
 from .learning import WeightUpdater
 from .loss import predict_class, predict_classes, signed_error_rates
 from .neuron import IFLayer, SignedErrorLayer, quantize_rate, rate_activation
+
+
+def accumulate_rows(spikes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``spikes @ w`` as the spike path defines it, for ``(B, n_rows)``
+    spikes in ``{0, 1}`` or signed ``{-1, 0, +1}``.
+
+    Each batch row gets the sum of the rows of ``w`` whose spike is
+    nonzero, in row order, starting from +0.0; a signed spike adds or
+    subtracts its row.  ``np.add.accumulate`` adds strictly in order
+    (never pairwise) but starts from the first term, so a sum of only
+    ``-0.0`` terms comes out ``-0.0``; ``+ 0.0`` makes it the +0.0 of a
+    sum started at +0.0 and leaves every other value as it is.
+    """
+    acc = np.zeros((spikes.shape[0], w.shape[1]))
+    for b, row in enumerate(spikes):
+        active = np.flatnonzero(row)
+        if active.size:
+            terms = row[active, None] * w[active]
+            acc[b] = np.add.accumulate(terms, axis=0)[-1] + 0.0
+    return acc
+
+
+def spike_present_reference(dims, steps, drive, weights, class_mask,
+                            target=None, feedback=(), *, fa=False,
+                            bias_unit=True, gate_hidden=True,
+                            gate_output=False, error_gain=1.0,
+                            hidden_error_gain=1.0):
+    """Per-step NumPy reference of :func:`repro.core.kernels.spike_present`.
+
+    Same arguments and result: phase 1 for ``steps`` timesteps, then, given
+    a ``target``, phase 2 with membranes carried over; returns each
+    phase's per-layer ``(B, n)`` spike counts (``None`` for phase 2
+    without a target).  Every population is an :class:`IFLayer` or a
+    :class:`SignedErrorLayer` stepped one timestep at a time, and every
+    weighted input goes through :func:`accumulate_rows`.
+    """
+    B = drive.shape[0]
+    if B == 0:  # IFLayer needs a batch row; an empty block spikes nowhere
+        empty = [np.zeros((0, n), dtype=np.int64) for n in dims]
+        return empty, (None if target is None else empty)
+    layers = [IFLayer(n, batch_size=B) for n in dims]
+
+    def forward(corrections):
+        spikes = layers[0].step(drive).astype(float)
+        for i, w in enumerate(weights):
+            if bias_unit:
+                spikes = np.concatenate([spikes, np.ones((B, 1))], axis=1)
+            d = accumulate_rows(spikes, w)
+            if corrections is not None:
+                d = d + corrections[i]
+            spikes = layers[i + 1].step(d).astype(float)
+        return spikes
+
+    for _ in range(steps):
+        forward(None)
+    phase1 = [layer.spike_count.copy() for layer in layers]
+    if target is None:
+        return phase1, None
+
+    # Phase 2: counters restart, membrane potentials persist (the chip
+    # resets state only at the end of the sample, Operation Flow 1).  The
+    # forward-activity gates shut the error channel of a neuron silent in
+    # phase 1 (surrogate derivative h' = 0).
+    gates = [c > 0 for c in phase1]
+    for layer in layers:
+        layer.reset_counts()
+    label_layer = IFLayer(dims[-1], batch_size=B)
+    out_err = SignedErrorLayer(dims[-1], batch_size=B)
+    # FA: chained error relay pairs.  DFA: correction dendrite pairs fed
+    # straight from the output error — same IF threshold filtering,
+    # different feedback topology.
+    hidden_err = [SignedErrorLayer(n, batch_size=B) for n in dims[1:-1]]
+    # Signed error spikes from the previous step, delivered this step.
+    pending_out = np.zeros((B, dims[-1]))
+    pending_hidden = [np.zeros((B, n)) for n in dims[1:-1]]
+    order = range(len(dims) - 2)
+    for _ in range(steps):
+        out = forward(pending_hidden + [pending_out * class_mask])
+        label = label_layer.step(target).astype(float)
+        pending_out = out_err.step(
+            error_gain * (label - out * class_mask),
+            gate=gates[-1] if gate_output else None) * class_mask
+        e_above = pending_out
+        for i in (reversed(order) if fa else order):
+            d = hidden_error_gain * accumulate_rows(
+                e_above if fa else pending_out, feedback[i])
+            pending_hidden[i] = hidden_err[i].step(
+                d, gate=gates[i + 1] if gate_hidden else None)
+            e_above = pending_hidden[i]
+    return phase1, [layer.spike_count for layer in layers]
 
 
 class EMSTDPNetwork:
@@ -147,8 +246,7 @@ class EMSTDPNetwork:
     def output_rates(self, x: np.ndarray) -> np.ndarray:
         """Output-layer rates from a phase-1 inference pass."""
         if self.config.dynamics == "spike":
-            h, _ = self._spike_phase1(np.asarray(x, dtype=float))
-            return h[-1]
+            return self.output_rates_batch(x)[0]
         return self.forward_rates(x)[-1]
 
     # ------------------------------------------------------------------
@@ -258,87 +356,11 @@ class EMSTDPNetwork:
 
     # -- spike backend --------------------------------------------------
 
-    def _make_layers(self) -> List[IFLayer]:
-        return [IFLayer(n) for n in self.dims]
-
-    def _spike_phase1(self, x: np.ndarray
-                      ) -> Tuple[List[np.ndarray], List[IFLayer]]:
-        T = self.config.T
-        layers = self._make_layers()
-        in_bias = bias_encode(x, T)
-        spikes = [np.zeros(n) for n in self.dims]
-        for _ in range(T):
-            spikes[0] = layers[0].step(in_bias).astype(float)
-            for i, w in enumerate(self.weights):
-                drive = self._augment(spikes[i]) @ w
-                spikes[i + 1] = layers[i + 1].step(drive).astype(float)
-        h = [layer.spike_count / T for layer in layers]
-        h[-1] = h[-1] * self.class_mask
-        return h, layers
-
     def _spike_two_phase(self, x: np.ndarray, label: int
                          ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        cfg = self.config
-        T = cfg.T
-        h, layers = self._spike_phase1(x)
-        gates = [layer.spike_count > 0 for layer in layers]
-
-        # Phase 2: counters restart, membrane potentials persist (the chip
-        # resets state only at the end of the sample, Operation Flow 1).
-        for layer in layers:
-            layer.reset_counts()
-        in_bias = bias_encode(x, T)
-        target = encode_label(label, self.n_classes) * self.class_mask
-        label_layer = IFLayer(self.n_classes)
-        out_err = SignedErrorLayer(self.n_classes)
-        # FA: chained error relay pairs.  DFA: correction dendrite pairs fed
-        # straight from the output error — same IF threshold filtering,
-        # different feedback topology.
-        hidden_err = [SignedErrorLayer(n) for n in self.dims[1:-1]]
-
-        spikes = [np.zeros(n) for n in self.dims]
-        # Signed error spikes from the previous step, delivered this step.
-        pending_out = np.zeros(self.n_classes)
-        pending_hidden = [np.zeros(n) for n in self.dims[1:-1]]
-
-        for _ in range(T):
-            corrections: List[Optional[np.ndarray]] = [None] * self.n_layers
-            corrections[-1] = pending_out * self.class_mask
-            for i in range(self.n_layers - 1):
-                corrections[i] = pending_hidden[i]
-
-            spikes[0] = layers[0].step(in_bias).astype(float)
-            for i, w in enumerate(self.weights):
-                drive = self._augment(spikes[i]) @ w
-                if corrections[i] is not None:
-                    drive = drive + corrections[i]
-                spikes[i + 1] = layers[i + 1].step(drive).astype(float)
-            spikes[-1] = spikes[-1] * self.class_mask
-
-            tgt_spikes = label_layer.step(target).astype(float)
-            out_gate = gates[-1] if cfg.gate_output else None
-            pending_out = out_err.step(
-                cfg.error_gain * (tgt_spikes - spikes[-1]), gate=out_gate)
-            pending_out = pending_out * self.class_mask
-
-            if cfg.feedback == "fa":
-                e_above = pending_out
-                for i in range(self.n_layers - 2, -1, -1):
-                    drive = cfg.hidden_error_gain * (
-                        e_above @ self.feedback_weights[i])
-                    gate = gates[i + 1] if cfg.gate_hidden else None
-                    pending_hidden[i] = hidden_err[i].step(drive, gate=gate)
-                    e_above = pending_hidden[i]
-            else:
-                for i in range(self.n_layers - 1):
-                    drive = cfg.hidden_error_gain * (
-                        pending_out @ self.feedback_weights[i])
-                    gate = gates[i + 1] if cfg.gate_hidden else None
-                    pending_hidden[i] = hidden_err[i].step(drive, gate=gate)
-
-        h_hat = [layer.spike_count / T for layer in layers]
-        h_hat[-1] = h_hat[-1] * self.class_mask
-        return h, h_hat
+        """One sample's ``(h, h_hat)``: :meth:`_spike_rates` at B = 1."""
+        return tuple([r[0] for r in rates] for rates in
+                     self._spike_rates(self._as_batch(x), [label]))
 
     # ------------------------------------------------------------------
     # Batched engine
@@ -384,8 +406,7 @@ class EMSTDPNetwork:
         """Batched phase-1 inference: ``(B, n_out)`` output rates."""
         X = self._as_batch(X)
         if self.config.dynamics == "spike":
-            h, _ = self._spike_phase1_batch(X)
-            return h[-1]
+            return self._spike_rates(X)[0][-1]
         return self.forward_rates_batch(X)[-1]
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
@@ -447,7 +468,7 @@ class EMSTDPNetwork:
                                              lr_scale=lr_scale)["prediction"]
         elif update_mode == "minibatch":
             if self.config.dynamics == "spike":
-                h, h_hat = self._spike_two_phase_batch(X, y)
+                h, h_hat = self._spike_rates(X, y)
             else:
                 h, h_hat = self._rate_two_phase_batch(X, y)
             self._apply_updates_batch(h, h_hat, lr_scale)
@@ -530,85 +551,41 @@ class EMSTDPNetwork:
                                              current_corrections=current)
         return h, h_hat
 
-    def _make_layers_batch(self, B: int) -> List[IFLayer]:
-        return [IFLayer(n, batch_size=B) for n in self.dims]
+    def _spike_rates(self, X: np.ndarray, labels=None
+                     ) -> Tuple[List[np.ndarray], Optional[List[np.ndarray]]]:
+        """Phase-1 rates ``h`` and, given labels, phase-2 rates ``h_hat``
+        of a ``(B, n_in)`` block with frozen weights (``h_hat`` is ``None``
+        without labels).
 
-    def _spike_phase1_batch(self, X: np.ndarray
-                            ) -> Tuple[List[np.ndarray], List[IFLayer]]:
-        """Batched :meth:`_spike_phase1`: all samples step in lockstep."""
-        T = self.config.T
-        B = X.shape[0]
-        layers = self._make_layers_batch(B)
-        in_bias = bias_encode(X, T)
-        spikes = [np.zeros((B, n)) for n in self.dims]
-        for _ in range(T):
-            spikes[0] = layers[0].step(in_bias).astype(float)
-            for i, w in enumerate(self.weights):
-                drive = self._augment_batch(spikes[i]) @ w
-                spikes[i + 1] = layers[i + 1].step(drive).astype(float)
-        h = [layer.spike_count / T for layer in layers]
-        h[-1] = h[-1] * self.class_mask
-        return h, layers
-
-    def _spike_two_phase_batch(self, X: np.ndarray, labels: np.ndarray
-                               ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """Batched :meth:`_spike_two_phase` with frozen weights."""
+        One fused :func:`kernels.spike_present` call when the backend
+        provides it, else the per-step :func:`spike_present_reference`.
+        Both get C-ordered float64 operands, the only layout the C loop
+        reads: a Fortran-ordered block or an assigned weight view is
+        copied.
+        """
         cfg = self.config
         T = cfg.T
-        B = X.shape[0]
-        h, layers = self._spike_phase1_batch(X)
-        gates = [layer.spike_count > 0 for layer in layers]
+        target = None
+        if labels is not None:
+            target = encode_labels(labels, self.n_classes) * self.class_mask
+        present = (kernels.spike_present
+                   if kernels.backend_provides("spike_present")
+                   else spike_present_reference)
 
-        for layer in layers:
-            layer.reset_counts()
-        in_bias = bias_encode(X, T)
-        target = encode_labels(labels, self.n_classes) * self.class_mask
-        label_layer = IFLayer(self.n_classes, batch_size=B)
-        out_err = SignedErrorLayer(self.n_classes, batch_size=B)
-        hidden_err = [SignedErrorLayer(n, batch_size=B)
-                      for n in self.dims[1:-1]]
+        def c_order(arrays):
+            return [np.ascontiguousarray(a, dtype=float) for a in arrays]
 
-        spikes = [np.zeros((B, n)) for n in self.dims]
-        pending_out = np.zeros((B, self.n_classes))
-        pending_hidden = [np.zeros((B, n)) for n in self.dims[1:-1]]
-
-        for _ in range(T):
-            corrections: List[Optional[np.ndarray]] = [None] * self.n_layers
-            corrections[-1] = pending_out * self.class_mask
-            for i in range(self.n_layers - 1):
-                corrections[i] = pending_hidden[i]
-
-            spikes[0] = layers[0].step(in_bias).astype(float)
-            for i, w in enumerate(self.weights):
-                drive = self._augment_batch(spikes[i]) @ w
-                if corrections[i] is not None:
-                    drive = drive + corrections[i]
-                spikes[i + 1] = layers[i + 1].step(drive).astype(float)
-            spikes[-1] = spikes[-1] * self.class_mask
-
-            tgt_spikes = label_layer.step(target).astype(float)
-            out_gate = gates[-1] if cfg.gate_output else None
-            pending_out = out_err.step(
-                cfg.error_gain * (tgt_spikes - spikes[-1]), gate=out_gate)
-            pending_out = pending_out * self.class_mask
-
-            if cfg.feedback == "fa":
-                e_above = pending_out
-                for i in range(self.n_layers - 2, -1, -1):
-                    drive = cfg.hidden_error_gain * (
-                        e_above @ self.feedback_weights[i])
-                    gate = gates[i + 1] if cfg.gate_hidden else None
-                    pending_hidden[i] = hidden_err[i].step(drive, gate=gate)
-                    e_above = pending_hidden[i]
-            else:
-                for i in range(self.n_layers - 1):
-                    drive = cfg.hidden_error_gain * (
-                        pending_out @ self.feedback_weights[i])
-                    gate = gates[i + 1] if cfg.gate_hidden else None
-                    pending_hidden[i] = hidden_err[i].step(drive, gate=gate)
-
-        h_hat = [layer.spike_count / T for layer in layers]
-        h_hat[-1] = h_hat[-1] * self.class_mask
+        counts = present(
+            self.dims, T, np.ascontiguousarray(bias_encode(X, T)),
+            c_order(self.weights), self.class_mask, target,
+            c_order(self.feedback_weights),
+            fa=cfg.feedback == "fa", bias_unit=bool(self._bias),
+            gate_hidden=cfg.gate_hidden, gate_output=cfg.gate_output,
+            error_gain=cfg.error_gain,
+            hidden_error_gain=cfg.hidden_error_gain)
+        h, h_hat = (None if phase is None else
+                    [c / T for c in phase[:-1]]
+                    + [phase[-1] / T * self.class_mask] for phase in counts)
         return h, h_hat
 
     # ------------------------------------------------------------------
@@ -674,11 +651,39 @@ class EMSTDPNetwork:
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
+        """Restore a :meth:`state_dict` snapshot.
+
+        Raises ``ValueError`` unless every array has the shape this
+        network's dims and config give it: forward weights
+        ``(dims[i] + bias, dims[i + 1])``, FA feedback
+        ``(dims[i + 2], dims[i + 1])`` or DFA ``(n_out, dims[i + 1])``, and
+        an ``(n_out,)`` class mask.
+        """
         if tuple(state["dims"]) != self.dims:
             raise ValueError(
                 f"checkpoint dims {state['dims']} != network dims {self.dims}")
-        self.weights = [np.array(w, dtype=float) for w in state["weights"]]
-        self.feedback_weights = [np.array(b, dtype=float)
-                                 for b in state["feedback_weights"]]
-        self.class_mask = np.array(state["class_mask"], dtype=bool)
+        dims, fa = self.dims, self.config.feedback == "fa"
+        # C order, as the network builds them (fresh copies either way).
+        weights = [np.array(w, dtype=float, order="C")
+                   for w in state["weights"]]
+        feedback = [np.array(b, dtype=float, order="C")
+                    for b in state["feedback_weights"]]
+        class_mask = np.array(state["class_mask"], dtype=bool)
+        for name, got, want in (
+                ("weights", weights,
+                 [(dims[i] + self._bias, dims[i + 1])
+                  for i in range(self.n_layers)]),
+                ("feedback_weights", feedback,
+                 [(dims[i + 2] if fa else self.n_classes, dims[i + 1])
+                  for i in range(self.n_layers - 1)]),
+                ("class_mask", [class_mask], [(self.n_classes,)])):
+            shapes = [a.shape for a in got]
+            if shapes != want:
+                raise ValueError(
+                    f"checkpoint {name} shapes {shapes} != {want} for this "
+                    f"network ({self.config.feedback} feedback, "
+                    f"use_bias_neuron={self.config.use_bias_neuron})")
+        self.weights = weights
+        self.feedback_weights = feedback
+        self.class_mask = class_mask
         self.samples_seen = int(state["samples_seen"])

@@ -159,6 +159,44 @@ class TestCheckpointing:
         with pytest.raises(ValueError):
             other.load_state_dict(net.state_dict())
 
+    def test_bias_unit_mismatch_rejected(self):
+        """Same dims, no bias row: (8, 16) weights where (9, 16) belong."""
+        net = EMSTDPNetwork((8, 16, 3), small_cfg(use_bias_neuron=False))
+        other = EMSTDPNetwork((8, 16, 3), small_cfg())
+        with pytest.raises(ValueError, match="weights"):
+            other.load_state_dict(net.state_dict())
+        with pytest.raises(ValueError, match="weights"):
+            net.load_state_dict(other.state_dict())
+
+    def test_fortran_ordered_checkpoint_loads_in_c_order(self):
+        """A transposed-twice (Fortran-ordered) checkpoint is stored in C
+        order, the layout the fused spike loop reads, and predicts the
+        same as the checkpoint it came from."""
+        net = EMSTDPNetwork((8, 16, 3), small_cfg(dynamics="spike"))
+        state = net.state_dict()
+        state["weights"] = [np.asfortranarray(w) for w in state["weights"]]
+        other = EMSTDPNetwork((8, 16, 3), small_cfg(seed=9, dynamics="spike"))
+        other.load_state_dict(state)
+        assert all(w.flags.c_contiguous for w in other.weights)
+        X = np.random.default_rng(0).uniform(0, 1, (5, 8))
+        assert np.array_equal(other.predict_batch(X), net.predict_batch(X))
+
+    def test_class_mask_and_feedback_shapes_rejected(self):
+        net = EMSTDPNetwork((8, 16, 3), small_cfg())
+        state = net.state_dict()
+        state["class_mask"] = np.ones(5, dtype=bool)
+        with pytest.raises(ValueError, match="class_mask"):
+            net.load_state_dict(state)
+        # FA feedback of a deeper stack is (16, 12); DFA's is (3, 12).
+        fa = EMSTDPNetwork((8, 12, 16, 3), small_cfg(feedback="fa"))
+        dfa = EMSTDPNetwork((8, 12, 16, 3), small_cfg(feedback="dfa"))
+        before = dfa.state_dict()
+        with pytest.raises(ValueError, match="feedback_weights"):
+            dfa.load_state_dict(fa.state_dict())
+        # A rejected checkpoint leaves the network untouched.
+        for a, b in zip(before["feedback_weights"], dfa.feedback_weights):
+            assert np.array_equal(a, b)
+
 
 class TestSpikeBackend:
     def test_spike_phase1_matches_rate_phase1(self):

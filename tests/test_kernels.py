@@ -358,13 +358,18 @@ class TestBackendSelection:
         assert kernels.backend_name() == before
 
     def test_fused_network_run_only_on_compiled_backends(self):
-        with kernels.forced_backend("numpy"):
-            assert not kernels.backend_provides("network_run")
-            with pytest.raises(NotImplementedError, match="one timestep"):
-                kernels.network_run(1, 1, *([None] * 7), 127.0)
-        for backend in COMPILED:
-            with kernels.forced_backend(backend):
-                assert kernels.backend_provides("network_run")
+        fused = {"network_run": lambda: kernels.network_run(
+                     1, 1, *([None] * 7), 127.0),
+                 "spike_present": lambda: kernels.spike_present(
+                     (2, 1), 1, None, None, None)}
+        for name, call in fused.items():
+            with kernels.forced_backend("numpy"):
+                assert not kernels.backend_provides(name)
+                with pytest.raises(NotImplementedError, match="one timestep"):
+                    call()
+            for backend in COMPILED:
+                with kernels.forced_backend(backend):
+                    assert kernels.backend_provides(name)
 
     @pytest.mark.skipif("cext" not in AVAILABLE, reason="needs a C compiler")
     def test_network_run_rejects_malformed_tables(self):
@@ -413,6 +418,44 @@ class TestBackendSelection:
                     np.zeros((1, len(kernels.NETWORK_CONN_TRACE_FIELDS))),
                     conn_arrays, np.zeros(1, np.int64),
                     np.zeros(1, np.int64), 127.0)
+
+    @pytest.mark.skipif("cext" not in AVAILABLE, reason="needs a C compiler")
+    def test_spike_present_rejects_malformed_operands(self):
+        dims = (3, 4, 2)
+        good = dict(drive=np.zeros((2, 3)),
+                    weights=[np.zeros((4, 4)), np.zeros((5, 2))],
+                    class_mask=np.ones(2, dtype=bool),
+                    target=np.zeros((2, 2)), feedback=[np.zeros((2, 4))])
+
+        def call(**changes):
+            ops = dict(good, **changes)
+            return kernels.spike_present(
+                dims, 4, ops["drive"], ops["weights"], ops["class_mask"],
+                ops["target"], ops["feedback"])
+
+        with kernels.forced_backend("cext"):
+            phase1, phase2 = call()
+            assert [c.shape for c in phase1 + phase2] == [(2, 3), (2, 4),
+                                                          (2, 2)] * 2
+            w0 = good["weights"][0]
+            for weight, match in (
+                    (np.zeros((3, 4)), "weights\\[0\\].*shape \\(3, 4\\)"),
+                    (np.zeros((4, 8))[:, ::2], "non-contiguous"),
+                    (w0.astype(np.float32), "float32"),
+                    (np.zeros((4, 4), order="F"), "non-contiguous")):
+                with pytest.raises(TypeError, match=match):
+                    call(weights=[weight, good["weights"][1]])
+            with pytest.raises(ValueError, match="for 2 layers"):
+                call(weights=[w0, w0, w0])
+            for changes, match in (
+                    ({"feedback": [np.zeros((4, 2))]}, "feedback\\[0\\]"),
+                    ({"class_mask": np.ones(2)}, "class_mask.*float64"),
+                    ({"class_mask": np.ones(3, dtype=bool)}, "class_mask"),
+                    ({"target": np.zeros((3, 2))}, "target"),
+                    ({"drive": np.zeros(3)}, "drive"),
+                    ({"drive": [[0.0] * 3] * 2}, "drive.*list")):
+                with pytest.raises(TypeError, match=match):
+                    call(**changes)
 
 
 @pytest.mark.skipif("cext" not in AVAILABLE, reason="needs a C compiler")
