@@ -1,23 +1,30 @@
 """Operation Flow 1: in-hardware learning on the (simulated) chip.
 
-Per training sample:
+Per training sample the host makes these runtime calls, in this order:
 
-1. quantize the input to ``T`` bins and program it as the *bias* of the
-   input-layer neurons (one host->chip transaction, Section III-D); program
-   the label bias likewise;
-2. **Phase 1** (``T`` steps): forward path only — the error-path soma
-   groups are held disabled, but the auxiliary gate compartments integrate
-   forward spikes so the ``h'`` gates know who was active;
-3. learning epoch at ``T``: microcode ``dt = y1`` stashes the phase-1
-   spike count ``h`` in each synapse's tag; traces reset;
-4. **Phase 2** (``T`` steps): error path enabled; error spikes flow and
-   pull the forward rates toward the targets ``h_hat``;
-5. learning epoch at ``2T``: ``dt = y1`` completes the tag
+1. ``reset_state``, ``reset_traces``, ``reset_tags``: the previous
+   sample's membranes, spike counters, traces and tags are cleared;
+2. ``set_bias`` of the input neurons, then of the label neurons: the input,
+   quantized to ``T`` bins, is programmed as the *bias* of the input layer
+   (one host->chip transaction, Section III-D), and the one-hot label as
+   the bias of the label neurons;
+3. ``disable`` the error-path soma groups, then ``run(T)``: **phase 1**,
+   forward path only — the auxiliary gate compartments stay enabled and
+   integrate forward spikes so the ``h'`` gates know who was active;
+4. ``learning_epoch("phase1_end")``: microcode ``dt = y1`` stashes the
+   phase-1 spike count ``h`` in each synapse's tag; then ``reset_traces``;
+5. ``reset_membranes`` of the forward groups (phase-2 counts must not
+   inherit the phase-1 residual potential), ``enable`` the error path,
+   then ``run(T)``: **phase 2**, where error spikes pull the forward rates
+   toward the targets ``h_hat``;
+6. ``learning_epoch("phase2_end")``: ``dt = y1`` completes the tag
    (``Z = h + h_hat``), then the Eq. (12) weight rule
    ``dw = 2^(e+1)*y1*x1 - 2^e*t*x1`` fires with stochastic rounding;
-6. all state (membrane potentials, traces, tags) resets.
+7. ``reset_tags``, ``reset_traces``, then ``mark_sample``.
 
-Inference runs phase 1 only and reads the output spike counters.
+Inference runs phase 1 only: ``reset_state``, ``set_bias`` of the input
+neurons, ``disable`` (only on a network that has an error path),
+``run(T)`` and ``mark_sample``; the output spike counters are the result.
 """
 
 from __future__ import annotations

@@ -1,9 +1,13 @@
 """Integration tests: EMSTDP on the chip simulator."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from repro.core import EMSTDPNetwork, loihi_default_config
+from repro.core import (EMSTDPNetwork, encode_labels, loihi_default_config,
+                        quantize_to_bins)
+from repro.loihi import Runtime
 from repro.onchip import (LoihiEMSTDPTrainer, ScaleScheme,
                           build_emstdp_network, eta_exponent)
 
@@ -177,3 +181,141 @@ class TestTrainer:
         trainer.runtime.set_bias = counting
         trainer.train_sample(np.full(8, 0.5), 1)
         assert sorted(writes) == ["fwd0", "label"]
+
+
+# ----------------------------------------------------------------------
+# Operation Flow 1's host schedule, pinned call by call
+# ----------------------------------------------------------------------
+
+#: The Runtime methods the host drives a presentation with.
+HOST_CALLS = ("reset_state", "reset_traces", "reset_tags", "set_bias",
+              "disable", "run", "learning_epoch", "reset_membranes",
+              "enable", "mark_sample")
+#: Group names of the DFA (6, 8, 3) network built below.
+FORWARD = ["fwd0", "fwd1", "fwd2"]
+PHASE2 = ["label", "err_out_pos", "err_out_neg", "corr_out",
+          "dfa0_pos", "dfa0_neg"]
+
+
+def _plain(value):
+    """An argument as comparable plain data (arrays and name lists as
+    lists)."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+class TestOperationFlow1Schedule:
+    """Every chip test compares two paths (fused vs per-step, batched vs
+    sequential), so a slip made in every path at once would pass them all.
+    These pin the host calls themselves to the sequence the
+    ``repro.onchip.trainer`` module docstring gives."""
+
+    T = 8
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Records ``(runtime, method, arguments)`` for every host call,
+        defaults filled in, so ``mark_sample()`` reads as ``mark_sample(1)``."""
+        log = []
+        for name in HOST_CALLS:
+            real = getattr(Runtime, name)
+
+            def recorder(rt, *args, _name=name, _real=real,
+                         _sig=inspect.signature(real), **kw):
+                bound = _sig.bind(rt, *args, **kw)
+                bound.apply_defaults()
+                log.append((rt, _name, [_plain(v) for k, v in
+                                        bound.arguments.items()
+                                        if k != "self"]))
+                return _real(rt, *args, **kw)
+
+            monkeypatch.setattr(Runtime, name, recorder)
+        return log
+
+    def trainer(self, include_error_path=True, batch_replicas=3):
+        cfg = loihi_default_config(seed=1, phase_length=self.T,
+                                   feedback="dfa")
+        model = build_emstdp_network((6, 8, 3), cfg,
+                                     include_error_path=include_error_path)
+        return LoihiEMSTDPTrainer(model, neurons_per_core=16,
+                                  batch_replicas=batch_replicas)
+
+    def flow1(self, trainer, X, labels=None):
+        """The docstring's calls for one presentation of the block ``X``
+        (one sample per replica; a lone sample keeps the 1-D layout)."""
+        model = trainer.model
+        one = len(X) == 1
+
+        def bias(rates):
+            b = model.scales.rate_to_bias(rates)
+            return (b[0] if one else b).tolist()
+
+        inp = ["set_bias", ["fwd0", bias(quantize_to_bins(X, self.T))]]
+        if labels is None:
+            gate = [["disable", [PHASE2]]] \
+                if model.label_name is not None else []
+            return ([["reset_state", [True]], inp] + gate
+                    + [["run", [self.T]], ["mark_sample", [len(X)]]])
+        return [["reset_state", [True]], ["reset_traces", []],
+                ["reset_tags", []], inp,
+                ["set_bias", ["label", bias(encode_labels(labels, 3))]],
+                ["disable", [PHASE2]], ["run", [self.T]],
+                ["learning_epoch", ["phase1_end"]], ["reset_traces", []],
+                ["reset_membranes", [FORWARD]], ["enable", [PHASE2]],
+                ["run", [self.T]], ["learning_epoch", ["phase2_end"]],
+                ["reset_tags", []], ["reset_traces", []],
+                ["mark_sample", [len(X)]]]
+
+    @staticmethod
+    def seen(log, trainer):
+        """The log with each runtime named: ``"chip"`` for the trainer's
+        own runtime, else the replica width of the twin."""
+        return [["chip" if rt is trainer.runtime else rt.network.replicas,
+                 name, args] for rt, name, args in log]
+
+    @staticmethod
+    def on(where, expected):
+        return [[where] + call for call in expected]
+
+    def test_train_sample(self, calls):
+        trainer = self.trainer()
+        xs, ys = make_blobs(6, 3, 1, seed=0)
+        trainer.train_sample(xs[0], int(ys[0]))
+        assert self.seen(calls, trainer) == self.on(
+            "chip", self.flow1(trainer, xs, ys))
+
+    def test_infer(self, calls):
+        trainer = self.trainer()
+        xs, _ = make_blobs(6, 3, 1, seed=1)
+        trainer.infer(xs[0])
+        assert self.seen(calls, trainer) == self.on(
+            "chip", self.flow1(trainer, xs))
+
+    def test_minibatch_chunks_of_three_then_one(self, calls):
+        trainer = self.trainer(batch_replicas=3)
+        xs, ys = make_blobs(6, 3, 4, seed=2)
+        trainer.fit_batch(xs, ys, update_mode="minibatch")
+        assert self.seen(calls, trainer) == (
+            self.on(3, self.flow1(trainer, xs[:3], ys[:3]))
+            + self.on(1, self.flow1(trainer, xs[3:], ys[3:])))
+
+    def test_infer_batch(self, calls):
+        trainer = self.trainer(batch_replicas=3)
+        xs, _ = make_blobs(6, 3, 4, seed=3)
+        trainer.infer_batch(xs)
+        assert self.seen(calls, trainer) == (
+            self.on(3, self.flow1(trainer, xs[:3]))
+            + self.on(1, self.flow1(trainer, xs[3:])))
+
+    def test_inference_only_network_never_disables(self, calls):
+        trainer = self.trainer(include_error_path=False, batch_replicas=3)
+        xs, _ = make_blobs(6, 3, 4, seed=4)
+        trainer.infer(xs[0])
+        trainer.infer_batch(xs[1:])
+        assert self.seen(calls, trainer) == (
+            self.on("chip", self.flow1(trainer, xs[:1]))
+            + self.on(3, self.flow1(trainer, xs[1:])))
+        assert "disable" not in [name for _, name, _ in calls]
