@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.encoding import as_sample_batch
+from ..core.encoding import as_labeled_batch, as_sample_batch
 
 
 class BackpropMLP:
@@ -88,11 +88,9 @@ class BackpropMLP:
 
     def train_batch(self, X: np.ndarray, ys) -> float:
         """One minibatch SGD step (mean gradient); returns batch accuracy."""
-        ys = np.asarray(ys, dtype=np.int64).reshape(-1)
+        X, ys = as_labeled_batch(X, ys, self.dims[0])
         acts = self._forward_batch(X)
         logits = acts[-1]
-        if len(logits) != len(ys):
-            raise ValueError("samples and labels must have equal length")
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         grad = p.copy()
@@ -128,8 +126,7 @@ class BackpropMLP:
         self.lr = float(state.get("lr", self.lr))
 
     def evaluate_batch(self, xs, ys, batch_size: int = 1024) -> float:
-        xs = as_sample_batch(xs, self.dims[0])
-        ys = np.asarray(ys, dtype=np.int64).reshape(-1)
+        xs, ys = as_labeled_batch(xs, ys, self.dims[0])
         correct = 0
         for lo in range(0, len(xs), batch_size):
             preds = self.predict_batch(xs[lo:lo + batch_size])

@@ -6,9 +6,10 @@ on-chip implementation in :mod:`repro.onchip` is validated against.
 
 from .config import (EMSTDPConfig, full_precision_config,
                      loihi_default_config, validate_dims)
-from .encoding import (as_sample_batch, bias_encode, bias_io_events,
-                       encode_label, encode_labels, quantize_to_bins,
-                       rate_encode_spikes, spike_train_io_events)
+from .encoding import (as_labeled_batch, as_sample_batch, bias_encode,
+                       bias_io_events, encode_label, encode_labels,
+                       quantize_to_bins, rate_encode_spikes,
+                       spike_train_io_events)
 from .feedback import (feedback_neuron_count, feedback_synapse_count,
                        make_dfa_weights, make_fa_weights)
 from .learning import (WeightUpdater, delta_w_loihi_form, delta_w_reference,
@@ -22,7 +23,7 @@ from .quantize import (from_fixed_point, quant_step, quantization_snr_db,
 
 __all__ = [
     "EMSTDPConfig", "EMSTDPNetwork", "IFLayer", "SignedErrorLayer",
-    "as_sample_batch",
+    "as_labeled_batch", "as_sample_batch",
     "WeightUpdater", "bias_encode", "bias_io_events", "delta_w_loihi_form",
     "delta_w_reference", "delta_w_reference_batch", "encode_label",
     "encode_labels", "feedback_neuron_count",

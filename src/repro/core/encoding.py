@@ -11,6 +11,8 @@ can be compared (see ``benchmarks/bench_ablation_input_encoding.py``).
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from ..seeding import as_rng
@@ -33,6 +35,22 @@ def as_sample_batch(X, n_features: int) -> np.ndarray:
         raise ValueError(
             f"expected samples of shape (B, {n_features}), got {X.shape}")
     return X
+
+
+def as_labeled_batch(X, labels, n_features: int
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`as_sample_batch` with its ``(B,)`` int64 labels.
+
+    The one sample/label coercion rule for every batch API that takes
+    labels; raises ``ValueError`` unless there is one label per sample.
+    """
+    X = as_sample_batch(X, n_features)
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if len(X) != len(y):
+        raise ValueError(
+            f"samples and labels must have equal length, got {len(X)} "
+            f"samples and {len(y)} labels")
+    return X, y
 
 
 def quantize_to_bins(x: np.ndarray, T: int) -> np.ndarray:

@@ -8,7 +8,11 @@ hardware resource constraints.  Two dynamics backends are provided:
     Solves each phase's steady state directly on the ``1/T`` rate grid.
     Phase 2 is a closed loop (error spikes perturb the forward rates, which
     changes the error), solved by fixed-point iteration.  This is the fast
-    backend used for the long Table I / Fig. 4 runs.
+    backend used for the long Table I / Fig. 4 runs.  Its solver
+    (:meth:`EMSTDPNetwork.forward_rates` and the two-phase solve) takes one
+    sample ``(n,)`` or a block ``(B, n)``: every step is elementwise on the
+    grid or a matmul, so the per-sample calls and the batched engine run
+    the same code, a 1-D call doing per-sample arithmetic.
 
 ``spike``
     Simulates all ``2*T`` timesteps with explicit integrate-and-fire neurons,
@@ -56,7 +60,7 @@ import numpy as np
 
 from . import kernels
 from .config import EMSTDPConfig, validate_dims
-from .encoding import (as_sample_batch, bias_encode, encode_label,
+from .encoding import (as_labeled_batch, as_sample_batch, bias_encode,
                        encode_labels, quantize_to_bins)
 from .feedback import make_dfa_weights, make_fa_weights
 from .learning import WeightUpdater
@@ -121,10 +125,12 @@ def spike_present_reference(dims, steps, drive, weights, class_mask,
     if target is None:
         return phase1, None
 
-    # Phase 2: counters restart, membrane potentials persist (the chip
-    # resets state only at the end of the sample, Operation Flow 1).  The
-    # forward-activity gates shut the error channel of a neuron silent in
-    # phase 1 (surrogate derivative h' = 0).
+    # Phase 2: counters restart, membrane potentials persist.  The chip
+    # trainer differs here: it zeroes the forward membranes at the phase
+    # boundary (repro.onchip.trainer); bringing that reset to this engine
+    # and the C kernel is ROADMAP.md item 2.  The forward-activity gates
+    # shut the error channel of a neuron silent in phase 1 (surrogate
+    # derivative h' = 0).
     gates = [c > 0 for c in phase1]
     for layer in layers:
         layer.reset_counts()
@@ -208,30 +214,30 @@ class EMSTDPNetwork:
     # ------------------------------------------------------------------
 
     def _augment(self, rates: np.ndarray) -> np.ndarray:
-        """Append the always-on bias unit's rate if enabled."""
+        """Append the always-on bias unit's rate if enabled (a column of
+        ones for a ``(B, n)`` block)."""
         if not self._bias:
             return rates
-        return np.concatenate([rates, [1.0]])
+        return np.concatenate([rates, np.ones(rates.shape[:-1] + (1,))],
+                              axis=-1)
 
     def forward_rates(self, x: np.ndarray,
                       corrections: Optional[List[np.ndarray]] = None,
-                      current_corrections: Optional[List[np.ndarray]] = None,
                       ) -> List[np.ndarray]:
         """Steady-state rates of every layer given input ``x`` in [0, 1].
 
-        ``corrections[i]`` (signed spike rates) are added *after* the IF
-        quantization of layer ``i+1`` — the effect of one-to-one error spikes
-        carrying a full threshold's worth of charge.  ``current_corrections``
-        are added to the membrane drive *before* quantization — the effect of
-        DFA's random-weight error broadcast.
+        ``x`` is one sample ``(n_in,)`` or a block ``(B, n_in)``; every
+        step is elementwise on the ``1/T`` grid or a matmul, so row ``b``
+        of a block's result equals the result for ``x[b]`` alone.
+        ``corrections[i]`` (signed spike rates, with ``x``'s leading shape)
+        are added *after* the IF quantization of layer ``i+1`` — the effect
+        of one-to-one error spikes carrying a full threshold's worth of
+        charge.
         """
         T = self.config.T
         rates = [quantize_to_bins(np.asarray(x, dtype=float), T)]
         for i, w in enumerate(self.weights):
-            drive = self._augment(rates[i]) @ w
-            if current_corrections is not None and current_corrections[i] is not None:
-                drive = drive + current_corrections[i]
-            r = rate_activation(drive, T)
+            r = rate_activation(self._augment(rates[i]) @ w, T)
             if corrections is not None and corrections[i] is not None:
                 r = quantize_rate(np.clip(r + corrections[i], 0.0, 1.0), T)
             if i == self.n_layers - 1:
@@ -277,24 +283,32 @@ class EMSTDPNetwork:
 
     def _apply_updates(self, h: List[np.ndarray], h_hat: List[np.ndarray],
                        lr_scale: float) -> None:
+        """Eq. (7) write-back of one sample's rates, or of a ``(B, n)``
+        block's: the mean of its per-sample deltas in one projection."""
         eta0 = self.updater.eta
         self.updater.eta = eta0 * lr_scale
         try:
             for i in range(self.n_layers):
-                pre = self._augment(h[i])
-                self.weights[i] = self.updater.apply(
-                    self.weights[i], h_hat[i + 1], h[i + 1], pre)
+                args = (self.weights[i], h_hat[i + 1], h[i + 1],
+                        self._augment(h[i]))
+                self.weights[i] = (
+                    self.updater.apply(*args) if h[i].ndim == 1 else
+                    self.updater.apply_batch(*args, reduction="mean"))
         finally:
             self.updater.eta = eta0
 
     # -- rate backend ---------------------------------------------------
 
-    def _rate_two_phase(self, x: np.ndarray, label: int
+    def _rate_two_phase(self, x: np.ndarray, labels
                         ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Phase-1 rates ``h`` and phase-2 rates ``h_hat`` with frozen
+        weights, for one sample ``x`` and its label or for a ``(B, n_in)``
+        block and its ``(B,)`` labels (every sample settles at once)."""
         cfg = self.config
         T = cfg.T
         h = self.forward_rates(x)
-        target = encode_label(label, self.n_classes) * self.class_mask
+        target = encode_labels(labels, self.n_classes).reshape(
+            h[-1].shape) * self.class_mask
 
         # The forward-activity gates: a neuron that never fired in phase 1
         # keeps its error channel shut (surrogate derivative h' = 0).
@@ -307,11 +321,20 @@ class EMSTDPNetwork:
         # period 2 (error on / error off).  Damped iteration recovers the
         # time-averaged equilibrium, e.g. for one output neuron
         # ``e = g * (target - h) / (1 + g)``.
+        #
+        # FA relays the error down a chain of error pairs, top layer first.
+        # DFA broadcasts the output error through fixed random D into
+        # per-neuron correction *dendrites*.  Like the FA error neurons,
+        # the dendrites are integrate-and-fire: corrections below one
+        # threshold's worth of charge produce no spikes, which filters the
+        # broadcast noise that raw current injection would accumulate into
+        # weight drift.
+        fa = cfg.feedback == "fa"
+        order = range(self.n_layers - 1)
         h_hat = [hi.copy() for hi in h]
         damping = 0.5
-        e_out = np.zeros(self.n_classes)
+        e_out = np.zeros(h[-1].shape)
         corrections: List[Optional[np.ndarray]] = [None] * self.n_layers
-        current: List[Optional[np.ndarray]] = [None] * self.n_layers
         for _ in range(cfg.phase2_iterations):
             e_pos, e_neg = signed_error_rates(target, h_hat[-1], cfg.error_gain, T)
             if cfg.gate_output:
@@ -320,38 +343,19 @@ class EMSTDPNetwork:
             e_new = (e_pos - e_neg) * self.class_mask
             e_out = e_out + damping * (e_new - e_out)
             corrections[-1] = e_out
-            if cfg.feedback == "fa":
-                e_above = e_out
-                for i in range(self.n_layers - 2, -1, -1):
-                    eps = cfg.hidden_error_gain * (
-                        e_above @ self.feedback_weights[i])
-                    ep = quantize_rate(np.clip(eps, 0.0, 1.0), T)
-                    en = quantize_rate(np.clip(-eps, 0.0, 1.0), T)
-                    if cfg.gate_hidden:
-                        ep = ep * gates[i + 1]
-                        en = en * gates[i + 1]
-                    prev = corrections[i] if corrections[i] is not None else 0.0
-                    corrections[i] = prev + damping * ((ep - en) - prev)
-                    e_above = corrections[i]
-            else:
-                # DFA: the output error broadcasts through fixed random D
-                # into per-neuron correction *dendrites*.  Like the FA error
-                # neurons, the dendrites are integrate-and-fire: corrections
-                # below one threshold's worth of charge produce no spikes,
-                # which filters the broadcast noise that raw current
-                # injection would accumulate into weight drift.
-                for i in range(self.n_layers - 1):
-                    eps = cfg.hidden_error_gain * (
-                        e_out @ self.feedback_weights[i])
-                    ep = quantize_rate(np.clip(eps, 0.0, 1.0), T)
-                    en = quantize_rate(np.clip(-eps, 0.0, 1.0), T)
-                    if cfg.gate_hidden:
-                        ep = ep * gates[i + 1]
-                        en = en * gates[i + 1]
-                    prev = corrections[i] if corrections[i] is not None else 0.0
-                    corrections[i] = prev + damping * ((ep - en) - prev)
-            h_hat = self.forward_rates(x, corrections=corrections,
-                                       current_corrections=current)
+            e_above = e_out
+            for i in (reversed(order) if fa else order):
+                eps = cfg.hidden_error_gain * (
+                    (e_above if fa else e_out) @ self.feedback_weights[i])
+                ep = quantize_rate(np.clip(eps, 0.0, 1.0), T)
+                en = quantize_rate(np.clip(-eps, 0.0, 1.0), T)
+                if cfg.gate_hidden:
+                    ep = ep * gates[i + 1]
+                    en = en * gates[i + 1]
+                prev = corrections[i] if corrections[i] is not None else 0.0
+                corrections[i] = prev + damping * ((ep - en) - prev)
+                e_above = corrections[i]
+            h_hat = self.forward_rates(x, corrections=corrections)
         return h, h_hat
 
     # -- spike backend --------------------------------------------------
@@ -370,44 +374,12 @@ class EMSTDPNetwork:
         """Coerce input to a ``(B, n_in)`` float block (1-D becomes B=1)."""
         return as_sample_batch(X, self.dims[0])
 
-    def _augment_batch(self, rates: np.ndarray) -> np.ndarray:
-        """Batched :meth:`_augment`: append an always-on bias column."""
-        if not self._bias:
-            return rates
-        return np.concatenate([rates, np.ones((rates.shape[0], 1))], axis=1)
-
-    def forward_rates_batch(self, X: np.ndarray,
-                            corrections: Optional[List[np.ndarray]] = None,
-                            current_corrections: Optional[List[np.ndarray]] = None,
-                            ) -> List[np.ndarray]:
-        """Batched :meth:`forward_rates`: ``(B, n_in)`` in, ``(B, n_i)`` out.
-
-        Row ``b`` of every returned layer equals ``forward_rates(X[b])`` —
-        the dynamics are elementwise on the ``1/T`` grid, so stacking
-        samples on a leading axis changes nothing but the matmul shape.
-        ``corrections`` / ``current_corrections`` carry the same leading
-        batch dimension when given.
-        """
-        T = self.config.T
-        rates = [quantize_to_bins(self._as_batch(X), T)]
-        for i, w in enumerate(self.weights):
-            drive = self._augment_batch(rates[i]) @ w
-            if current_corrections is not None and current_corrections[i] is not None:
-                drive = drive + current_corrections[i]
-            r = rate_activation(drive, T)
-            if corrections is not None and corrections[i] is not None:
-                r = quantize_rate(np.clip(r + corrections[i], 0.0, 1.0), T)
-            if i == self.n_layers - 1:
-                r = r * self.class_mask
-            rates.append(r)
-        return rates
-
     def output_rates_batch(self, X: np.ndarray) -> np.ndarray:
         """Batched phase-1 inference: ``(B, n_out)`` output rates."""
         X = self._as_batch(X)
         if self.config.dynamics == "spike":
             return self._spike_rates(X)[0][-1]
-        return self.forward_rates_batch(X)[-1]
+        return self.forward_rates(X)[-1]
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         """Class decisions for a whole batch; equals ``[predict(x) for x in X]``."""
@@ -415,10 +387,7 @@ class EMSTDPNetwork:
 
     def evaluate_batch(self, samples, labels, batch_size: int = 256) -> float:
         """Phase-1 accuracy via the vectorized path, chunked to bound memory."""
-        X = self._as_batch(samples)
-        y = np.asarray(labels, dtype=np.int64).reshape(-1)
-        if len(X) != len(y):
-            raise ValueError("samples and labels must have equal length")
+        X, y = as_labeled_batch(samples, labels, self.dims[0])
         correct = 0
         for lo in range(0, len(X), batch_size):
             preds = self.predict_batch(X[lo:lo + batch_size])
@@ -450,10 +419,7 @@ class EMSTDPNetwork:
         dict with ``"predictions"`` (``(B,)`` int array, phase-1 decisions),
         ``"correct"`` (``(B,)`` bool array) and ``"accuracy"`` (float).
         """
-        X = self._as_batch(X)
-        y = np.asarray(labels, dtype=np.int64).reshape(-1)
-        if len(X) != len(y):
-            raise ValueError("samples and labels must have equal length")
+        X, y = as_labeled_batch(X, labels, self.dims[0])
         if update_mode not in ("online", "minibatch"):
             raise ValueError(
                 f"update_mode must be 'online' or 'minibatch', got {update_mode!r}")
@@ -470,8 +436,8 @@ class EMSTDPNetwork:
             if self.config.dynamics == "spike":
                 h, h_hat = self._spike_rates(X, y)
             else:
-                h, h_hat = self._rate_two_phase_batch(X, y)
-            self._apply_updates_batch(h, h_hat, lr_scale)
+                h, h_hat = self._rate_two_phase(X, y)
+            self._apply_updates(h, h_hat, lr_scale)
             self.samples_seen += len(X)
             preds = predict_classes(h[-1])
         correct = preds == y
@@ -480,76 +446,6 @@ class EMSTDPNetwork:
             "correct": correct,
             "accuracy": float(np.mean(correct)) if len(X) else 0.0,
         }
-
-    def _apply_updates_batch(self, h: List[np.ndarray], h_hat: List[np.ndarray],
-                             lr_scale: float) -> None:
-        """Minibatch write-back: mean of per-sample deltas, one projection."""
-        eta0 = self.updater.eta
-        self.updater.eta = eta0 * lr_scale
-        try:
-            for i in range(self.n_layers):
-                pre = self._augment_batch(h[i])
-                self.weights[i] = self.updater.apply_batch(
-                    self.weights[i], h_hat[i + 1], h[i + 1], pre,
-                    reduction="mean")
-        finally:
-            self.updater.eta = eta0
-
-    def _rate_two_phase_batch(self, X: np.ndarray, labels: np.ndarray
-                              ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """Batched :meth:`_rate_two_phase` with frozen weights.
-
-        A line-for-line port: every quantity gains a leading batch axis and
-        the damped phase-2 fixed point settles all samples simultaneously.
-        """
-        cfg = self.config
-        T = cfg.T
-        B = X.shape[0]
-        h = self.forward_rates_batch(X)
-        target = encode_labels(labels, self.n_classes) * self.class_mask
-
-        gates = [hi > 0 for hi in h]
-
-        h_hat = [hi.copy() for hi in h]
-        damping = 0.5
-        e_out = np.zeros((B, self.n_classes))
-        corrections: List[Optional[np.ndarray]] = [None] * self.n_layers
-        current: List[Optional[np.ndarray]] = [None] * self.n_layers
-        for _ in range(cfg.phase2_iterations):
-            e_pos, e_neg = signed_error_rates(target, h_hat[-1], cfg.error_gain, T)
-            if cfg.gate_output:
-                e_pos = e_pos * gates[-1]
-                e_neg = e_neg * gates[-1]
-            e_new = (e_pos - e_neg) * self.class_mask
-            e_out = e_out + damping * (e_new - e_out)
-            corrections[-1] = e_out
-            if cfg.feedback == "fa":
-                e_above = e_out
-                for i in range(self.n_layers - 2, -1, -1):
-                    eps = cfg.hidden_error_gain * (
-                        e_above @ self.feedback_weights[i])
-                    ep = quantize_rate(np.clip(eps, 0.0, 1.0), T)
-                    en = quantize_rate(np.clip(-eps, 0.0, 1.0), T)
-                    if cfg.gate_hidden:
-                        ep = ep * gates[i + 1]
-                        en = en * gates[i + 1]
-                    prev = corrections[i] if corrections[i] is not None else 0.0
-                    corrections[i] = prev + damping * ((ep - en) - prev)
-                    e_above = corrections[i]
-            else:
-                for i in range(self.n_layers - 1):
-                    eps = cfg.hidden_error_gain * (
-                        e_out @ self.feedback_weights[i])
-                    ep = quantize_rate(np.clip(eps, 0.0, 1.0), T)
-                    en = quantize_rate(np.clip(-eps, 0.0, 1.0), T)
-                    if cfg.gate_hidden:
-                        ep = ep * gates[i + 1]
-                        en = en * gates[i + 1]
-                    prev = corrections[i] if corrections[i] is not None else 0.0
-                    corrections[i] = prev + damping * ((ep - en) - prev)
-            h_hat = self.forward_rates_batch(X, corrections=corrections,
-                                             current_corrections=current)
-        return h, h_hat
 
     def _spike_rates(self, X: np.ndarray, labels=None
                      ) -> Tuple[List[np.ndarray], Optional[List[np.ndarray]]]:

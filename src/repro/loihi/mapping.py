@@ -202,7 +202,7 @@ def shard_groups(mapping: Mapping,
     (colocated auxiliary/dendrite compartments always do) or when an
     ``extra_edges`` pair links them — the runtime passes its gate/merge
     dependencies here so every same-step read stays inside one shard and
-    shards can be stepped concurrently with only per-phase barriers.
+    shards need only per-phase barriers between them.
 
     Returns shards as lists of group names; both the shard list and each
     shard's members preserve the mapping's placement order, so stepping a

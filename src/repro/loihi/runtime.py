@@ -33,7 +33,6 @@ step.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
@@ -381,7 +380,7 @@ class Runtime:
 
 
 class _Shard:
-    """One concurrently-steppable partition of the network.
+    """One partition of the network: the groups of a set of cores.
 
     ``groups`` preserve network declaration order (gate/merge reads between
     groups of one shard rely on it); ``conns_in`` are the connections whose
@@ -430,26 +429,25 @@ class ShardedRuntime(Runtime):
     share physical cores; :func:`~repro.loihi.mapping.shard_groups`
     partitions the groups into core-disjoint shards (gate/merge-coupled
     groups — always colocated on hardware — are kept together).  Each
-    barrier-synchronized timestep then runs in three phases over a worker
-    pool, mirroring how the chip's cores compute concurrently between
-    barriers:
+    barrier-synchronized :meth:`step` then runs in three phases, each over
+    every shard before the next begins, as the chip's cores compute
+    between barriers:
 
     1. **deliver** — every shard accumulates the currents of its inbound
-       connections from the *previous* step's spikes (read-only, parallel);
+       connections from the *previous* step's spikes (read-only);
     2. **integrate** — every shard steps its groups in declaration order
-       (writes stay inside the shard, parallel);
+       (writes stay inside the shard);
     3. **trace** — every shard updates its inbound plastic traces from the
-       freshly written spikes (parallel).
+       freshly written spikes.
 
-    Learning epochs stay sequential over connections: the engine's
+    Learning epochs run over connections in order: the engine's
     stochastic-rounding streams are consumed in connection order, and that
     order is part of the bit-identical contract with the plain runtime.
 
-    That pool serves :meth:`step`.  :meth:`run` with a fused backend is
-    one ``network_run`` call over the whole network (the barrier
-    semantics are the same), after which each shard is credited with the
-    spikes of its groups and the synaptic events of its inbound
-    connections.
+    :meth:`run` with a fused backend is one ``network_run`` call over the
+    whole network (the barrier semantics are the same), after which each
+    shard is credited with the spikes of its groups and the synaptic
+    events of its inbound connections.
 
     Per-shard counters live in ``shard.stats`` and are merged into the
     global :class:`RunStats` (see :meth:`merged_shard_stats`).
@@ -457,8 +455,7 @@ class ShardedRuntime(Runtime):
 
     def __init__(self, network: Network, mapping: Mapping,
                  rng: Optional[np.random.Generator] = None,
-                 stochastic_rounding: bool = True,
-                 max_workers: Optional[int] = None):
+                 stochastic_rounding: bool = True):
         super().__init__(network, rng=rng,
                          stochastic_rounding=stochastic_rounding)
         edges = []
@@ -483,47 +480,18 @@ class ShardedRuntime(Runtime):
             self.shards.append(_Shard(groups, []))
         for conn in network.connections:
             self.shards[shard_of[conn.dst.name]].conns_in.append(conn)
-        if max_workers is None:
-            from ..exec import default_workers
-
-            max_workers = default_workers(cap=min(len(self.shards), 4))
-        self.max_workers = max(1, int(max_workers))
-        self._pool = ThreadPoolExecutor(max_workers=self.max_workers) \
-            if self.max_workers > 1 and len(self.shards) > 1 else None
-
-    # -- worker pool -------------------------------------------------------
-
-    def _each_shard(self, fn, *arglists):
-        """Run ``fn(shard, ...)`` for every shard; barrier on completion."""
-        if self._pool is None:
-            return [fn(shard, *(a[i] for a in arglists))
-                    for i, shard in enumerate(self.shards)]
-        futures = [self._pool.submit(fn, shard, *(a[i] for a in arglists))
-                   for i, shard in enumerate(self.shards)]
-        return [f.result() for f in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self.max_workers = 1
-
-    def __enter__(self) -> "ShardedRuntime":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
-        currents = self._each_shard(_Shard.gather_currents)
-        spike_counts = self._each_shard(_Shard.step_groups, currents)
-        self._each_shard(_Shard.update_traces)
+        currents = [shard.gather_currents() for shard in self.shards]
+        n_spikes = sum(shard.step_groups(c)
+                       for shard, c in zip(self.shards, currents))
         for shard in self.shards:
+            shard.update_traces()
             shard.stats.steps += 1
         self.stats.steps += 1
-        self.stats.spikes += sum(spike_counts)
+        self.stats.spikes += n_spikes
 
     def _run_fused(self, steps: int) -> Optional[_NetworkPlan]:
         plan = super()._run_fused(steps)

@@ -25,6 +25,10 @@ Per training sample the host makes these runtime calls, in this order:
 Inference runs phase 1 only: ``reset_state``, ``set_bias`` of the input
 neurons, ``disable`` (only on a network that has an error path),
 ``run(T)`` and ``mark_sample``; the output spike counters are the result.
+
+:meth:`LoihiEMSTDPTrainer._present` is the one place these calls are
+made, for a single sample and for a block of samples on a replicated
+twin alike.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.encoding import as_sample_batch, quantize_to_bins
+from ..core.encoding import (as_labeled_batch, as_sample_batch,
+                             encode_labels, quantize_to_bins)
 from ..loihi.chip import LoihiChip
 from ..loihi.energy import EnergyModel, EnergyReport, RunStats
 from ..loihi.mapping import Mapping
@@ -93,16 +98,11 @@ class LoihiEMSTDPTrainer:
                  chip: Optional[LoihiChip] = None,
                  neurons_per_core: Optional[int] = None,
                  compile_now: bool = True,
-                 batch_replicas: Optional[int] = None,
-                 batch_workers: int = 1):
+                 batch_replicas: Optional[int] = None):
         """``batch_replicas`` caps the replica width of the batched runtime
         path (``None`` = :data:`DEFAULT_BATCH_REPLICAS`; ``1`` routes
         inference through the sequential single-replica loop and makes
-        minibatch training process one replica per chunk).
-        ``batch_workers`` sizes the :class:`ShardedRuntime` worker pool
-        the batched path steps with (1 = step the shards inline); call
-        :meth:`close` when done with a ``batch_workers > 1`` trainer to
-        release the pools."""
+        minibatch training process one replica per chunk)."""
         self.model = model
         cfg = model.config
         self.runtime = Runtime(
@@ -127,7 +127,6 @@ class LoihiEMSTDPTrainer:
         self._class_mask = np.ones(model.dims[-1], dtype=bool)
         self.samples_trained = 0
         self.batch_replicas = batch_replicas
-        self.batch_workers = int(batch_workers)
         self._reduce_rng = host_reduce_rng(cfg.seed)
         #: Replica-width -> (replicated model, sharded runtime) twins of
         #: the canonical network, built lazily by the batched path.
@@ -162,64 +161,75 @@ class LoihiEMSTDPTrainer:
 
     # -- sample-level operations ---------------------------------------------------
 
-    def _program_input(self, x: np.ndarray) -> None:
-        cfg = self.model.config
-        rate = quantize_to_bins(np.asarray(x, dtype=float), cfg.T)
-        self.runtime.set_bias(self.model.input_name,
-                              self.model.scales.rate_to_bias(rate))
-
-    def _program_label(self, label: int) -> None:
-        target = np.zeros(self.model.dims[-1])
-        target[label] = 1.0
-        self.runtime.set_bias(self.model.label_name,
-                              self.model.scales.rate_to_bias(target))
-
-    def train_sample(self, x: np.ndarray, label: int) -> Dict[str, object]:
-        """One 2T-step training presentation (Operation Flow 1 inner loop)."""
+    def _require_error_path(self) -> None:
         if self.model.label_name is None:
             raise RuntimeError(
                 "this network was built without an error path "
                 "(include_error_path=False); it can only run inference")
+
+    def _present(self, rt: Runtime, model: OnChipEMSTDP, X: np.ndarray,
+                 labels: Optional[np.ndarray] = None) -> np.ndarray:
+        """Operation Flow 1 for the ``(B, n_in)`` block ``X`` on ``rt``:
+        the host calls of the module docstring, phase 1 alone without
+        ``labels``; returns the phase-1 output spike counts ``(B, n_out)``.
+
+        ``model`` is the network ``rt`` steps: the canonical one for a
+        single sample, or a ``B``-replica twin holding one sample per
+        replica.  This is the only code that programs, gates, runs and
+        learns on the chip.
+        """
+        T = model.config.T
+
+        def program(name, rates):
+            bias = model.scales.rate_to_bias(rates)
+            # A single-replica network keeps the 1-D state layout.
+            rt.set_bias(name, bias[0] if model.network.replicas == 1
+                        else bias)
+
+        train = labels is not None
+        rt.reset_state(counts=True)
+        if train:
+            rt.reset_traces()
+            rt.reset_tags()
+        program(model.input_name, quantize_to_bins(X, T))
+        if train:
+            program(model.label_name, encode_labels(labels, model.dims[-1]))
+        if model.label_name is not None:
+            rt.disable(self._phase2_names)
+        rt.run(T)
+        counts = np.atleast_2d(rt.spike_counts(model.output_name))
+        if train:
+            rt.learning_epoch("phase1_end")
+            rt.reset_traces()
+            # Phase-boundary membrane reset: phase-2 counts must not inherit
+            # the phase-1 residual potential (a systematic +0.5-spike bias).
+            # The auxiliary gate compartments are deliberately *not* reset —
+            # their membrane is the memory of phase-1 forward activity.
+            rt.reset_membranes(model.forward_names)
+            rt.enable(self._phase2_names)
+            rt.run(T)
+            rt.learning_epoch("phase2_end")
+            rt.reset_tags()
+            rt.reset_traces()
+        rt.mark_sample(len(X))
+        return counts
+
+    def train_sample(self, x: np.ndarray, label: int) -> Dict[str, object]:
+        """One 2T-step training presentation (Operation Flow 1 inner loop)."""
+        self._require_error_path()
         if not self._class_mask[label]:
             raise ValueError(f"label {label} is masked out")
-        rt = self.runtime
-        T = self.model.config.T
-        rt.reset_state(counts=True)
-        rt.reset_traces()
-        rt.reset_tags()
-        self._program_input(x)
-        self._program_label(label)
-        rt.disable(self._phase2_names)
-        rt.run(T)
-        h_out = rt.spike_counts(self.model.output_name).astype(float) / T
-        rt.learning_epoch("phase1_end")
-        rt.reset_traces()
-        # Phase-boundary membrane reset: phase-2 counts must not inherit the
-        # phase-1 residual potential (a systematic +0.5-spike bias).  The
-        # auxiliary gate compartments are deliberately *not* reset — their
-        # membrane is the memory of phase-1 forward activity.
-        rt.reset_membranes(self.model.forward_names)
-        rt.enable(self._phase2_names)
-        rt.run(T)
-        rt.learning_epoch("phase2_end")
-        rt.reset_tags()
-        rt.reset_traces()
-        rt.mark_sample()
+        counts = self._present(self.runtime, self.model, self._as_batch(x),
+                               [label])
         self.samples_trained += 1
+        h_out = counts[0] / self.model.config.T
         pred = int(np.argmax(h_out))
         return {"h_out": h_out, "prediction": pred, "correct": pred == label}
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Phase-1-only inference; returns output rates."""
-        rt = self.runtime
-        T = self.model.config.T
-        rt.reset_state(counts=True)
-        self._program_input(x)
-        if self.model.label_name is not None:
-            rt.disable(self._phase2_names)
-        rt.run(T)
-        rt.mark_sample()
-        return rt.spike_counts(self.model.output_name).astype(float) / T
+        counts = self._present(self.runtime, self.model, self._as_batch(x))
+        return counts[0] / self.model.config.T
 
     def predict(self, x: np.ndarray) -> int:
         return int(np.argmax(self.infer(x)))
@@ -257,17 +267,14 @@ class LoihiEMSTDPTrainer:
             rt = ShardedRuntime(
                 model.network, mapping,
                 rng=replica_rngs(self.model.config.seed, replicas),
-                stochastic_rounding=self.model.config.stochastic_rounding,
-                max_workers=self.batch_workers)
+                stochastic_rounding=self.model.config.stochastic_rounding)
             rt.register_rule("emstdp", dict(self.runtime.rulebook["emstdp"]))
             entry = (model, rt)
             self._twins[replicas] = entry
         return entry
 
     def close(self) -> None:
-        """Release the twin runtimes' worker pools and drop the twins."""
-        for _, rt in self._twins.values():
-            rt.close()
+        """Drop the replicated twins (rebuilt on the next batched call)."""
         self._twins.clear()
 
     def _fresh_chunk(self, replicas: int):
@@ -276,7 +283,6 @@ class LoihiEMSTDPTrainer:
         sync_networks(self.model, model_b)
         rt.stats = RunStats(
             plastic_synapses=model_b.network.n_plastic_synapses())
-        rt.reset_state(counts=True)
         return model_b, rt
 
     def _round_host(self, delta: np.ndarray) -> np.ndarray:
@@ -287,22 +293,6 @@ class LoihiEMSTDPTrainer:
         frac = delta - floor
         draw = self._reduce_rng.random(delta.shape)
         return (floor + (draw < frac)).astype(np.int64)
-
-    def _program_batch(self, rt, model_b, X,
-                       labels: Optional[np.ndarray] = None) -> None:
-        cfg = self.model.config
-        rate = quantize_to_bins(np.asarray(X, dtype=float), cfg.T)
-        bias = model_b.scales.rate_to_bias(rate)
-        if model_b.network.replicas == 1:
-            bias = bias[0]  # a width-1 twin keeps the 1-D state layout
-        rt.set_bias(model_b.input_name, bias)
-        if labels is not None:
-            target = np.zeros((len(labels), self.model.dims[-1]))
-            target[np.arange(len(labels)), labels] = 1.0
-            label_bias = model_b.scales.rate_to_bias(target)
-            if model_b.network.replicas == 1:
-                label_bias = label_bias[0]
-            rt.set_bias(model_b.label_name, label_bias)
 
     def fit_batch(self, X, labels,
                   update_mode: str = "online") -> Dict[str, object]:
@@ -327,51 +317,38 @@ class LoihiEMSTDPTrainer:
         them — the same argument that puts stochastic rounding in the
         chip's own learning engine.
         """
-        if update_mode == "online":
-            return self.train_batch(X, labels)
-        if update_mode != "minibatch":
+        if update_mode not in ("online", "minibatch"):
             raise ValueError(
                 "update_mode must be 'online' or 'minibatch', "
                 f"got {update_mode!r}")
-        if self.model.label_name is None:
-            raise RuntimeError(
-                "this network was built without an error path "
-                "(include_error_path=False); it can only run inference")
-        X = self._as_batch(X)
-        y = np.asarray(labels, dtype=np.int64).reshape(-1)
-        if len(X) != len(y):
-            raise ValueError("samples and labels must have equal length")
-        if len(X) == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return {"predictions": empty, "correct": empty.astype(bool),
-                    "accuracy": 0.0}
+        if update_mode == "minibatch":
+            self._require_error_path()
+        X, y = as_labeled_batch(X, labels, self.model.dims[0])
+        if update_mode == "online":
+            preds = np.array([self.train_sample(x, int(label))["prediction"]
+                              for x, label in zip(X, y)], dtype=np.int64)
+        else:
+            preds = self._fit_minibatch(X, y)
+        correct = preds == y
+        return {
+            "predictions": preds,
+            "correct": correct,
+            "accuracy": float(np.mean(correct)) if len(X) else 0.0,
+        }
+
+    def _fit_minibatch(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Minibatch chunks on the replicated twins; phase-1 predictions."""
         if not self._class_mask[y].all():
             bad = sorted(set(int(v) for v in y[~self._class_mask[y]]))
             raise ValueError(f"labels {bad} are masked out")
-        T = self.model.config.T
         width = self._target_replicas(len(X))
         preds = np.empty(len(X), dtype=np.int64)
         for lo in range(0, len(X), width):
             xb, yb = X[lo:lo + width], y[lo:lo + width]
-            k = len(xb)
-            model_b, rt = self._fresh_chunk(k)
+            model_b, rt = self._fresh_chunk(len(xb))
             w0 = [c.weight_mant.copy()
                   for c in self.model.plastic_connections]
-            rt.reset_traces()
-            rt.reset_tags()
-            self._program_batch(rt, model_b, xb, labels=yb)
-            rt.disable(self._phase2_names)
-            rt.run(T)
-            counts = np.atleast_2d(rt.spike_counts(model_b.output_name))
-            rt.learning_epoch("phase1_end")
-            rt.reset_traces()
-            rt.reset_membranes(model_b.forward_names)
-            rt.enable(self._phase2_names)
-            rt.run(T)
-            rt.learning_epoch("phase2_end")
-            rt.reset_tags()
-            rt.reset_traces()
-            rt.mark_sample(k)
+            counts = self._present(rt, model_b, xb, yb)
             for conn_c, conn_b, w_start in zip(
                     self.model.plastic_connections,
                     model_b.plastic_connections, w0):
@@ -381,35 +358,10 @@ class LoihiEMSTDPTrainer:
                 else:
                     delta = (wb - w_start).astype(float)
                 conn_c.set_weights(w_start + self._round_host(delta))
-            preds[lo:lo + k] = np.argmax(counts, axis=-1)
+            preds[lo:lo + len(xb)] = np.argmax(counts, axis=-1)
             self.runtime.stats.merge(rt.stats)
-            self.samples_trained += k
-        correct = preds == y
-        return {
-            "predictions": preds,
-            "correct": correct,
-            "accuracy": float(np.mean(correct)),
-        }
-
-    def train_batch(self, X, labels) -> Dict[str, object]:
-        """Online-mode batch training; same contract as ``fit_batch``.
-
-        Each sample's 2T-step presentation sees the weights updated by every
-        earlier sample — bit-identical to looping :meth:`train_sample`.
-        """
-        X = self._as_batch(X)
-        y = np.asarray(labels, dtype=np.int64).reshape(-1)
-        if len(X) != len(y):
-            raise ValueError("samples and labels must have equal length")
-        preds = np.empty(len(X), dtype=np.int64)
-        for b in range(len(X)):
-            preds[b] = self.train_sample(X[b], int(y[b]))["prediction"]
-        correct = preds == y
-        return {
-            "predictions": preds,
-            "correct": correct,
-            "accuracy": float(np.mean(correct)) if len(X) else 0.0,
-        }
+            self.samples_trained += len(xb)
+        return preds
 
     def infer_batch(self, X) -> np.ndarray:
         """Phase-1-only inference for a batch; returns ``(B, n_out)`` rates.
@@ -424,18 +376,12 @@ class LoihiEMSTDPTrainer:
         width = self._target_replicas(len(X))
         if width <= 1:
             return np.stack([self.infer(x) for x in X])
-        T = self.model.config.T
         out = np.empty((len(X), self.model.dims[-1]))
         for lo in range(0, len(X), width):
             xb = X[lo:lo + width]
             model_b, rt = self._fresh_chunk(len(xb))
-            self._program_batch(rt, model_b, xb)
-            if model_b.label_name is not None:
-                rt.disable(self._phase2_names)
-            rt.run(T)
-            rt.mark_sample(len(xb))
-            counts = np.atleast_2d(rt.spike_counts(model_b.output_name))
-            out[lo:lo + len(xb)] = counts.astype(float) / T
+            out[lo:lo + len(xb)] = (self._present(rt, model_b, xb)
+                                    / self.model.config.T)
             self.runtime.stats.merge(rt.stats)
         return out
 
@@ -447,10 +393,7 @@ class LoihiEMSTDPTrainer:
     def evaluate_batch(self, samples, labels, batch_size: int = 256) -> float:
         """Accuracy over a sample block, inferring through the batched
         runtime ``batch_size`` samples at a time."""
-        X = self._as_batch(samples)
-        y = np.asarray(labels, dtype=np.int64).reshape(-1)
-        if len(X) != len(y):
-            raise ValueError("samples and labels must have equal length")
+        X, y = as_labeled_batch(samples, labels, self.model.dims[0])
         correct = 0
         for lo in range(0, len(X), batch_size):
             preds = self.predict_batch(X[lo:lo + batch_size])

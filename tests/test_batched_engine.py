@@ -259,7 +259,7 @@ class TestOnChipBatchAPI:
 
     def test_train_batch_matches_sample_loop_contract(self, trainer):
         xs, ys = make_blobs(6, 3, 6, seed=2)
-        out = trainer.train_batch(xs, ys)
+        out = trainer.fit_batch(xs, ys, update_mode="online")
         assert out["predictions"].shape == (6,)
         assert out["correct"].dtype == bool
         assert trainer.samples_trained == 6
@@ -268,7 +268,7 @@ class TestOnChipBatchAPI:
         xs, ys = make_blobs(6, 3, 2, seed=2)
         out = trainer.fit_batch(xs, ys)  # drop-in for EMSTDPNetwork.fit_batch
         assert out["predictions"].shape == (2,)
-        out = trainer.train_batch(xs[0], [int(ys[0])])  # 1-D sample -> B=1
+        out = trainer.fit_batch(xs[0], [int(ys[0])])  # 1-D sample -> B=1
         assert out["predictions"].shape == (1,)
         assert trainer.infer_batch(xs[0]).shape == (1, 3)
         # minibatch mode rides the batch-parallel replicated runtime
@@ -311,6 +311,15 @@ class TestBackpropMLPBatch:
         mlp = BackpropMLP((8, 16, 3), seed=0)
         with pytest.raises(ValueError):
             mlp.train_batch(np.zeros((4, 8)), np.zeros(3, dtype=int))
+
+    def test_evaluate_batch_validates_lengths(self):
+        """One label for ten samples used to broadcast into a wrong
+        accuracy, and two raised NumPy's broadcast error."""
+        xs, _ = make_blobs(8, 3, 10, seed=4)
+        mlp = BackpropMLP((8, 16, 3), seed=0)
+        for labels in ([1], [1, 2]):
+            with pytest.raises(ValueError, match="equal length"):
+                mlp.evaluate_batch(xs, labels)
 
     def test_train_batch_of_one_matches_train_sample(self):
         """Same gradient at B=1: batched and sequential paths agree."""

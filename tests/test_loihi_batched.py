@@ -74,18 +74,17 @@ class TestReplicaEquivalence:
         seq_w, _ = self.sequential_reference(biases)
         net, conn = plastic_net(self.REPLICAS)
         mapping = net.compile(LoihiChip())
-        with ShardedRuntime(net, mapping,
+        rt = ShardedRuntime(net, mapping,
                             rng=[np.random.default_rng(s)
-                                 for s in self.SEEDS],
-                            max_workers=2) as rt:
-            assert len(rt.shards) > 1  # the mapping really is partitioned
-            drive(rt, biases)
-            for r in range(self.REPLICAS):
-                assert np.array_equal(conn.weight_mant[r], seq_w[r])
-            merged = rt.merged_shard_stats()
-            assert merged.spikes == rt.stats.spikes > 0
-            assert merged.syn_events == rt.stats.syn_events > 0
-            assert merged.steps == rt.stats.steps == 32
+                                 for s in self.SEEDS])
+        assert len(rt.shards) > 1  # the mapping really is partitioned
+        drive(rt, biases)
+        for r in range(self.REPLICAS):
+            assert np.array_equal(conn.weight_mant[r], seq_w[r])
+        merged = rt.merged_shard_stats()
+        assert merged.spikes == rt.stats.spikes > 0
+        assert merged.syn_events == rt.stats.syn_events > 0
+        assert merged.steps == rt.stats.steps == 32
 
     def test_sharded_matches_plain_runtime_single_replica(self):
         bias = np.random.default_rng(1).integers(0, 1 << 14, 5)
@@ -93,11 +92,9 @@ class TestReplicaEquivalence:
         drive(Runtime(net_a, rng=np.random.default_rng(3)), bias)
         net_b, conn_b = plastic_net(1)
         mapping = net_b.compile(LoihiChip())
-        rt = ShardedRuntime(net_b, mapping, rng=np.random.default_rng(3),
-                            max_workers=2)
+        rt = ShardedRuntime(net_b, mapping, rng=np.random.default_rng(3))
         drive(rt, bias)
         assert np.array_equal(conn_a.weight_mant, conn_b.weight_mant)
-        rt.close()
 
     def test_shard_groups_partitions_by_core(self):
         net, _ = plastic_net(1)
@@ -217,17 +214,11 @@ class TestTrainerBatchedPath:
 
     def test_close_releases_twins(self):
         xs, _ = make_blobs(8, 3, 4, seed=8)
-        trainer = self.fresh(batch_replicas=4, batch_workers=2)
+        trainer = self.fresh(batch_replicas=4)
         trainer.infer_batch(xs)
         assert trainer._twins
         trainer.close()
         assert not trainer._twins
-
-    def test_batch_workers_pool_gives_same_results(self):
-        xs, _ = make_blobs(8, 3, 8, seed=5)
-        a = self.fresh(batch_replicas=8)
-        b = self.fresh(batch_replicas=8, batch_workers=4)
-        np.testing.assert_array_equal(a.infer_batch(xs), b.infer_batch(xs))
 
     def test_inference_only_network_batches_too(self):
         cfg = loihi_default_config(seed=1, phase_length=self.T)
@@ -287,7 +278,7 @@ class TestChipScenarioRouting:
         cfg = loihi_default_config(seed=0, phase_length=8)
         trainer = LoihiEMSTDPTrainer(build_emstdp_network((6, 8, 3), cfg))
         xs, ys = make_blobs(6, 3, 4, seed=0)
-        trainer.train_batch(xs, ys)
+        trainer.fit_batch(xs, ys)
         save_checkpoint(trainer, tmp_path / "chip")
         registry = ModelRegistry()
         entry = registry.load(tmp_path / "chip")

@@ -281,15 +281,13 @@ def _plastic_net(replicas):
 def _drive_sharded(replicas):
     net = _plastic_net(replicas)
     rngs = [np.random.default_rng(s) for s in range(replicas)]
-    rt = ShardedRuntime(net, net.compile(LoihiChip()), rng=rngs,
-                        max_workers=2)
+    rt = ShardedRuntime(net, net.compile(LoihiChip()), rng=rngs)
     rt.register_rule("r", RULES)
     rt.set_bias("a", np.random.default_rng(0).integers(
         0, 1 << 14, (replicas, 5)))
     for steps in (16, 7):
         rt.run(steps)
         rt.learning_epoch("end")
-    rt.close()
     return net, rt
 
 

@@ -6,10 +6,12 @@ Two families of guarantees:
    solution of the explicit ``spike`` simulation, so the two must agree up
    to limit-cycle transients (a few spikes out of ``T``).
 2. **batched vs sequential** — the batched engine must be *exactly* the
-   per-sample reference: ``forward_rates_batch`` row-for-row,
-   ``predict_batch`` decision-for-decision, and ``fit_batch`` in online
-   mode weight-for-weight (within 1e-9 over a 64-sample run, the
-   acceptance gate).
+   per-sample reference: ``output_rates_batch`` (``forward_rates`` of a
+   ``(B, n)`` block on the rate backend) row-for-row against one
+   ``output_rates`` call per sample, ``predict_batch``
+   decision-for-decision, and ``fit_batch`` in online mode
+   weight-for-weight (within 1e-9 over a 64-sample run, the acceptance
+   gate).
 """
 
 import numpy as np
