@@ -66,11 +66,8 @@ def _pin_blas_threads() -> None:
 
     import numpy
 
-    root = os.path.dirname(numpy.__file__)
-    libs = sorted(glob.glob(os.path.join(root + ".libs",
-                                         "libscipy_openblas64_*"))
-                  + glob.glob(os.path.join(root, ".dylibs",
-                                           "libscipy_openblas64_*")))
+    libs = sorted(glob.glob(os.path.join(
+        os.path.dirname(numpy.__file__) + ".libs", "libscipy_openblas64_*")))
     try:
         set_threads = ctypes.CDLL(libs[0]).scipy_openblas_set_num_threads64_
     except (IndexError, OSError, AttributeError):
@@ -80,6 +77,7 @@ def _pin_blas_threads() -> None:
             "set OPENBLAS_NUM_THREADS=1 to keep BLAS threads from "
             "oversubscribing the cores", RuntimeWarning, stacklevel=2)
         return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     set_threads(1)
 
 

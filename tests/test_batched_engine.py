@@ -313,8 +313,8 @@ class TestBackpropMLPBatch:
             mlp.train_batch(np.zeros((4, 8)), np.zeros(3, dtype=int))
 
     def test_evaluate_batch_validates_lengths(self):
-        """One label for ten samples used to broadcast into a wrong
-        accuracy, and two raised NumPy's broadcast error."""
+        """A label count other than the sample count is rejected, never
+        broadcast into an accuracy."""
         xs, _ = make_blobs(8, 3, 10, seed=4)
         mlp = BackpropMLP((8, 16, 3), seed=0)
         for labels in ([1], [1, 2]):

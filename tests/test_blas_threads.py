@@ -12,10 +12,8 @@ import numpy as np
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
-_ROOT = os.path.dirname(np.__file__)
-LIBS = sorted(glob.glob(os.path.join(_ROOT + ".libs", "libscipy_openblas64_*"))
-              + glob.glob(os.path.join(_ROOT, ".dylibs",
-                                       "libscipy_openblas64_*")))
+LIBS = sorted(glob.glob(os.path.join(
+    os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_*")))
 
 
 def _has_thread_symbols() -> bool:
@@ -36,10 +34,11 @@ pytestmark = pytest.mark.skipif(
 PROBE = """
 import ctypes, sys
 import numpy
-lib = ctypes.CDLL(sys.argv[1])
+get_threads = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_
+get_threads.argtypes, get_threads.restype = [], ctypes.c_int
 if sys.argv[2] == "1":
     import repro
-print(lib.scipy_openblas_get_num_threads64_())
+print(get_threads())
 """
 
 
