@@ -1,7 +1,7 @@
 """REP002 — kernel boundary: only the public kernel API crosses it.
 
 ``repro.core.kernels`` pins two interchangeable backends bit-identical
-to each other; that guarantee holds *only* for the nine public entry
+to each other; that guarantee holds *only* for the ten public entry
 points, which normalize dtypes/contiguity before dispatch.  Importing a
 backend module (``_numpy`` / ``_cext`` / ``_csrc``)
 directly skips the normalization and the selection logic; redefining a
@@ -22,6 +22,7 @@ from . import dotted
 PUBLIC_KERNELS = {
     "if_step", "cuba_step", "trace_update", "delta_w", "delta_w_batch",
     "delta_w_loihi", "sum_of_products", "network_run", "spike_present",
+    "microcode_epoch",
 }
 
 #: Private backend modules of the kernels package.

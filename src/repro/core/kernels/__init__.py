@@ -6,21 +6,25 @@ IF membrane update (:mod:`repro.core.neuron` and the chip compartments in
 (:mod:`repro.loihi.traces`), the EMSTDP ``dW`` accumulation (Eq. 7 /
 Eq. 12 in :mod:`repro.core.learning`), the microcode sum-of-products
 (:mod:`repro.loihi.microcode`) and, fused over whole phases, the chip
-runtime's timestep loop (:func:`network_run`) and the reference spike
-engine's two-phase presentation (:func:`spike_present`).  This package
-routes them through one of two interchangeable backends:
+runtime's timestep loop (:func:`network_run`), its learning epochs
+(:func:`microcode_epoch`) and the reference spike engine's two-phase
+presentation (:func:`spike_present`).  This package routes them through
+one of two interchangeable backends:
 
 ``cext``
     The loops as C, compiled once with the system compiler and loaded via
     ctypes (no third-party dependency beyond a C compiler).  Also provides
     the fused loops: :func:`network_run`, which advances a flattened chip
-    network ``T`` steps in one call, and :func:`spike_present`, which
-    runs one EMSTDP presentation of a ``(B, n_in)`` block in one call.
+    network ``T`` steps in one call, :func:`microcode_epoch`, which
+    applies every plastic connection's learning rules in one call, and
+    :func:`spike_present`, which runs one EMSTDP presentation of a
+    ``(B, n_in)`` block in one call.
 ``numpy``
     The pure-NumPy reference implementation — always available.  It has
     no fused loop: the chip runtime and the spike engine step their
-    layers one timestep at a time, which is the reference each fused
-    loop is pinned to.
+    layers one timestep at a time, and the chip's learning engine applies
+    one rule to one connection at a time, which is the reference each
+    fused loop is pinned to.
 
 Selection happens once at import: the first available backend in the order
 above wins, with a single ``RuntimeWarning`` if only NumPy is left.  The
@@ -34,7 +38,8 @@ The backends are pinned bit-identical to each other — exact
 the golden fixtures in ``tests/golden/``, because the EMSTDP learning rule
 is the paper's core contribution: a fast kernel that drifts the math by one
 ulp is a wrong kernel.  ``tests/test_loihi_fused.py`` pins
-:func:`network_run` to the per-step runtime the same way, and
+:func:`network_run` to the per-step runtime and :func:`microcode_epoch` to
+``LearningEngine.apply_all`` the same way, and
 ``tests/test_spike_fused.py`` pins :func:`spike_present` to the per-step
 spike engine.
 ``benchmarks/bench_kernels.py`` gates the speedup.
@@ -46,18 +51,20 @@ import contextlib
 import functools
 import os
 import warnings
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._layout import (NETWORK_CONN_ARRAYS, NETWORK_CONN_FIELDS,
-                      NETWORK_CONN_TRACE_FIELDS, NETWORK_GROUP_ARRAYS,
-                      NETWORK_GROUP_FIELDS)
+from ._layout import (MICROCODE_CONN_ARRAYS, MICROCODE_CONN_FIELDS,
+                      MICROCODE_RULE_FIELDS, NETWORK_CONN_ARRAYS,
+                      NETWORK_CONN_FIELDS, NETWORK_CONN_TRACE_FIELDS,
+                      NETWORK_GROUP_ARRAYS, NETWORK_GROUP_FIELDS)
 
 __all__ = [
-    "available_backends", "backend_name", "backend_provides", "cuba_step",
-    "delta_w", "delta_w_batch", "delta_w_loihi", "forced_backend",
-    "if_step", "network_run", "select_backend", "spike_present",
+    "MicrocodeProgram", "available_backends", "backend_name",
+    "backend_provides", "cuba_step", "delta_w", "delta_w_batch",
+    "delta_w_loihi", "forced_backend", "if_step", "microcode_epoch",
+    "microcode_program", "network_run", "select_backend", "spike_present",
     "sum_of_products", "trace_update",
 ]
 
@@ -142,9 +149,9 @@ def backend_provides(kernel: str) -> bool:
     """Whether the active backend implements ``kernel`` natively.
 
     Every backend implements the per-step kernels; only compiled ones
-    provide the fused :func:`network_run` and :func:`spike_present`, so
-    callers ask before choosing between one fused call and a per-step
-    loop.
+    provide the fused :func:`network_run`, :func:`microcode_epoch` and
+    :func:`spike_present`, so callers ask before choosing between one
+    fused call and a per-step loop.
     """
     return hasattr(_active_impl, kernel)
 
@@ -482,6 +489,115 @@ def network_run(steps: int, replicas: int, groups: np.ndarray,
                         conn_events, float(trace_max))
 
 
+# -- fused learning epoch -----------------------------------------------
+
+_MR = {name: i for i, name in enumerate(MICROCODE_RULE_FIELDS)}
+
+
+class MicrocodeProgram(NamedTuple):
+    """Rule lists flattened by :func:`microcode_program`."""
+
+    #: ``(n_lists, 2)`` int64: list ``k``'s ``[rule_lo, rule_hi)`` slice
+    #: of :attr:`rules`.
+    spans: np.ndarray
+    #: ``(n_rules, len(MICROCODE_RULE_FIELDS))`` int64 rule table.
+    rules: np.ndarray
+    #: The :func:`sum_of_products` encoding of every rule, concatenated:
+    #: float64 ``scales`` and int32 ``offs`` per term (``offs`` indexes
+    #: the concatenated factor arrays and has one closing entry), int32
+    #: ``kinds`` and ``idxs`` and float64 ``consts`` per factor.
+    scales: np.ndarray
+    offs: np.ndarray
+    kinds: np.ndarray
+    idxs: np.ndarray
+    consts: np.ndarray
+
+
+def microcode_program(rule_lists: Sequence[Sequence]) -> MicrocodeProgram:
+    """Flatten one rule list per connection for :func:`microcode_epoch`,
+    rules in list order and, within a list, in program order."""
+    spans, rules = [], []
+    parts = ([], [], [], [], [])  # scales, offs, kinds, idxs, consts
+    n_terms = n_factors = 0
+    for rule_list in rule_lists:
+        lo = len(rules)
+        for rule in rule_list:
+            scales, offs, kinds, idxs, consts = _flatten_rule(rule)
+            row = [0] * len(_MR)
+            row[_MR["target"]] = int(rule.target == "t")
+            row[_MR["term_lo"]] = n_terms
+            row[_MR["term_hi"]] = n_terms + len(scales)
+            rules.append(row)
+            for part, a in zip(parts, (scales, offs[:-1] + n_factors, kinds,
+                                       idxs, consts)):
+                part.append(a)
+            n_terms += len(scales)
+            n_factors += len(kinds)
+        spans.append((lo, len(rules)))
+    parts[1].append(np.array([n_factors], dtype=np.int32))
+    scales, offs, kinds, idxs, consts = (
+        np.concatenate(part) if part else np.zeros(0, dtype)
+        for part, dtype in zip(parts, (np.float64, np.int32, np.int32,
+                                       np.int32, np.float64)))
+    return MicrocodeProgram(
+        np.array(spans, dtype=np.int64).reshape(-1, 2),
+        np.array(rules, dtype=np.int64).reshape(-1, len(_MR)),
+        scales, offs, kinds, idxs, consts)
+
+
+def microcode_epoch(replicas: int, conns: np.ndarray, conn_arrays: np.ndarray,
+                    program: MicrocodeProgram, uniforms: Optional[np.ndarray],
+                    weight_max: int, tag_max: int) -> None:
+    """Apply one learning epoch's rules to every listed connection in one
+    call, with the exact semantics of
+    :meth:`repro.loihi.microcode.LearningEngine.apply_all` per connection.
+
+    Connection ``k`` (row ``k`` of the ``MICROCODE_CONN_FIELDS`` and
+    ``MICROCODE_CONN_ARRAYS`` tables) runs rules ``rule_lo`` to
+    ``rule_hi`` of ``program`` in order, connections in table order.
+    Each rule is :func:`sum_of_products` of the operands as they stand
+    (spikes as ``x0``/``y0``, floored trace values as ``x1``/``y1``),
+    rounded and added to its target (weight or tag), which is clamped to
+    ``±weight_max`` or ``±tag_max`` and written in place.  With
+    ``uniforms``, a ``(replicas, draws)`` float64 block holding one row
+    per replica's stochastic-rounding stream, a rule consumes the next
+    ``n_src * n_dst`` uniforms of each row and rounds ``dz`` down, or up
+    where the uniform is below its fraction; without, it rounds to nearest
+    with ties to even, as ``np.round``.  ``draws`` must be the sum over
+    connections of rules times ``n_src * n_dst``.
+
+    The caller owns the pointed-to arrays (C-contiguous, of the dtypes
+    and ``R * n`` / ``R * n_src * n_dst`` sizes ``MICROCODE_CONN_ARRAYS``
+    gives) and must keep them alive for the call.  Table and program
+    dtypes and shapes are checked here; sizes, slices, factor codes, the
+    draw count and null addresses by the backend before the first
+    dereference, raising ``ValueError``.  Raises ``NotImplementedError``
+    when the active backend has no fused loop (see
+    :func:`backend_provides`).
+    """
+    if not backend_provides("microcode_epoch"):
+        raise NotImplementedError(
+            f"kernel backend {_active_name!r} has no fused microcode_epoch; "
+            f"apply the rules one connection at a time instead")
+    _operand("conns", conns, np.int64, (None, len(MICROCODE_CONN_FIELDS)))
+    _operand("conn_arrays", conn_arrays, np.uintp,
+             (len(conns), len(MICROCODE_CONN_ARRAYS)))
+    _operand("program.rules", program.rules, np.int64, (None, len(_MR)))
+    _operand("program.scales", program.scales, np.float64, (None,))
+    _operand("program.offs", program.offs, np.int32,
+             (len(program.scales) + 1,))
+    _operand("program.kinds", program.kinds, np.int32, (None,))
+    _operand("program.idxs", program.idxs, np.int32, (len(program.kinds),))
+    _operand("program.consts", program.consts, np.float64,
+             (len(program.kinds),))
+    if uniforms is not None:
+        _operand("uniforms", uniforms, np.float64, (int(replicas), None))
+    _impl().microcode_epoch(int(replicas), conns, conn_arrays, program.rules,
+                            program.scales, program.offs, program.kinds,
+                            program.idxs, program.consts, uniforms,
+                            int(weight_max), int(tag_max))
+
+
 # -- fused EMSTDP presentation ------------------------------------------
 
 def spike_present(dims, steps: int, drive: np.ndarray, weights,
@@ -589,4 +705,6 @@ delta_w_loihi = _obs.kernel_profiler.wrap("delta_w_loihi", delta_w_loihi)
 sum_of_products = _obs.kernel_profiler.wrap("sum_of_products",
                                             sum_of_products)
 network_run = _obs.kernel_profiler.wrap("network_run", network_run)
+microcode_epoch = _obs.kernel_profiler.wrap("microcode_epoch",
+                                            microcode_epoch)
 spike_present = _obs.kernel_profiler.wrap("spike_present", spike_present)

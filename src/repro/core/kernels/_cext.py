@@ -16,9 +16,9 @@ Any failure — no compiler, compilation error, unloadable library — raises
 ``ImportError`` so the selection chain in :mod:`repro.core.kernels` can
 fall through to the next backend.
 
-Calls release the GIL while the C loop runs (plain ctypes semantics), which
-lets the sharded Loihi runtime's thread pool overlap per-step shard work
-for real.
+Calls release the GIL while the C loop runs (plain ctypes semantics), so
+other Python threads, such as a server's request handlers, keep running
+during a long fused call.
 """
 
 from __future__ import annotations
@@ -52,6 +52,11 @@ CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math",
 #: all); lane-wise SIMD performs the same IEEE operations as the scalar
 #: loop, and FMA contraction stays forbidden, so results are unchanged.
 OPT_FLAGS = ("-march=native",)
+
+#: Libraries linked after the source.  ``floor`` and ``nearbyint`` are
+#: calls into libm wherever the target has no rounding instruction (the
+#: baseline x86-64 build without ``-march=native``).
+LDLIBS = ("-lm",)
 
 
 def _cache_dir() -> Path:
@@ -103,7 +108,8 @@ def _cpu_fingerprint() -> str:
 
 def _lib_path(cc: str, flags, cpu: str) -> Path:
     """Cache path of the library built by ``cc flags`` for CPU ``cpu``."""
-    key = "|".join((str(SOURCE_VERSION), cc, " ".join(flags), cpu, SOURCE))
+    key = "|".join((str(SOURCE_VERSION), cc, " ".join(flags + LDLIBS), cpu,
+                    SOURCE))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return _cache_dir() / f"repro_kernels_{digest}.so"
 
@@ -139,7 +145,8 @@ def _build() -> ctypes.CDLL:
                 os.close(fd)
                 try:
                     proc = subprocess.run(
-                        [cc, *flags, "-o", tmp_path, str(src_path)],
+                        [cc, *flags, "-o", tmp_path, str(src_path),
+                         *LDLIBS],
                         capture_output=True, text=True)
                     if proc.returncode != 0:
                         last_error = (
@@ -200,10 +207,14 @@ for _name, _argtypes in {
     "spike_present_f64": [_c_ssize, _ptr, _c_int64, _c_ssize, _ptr, _ptr,
                           _ptr, _ptr, _ptr, _c_int, _c_int, _c_int, _c_int,
                           _c_double, _c_double, _ptr, _ptr],
+    "microcode_epoch_i64": [_c_int64, _c_ssize, _ptr, _ptr, _c_ssize, _ptr,
+                            _c_ssize, _ptr, _ptr, _c_ssize, _ptr, _ptr, _ptr,
+                            _ptr, _c_ssize, _c_int64, _c_int64],
 }.items():
     _fn = getattr(_lib, _name)
     _fn.argtypes = _argtypes
-    _fn.restype = (_c_int if _name in ("network_run_i64", "spike_present_f64")
+    _fn.restype = (_c_int if _name in ("network_run_i64", "spike_present_f64",
+                                       "microcode_epoch_i64")
                    else None)
 
 
@@ -304,4 +315,20 @@ def spike_present(dims, steps, drive, weights, feedback, class_mask, target,
                          "address")
     if status:
         raise MemoryError("spike_present could not allocate its scratch "
+                          "buffers")
+
+
+def microcode_epoch(replicas, conns, conn_arrays, rules, scales, offs, kinds,
+                    idxs, consts, uniforms, weight_max, tag_max):
+    status = _lib.microcode_epoch_i64(
+        replicas, len(conns), conns.ctypes.data, conn_arrays.ctypes.data,
+        len(rules), rules.ctypes.data, len(scales), scales.ctypes.data,
+        offs.ctypes.data, len(kinds), kinds.ctypes.data, idxs.ctypes.data,
+        consts.ctypes.data, None if uniforms is None else uniforms.ctypes.data,
+        0 if uniforms is None else uniforms.shape[1], weight_max, tag_max)
+    if status == -2:
+        raise ValueError("microcode tables hold an out-of-range size, slice, "
+                         "factor code or draw count, or a null address")
+    if status:
+        raise MemoryError("microcode_epoch could not allocate its scratch "
                           "buffers")

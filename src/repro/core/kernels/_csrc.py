@@ -13,18 +13,24 @@ reference rounds twice, which would break the ``array_equal`` equivalence
 suite in ``tests/test_kernels.py``.  The fused ``network_run_i64`` loop
 reuses the per-step ``cuba_step_i64`` and ``trace_update_f64`` functions
 verbatim, so it inherits their contract; its remaining arithmetic is exact
-int64.  The fused ``spike_present_f64`` loop steps every population with
+int64.  The fused ``microcode_epoch_i64`` loop evaluates every rule with
+``sop_eval_f64`` verbatim; its rounding and clamping are the reference's
+``np.floor``/``np.round``/``np.clip`` on integer-valued doubles, so it
+reproduces ``LearningEngine.apply_all`` bit for bit
+(``tests/test_loihi_fused.py``).  The fused ``spike_present_f64`` loop
+steps every population with
 ``if_step_f64`` and sums weight rows in the order the per-step reference
 in :mod:`repro.core.network` defines, so it reproduces that path bit for
 bit (``tests/test_spike_fused.py``).
 """
 
-from ._layout import (NETWORK_CONN_ARRAYS, NETWORK_CONN_FIELDS,
-                      NETWORK_CONN_TRACE_FIELDS, NETWORK_GROUP_ARRAYS,
-                      NETWORK_GROUP_FIELDS)
+from ._layout import (MICROCODE_CONN_ARRAYS, MICROCODE_CONN_FIELDS,
+                      MICROCODE_RULE_FIELDS, NETWORK_CONN_ARRAYS,
+                      NETWORK_CONN_FIELDS, NETWORK_CONN_TRACE_FIELDS,
+                      NETWORK_GROUP_ARRAYS, NETWORK_GROUP_FIELDS)
 
 #: Bump when the C ABI below changes; part of the compile-cache key.
-SOURCE_VERSION = 5
+SOURCE_VERSION = 6
 
 
 def _c_enum(prefix: str, fields) -> str:
@@ -35,6 +41,7 @@ def _c_enum(prefix: str, fields) -> str:
 
 
 SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #include <stddef.h>
 #include <stdlib.h>
@@ -360,7 +367,8 @@ void sop_eval_f64(const double *scales, const int32_t *offs,
 """ + "".join(_c_enum(prefix, fields) for prefix, fields in (
     ("G", NETWORK_GROUP_FIELDS), ("GA", NETWORK_GROUP_ARRAYS),
     ("C", NETWORK_CONN_FIELDS), ("CT", NETWORK_CONN_TRACE_FIELDS),
-    ("CA", NETWORK_CONN_ARRAYS))) + r"""
+    ("CA", NETWORK_CONN_ARRAYS), ("MC", MICROCODE_CONN_FIELDS),
+    ("MA", MICROCODE_CONN_ARRAYS), ("MR", MICROCODE_RULE_FIELDS))) + r"""
 #define GROUP_ARRAY(T, k, f) ((T *)ga[(k) * GA_FIELDS + (f)])
 
 static int network_tables_ok(int64_t R, ptrdiff_t n_groups,
@@ -504,6 +512,146 @@ int network_run_i64(int64_t steps, int64_t R, ptrdiff_t n_groups,
     free(off);
     free(cur);
     free(fired);
+    return 0;
+}
+
+/* -- Fused learning epoch (loihi/runtime.py: Runtime.learning_epoch) ---- *
+ * Applies each connection's rule list with the exact semantics of
+ * LearningEngine.apply_all, connections in table order and each list in
+ * program order; the table layouts are kernels.MICROCODE_*.  Every rule
+ * is evaluated by sop_eval_f64 on the operands as they stand, so a weight
+ * rule reads the tag an earlier tag rule just wrote: x0 / y0 are the
+ * source / destination spikes, x1 / y1 the pre / post trace values
+ * floored (TraceState.read), t and w the tag and weight blocks.  dz is
+ * rounded stochastically, floor(dz) + (u < dz - floor(dz)) with replica
+ * r's next S * D uniforms from row r of u, or, without u, to nearest with
+ * ties to even (nearbyint in the default rounding mode, as np.round),
+ * then added to its target in place and clamped to +-weight_max (w) or
+ * +-tag_max (t).  With hardware-bounded operands (see sop_eval_f64) every
+ * dz is a signed power-of-two multiple of an integer far inside 2^53, so
+ * floor, the subtraction and nearbyint are exact, as in the reference.
+ * Returns 0; -1 if scratch allocation fails, -2 if a table holds an
+ * out-of-range size, slice, factor code or draw count, or a null
+ * address — both before any state is touched.                            */
+static int microcode_tables_ok(int64_t R, ptrdiff_t n_conns, const int64_t *c,
+                               const uintptr_t *ca, ptrdiff_t n_rules,
+                               const int64_t *rl, ptrdiff_t n_terms,
+                               const int32_t *offs, ptrdiff_t n_factors,
+                               const int32_t *kinds, const int32_t *idxs,
+                               int stochastic, ptrdiff_t n_draws) {
+    if (R < 1 || offs[0] < 0 || offs[n_terms] > n_factors) return 0;
+    for (ptrdiff_t t = 0; t < n_terms; t++)
+        if (offs[t] > offs[t + 1]) return 0;
+    for (ptrdiff_t f = 0; f < n_factors; f++)
+        if (kinds[f] < 0 || kinds[f] > 3
+            || (kinds[f] < 3 && (idxs[f] < 0 || idxs[f] > 1)))
+            return 0;
+    for (ptrdiff_t q = 0; q < n_rules; q++) {
+        const int64_t *rq = rl + q * MR_FIELDS;
+        if (rq[MR_TARGET] < 0 || rq[MR_TARGET] > 1 || rq[MR_TERM_LO] < 0
+            || rq[MR_TERM_LO] > rq[MR_TERM_HI] || rq[MR_TERM_HI] > n_terms)
+            return 0;
+    }
+    ptrdiff_t draws = 0;
+    for (ptrdiff_t k = 0; k < n_conns; k++) {
+        const int64_t *ck = c + k * MC_FIELDS;
+        if (ck[MC_N_SRC] < 1 || ck[MC_N_DST] < 1 || ck[MC_RULE_LO] < 0
+            || ck[MC_RULE_LO] > ck[MC_RULE_HI] || ck[MC_RULE_HI] > n_rules)
+            return 0;
+        for (int f = 0; f < MA_FIELDS; f++)
+            if (!ca[k * MA_FIELDS + f]) return 0;
+        draws += (ck[MC_RULE_HI] - ck[MC_RULE_LO]) * ck[MC_N_SRC]
+                 * ck[MC_N_DST];
+    }
+    return !stochastic || draws == n_draws;
+}
+
+int microcode_epoch_i64(int64_t R, ptrdiff_t n_conns, const int64_t *c,
+                        const uintptr_t *ca, ptrdiff_t n_rules,
+                        const int64_t *rl, ptrdiff_t n_terms,
+                        const double *scales, const int32_t *offs,
+                        ptrdiff_t n_factors, const int32_t *kinds,
+                        const int32_t *idxs, const double *consts,
+                        const double *u, ptrdiff_t n_draws,
+                        int64_t weight_max, int64_t tag_max) {
+    if (!microcode_tables_ok(R, n_conns, c, ca, n_rules, rl, n_terms, offs,
+                             n_factors, kinds, idxs, u != NULL, n_draws))
+        return -2;
+    ptrdiff_t widest_pre = 1, widest_post = 1, widest_syn = 1;
+    for (ptrdiff_t k = 0; k < n_conns; k++) {
+        ptrdiff_t S = c[k * MC_FIELDS + MC_N_SRC];
+        ptrdiff_t D = c[k * MC_FIELDS + MC_N_DST];
+        if (R * S > widest_pre) widest_pre = R * S;
+        if (R * D > widest_post) widest_post = R * D;
+        if (R * S * D > widest_syn) widest_syn = R * S * D;
+    }
+    /* The sop_eval_f64 operand stacks (x0, x1), (y0, y1), (t, w) and dz. */
+    double *pre = (double *)malloc((size_t)(2 * widest_pre) * sizeof(double));
+    double *post = (double *)malloc((size_t)(2 * widest_post)
+                                    * sizeof(double));
+    double *syn = (double *)malloc((size_t)(3 * widest_syn) * sizeof(double));
+    if (!pre || !post || !syn) {
+        free(pre);
+        free(post);
+        free(syn);
+        return -1;
+    }
+    ptrdiff_t drawn = 0;
+    for (ptrdiff_t k = 0; k < n_conns; k++) {
+        const int64_t *ck = c + k * MC_FIELDS;
+        const uintptr_t *ak = ca + k * MA_FIELDS;
+        ptrdiff_t S = ck[MC_N_SRC], D = ck[MC_N_DST];
+        ptrdiff_t RS = R * S, RD = R * D, SD = S * D, RSD = R * SD;
+        const uint8_t *xs = (const uint8_t *)ak[MA_SRC_SPIKES];
+        const double *xt = (const double *)ak[MA_PRE_TRACE];
+        const uint8_t *ys = (const uint8_t *)ak[MA_DST_SPIKES];
+        const double *yt = (const double *)ak[MA_POST_TRACE];
+        int64_t *tag = (int64_t *)ak[MA_TAG];
+        int64_t *w = (int64_t *)ak[MA_WEIGHT];
+        double *dz = syn + 2 * RSD;
+        for (ptrdiff_t i = 0; i < RS; i++) {
+            pre[i] = (double)xs[i];
+            pre[RS + i] = floor(xt[i]);
+        }
+        for (ptrdiff_t j = 0; j < RD; j++) {
+            post[j] = (double)ys[j];
+            post[RD + j] = floor(yt[j]);
+        }
+        for (int64_t q = ck[MC_RULE_LO]; q < ck[MC_RULE_HI]; q++) {
+            const int64_t *rq = rl + q * MR_FIELDS;
+            int64_t lo = rq[MR_TERM_LO], hi = rq[MR_TERM_HI];
+            /* Convert only the synaptic variables this rule reads, as
+             * they stand after the rules before it.                      */
+            int reads[2] = {0, 0};
+            for (int32_t f = offs[lo]; f < offs[hi]; f++)
+                if (kinds[f] == 2) reads[idxs[f]] = 1;
+            if (reads[0])
+                for (ptrdiff_t e = 0; e < RSD; e++) syn[e] = (double)tag[e];
+            if (reads[1])
+                for (ptrdiff_t e = 0; e < RSD; e++)
+                    syn[RSD + e] = (double)w[e];
+            sop_eval_f64(scales + lo, offs + lo, kinds, idxs, consts,
+                         hi - lo, pre, post, syn, dz, R, S, D);
+            int64_t *z = rq[MR_TARGET] ? tag : w;
+            int64_t bound = rq[MR_TARGET] ? tag_max : weight_max;
+            for (int64_t r = 0; r < R; r++) {
+                const double *ur = u ? u + r * n_draws + drawn : NULL;
+                int64_t *zr = z + r * SD;
+                const double *dr = dz + r * SD;
+                for (ptrdiff_t e = 0; e < SD; e++) {
+                    double d = dr[e], fl = floor(d);
+                    double step = ur ? fl + (double)(ur[e] < d - fl)
+                                     : nearbyint(d);
+                    int64_t x = zr[e] + (int64_t)step;
+                    zr[e] = x < -bound ? -bound : (x > bound ? bound : x);
+                }
+            }
+            drawn += SD;
+        }
+    }
+    free(pre);
+    free(post);
+    free(syn);
     return 0;
 }
 

@@ -1,8 +1,9 @@
-"""Table layout of :func:`repro.core.kernels.network_run`.
+"""Table layouts of :func:`repro.core.kernels.network_run` and
+:func:`repro.core.kernels.microcode_epoch`.
 
-One definition for both sides of the call: the package re-exports these
+One definition for both sides of each call: the package re-exports these
 tuples (the runtime derives its column indices from them) and
-:mod:`._csrc` generates the C loop's column enums from them, so the two
+:mod:`._csrc` generates the C loops' column enums from them, so the two
 cannot disagree.
 """
 
@@ -33,3 +34,19 @@ NETWORK_CONN_TRACE_FIELDS = ("pre_impulse", "pre_decay", "post_impulse",
 #: Columns of the connection address table: int64 weights and the float64
 #: pre/post trace values (ignored for static connections).
 NETWORK_CONN_ARRAYS = ("weight", "pre_trace", "post_trace")
+
+#: Columns of :func:`microcode_epoch`'s int64 connection table: the
+#: synaptic block's size and the connection's ``[rule_lo, rule_hi)`` slice
+#: of the rule table.
+MICROCODE_CONN_FIELDS = ("n_src", "n_dst", "rule_lo", "rule_hi")
+
+#: Columns of its address table, one row per connection: the bool source
+#: and destination spikes (``x0``, ``y0``) and float64 pre and post trace
+#: values (``x1``, ``y1``), all ``R * n``; the int64 tag and weight
+#: blocks (``R * S * D``), written in place.
+MICROCODE_CONN_ARRAYS = ("src_spikes", "pre_trace", "dst_spikes",
+                         "post_trace", "tag", "weight")
+
+#: Columns of its int64 rule table: the target (0 = ``w``, 1 = ``t``) and
+#: the rule's ``[term_lo, term_hi)`` slice of the term arrays.
+MICROCODE_RULE_FIELDS = ("target", "term_lo", "term_hi")

@@ -25,10 +25,19 @@ runtime and re-bound to the host's arrays before every call.  Under the
 ``numpy`` backend ``run`` loops over ``step``.  Delivery is int64 and the
 loop reuses the per-step compartment and trace kernels, so the two paths
 are bit-identical — ``tests/test_loihi_fused.py`` pins weights, spikes,
-counts, traces, tags and stats with ``array_equal``.  Host work between
-runs (programming biases, masks and enable flags, learning epochs,
-resets) stays in Python: it happens a few times per sample, not every
-step.
+counts, traces, tags and stats with ``array_equal``.
+
+:meth:`Runtime.learning_epoch` likewise applies every plastic
+connection's rule list in one :func:`~repro.core.kernels.microcode_epoch`
+call under ``cext`` (:class:`_EpochPlan`, one per epoch name), with the
+stochastic-rounding uniforms drawn in NumPy beforehand, one block per
+replica stream; under ``numpy`` it calls
+:meth:`~repro.loihi.microcode.LearningEngine.apply_all` per connection,
+the reference the same tests pin it to, weights, tags and generator
+states alike.  The fused epoch writes weights and tags in place, so the
+next run's bind stays on its identity fast path.  The rest of the host
+work between runs (programming biases, masks and enable flags, resets)
+stays in Python: it happens a few times per sample, not every step.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from .energy import RunStats
 from .mapping import Mapping, shard_groups
 from .microcode import LearningEngine, SumOfProducts
 from .sdk import Network
+from .synapse import TAG_MAX, WEIGHT_MANT_MAX
 from .traces import TRACE_MAX
 
 
@@ -104,6 +114,7 @@ _G = _columns(kernels.NETWORK_GROUP_FIELDS)
 _C = _columns(kernels.NETWORK_CONN_FIELDS)
 _CT = _columns(kernels.NETWORK_CONN_TRACE_FIELDS)
 _CA = _columns(kernels.NETWORK_CONN_ARRAYS)
+_MC = _columns(kernels.MICROCODE_CONN_FIELDS)
 
 
 class _NetworkPlan:
@@ -242,6 +253,96 @@ class _NetworkPlan:
             conn.syn_events += events
 
 
+class _EpochPlan:
+    """One learning epoch flattened into the tables of
+    ``kernels.microcode_epoch``: its (connection, rule list) pairs, in
+    connection order.
+
+    :meth:`bind` re-derives a connection's addresses only when one of its
+    arrays is a new object (``set_weights`` replaces the weights; the fused
+    epoch itself writes in place), so a steady-state bind costs one
+    identity check per connection.
+    """
+
+    def __init__(self, work, replicas: int):
+        self.key = self._key(work)
+        self.conn_objs = [conn for conn, _ in work]
+        self.replicas = replicas
+        self.program = kernels.microcode_program([rules for _, rules in work])
+        self.conns = np.zeros((len(work), len(_MC)), dtype=np.int64)
+        self.conns[:, _MC["n_src"]] = [c.src.n for c in self.conn_objs]
+        self.conns[:, _MC["n_dst"]] = [c.dst.n for c in self.conn_objs]
+        self.conns[:, _MC["rule_lo"]] = self.program.spans[:, 0]
+        self.conns[:, _MC["rule_hi"]] = self.program.spans[:, 1]
+        #: Uniforms one epoch draws from each replica's rounding stream.
+        self.draws = int(np.sum(np.diff(self.program.spans, axis=1)[:, 0]
+                                * self.conns[:, _MC["n_src"]]
+                                * self.conns[:, _MC["n_dst"]]))
+        self.conn_arrays = np.zeros(
+            (len(work), len(kernels.MICROCODE_CONN_ARRAYS)), dtype=np.uintp)
+        self._seen = [()] * len(work)
+
+    @staticmethod
+    def _key(work) -> tuple:
+        # Holds the connections and rules, so their ids cannot be reused;
+        # rules compare by identity first, then by value.
+        return tuple((conn, *rules) for conn, rules in work)
+
+    def matches(self, work) -> bool:
+        return self.key == self._key(work)
+
+    def bind(self) -> bool:
+        """Refresh the address table from the connections' arrays.
+
+        Returns False, leaving the epoch to ``LearningEngine.apply_all``,
+        when an operand is not a C-contiguous array of the kernel's dtype
+        and state or synaptic shape, or a tag or weight block, which the
+        kernel writes in place where the reference replaces it, is
+        read-only, a view, or held by two connections.
+        """
+        changed = False
+        for k, conn in enumerate(self.conn_objs):
+            arrays = (conn.src.spikes, conn.pre_trace.values,  # x0, x1
+                      conn.dst.spikes, conn.post_trace.values,  # y0, y1
+                      conn.tag, conn.weight_mant)
+            if tuple(map(id, arrays)) == tuple(map(id, self._seen[k])) \
+                    and conn.tag.flags.writeable \
+                    and conn.weight_mant.flags.writeable:
+                continue
+            src, dst = conn.src.state_shape, conn.dst.state_shape
+            syn = (conn.src.n, conn.dst.n) if self.replicas == 1 \
+                else (self.replicas, conn.src.n, conn.dst.n)
+            specs = ((bool, src), (np.float64, src), (bool, dst),
+                     (np.float64, dst), (np.int64, syn), (np.int64, syn))
+            if not all(_conforms(a, dtype, (shape,))
+                       for a, (dtype, shape) in zip(arrays, specs)):
+                return False
+            if not all(a.flags.owndata and a.flags.writeable
+                       for a in arrays[-2:]):
+                return False
+            self._seen[k] = arrays
+            self.conn_arrays[k] = [a.ctypes.data for a in arrays]
+            changed = True
+        if changed:
+            written = [id(a) for arrays in self._seen for a in arrays[-2:]]
+            if len(set(written)) != len(written):
+                self._seen = [()] * len(self.conn_objs)
+                return False
+        return True
+
+    def run(self, streams, stochastic: bool) -> None:
+        """One ``microcode_epoch`` call, rounding with one block of
+        uniforms per stream (replica order) when ``stochastic``."""
+        uniforms = None
+        if stochastic:
+            uniforms = np.empty((len(streams), self.draws))
+            for row, rng in zip(uniforms, streams):
+                rng.random(out=row)
+        kernels.microcode_epoch(self.replicas, self.conns, self.conn_arrays,
+                                self.program, uniforms, WEIGHT_MANT_MAX,
+                                TAG_MAX)
+
+
 class Runtime:
     """Steps a network and orchestrates learning epochs.
 
@@ -262,12 +363,15 @@ class Runtime:
         self.stats.plastic_synapses = network.n_plastic_synapses()
         self._syn_events_seen = 0
         self._plan: Optional[_NetworkPlan] = None
+        #: epoch name -> its flattened plan.
+        self._epochs: Dict[str, _EpochPlan] = {}
 
     def __getstate__(self) -> dict:
-        # The plan holds raw addresses of this object's arrays; a copy or
+        # The plans hold raw addresses of this object's arrays; a copy or
         # an unpickled runtime must build its own.
         state = self.__dict__.copy()
         state["_plan"] = None
+        state["_epochs"] = {}
         return state
 
     # -- learning-rule registry ---------------------------------------------
@@ -341,14 +445,45 @@ class Runtime:
 
     def learning_epoch(self, epoch: str) -> None:
         """Run the learning engine for one named epoch on all plastic
-        connections that registered rules for it."""
+        connections that registered rules for it: one fused
+        ``microcode_epoch`` call when the active backend provides it, else
+        :meth:`LearningEngine.apply_all` per connection (the two are
+        bit-identical)."""
+        work = []
         for conn in self.network.connections:
-            if not conn.plastic or not conn.learning_rule:
-                continue
-            rules = self.rulebook.get(conn.learning_rule, {}).get(epoch)
-            if rules:
+            if conn.plastic and conn.learning_rule:
+                rules = self.rulebook.get(conn.learning_rule, {}).get(epoch)
+                if rules:
+                    work.append((conn, rules))
+        if work and not (kernels.backend_provides("microcode_epoch")
+                         and self._epoch_fused(epoch, work)):
+            for conn, rules in work:
                 self.engine.apply_all(rules, conn)
         self.stats.learning_epochs += 1
+
+    def _epoch_fused(self, epoch: str, work) -> bool:
+        """Apply ``work`` through the epoch's flattened plan; False
+        (nothing applied) if the operands or the engine's rounding streams
+        cannot be expressed in its tables.
+
+        The engine draws its uniforms in the reference's order: per
+        connection, per rule, one ``(src.n, dst.n)`` block from each
+        replica's stream.  A stream's blocks are consecutive draws, so the
+        plan takes them as one ``random`` call per stream, which gives the
+        same values and leaves the stream in the same state.
+        """
+        replicas = self.network.replicas
+        engine = self.engine
+        streams = [engine.rng] if replicas == 1 else engine.rngs
+        if streams is None or len(streams) != replicas:
+            return False
+        plan = self._epochs.get(epoch)
+        if plan is None or not plan.matches(work):
+            plan = self._epochs[epoch] = _EpochPlan(work, replicas)
+        if not plan.bind():
+            return False
+        plan.run(streams, engine.stochastic_rounding)
+        return True
 
     # -- state management ----------------------------------------------------------
 

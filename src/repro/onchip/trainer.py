@@ -90,6 +90,21 @@ def eta_exponent(eta: float, weight_clip: float, T: int) -> int:
     return round(math.log2(scale))
 
 
+def _checked_mantissas(name: str, mant) -> np.ndarray:
+    """``mant`` as int64 mantissas, or ``ValueError`` naming connection
+    ``name`` if any entry is non-finite, not an integer or beyond
+    ``±WEIGHT_MANT_MAX``: a corrupt checkpoint must not load as other
+    weights (clipped, truncated, or NaN cast to an arbitrary integer)."""
+    mant = np.asarray(mant)
+    if mant.dtype.kind not in "biuf" or not (
+            np.isfinite(mant).all() and (mant == np.round(mant)).all()
+            and (np.abs(mant) <= WEIGHT_MANT_MAX).all()):
+        raise ValueError(
+            f"checkpoint weights of connection {name!r} are not integer "
+            f"mantissas in [-{WEIGHT_MANT_MAX}, {WEIGHT_MANT_MAX}]")
+    return mant.astype(np.int64)
+
+
 class LoihiEMSTDPTrainer:
     """Drives an :class:`~repro.onchip.builder.OnChipEMSTDP` network."""
 
@@ -455,7 +470,7 @@ class LoihiEMSTDPTrainer:
                 f"checkpoint has {len(mants)} plastic connections, "
                 f"network has {len(conns)}")
         for conn, mant in zip(conns, mants):
-            conn.set_weights(np.asarray(mant, dtype=np.int64))
+            conn.set_weights(_checked_mantissas(conn.name, mant))
         mask = np.asarray(state["class_mask"], dtype=bool)
         if mask.shape != (self.model.dims[-1],):
             raise ValueError("class_mask shape does not match output layer")

@@ -1,14 +1,17 @@
-"""Fused ``Runtime.run(T)`` against ``T`` x ``Runtime.step()``, bit for bit.
+"""The chip runtime's fused calls against their references, bit for bit.
 
 With the ``cext`` backend, :meth:`Runtime.run` advances the whole network
-in one ``kernels.network_run`` call.  Every test here plays one schedule
-twice: once with each ``run(T)`` routed through ``T`` calls of
-:meth:`Runtime.step` (the reference), once fused with the per-step path
-patched to fail, so a silent fallback cannot pass.  The two end states are
-compared with ``np.array_equal``: membranes, currents, refractory
-counters, spikes, spike counts, traces, tags, weights, per-connection
-synaptic events, ``RunStats`` and the sharded runtime's per-shard and
-merged stats.
+in one ``kernels.network_run`` call, and :meth:`Runtime.learning_epoch`
+applies every plastic connection's rules in one ``kernels.microcode_epoch``
+call.  Every test here plays one schedule twice: once through the
+reference (each ``run(T)`` as ``T`` calls of :meth:`Runtime.step`, or each
+epoch as ``LearningEngine.apply_all`` per connection), once fused with the
+reference patched to fail, so a silent fallback cannot pass.  The two end
+states are compared with ``np.array_equal``: membranes, currents,
+refractory counters, spikes, spike counts, traces, tags, weights,
+per-connection synaptic events, ``RunStats``, the sharded runtime's
+per-shard and merged stats and, for epochs, the state of every
+stochastic-rounding generator.
 """
 
 import contextlib
@@ -21,8 +24,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels, loihi_default_config
-from repro.loihi import (CompartmentPrototype, LoihiChip, Network, Runtime,
-                         ShardedRuntime, TraceConfig, TraceState, parse_rule)
+from repro.loihi import (CompartmentPrototype, LearningEngine, LoihiChip,
+                         Network, Runtime, ShardedRuntime, TraceConfig,
+                         TraceState, parse_rule)
 from repro.onchip import LoihiEMSTDPTrainer, build_emstdp_network
 
 from conftest import make_blobs
@@ -466,3 +470,393 @@ def test_random_networks_fused_equals_per_step(spec):
         got = _play(spec)
     assert calls == [s for s, _ in spec["schedule"] if s > 0]
     assert_identical(ref, got)
+
+
+# ----------------------------------------------------------------------
+# Fused learning epochs against LearningEngine.apply_all
+# ----------------------------------------------------------------------
+
+def _reference_epoch(self, epoch):
+    """The per-(connection, rule) learning epoch: ``apply_all`` on every
+    plastic connection with rules for ``epoch``, in connection order."""
+    for conn in self.network.connections:
+        if conn.plastic and conn.learning_rule:
+            rules = self.rulebook.get(conn.learning_rule, {}).get(epoch)
+            if rules:
+                self.engine.apply_all(rules, conn)
+    self.stats.learning_epochs += 1
+
+
+@contextlib.contextmanager
+def reference_epochs():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Runtime, "learning_epoch", _reference_epoch)
+        yield
+
+
+@contextlib.contextmanager
+def fused_epochs(allow_apply_all=False):
+    """Every learning epoch with rules is one ``microcode_epoch`` call;
+    yields the replica count of each call.  Unless ``allow_apply_all``,
+    calling the reference fails the test; with it, each reference call
+    appends ``"apply_all"``."""
+    calls = []
+    real = kernels.microcode_epoch
+    real_apply_all = LearningEngine.apply_all
+
+    def spy(replicas, *args):
+        calls.append(replicas)
+        return real(replicas, *args)
+
+    def apply_all(self, rules, conn):
+        if not allow_apply_all:
+            raise AssertionError("learning_epoch fell back to apply_all")
+        calls.append("apply_all")
+        return real_apply_all(self, rules, conn)
+
+    with kernels.forced_backend("cext"), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "microcode_epoch", spy)
+        mp.setattr(LearningEngine, "apply_all", apply_all)
+        yield calls
+
+
+def stream_states(*runtimes):
+    """The state of every generator the runtimes' engines round with."""
+    states = []
+    for rt in runtimes:
+        engine = rt.engine
+        for rng in engine.rngs if engine.rngs is not None else [engine.rng]:
+            states.append(rng.bit_generator.state)
+    return states
+
+
+def trainer_streams(trainer):
+    twins = [rt for _, (_, rt) in sorted(trainer._twins.items())]
+    return (stream_states(trainer.runtime, *twins)
+            + [trainer._reduce_rng.bit_generator.state])
+
+
+def _epoch_legs(make, drive):
+    """``drive(make())`` with reference epochs, then fused; returns the
+    fused leg's object and its ``microcode_epoch`` calls."""
+    with reference_epochs():
+        ref = make()
+        ref_out = drive(ref)
+    with fused_epochs() as calls:
+        got = make()
+        out = drive(got)
+    for key in ref_out:
+        assert np.array_equal(ref_out[key], out[key]), key
+    return ref, got, calls
+
+
+def _learn(trainer, X, y):
+    """Online samples on the R=1 runtime, minibatch chunks of 16 and 3 on
+    two twins, then batched inference."""
+    return {
+        "online": trainer.fit_batch(X[:3], y[:3])["predictions"],
+        "minibatch": trainer.fit_batch(X[3:22], y[3:22],
+                                       update_mode="minibatch")["predictions"],
+        "infer_batch": trainer.infer_batch(X),
+    }
+
+
+def _assert_trainers_identical(ref, got):
+    assert_identical(trainer_snapshot(ref), trainer_snapshot(got))
+    assert trainer_streams(ref) == trainer_streams(got)
+
+
+@pytest.mark.parametrize("feedback", ["dfa", "fa"])
+@pytest.mark.parametrize("gate_output", [False, True])
+@pytest.mark.parametrize("gate_hidden", [False, True])
+def test_emstdp_trainer_epochs_equal_apply_all(feedback, gate_output,
+                                               gate_hidden):
+    X, y = make_blobs(DIMS[0], DIMS[-1], 24, seed=5)
+    ref, got, calls = _epoch_legs(
+        lambda: _trainer(feedback, gate_output, gate_hidden),
+        lambda t: _learn(t, X, y))
+    _assert_trainers_identical(ref, got)
+    # Two epochs per online sample, two per minibatch chunk.
+    assert calls == [1] * 6 + [16, 16, 3, 3]
+    assert got.runtime.stats.learning_epochs == len(calls)
+
+
+def test_emstdp_frontend_and_class_mask_epochs_equal_apply_all():
+    X, y = make_blobs(DIMS[0], DIMS[-1], 24, seed=7)
+    y = np.where(y == 3, 2, y)  # class 3 is masked out below
+
+    def make():
+        trainer = _trainer(frontend=True)
+        trainer.set_class_mask([0, 1, 2])
+        return trainer
+
+    ref, got, _ = _epoch_legs(make, lambda t: _learn(t, X, y))
+    _assert_trainers_identical(ref, got)
+
+
+def test_copied_runtime_epochs_write_only_its_own_arrays():
+    """A deep copy learns into its own weights and tags, from its own
+    copies of the generators; the original is untouched."""
+    X, y = make_blobs(DIMS[0], DIMS[-1], 6, seed=2)
+    with fused_epochs():
+        original = _trainer()
+        original.fit_batch(X[:2], y[:2])
+        clone = copy.deepcopy(original)
+        before = trainer_snapshot(original)
+        streams = trainer_streams(original)
+        clone.fit_batch(X[2:], y[2:])
+        clone.fit_batch(X[2:], y[2:], update_mode="minibatch")
+        assert_identical(before, trainer_snapshot(original))
+        assert trainer_streams(original) == streams
+        original.fit_batch(X[2:], y[2:])
+        original.fit_batch(X[2:], y[2:], update_mode="minibatch")
+    _assert_trainers_identical(original, clone)
+
+
+def _two_plastic_net(replicas, trace=(1, 1.0), n_c=4):
+    """``a`` drives ``b`` (3 wide) and ``c`` through plastic connections
+    with rule names ``r`` and ``s``."""
+    net = Network("epochs", replicas=replicas)
+    proto = CompartmentPrototype(vth_mant=256, decay_u=4096, decay_v=0)
+    a = net.create_group(5, proto, "a")
+    b = net.create_group(3, proto, "b")
+    c = net.create_group(n_c, proto, "c")
+    rng = np.random.default_rng(replicas)
+    for dst, rule in ((b, "r"), (c, "s")):
+        conn = net.connect(a, dst, rng.integers(-40, 60, (5, dst.n)),
+                           weight_scale=64, plastic=True, learning_rule=rule)
+        config = TraceConfig(impulse=trace[0], decay=trace[1])
+        conn.pre_trace = TraceState(a.n, config, replicas=replicas)
+        conn.post_trace = TraceState(dst.n, config, replicas=replicas)
+    net.connect(b, c, np.full((3, n_c), 20), weight_scale=64)
+    a.set_bias(rng.integers(0, 1 << 14, a.state_shape))
+    return net
+
+
+def _runtime(net, seed=0, stochastic_rounding=True):
+    rngs = [np.random.default_rng((seed, r)) for r in range(net.replicas)]
+    return Runtime(net, rng=rngs, stochastic_rounding=stochastic_rounding)
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_rules_reregistered_between_epochs(replicas):
+    """The fused epoch follows the rulebook as it stands at each epoch:
+    re-registered lists, a list edited in place, a connection with no
+    rules for the epoch and an epoch nobody registered."""
+    def play():
+        net = _two_plastic_net(replicas)
+        rt = _runtime(net)
+        book = [parse_rule("dt = y1"),
+                parse_rule("dw = 2^-3 * y1 * x1 - 2^-4 * t * x1")]
+        rt.register_rule("r", {"end": book})
+        rt.register_rule("s", {"end": [parse_rule("dw = -2^-2 * w")]})
+        schedule = [
+            lambda: None,
+            lambda: rt.register_rule("r", {"end": book[::-1]}),
+            lambda: book.append(parse_rule("dt = -2^-1 * t")),
+            lambda: rt.register_rule("s", {"other": book}),
+            lambda: rt.register_rule("r", {"end": [parse_rule(
+                "dw = 2^-1 * (x1 + 1) * (y1 - 2)")]}),
+        ]
+        for host_write in schedule:
+            host_write()
+            rt.run(9)
+            rt.learning_epoch("end")
+        rt.learning_epoch("never")
+        return {"state": snapshot(net, rt), "streams": stream_states(rt)}
+
+    ref, got, calls = _epoch_legs(play, lambda out: out["state"])
+    assert calls == [replicas] * 5
+    assert ref["streams"] == got["streams"]
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_deterministic_rounding_ties_to_even(replicas):
+    """``stochastic_rounding=False`` rounds each exact half to even, as
+    ``np.round`` does (C's ``round()`` would take it away from zero), and
+    draws from no generator."""
+    x1 = np.array([1.0, 3.0, 5.0, 7.0])
+    y1 = np.array([1.0, 3.0, 5.0])
+
+    def play():
+        net = Network("ties", replicas=replicas)
+        proto = CompartmentPrototype(vth_mant=256)
+        a = net.create_group(4, proto, "a")
+        b = net.create_group(3, proto, "b")
+        conn = net.connect(a, b, np.zeros((4, 3)), weight_scale=64,
+                           plastic=True, learning_rule="r")
+        conn.pre_trace.values[...] = x1
+        conn.post_trace.values[...] = y1
+        rt = _runtime(net, stochastic_rounding=False)
+        rt.register_rule("r", {"end": [parse_rule("dw = 2^-1 * y1 * x1"),
+                                       parse_rule("dt = -2^-1 * y1 * x1")]})
+        before = stream_states(rt)
+        rt.learning_epoch("end")
+        assert stream_states(rt) == before
+        return {"w": conn.weight_mant, "t": conn.tag}
+
+    ref, got, calls = _epoch_legs(play, lambda out: out)
+    assert calls == [replicas]
+    halves = np.outer(x1, y1) / 2  # 0.5, 1.5, 2.5, ...: all exact ties
+    assert np.array_equal(got["w"], np.broadcast_to(np.round(halves),
+                                                    got["w"].shape))
+    assert np.array_equal(got["t"], np.broadcast_to(np.round(-halves),
+                                                    got["t"].shape))
+
+
+def _column_major_weights(net):
+    conn = net.connections[0]
+    conn.weight_mant = np.asfortranarray(conn.weight_mant)
+    return conn.weight_mant
+
+
+def _int32_tag(net):
+    conn = net.connections[1]
+    conn.tag = conn.tag.astype(np.int32)
+    return conn.tag
+
+
+def _read_only_weights(net):
+    conn = net.connections[1]
+    conn.weight_mant.flags.writeable = False
+    return conn.weight_mant
+
+
+def _shared_tag(net):
+    net.connections[1].tag = net.connections[0].tag
+    return net.connections[0].tag
+
+
+@pytest.mark.parametrize("unfusable", [
+    _column_major_weights, _int32_tag, _read_only_weights, _shared_tag])
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_unfusable_epoch_falls_back_to_apply_all(unfusable, replicas):
+    """The fused epoch writes in place, so it takes only C-contiguous
+    int64 blocks it owns alone and may write; anything else leaves the
+    epoch to ``apply_all``, which replaces the host's array instead (and
+    so may hand the next epoch back to the fused call)."""
+    def play():
+        net = _two_plastic_net(replicas, n_c=3)
+        rt = _runtime(net)
+        rules = {"end": [parse_rule("dt = y1"),
+                         parse_rule("dw = 2^-2 * y1 * x1 - 2^-3 * t * x1")]}
+        rt.register_rule("r", rules)
+        rt.register_rule("s", rules)
+        rt.run(8)
+        rt.learning_epoch("end")
+        host = unfusable(net)
+        kept = host.copy()
+        for _ in range(2):
+            rt.run(8)
+            rt.learning_epoch("end")
+        assert np.array_equal(host, kept)  # never written in place
+        return {"state": snapshot(net, rt), "streams": stream_states(rt)}
+
+    with reference_epochs():
+        ref = play()
+    with fused_epochs(allow_apply_all=True) as calls:
+        got = play()
+    # Fused before the host write, then the reference on both conns.
+    assert calls[:3] == [replicas, "apply_all", "apply_all"]
+    assert_identical(ref["state"], got["state"])
+    assert ref["streams"] == got["streams"]
+
+
+_FACTORS = ("x0", "x1", "y0", "y1", "t", "w", "(x1+3)", "(y1-2)", "(t-5)",
+            "(w+1)", "2", "3")
+
+
+@st.composite
+def rule_lists(draw):
+    """1-3 rules, each ``dw`` or ``dt``: 1-3 signed power-of-two terms of
+    0-3 factors (traces, spikes, tag, weight, constants)."""
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        text = ""
+        for _ in range(draw(st.integers(1, 3))):
+            sign = draw(st.sampled_from("+-"))
+            factors = [f"2^{draw(st.integers(-4, 1))}"] + draw(
+                st.lists(st.sampled_from(_FACTORS), max_size=3))
+            text += f" {sign} " + " * ".join(factors)
+        rules.append(parse_rule(f"d{draw(st.sampled_from('wt'))} ={text}"))
+    return rules
+
+
+@given(replicas=st.sampled_from([1, 2, 3]), rules=rule_lists(),
+       other=rule_lists(), stochastic=st.booleans(),
+       trace=st.sampled_from([(1, 1.0), (16, 0.7), (127, 0.5)]),
+       steps=st.lists(st.integers(0, 12), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_random_rules_epochs_equal_apply_all(replicas, rules, other,
+                                             stochastic, trace, steps, seed):
+    def play():
+        net = _two_plastic_net(replicas, trace)
+        rt = _runtime(net, seed, stochastic)
+        rt.register_rule("r", {"end": rules})
+        rt.register_rule("s", {"end": other})
+        for n in steps:
+            rt.run(n)
+            rt.learning_epoch("end")
+        return {"state": snapshot(net, rt), "streams": stream_states(rt)}
+
+    ref, got, calls = _epoch_legs(play, lambda out: out["state"])
+    assert calls == [replicas] * len(steps)
+    assert ref["streams"] == got["streams"]
+
+
+def _epoch_tables(tag, w, draws):
+    """A one-connection epoch over ``(2, 3)`` blocks: its tables, program
+    and uniforms, as ``Runtime`` builds them."""
+    spikes_src, spikes_dst = np.ones(2, bool), np.ones(3, bool)
+    pre, post = np.array([3.0, 5.0]), np.array([2.0, 4.0, 6.0])
+    program = kernels.microcode_program([[
+        parse_rule("dt = y1"), parse_rule("dw = 2^-1 * t * x1")]])
+    conns = np.array([[2, 3, 0, 2]], dtype=np.int64)
+    arrays = (spikes_src, pre, spikes_dst, post, tag, w)
+    addresses = np.array([[a.ctypes.data for a in arrays]], dtype=np.uintp)
+    uniforms = np.full((1, draws), 0.5)
+    return conns, addresses, program, uniforms, arrays
+
+
+@pytest.fixture()
+def cext():
+    with kernels.forced_backend("cext"):
+        yield
+
+
+def test_microcode_epoch_rejects_malformed_tables(cext):
+    tag = np.zeros((2, 3), dtype=np.int64)
+    w = np.zeros((2, 3), dtype=np.int64)
+    conns, addresses, program, uniforms, keep = _epoch_tables(tag, w, 12)
+    bad_rules = program._replace(rules=program.rules.copy())
+    bad_rules.rules[1, 2] = 99  # term slice past the end
+    bad_kinds = program._replace(kinds=program.kinds.copy())
+    bad_kinds.kinds[0] = 7
+    null = addresses.copy()
+    null[0, 4] = 0
+    wide = conns.copy()
+    wide[0, 3] = 3  # a rule slice past the end
+    for args, error in [
+            ((1, conns.astype(np.int32), addresses, program, uniforms),
+             TypeError),
+            ((1, conns, addresses[:, :5].copy(), program, uniforms),
+             TypeError),
+            ((2, conns, addresses, program, uniforms), TypeError),
+            ((1, conns, addresses, program, uniforms[:, :11].copy()),
+             ValueError),
+            ((1, conns, addresses, bad_rules, uniforms), ValueError),
+            ((1, conns, addresses, bad_kinds, uniforms), ValueError),
+            ((1, conns, null, program, uniforms), ValueError),
+            ((1, wide, addresses, program, uniforms), ValueError)]:
+        with pytest.raises(error):
+            kernels.microcode_epoch(*args, 127, 255)
+        assert not tag.any() and not w.any()
+    kernels.microcode_epoch(1, conns, addresses, program, uniforms, 127, 255)
+    assert tag.tolist() == [[2, 4, 6]] * 2
+    assert w.tolist() == [[3, 6, 9], [5, 10, 15]]
+    with kernels.forced_backend("numpy"), pytest.raises(NotImplementedError):
+        kernels.microcode_epoch(1, conns, addresses, program, uniforms, 127,
+                                255)

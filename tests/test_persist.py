@@ -7,6 +7,7 @@ backends), the :class:`BackpropMLP` baseline, and the simulated-chip
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,30 @@ def test_loihi_trainer_round_trip_bit_identical(tmp_path):
     np.testing.assert_array_equal(
         np.stack([fresh.infer(x) for x in xs[:8]]), rates_before)
     assert fresh.samples_trained == trainer.samples_trained
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda w: np.where(w == w.flat[0], 500, w),
+    lambda w: w + 0.7,
+    lambda w: np.where(w == w.flat[0], np.nan, w),
+], ids=["out_of_range", "non_integer", "nan"])
+def test_loihi_trainer_rejects_corrupt_mantissas(corrupt):
+    """A mantissa the chip cannot hold fails loudly, naming its connection,
+    instead of loading as some other weight; valid mantissas round-trip."""
+    cfg = loihi_default_config(seed=4, phase_length=8)
+    trainer = LoihiEMSTDPTrainer(build_emstdp_network(DIMS, cfg))
+    xs, ys = _task()
+    trainer.train_stream(xs[:4], ys[:4])
+    state = trainer.state_dict()
+    fresh = LoihiEMSTDPTrainer(build_emstdp_network(DIMS, cfg))
+    fresh.load_state_dict(state)
+    for a, b in zip(fresh.model.plastic_connections,
+                    trainer.model.plastic_connections):
+        np.testing.assert_array_equal(a.weight_mant, b.weight_mant)
+    conn = trainer.model.plastic_connections[1]
+    state["weight_mant"][1] = corrupt(state["weight_mant"][1].astype(float))
+    with pytest.raises(ValueError, match=re.escape(repr(conn.name))):
+        fresh.load_state_dict(state)
 
 
 def test_class_mask_survives_round_trip(tmp_path):
