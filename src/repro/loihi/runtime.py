@@ -124,7 +124,8 @@ class _NetworkPlan:
     :meth:`bind` re-reads everything the host may change between runs —
     enable flags, prototypes, gate/merge links, weight scales, trace
     configs and the state arrays, which ``set_bias``, ``set_weights``,
-    ``set_class_mask`` and learning epochs replace with new objects.  An
+    ``set_class_mask`` and ``LearningEngine.apply_all`` replace with new
+    objects (a fused learning epoch writes in place).  An
     address is re-derived only when the object behind it changed, so a
     steady-state bind costs one identity check per array.
     """

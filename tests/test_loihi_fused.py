@@ -20,7 +20,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels, loihi_default_config
@@ -538,8 +538,8 @@ def trainer_streams(trainer):
 
 
 def _epoch_legs(make, drive):
-    """``drive(make())`` with reference epochs, then fused; returns the
-    fused leg's object and its ``microcode_epoch`` calls."""
+    """``drive(make())`` with reference epochs, then fused; returns both
+    legs' objects and the fused leg's ``microcode_epoch`` calls."""
     with reference_epochs():
         ref = make()
         ref_out = drive(ref)
@@ -783,11 +783,20 @@ def rule_lists(draw):
     return rules
 
 
+_EVERY_FACTOR_KIND = dict(
+    rules=[parse_rule("dt = 3 * y0 - 2^-1 * x0 * (y1 - 2)"),
+           parse_rule("dw = 2^-3 * t * w * x1 - 2^-2 * (w + 1) + 2^-4")],
+    other=[parse_rule("dw = 2 * x1 * y1 - t"), parse_rule("dt = y1")],
+    trace=(16, 0.7), steps=[9, 4], seed=5)
+
+
 @given(replicas=st.sampled_from([1, 2, 3]), rules=rule_lists(),
        other=rule_lists(), stochastic=st.booleans(),
        trace=st.sampled_from([(1, 1.0), (16, 0.7), (127, 0.5)]),
        steps=st.lists(st.integers(0, 12), min_size=1, max_size=3),
        seed=st.integers(0, 2 ** 16))
+@example(replicas=2, stochastic=True, **_EVERY_FACTOR_KIND)
+@example(replicas=1, stochastic=False, **_EVERY_FACTOR_KIND)
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_random_rules_epochs_equal_apply_all(replicas, rules, other,
