@@ -17,6 +17,8 @@ from repro.analysis.aggregate import (axis_tables, best_point,
                                       sweep_table)
 from repro.data import corrupt_dataset, corrupt_images, load_dataset
 from repro.experiments import RunStore, get_scenario
+from repro.obs import TRACE_FILE_NAME
+from repro.obs.trace import read_trace
 from repro.sweeps import (SWEEPS, RandomAxis, SweepAxis, SweepRunner,
                           SweepSpec, SweepStore, apply_overrides, get_sweep)
 
@@ -212,6 +214,29 @@ def test_sweep_run_layout_links_child_runs(tmp_path):
     for line in lines:
         assert line["seeds_ok"] == 1
         assert 0.0 <= line["metrics"]["backprop.test_acc"] <= 1.0
+
+
+def test_sweep_trace_links_every_task_to_the_sweep_root(tmp_path):
+    result = SweepRunner(out_root=tmp_path, max_workers=1).run(
+        fast_sweep(base=fast_base(seeds=(0, 1))))
+    records = read_trace(result.sweep_dir / TRACE_FILE_NAME)
+    spans = [r for r in records if r.get("kind") == "span"]
+    (root,) = [s for s in spans if s["name"] == "sweep"]
+    assert root["parent_id"] is None
+
+    # One task span per (point, seed), each a child of the sweep root.
+    expected = [(p, s) for p in ("p000", "p001") for s in (0, 1)]
+    tasks = [s for s in spans if s["name"] == "task"]
+    assert sorted((t["attrs"]["point_id"], t["attrs"]["seed"])
+                  for t in tasks) == expected
+    assert all(t["parent_id"] == root["span_id"] for t in tasks)
+
+    # Each task was enqueued once and finished once, under its point.
+    for name in ("task_enqueue", "seed_finished"):
+        events = [r for r in records
+                  if r.get("kind") == "event" and r["name"] == name]
+        assert sorted((e["attrs"]["point_id"], e["attrs"]["seed"])
+                      for e in events) == expected, name
 
 
 def test_sweep_resume_skips_finished_points_and_reuses_runs(tmp_path):
