@@ -30,7 +30,6 @@ from pathlib import Path
 from repro.experiments import get_scenario
 from repro.experiments.store import RECORDS_NAME, RunStore, read_jsonl
 from repro.sweeps import SweepAxis, SweepRunner, SweepSpec, SweepStore
-from repro.sweeps.store import SWEEP_SUMMARY_NAME
 
 from _bench_utils import REPO_ROOT, write_bench_json
 

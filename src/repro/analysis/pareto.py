@@ -17,7 +17,7 @@ still-running points never enter the computation.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .aggregate import resolve_objective
 

@@ -655,8 +655,7 @@ def _cmd_sweep_compare(args) -> int:
 
 
 def _cmd_sweep_pareto(args) -> int:
-    from .analysis.pareto import (ParetoAxis, pareto_front, pareto_table,
-                                  resolve_axes)
+    from .analysis.pareto import ParetoAxis, pareto_front, pareto_table
     from .sweeps import SweepStore
 
     store = SweepStore(args.out)
