@@ -69,6 +69,7 @@ from .analysis.aggregate import (axis_tables, best_point, mean_metrics,
 from .analysis.reporting import format_table
 from .experiments import Runner, RunStore, get_scenario
 from .experiments.scenarios import SCENARIOS
+from .experiments.store import final_records
 
 EPILOG = """examples:
   python -m repro run offline_accuracy --tiny --seeds 2
@@ -399,10 +400,13 @@ def _cmd_list(args) -> int:
 def _cmd_show(args) -> int:
     store = RunStore(args.out)
     run = store.find(args.run_id)
-    records = [r for r in store.records(run) if r.get("status") == "ok"]
+    # records.jsonl is append-only: a seed retried on --resume has one
+    # line per attempt, and only the line final_records picks counts.
+    finals = final_records(run.path)
+    records = sorted((r for r in finals.values() if r.get("status") == "ok"),
+                     key=lambda r: r["seed"])
     scenario = get_scenario(run.experiment)
-    headers, rows = scenario.summarize(
-        sorted(records, key=lambda r: r["seed"]))
+    headers, rows = scenario.summarize(records)
     print(format_table(headers, rows,
                        title=f"{run.experiment} · run {run.run_id} "
                              f"[{run.status}] · repro "
@@ -413,12 +417,7 @@ def _cmd_show(args) -> int:
         print(format_table(["metric", "mean"],
                            [[k, v] for k, v in sorted(means.items())],
                            title=f"means over {len(records)} seed(s)"))
-    # A seed that errored and later succeeded on --resume has both an
-    # error and an ok line (records.jsonl is append-only); only seeds
-    # with no ok record are still failed.
-    ok_seeds = {r["seed"] for r in records}
-    errors = [r for r in store.records(run)
-              if r.get("status") != "ok" and r["seed"] not in ok_seeds]
+    errors = [r for r in finals.values() if r.get("status") != "ok"]
     if errors:
         print(f"\n{len(errors)} seed(s) failed: "
               f"{sorted(r['seed'] for r in errors)} "
@@ -436,7 +435,8 @@ def _cmd_compare(args) -> int:
     runs = [store.find(rid) for rid in args.run_ids]
     means = []
     for run in runs:
-        ok = [r for r in store.records(run) if r.get("status") == "ok"]
+        ok = [r for r in final_records(run.path).values()
+              if r.get("status") == "ok"]
         means.append(mean_metrics(ok))
     columns = sorted(set().union(*means)) if means else []
     rows = []

@@ -19,7 +19,7 @@ from .queue import Task, TaskQueue
 from .worker import claim_loop, worker_main
 
 #: Env var: hard override of the worker fleet width, fleet-wide (the
-#: WorkerPool, ``ShardedRuntime`` and ``python -m repro cluster`` all
+#: WorkerPool under both runners and ``python -m repro cluster``
 #: resolve their defaults through :func:`default_workers`).
 DEFAULT_WORKERS_ENV = "REPRO_MAX_WORKERS"
 

@@ -89,15 +89,6 @@ def _inject_delay(attempts: int) -> None:
         time.sleep(delay)
 
 
-def _has_ok_record(run_dir: Path, seed: int) -> bool:
-    from ..experiments.store import RECORDS_NAME, read_jsonl
-
-    for rec in read_jsonl(run_dir / RECORDS_NAME):
-        if rec.get("seed") == seed and rec.get("status") == "ok":
-            return True
-    return False
-
-
 def _run_seed(queue: TaskQueue, task: Task, worker_id: str,
               keeper: Optional[LeaseKeeper]) -> dict:
     """Execute one ``run_seed`` task and append its record.
@@ -107,7 +98,7 @@ def _run_seed(queue: TaskQueue, task: Task, worker_id: str,
     """
     from ..experiments.spec import ExperimentSpec
     from ..experiments.store import (CHECKPOINT_DIR_NAME, RECORDS_NAME,
-                                     append_jsonl)
+                                     append_jsonl, final_records)
 
     p = task.payload
     seed = int(p["seed"])
@@ -123,7 +114,8 @@ def _run_seed(queue: TaskQueue, task: Task, worker_id: str,
             obs.event("task_claim", task_id=task.task_id, seed=seed,
                       worker=worker_id, attempt=task.attempts,
                       queue_wait_ms=wait_ms)
-            if _has_ok_record(run_dir, seed):
+            counted = final_records(run_dir, [seed]).get(seed, {})
+            if counted.get("status") == "ok":
                 result = {"seed": seed, "status": "ok", "deduped": True,
                           "duration_s": 0.0}
                 if tsp is not None:

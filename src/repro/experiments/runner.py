@@ -1,7 +1,8 @@
 """The experiment runner: seed fan-out, persistence, resume.
 
-One ``Runner.run(spec)`` call plans the run and hands execution to the
-shared work-queue executor (:mod:`repro.exec`): every pending seed
+One ``Runner.run(spec)`` call hands the run's pending seeds to the one
+planner under both runners as a single seed group
+(:func:`~repro.exec.planner.run_seed_groups`): every pending seed
 becomes one ``run_seed`` task on a SQLite-backed queue in the run
 directory, and a spawn-based :class:`~repro.exec.pool.WorkerPool` pulls
 them under leases (seeds are fully independent: their dataset split,
@@ -23,57 +24,17 @@ import dataclasses
 import time
 import uuid
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .. import obs
-from ..exec import (QUEUE_DB_NAME, Task, TaskQueue, WorkerPool,
-                    default_workers, enqueue_seed)
+from ..exec import SeedGroup, run_seed_groups
 from .spec import ExperimentSpec
-from .store import RECORDS_NAME, RunInfo, RunStore, read_jsonl
+from .store import RunInfo, RunStore, final_records
 
 
 def new_run_id() -> str:
     """Sortable, collision-safe run id: ``YYYYmmdd-HHMMSS-<hex6>``."""
     return time.strftime("%Y%m%d-%H%M%S") + "-" + uuid.uuid4().hex[:6]
-
-
-def fresh_queue(directory: Path) -> TaskQueue:
-    """A new, empty :class:`TaskQueue` at ``<directory>/queue.db``.
-
-    Any stale queue file from a previous (possibly killed) invocation
-    is removed first — the durable resume state lives in
-    ``records.jsonl`` / the manifests, never in the queue.
-    """
-    db = Path(directory) / QUEUE_DB_NAME
-    for suffix in ("", "-journal", "-wal", "-shm"):
-        stale = db.parent / (db.name + suffix)
-        if stale.exists():
-            stale.unlink()
-    return TaskQueue(db)
-
-
-def final_records(run_dir: Path, seeds) -> Dict[int, dict]:
-    """seed -> its authoritative record from ``records.jsonl``.
-
-    Prefers the last ``ok`` record per seed (requeue races can leave an
-    error line before the retry's ok line); falls back to the last
-    record of any status.  Seeds with no record are absent.
-    """
-    by_seed: Dict[int, dict] = {}
-    ok_by_seed: Dict[int, dict] = {}
-    for rec in read_jsonl(Path(run_dir) / RECORDS_NAME):
-        seed = rec.get("seed")
-        if seed is None:
-            continue
-        by_seed[int(seed)] = rec
-        if rec.get("status") == "ok":
-            ok_by_seed[int(seed)] = rec
-    out: Dict[int, dict] = {}
-    for seed in seeds:
-        rec = ok_by_seed.get(int(seed), by_seed.get(int(seed)))
-        if rec is not None:
-            out[int(seed)] = rec
-    return out
 
 
 @dataclasses.dataclass
@@ -182,10 +143,11 @@ class Runner:
             with obs.span("run", experiment=spec.name, run_id=run.run_id,
                           seeds=len(spec.seeds),
                           pending=len(pending)) as root:
-                trace_parent = root.span_id if root is not None else None
-                if pending:
-                    self._execute(spec, pending, run, progress,
-                                  trace_parent)
+                run_seed_groups(
+                    [SeedGroup(run, pending)], run.path,
+                    max_workers=self.max_workers,
+                    queue_parent=root.span_id if root is not None else None,
+                    progress=progress)
                 finals = final_records(run.path, spec.seeds)
                 failed = any(
                     finals.get(int(s), {}).get("status") != "ok"
@@ -198,40 +160,3 @@ class Runner:
                       if int(s) in finals])
         run = self.store.update_status(run, status)
         return RunResult(run=run, records=records, skipped_seeds=skipped)
-
-    # -- execution -------------------------------------------------------
-
-    def _execute(self, spec: ExperimentSpec, pending: List[int],
-                 run: RunInfo, progress: Optional[callable],
-                 trace_parent: Optional[str] = None) -> None:
-        """Enqueue the pending seeds and drain the queue to empty."""
-        queue = fresh_queue(run.path)
-        spec_dict = spec.to_dict()
-        for seed in pending:
-            enqueue_seed(
-                queue,
-                experiment=spec.name,
-                run_id=run.run_id,
-                run_dir=str(run.path),
-                spec=spec_dict,
-                seed=seed,
-                repro_version=run.manifest.get("repro_version"),
-                queue_parent=trace_parent,
-            )
-        workers = self.max_workers
-        if workers is None:
-            workers = min(default_workers(), len(pending))
-
-        def on_done(task: Task, result: dict) -> None:
-            seed = result.get("seed", task.payload.get("seed"))
-            status = result.get("status", "error")
-            duration = result.get("duration_s")
-            obs.event("seed_finished", seed=seed, status=status,
-                      duration_s=duration)
-            obs.counter("seeds_finished", experiment=spec.name,
-                        status=status)
-            if progress is not None:
-                progress(f"seed {seed}: {status} ({duration}s)")
-
-        WorkerPool(queue, workers=workers).run(
-            on_task_done=on_done, progress=progress)

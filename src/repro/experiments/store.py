@@ -69,6 +69,28 @@ def read_jsonl(path: Path) -> List[dict]:
     return out
 
 
+def final_records(run_dir: Path, seeds=None) -> Dict[int, dict]:
+    """seed -> the record that counts for it in ``records.jsonl``.
+
+    The one rule for which record of a seed counts: its last ``ok``
+    record (a failed attempt that a resume or a requeue retried leaves
+    an error line before the retry's ok line), else its last record of
+    any status.  ``seeds`` selects and orders the result (default: every
+    seed on disk); seeds with no record are absent.
+    """
+    counted: Dict[int, dict] = {}
+    for rec in read_jsonl(Path(run_dir) / RECORDS_NAME):
+        if rec.get("seed") is None:
+            continue
+        seed = int(rec["seed"])
+        if rec.get("status") == "ok" \
+                or counted.get(seed, {}).get("status") != "ok":
+            counted[seed] = rec
+    if seeds is None:
+        return counted
+    return {int(s): counted[int(s)] for s in seeds if int(s) in counted}
+
+
 def resolve_id(items, ident: str, id_of, what: str, where):
     """Locate one item by exact id or unique id prefix.
 
@@ -200,11 +222,7 @@ class RunStore:
                            f"runs of {experiment!r}", self.root,
                            unfinished_only=unfinished_only)
 
-    def records(self, run: RunInfo) -> List[dict]:
-        """Parsed ``records.jsonl`` lines (skips a torn trailing line)."""
-        return read_jsonl(run.path / RECORDS_NAME)
-
     def done_seeds(self, run: RunInfo) -> Dict[int, dict]:
-        """seed -> record for every seed with an ``ok`` record on disk."""
-        return {int(rec["seed"]): rec for rec in self.records(run)
+        """seed -> record for every seed whose counted record is ``ok``."""
+        return {seed: rec for seed, rec in final_records(run.path).items()
                 if rec.get("status") == "ok"}

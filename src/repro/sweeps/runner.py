@@ -1,21 +1,23 @@
 """The sweep runner: fan a SweepSpec's point × seed product over the executor.
 
 One ``SweepRunner.run(sweep)`` call expands the sweep, ensures every
-incomplete point has a child run directory in the ordinary experiment
-run store, then enqueues *all* pending ``(point, seed)`` tasks onto one
-SQLite-backed queue in the sweep directory and drains it with a shared
-:class:`~repro.exec.pool.WorkerPool` — so points interleave across
+unfinished point has a child run directory in the ordinary experiment
+run store, then hands all of their pending seeds to the one planner
+(:func:`~repro.exec.planner.run_seed_groups`, one seed group per point):
+they share one SQLite-backed queue in the sweep directory and one
+:class:`~repro.exec.pool.WorkerPool`, so points interleave across
 workers instead of running point-by-point, and a 100-point × 5-seed
 grid saturates the machine.  A point's summary line (mean metrics over
 its seeds) is appended to ``summary.jsonl`` the moment its last seed
 lands, in whatever order the fleet finishes them; with one worker the
 claim order is the enqueue order, so summaries stay in expansion order.
 
-Resume is two-level and unchanged from the sequential design:
-``resume=<sweep_id>`` re-expands the spec from ``sweep.json``, skips
-finished points outright, and for a point that was mid-flight re-reads
-its child run's ``records.jsonl`` so finished seeds are not re-enqueued.
-A SIGKILLed worker's leased task is requeued by the pool, not lost.
+Resume is two-level: ``resume=<sweep_id>`` re-expands the spec from
+``sweep.json``, skips every point whose last summary line says
+``complete`` (even if the sweep died before ``sweep.json`` said so), and
+for a point that was mid-flight re-reads its child run's
+``records.jsonl`` so finished seeds are not re-enqueued.  A SIGKILLed
+worker's leased task is requeued by the pool, not lost.
 """
 
 from __future__ import annotations
@@ -27,16 +29,11 @@ from typing import Dict, List, Optional
 
 from .. import obs
 from ..analysis.aggregate import mean_metrics
-from ..exec import Task, WorkerPool, default_workers, enqueue_seed
-from ..experiments.runner import (Runner, final_records, fresh_queue,
-                                  new_run_id)
+from ..exec import SeedGroup, run_seed_groups
+from ..experiments.runner import new_run_id
+from ..experiments.store import RunInfo, RunStore, final_records
 from .spec import SweepPoint, SweepSpec
 from .store import SweepInfo, SweepStore
-
-
-def new_sweep_id() -> str:
-    """Sweep ids share the run-id format (sortable stamp + hex suffix)."""
-    return new_run_id()
 
 
 @dataclasses.dataclass
@@ -73,16 +70,6 @@ class SweepResult:
         return [p for p in self.points if p.status == "complete"]
 
 
-@dataclasses.dataclass
-class _Plan:
-    """One incomplete point's execution state during a sweep."""
-
-    point: SweepPoint
-    run_id: str
-    run_dir: Path
-    outstanding: set
-
-
 class SweepRunner:
     """Executes :class:`SweepSpec` expansions against a run + sweep store.
 
@@ -95,18 +82,12 @@ class SweepRunner:
         Worker-fleet width shared by *all* points' seeds (``1`` runs
         the claim loop inline).  Defaults to
         :func:`repro.exec.default_workers` capped at the task count.
-    runner:
-        An existing :class:`Runner` to share instead of building one —
-        points then reuse its store and worker configuration.
     """
 
-    def __init__(self, out_root="runs", max_workers: Optional[int] = None,
-                 runner: Optional[Runner] = None):
-        self.runner = runner or Runner(out_root=out_root,
-                                       max_workers=max_workers)
-        self.store = SweepStore(self.runner.store.root)
-        self.max_workers = (max_workers if max_workers is not None
-                            else self.runner.max_workers)
+    def __init__(self, out_root="runs", max_workers: Optional[int] = None):
+        self.runs = RunStore(out_root)
+        self.store = SweepStore(out_root)
+        self.max_workers = max_workers
 
     def run(self, spec: Optional[SweepSpec] = None,
             resume: Optional[str] = None,
@@ -128,11 +109,9 @@ class SweepRunner:
         else:
             if spec is None:
                 raise ValueError("need a sweep spec or a sweep id to resume")
-            sweep = self.store.create_sweep(spec, new_sweep_id())
+            sweep = self.store.create_sweep(spec, new_run_id())
 
         points = spec.expand()
-        state: Dict[str, dict] = {p["point_id"]: p for p in sweep.points()}
-        summaries = self.store.summaries(sweep)
         results: Dict[str, PointResult] = {}
         # The sweep trace holds the executor's task spans (enqueue ->
         # claim -> done); each child run writes its own trace.jsonl
@@ -140,10 +119,9 @@ class SweepRunner:
         with obs.trace_bound(obs.trace_path_for(sweep.path)):
             with obs.span("sweep", sweep_id=sweep.sweep_id,
                           sweep_name=spec.name, points=len(points)) as root:
-                queue_parent = root.span_id if root is not None else None
-                sweep = self._run_points(sweep, spec, points, state,
-                                         summaries, results, queue_parent,
-                                         progress)
+                sweep = self._run_points(
+                    sweep, points, results,
+                    root.span_id if root is not None else None, progress)
         ordered = [results[p.point_id] for p in points]
         failed = any(r.status != "complete" for r in ordered)
         sweep = self.store.update_status(
@@ -152,141 +130,84 @@ class SweepRunner:
 
     # -- planning + execution -------------------------------------------
 
-    def _run_points(self, sweep: SweepInfo, spec: SweepSpec,
-                    points: List[SweepPoint], state: Dict[str, dict],
-                    summaries: Dict[str, dict],
+    def _run_points(self, sweep: SweepInfo, points: List[SweepPoint],
                     results: Dict[str, PointResult],
                     queue_parent: Optional[str],
                     progress: Optional[callable]) -> SweepInfo:
-        # Phase 1: skip finished points, ensure every live point has a
-        # child run directory (committed to sweep.json *before* any seed
-        # executes, so a killed sweep finds it again on resume).
-        plans: Dict[str, _Plan] = {}
+        # Skip finished points; give every other point a child run
+        # directory, committed to sweep.json *before* any seed executes
+        # so a killed sweep finds it again on resume.
+        state = {p["point_id"]: p for p in sweep.points()}
+        summaries = self.store.summaries(sweep)
+        by_id = {point.point_id: point for point in points}
+        groups: List[SeedGroup] = []
         for point in points:
             entry = state.get(point.point_id, {})
-            if entry.get("status") == "complete" \
-                    and point.point_id in summaries:
+            summary = summaries.get(point.point_id, {})
+            if summary.get("status") == "complete":
+                if entry.get("status") != "complete":
+                    # Killed between the summary line and sweep.json.
+                    sweep = self.store.update_point(
+                        sweep, point.point_id, status="complete")
                 if progress is not None:
                     progress(f"point {point.point_id} "
                              f"({point.label}): already complete")
                 obs.event("sweep_point_skipped", point_id=point.point_id)
                 results[point.point_id] = PointResult(
                     point=point, run_id=entry.get("run_id", ""),
-                    status="complete",
-                    summary=summaries[point.point_id], skipped=True)
+                    status="complete", summary=summary, skipped=True)
                 continue
             run_id = entry.get("run_id")
             if run_id is None:
-                run = self.runner.store.create_run(point.spec, new_run_id())
+                run = self.runs.create_run(point.spec, new_run_id())
                 run_id = run.run_id
                 sweep = self.store.update_point(sweep, point.point_id,
                                                 run_id=run_id,
                                                 status="running")
             else:
-                run = self.runner.store.find(run_id)
+                run = self.runs.find(run_id)
                 sweep = self.store.update_point(sweep, point.point_id,
                                                 status="running")
             if progress is not None:
                 progress(f"point {point.point_id} ({point.label}) -> "
                          f"run {run_id}")
-            done = self.runner.store.done_seeds(run)
-            pending = [s for s in point.spec.seeds if s not in done]
+            done = self.runs.done_seeds(run)
             if progress is not None and done:
                 progress(f"resuming {run_id}: seeds "
                          f"{sorted(done)} already done")
-            plans[point.point_id] = _Plan(
-                point=point, run_id=run_id, run_dir=run.path,
-                outstanding=set(int(s) for s in pending))
+            groups.append(SeedGroup(
+                run, [s for s in point.spec.seeds if s not in done],
+                point_id=point.point_id))
 
-        # Phase 2: enqueue the full point x seed product on one queue.
-        queue = fresh_queue(sweep.path)
-        n_tasks = 0
-        for point in points:
-            plan = plans.get(point.point_id)
-            if plan is None:
-                continue
-            run = self.runner.store.find(plan.run_id)
-            spec_dict = point.spec.to_dict()
-            for seed in sorted(plan.outstanding):
-                enqueue_seed(
-                    queue,
-                    experiment=point.spec.name,
-                    run_id=plan.run_id,
-                    run_dir=str(plan.run_dir),
-                    spec=spec_dict,
-                    seed=seed,
-                    repro_version=run.manifest.get("repro_version"),
-                    point_id=point.point_id,
-                    queue_parent=queue_parent,
-                )
-                n_tasks += 1
-            if not plan.outstanding:
-                # Every seed already recorded (sweep died between the
-                # last seed and the summary line): finalize straight away.
-                sweep = self._finalize_point(sweep, plan, results,
-                                             progress)
+        # Execute every point's pending seeds on one queue; settle each
+        # point the moment its group empties.
+        def settle(group: SeedGroup) -> None:
+            nonlocal sweep
+            sweep = self._finalize_point(sweep, by_id[group.point_id],
+                                         group.run, results, progress)
 
-        if n_tasks == 0:
-            return sweep
-
-        # Phase 3: drain; finalize each point the moment it empties.
-        workers = self.max_workers
-        if workers is None:
-            workers = min(default_workers(), n_tasks)
-        holder = {"sweep": sweep}
-
-        def on_done(task: Task, result: dict) -> None:
-            point_id = task.payload.get("point_id")
-            seed = result.get("seed", task.payload.get("seed"))
-            status = result.get("status", "error")
-            obs.event("seed_finished", seed=seed, status=status,
-                      point_id=point_id,
-                      duration_s=result.get("duration_s"))
-            obs.counter("seeds_finished",
-                        experiment=task.payload.get("experiment"),
-                        status=status)
-            if progress is not None:
-                progress(f"point {point_id} seed {seed}: {status}")
-            plan = plans.get(point_id)
-            if plan is None:
-                return
-            plan.outstanding.discard(int(seed))
-            if not plan.outstanding and point_id not in results:
-                holder["sweep"] = self._finalize_point(
-                    holder["sweep"], plan, results, progress)
-
-        WorkerPool(queue, workers=workers).run(
-            on_task_done=on_done, progress=progress)
-        sweep = holder["sweep"]
-
-        # Safety net: a task marked failed at the queue level (no record
-        # written) leaves its point unfinalized — finalize from disk.
-        for point in points:
-            plan = plans.get(point.point_id)
-            if plan is not None and point.point_id not in results:
-                sweep = self._finalize_point(sweep, plan, results,
-                                             progress)
+        run_seed_groups(groups, sweep.path, max_workers=self.max_workers,
+                        queue_parent=queue_parent, progress=progress,
+                        on_settled=settle)
         return sweep
 
     # -- one point -------------------------------------------------------
 
-    def _finalize_point(self, sweep: SweepInfo, plan: _Plan,
-                        results: Dict[str, PointResult],
+    def _finalize_point(self, sweep: SweepInfo, point: SweepPoint,
+                        run: RunInfo, results: Dict[str, PointResult],
                         progress: Optional[callable]) -> SweepInfo:
         """Settle a drained point: child run status, summary line, index."""
-        point = plan.point
-        run = self.runner.store.find(plan.run_id)
-        finals = final_records(plan.run_dir, point.spec.seeds)
+        finals = final_records(run.path, point.spec.seeds)
         ok = sorted((r for r in finals.values()
                      if r.get("status") == "ok"),
                     key=lambda r: r["seed"])
         status = ("complete"
                   if len(ok) == len(point.spec.seeds) else "failed")
-        self.runner.store.update_status(run, status)
+        self.runs.update_status(run, status)
         summary = {
             "point_id": point.point_id,
             "overrides": point.overrides,
-            "run_id": plan.run_id,
+            "run_id": run.run_id,
             "status": status,
             "experiment": point.spec.name,
             "seeds_ok": len(ok),
@@ -302,7 +223,7 @@ class SweepRunner:
         obs.counter("sweep_points_finished", sweep=sweep.name,
                     status=status)
         results[point.point_id] = PointResult(
-            point=point, run_id=plan.run_id, status=status,
+            point=point, run_id=run.run_id, status=status,
             summary=summary)
         if progress is not None:
             progress(f"point {point.point_id} ({point.label}): {status}")

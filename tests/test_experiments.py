@@ -172,6 +172,17 @@ def test_show_ignores_errors_resolved_by_resume(tmp_path, capsys):
     assert "failed" not in capsys.readouterr().out
 
 
+def test_show_reports_a_seed_that_failed_twice_once(tmp_path, capsys):
+    spec = tiny_spec(seeds=(0,), **FAST)
+    result = Runner(out_root=tmp_path, max_workers=1).run(spec)
+    # Seed 1 failed, and failed again when the run was resumed.
+    error_line = json.dumps({"seed": 1, "status": "error", "error": "boom"})
+    with (result.run_dir / "records.jsonl").open("a") as fh:
+        fh.write(error_line + "\n" + error_line + "\n")
+    assert cli.main(["show", result.run_id, "--out", str(tmp_path)]) == 0
+    assert "1 seed(s) failed: [1]" in capsys.readouterr().out
+
+
 def test_process_pool_fan_out(tmp_path):
     spec = tiny_spec(seeds=(0, 1), **FAST)
     result = Runner(out_root=tmp_path, max_workers=2).run(spec)

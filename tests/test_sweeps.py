@@ -16,6 +16,7 @@ from repro.analysis.aggregate import (axis_tables, best_point,
                                       default_objective, mean_metrics,
                                       sweep_table)
 from repro.data import corrupt_dataset, corrupt_images, load_dataset
+from repro.exec import QUEUE_DB_NAME, TaskQueue
 from repro.experiments import RunStore, get_scenario
 from repro.obs import TRACE_FILE_NAME
 from repro.obs.trace import read_trace
@@ -239,34 +240,53 @@ def test_sweep_trace_links_every_task_to_the_sweep_root(tmp_path):
                       for e in events) == expected, name
 
 
-def test_sweep_resume_skips_finished_points_and_reuses_runs(tmp_path):
+@pytest.mark.parametrize("kill", ["mid_flight", "after_last_record",
+                                  "after_summary_line"])
+def test_sweep_resume_skips_finished_points_and_reuses_runs(tmp_path, kill):
     runner = SweepRunner(out_root=tmp_path, max_workers=1)
     result = runner.run(fast_sweep())
     sweep_dir = result.sweep_dir
     first_run_ids = [p.run_id for p in result.points]
 
-    # Simulate a kill while p001 was mid-flight: sweep manifest says
-    # running, p001's summary line is gone, its child run lost its record.
+    # Simulate a kill while p001 was being settled or run: sweep.json,
+    # the last file a finished point writes, still says running.
     manifest_path = sweep_dir / "sweep.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["status"] = "running"
     manifest["points"][1]["status"] = "running"
     manifest_path.write_text(json.dumps(manifest))
     summary_path = sweep_dir / "summary.jsonl"
-    summary_path.write_text(summary_path.read_text().splitlines()[0] + "\n")
     child = RunStore(tmp_path).find(first_run_ids[1])
-    (child.path / "records.jsonl").write_text("")
-    child_manifest = dict(child.manifest)
-    child_manifest["status"] = "running"
-    (child.path / "manifest.json").write_text(json.dumps(child_manifest))
+    records_path = child.path / "records.jsonl"
+    if kill != "after_summary_line":
+        # p001's summary line is not on disk yet, and its child run was
+        # not marked finished ...
+        summary_path.write_text(
+            summary_path.read_text().splitlines()[0] + "\n")
+        child_manifest = dict(child.manifest)
+        child_manifest["status"] = "running"
+        (child.path / "manifest.json").write_text(json.dumps(child_manifest))
+    if kill == "mid_flight":
+        # ... nor is its seed record.
+        records_path.write_text("")
+    records_before = records_path.read_text()
 
     resumed = SweepRunner(out_root=tmp_path, max_workers=1).run(
         resume=result.sweep_id)
     assert resumed.status == "complete"
-    assert resumed.points[0].skipped and not resumed.points[1].skipped
+    assert resumed.points[0].skipped
+    assert resumed.points[1].skipped == (kill == "after_summary_line")
     # The interrupted point resumed into its existing child run.
     assert [p.run_id for p in resumed.points] == first_run_ids
-    assert len(summary_path.read_text().splitlines()) == 2
+    assert RunStore(tmp_path).find(first_run_ids[1]).status == "complete"
+    lines = [json.loads(ln) for ln in summary_path.read_text().splitlines()]
+    assert [ln["point_id"] for ln in lines] == ["p000", "p001"]
+    manifest = json.loads(manifest_path.read_text())
+    assert [p["status"] for p in manifest["points"]] == ["complete"] * 2
+    if kill != "mid_flight":
+        # Nothing was outstanding: no task enqueued, the record untouched.
+        assert TaskQueue(sweep_dir / QUEUE_DB_NAME).counts() == {}
+        assert records_path.read_text() == records_before
 
 
 def test_sweep_resume_latest_and_unknown_ids(tmp_path):
