@@ -55,8 +55,7 @@ def _cases(rng):
 
     def case_if_step():
         v = np.zeros(shape)
-        refrac = np.zeros(shape, dtype=np.int64)
-        return lambda: kernels.if_step(v, refrac, drive, 1.0)
+        return lambda: kernels.if_step(v, drive)
 
     cshape = (32, 256)
     syn = rng.integers(0, 9000, cshape)

@@ -84,7 +84,6 @@ def _kernel_cases(rng):
     """
     shape = (64, 4096)
     v = np.zeros(shape)
-    refrac = np.zeros(shape, dtype=np.int64)
     drive = rng.uniform(0.0, 1.0, shape)
 
     B, n_pre, n_post = 32, 512, 64
@@ -93,7 +92,7 @@ def _kernel_cases(rng):
     bpre = rng.random((B, n_pre))
 
     return {
-        "if_step": lambda: kernels.if_step(v, refrac, drive, 1.0),
+        "if_step": lambda: kernels.if_step(v, drive),
         "delta_w_batch": lambda: kernels.delta_w_batch(
             bh_hat, bh, bpre, 0.125),
     }

@@ -1,10 +1,11 @@
 """REP002 — kernel boundary: only the public kernel API crosses it.
 
 ``repro.core.kernels`` pins two interchangeable backends bit-identical
-to each other; that guarantee holds *only* for the ten public entry
-points, which normalize dtypes/contiguity before dispatch.  Importing a
-backend module (``_numpy`` / ``_cext`` / ``_csrc``)
-directly skips the normalization and the selection logic; redefining a
+to each other; that guarantee holds *only* for the nine public entry
+points, which check every operand's dtype, contiguity and shape before
+dispatch (``sum_of_products`` builds its operand blocks itself).
+Importing a backend module (``_numpy`` / ``_cext`` / ``_csrc``) directly
+skips those checks and the selection logic; redefining a
 function with a public kernel's name outside the package reintroduces
 the exact drift the equivalence suite exists to prevent (a reimplemented
 loop is never re-pinned against the golden fixtures).
@@ -21,8 +22,7 @@ from . import dotted
 #: The public kernel signatures (see repro.core.kernels.__all__).
 PUBLIC_KERNELS = {
     "if_step", "cuba_step", "trace_update", "delta_w", "delta_w_batch",
-    "delta_w_loihi", "sum_of_products", "network_run", "spike_present",
-    "microcode_epoch",
+    "sum_of_products", "network_run", "spike_present", "microcode_epoch",
 }
 
 #: Private backend modules of the kernels package.

@@ -87,7 +87,6 @@ class WorkerHandle:
         self._lock = threading.Lock()
         self._state = "starting"  # guarded-by: _lock ("starting" -> "ready" -> "dead")
         self._ready = threading.Event()
-        self._exited = threading.Event()
         self._msg_ids = itertools.count(1)
         self._pending: Dict[int, Future] = {}  # guarded-by: _lock
         self._inflight = 0  # guarded-by: _lock
@@ -123,10 +122,6 @@ class WorkerHandle:
 
     def wait_ready(self, timeout: Optional[float]) -> bool:
         return self._ready.wait(timeout)
-
-    def wait_exited(self, timeout: Optional[float]) -> bool:
-        """True once the worker is marked dead (reader saw EOF/error)."""
-        return self._exited.wait(timeout)
 
     def heartbeat_age_s(self) -> Optional[float]:
         last = self.last_heartbeat or self.ready_at
@@ -208,7 +203,6 @@ class WorkerHandle:
             self._pending.clear()
             self._inflight = 0
         self._ready.set()  # unblock waiters; they must re-check state
-        self._exited.set()
         exc = WorkerDied(f"worker {self.slot} (pid {self.pid}) died with "
                          f"requests in flight")
         for future in pending:
@@ -410,9 +404,6 @@ class Supervisor:
     def live_count(self) -> int:
         return sum(1 for s in self._slots
                    if s.handle is not None and s.handle.is_live())
-
-    def has_quorum(self) -> bool:
-        return self.live_count() >= self.quorum
 
     def restarts_total(self) -> int:
         return sum(s.restarts for s in self._slots)

@@ -1,10 +1,10 @@
 """Backend-selected compiled kernels for the per-timestep inner loops.
 
 Every number in ``BENCH_*.json`` bottoms out in the same hot loops: the
-IF membrane update (:mod:`repro.core.neuron` and the chip compartments in
-:mod:`repro.loihi.compartment`), trace decay/accumulation
-(:mod:`repro.loihi.traces`), the EMSTDP ``dW`` accumulation (Eq. 7 /
-Eq. 12 in :mod:`repro.core.learning`), the microcode sum-of-products
+IF neuron step (:mod:`repro.core.neuron`), the chip compartments' CUBA
+step (:mod:`repro.loihi.compartment`), trace decay/accumulation
+(:mod:`repro.loihi.traces`), the EMSTDP ``dW`` accumulation (Eq. 7 in
+:mod:`repro.core.learning`), the microcode sum-of-products
 (:mod:`repro.loihi.microcode`) and, fused over whole phases, the chip
 runtime's timestep loop (:func:`network_run`), its learning epochs
 (:func:`microcode_epoch`) and the reference spike engine's two-phase
@@ -25,6 +25,16 @@ one of two interchangeable backends:
     layers one timestep at a time, and the chip's learning engine applies
     one rule to one connection at a time, which is the reference each
     fused loop is pinned to.
+
+The kernels take exactly what the engines pass: floating-point state is
+float64 only, and each array operand must already be a C-contiguous array
+of the kernel's dtype and shape.  Anything else — a strided view, another
+dtype, another shape, a list — raises ``TypeError`` naming the operand
+before any backend sees it or any state changes; nothing is copied, cast
+or broadcast on the way in.  Callers that take outside input
+(``IFLayer.step``, ``TraceState.update``, ...) build that array
+themselves.  The one exception is :func:`sum_of_products`, which stacks
+the learning engine's integer registers into float64 blocks itself.
 
 Selection happens once at import: the first available backend in the order
 above wins, with a single ``RuntimeWarning`` if only NumPy is left.  The
@@ -63,9 +73,9 @@ from ._layout import (MICROCODE_CONN_ARRAYS, MICROCODE_CONN_FIELDS,
 __all__ = [
     "MicrocodeProgram", "available_backends", "backend_name",
     "backend_provides", "cuba_step", "delta_w", "delta_w_batch",
-    "delta_w_loihi", "forced_backend", "if_step", "microcode_epoch",
-    "microcode_program", "network_run", "select_backend", "spike_present",
-    "sum_of_products", "trace_update",
+    "forced_backend", "if_step", "microcode_epoch", "microcode_program",
+    "network_run", "select_backend", "spike_present", "sum_of_products",
+    "trace_update",
 ]
 
 #: Autodetection preference order.
@@ -179,166 +189,126 @@ def forced_backend(name: str):
         select_backend(previous)
 
 
-# ----------------------------------------------------------------------
-# Input normalization
-#
-# Backends operate on flat C-contiguous arrays.  State arrays (membrane,
-# refractory counters, traces) are updated in place: contiguous arrays are
-# handed to the backend directly, non-contiguous views go through a
-# copy/compute/copy-back round trip so callers holding odd views still see
-# the update.
-# ----------------------------------------------------------------------
-
-_FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
-
-
-def _state(a: np.ndarray, dtypes) -> tuple:
-    """Flat contiguous view of an in-place state array + write-back hook."""
-    if not isinstance(a, np.ndarray) or a.dtype not in dtypes:
-        raise TypeError(
-            f"state array must be a numpy array with dtype in "
-            f"{[str(d) for d in dtypes]}, got {getattr(a, 'dtype', type(a))}")
-    if a.flags.c_contiguous:
-        return a.reshape(-1), None
-    flat = np.ascontiguousarray(a).reshape(-1)
-    return flat, lambda: np.copyto(a, flat.reshape(a.shape))
-
-
-def _input(a, dtype, shape) -> np.ndarray:
-    """Flat contiguous read-only operand, broadcast to ``shape``."""
-    a = np.asarray(a, dtype=dtype)
-    if a.shape != shape:
-        a = np.broadcast_to(a, shape)
-    return np.ascontiguousarray(a).reshape(-1)
-
-
 def _impl():
     return _active_impl
+
+
+# ----------------------------------------------------------------------
+# Operand checks
+# ----------------------------------------------------------------------
+
+_F64, _I64 = np.dtype(np.float64), np.dtype(np.int64)
+
+
+def _operand(name: str, a, dtype, shape=None) -> None:
+    """Reject an array a kernel cannot read or update in place safely.
+
+    Anything but a C-contiguous ``dtype`` array of ``shape`` raises
+    ``TypeError`` naming it, before any backend sees it; a conforming
+    array passes through as it is.  ``shape=None`` matches any shape, and
+    a ``None`` entry any length.
+    """
+    if isinstance(a, np.ndarray) and a.dtype == dtype \
+            and a.flags.c_contiguous:
+        if shape is None or (a.ndim == len(shape) and all(
+                want is None or got == want
+                for got, want in zip(a.shape, shape))):
+            return
+    want = "any shape"
+    if shape is not None:
+        want = ", ".join("rows" if n is None else str(n) for n in shape)
+        want = f"shape ({want}{',' * (len(shape) == 1)})"
+    got = type(a)
+    if isinstance(a, np.ndarray):
+        layout = "C-contiguous" if a.flags.c_contiguous else "non-contiguous"
+        got = f"a {layout} {a.dtype} array of shape {a.shape}"
+    raise TypeError(f"{name} must be a C-contiguous {np.dtype(dtype)} array "
+                    f"of {want}, got {got}")
 
 
 # ----------------------------------------------------------------------
 # Public kernels
 # ----------------------------------------------------------------------
 
-def if_step(v: np.ndarray, refrac: np.ndarray, drive, threshold: float,
-            soft_reset: bool = True, refractory: int = 0) -> np.ndarray:
-    """One IF timestep: integrate ``drive``, spike, soft/hard reset.
+def if_step(v: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """One timestep of the paper's IF neuron (Eqs. 1-2), threshold 1.
 
-    ``v`` (float32/float64) and ``refrac`` (int64) are updated in place;
-    returns the boolean spike array with ``v``'s shape.
+    Adds ``drive`` to the membrane ``v``, spikes where ``v >= 1 - 1e-9``,
+    subtracts 1 from the neurons that spiked (soft reset) and floors ``v``
+    at 0.  ``v`` (float64, any shape) is updated in place and ``drive``
+    must match it; returns the boolean spike array with ``v``'s shape.
     """
-    vf, v_back = _state(v, _FLOAT_DTYPES)
-    rf, r_back = _state(refrac, (np.dtype(np.int64),))
-    if refrac.shape != v.shape:
-        raise ValueError(
-            f"refrac shape {refrac.shape} != membrane shape {v.shape}")
-    df = _input(drive, v.dtype, v.shape)
-    spikes = _impl().if_step(vf, rf, df, float(threshold), bool(soft_reset),
-                             int(refractory))
-    for back in (v_back, r_back):
-        if back is not None:
-            back()
-    return spikes.reshape(v.shape)
+    _operand("v", v, _F64)
+    _operand("drive", drive, _F64, v.shape)
+    return _impl().if_step(v, drive)
 
 
 def cuba_step(u: np.ndarray, v: np.ndarray, refrac: np.ndarray,
-              bias: np.ndarray, syn_input, decay_u: int, decay_v: int,
-              vth: int, soft_reset: bool = True, refractory: int = 0,
-              floor_at_zero: bool = True,
+              bias: np.ndarray, syn_input: np.ndarray, decay_u: int,
+              decay_v: int, vth: int, soft_reset: bool = True,
+              refractory: int = 0, floor_at_zero: bool = True,
               non_spiking: bool = False) -> np.ndarray:
     """One CUBA LIF timestep on Loihi's integer state (Eq. 8).
 
-    ``u``, ``v`` and ``refrac`` (all int64) are updated in place; returns
-    the boolean fired array.  ``decay_*`` use the 12-bit convention where
-    4096 clears the state every step.
+    ``u``, ``v`` and ``refrac`` are updated in place; they, ``bias`` and
+    ``syn_input`` are int64 arrays of one shape.  Returns the boolean
+    fired array.  ``decay_*`` use the 12-bit convention where 4096 clears
+    the state every step.
     """
-    i64 = (np.dtype(np.int64),)
-    uf, u_back = _state(u, i64)
-    vf, v_back = _state(v, i64)
-    rf, r_back = _state(refrac, i64)
-    if u.shape != v.shape or refrac.shape != v.shape:
-        raise ValueError("u, v and refrac must share one shape")
-    bf = _input(bias, np.int64, v.shape)
-    sf = _input(syn_input, np.int64, v.shape)
-    fired = _impl().cuba_step(uf, vf, rf, bf, sf, int(decay_u), int(decay_v),
-                              int(vth), bool(soft_reset), int(refractory),
-                              bool(floor_at_zero), bool(non_spiking))
-    for back in (u_back, v_back, r_back):
-        if back is not None:
-            back()
-    return fired.reshape(v.shape)
+    _operand("v", v, _I64)
+    for name, a in (("u", u), ("refrac", refrac), ("bias", bias),
+                    ("syn_input", syn_input)):
+        _operand(name, a, _I64, v.shape)
+    return _impl().cuba_step(u, v, refrac, bias, syn_input, int(decay_u),
+                             int(decay_v), int(vth), bool(soft_reset),
+                             int(refractory), bool(floor_at_zero),
+                             bool(non_spiking))
 
 
-def trace_update(values: np.ndarray, spikes, impulse: float, decay: float,
-                 trace_max: float) -> None:
+def trace_update(values: np.ndarray, spikes: np.ndarray, impulse: float,
+                 decay: float, trace_max: float) -> None:
     """One trace timestep: decay, add ``impulse`` where spiked, saturate.
 
-    ``values`` (float32/float64) is updated in place.
+    ``values`` (float64) is updated in place; ``spikes`` is a bool array
+    of its shape.
     """
-    vf, v_back = _state(values, _FLOAT_DTYPES)
-    sf = _input(spikes, bool, values.shape)
-    _impl().trace_update(vf, sf, float(impulse), float(decay),
+    _operand("values", values, _F64)
+    _operand("spikes", spikes, np.bool_, values.shape)
+    _impl().trace_update(values, spikes, float(impulse), float(decay),
                          float(trace_max))
-    if v_back is not None:
-        v_back()
 
 
-def _dw_operands(*arrays):
-    """Common dtype (float32 only if everything already is) + flat copies."""
-    arrays = [np.asarray(a) for a in arrays]
-    dtype = np.result_type(*arrays)
-    if dtype not in _FLOAT_DTYPES:
-        dtype = np.dtype(np.float64)
-    return dtype, arrays
-
-
-def delta_w(h_hat_post, h_post, h_pre, eta: float) -> np.ndarray:
+def delta_w(h_hat_post: np.ndarray, h_post: np.ndarray, h_pre: np.ndarray,
+            eta: float) -> np.ndarray:
     """Eq. (7): ``dW[i, j] = eta * (h_hat[j] - h[j]) * h_pre[i]``.
 
-    Inputs are raveled (matching ``np.outer``); returns
-    ``(h_pre.size, h_hat.size)``.
+    Takes float64 vectors ``(n_post,)``, ``(n_post,)`` and ``(n_pre,)``;
+    returns ``(n_pre, n_post)``.
     """
-    dtype, (h_hat, h, pre) = _dw_operands(h_hat_post, h_post, h_pre)
-    if h_hat.size != h.size:
-        raise ValueError(
-            f"h_hat has {h_hat.size} entries, h has {h.size}")
-    h_hat = _input(h_hat, dtype, h_hat.shape)
-    h = _input(h, dtype, h.shape)
-    pre = _input(pre, dtype, pre.shape)
-    return _impl().delta_w(h_hat, h, pre, float(eta))
+    _operand("h_hat_post", h_hat_post, _F64, (None,))
+    _operand("h_post", h_post, _F64, h_hat_post.shape)
+    _operand("h_pre", h_pre, _F64, (None,))
+    return _impl().delta_w(h_hat_post, h_post, h_pre, float(eta))
 
 
-def delta_w_batch(h_hat_post, h_post, h_pre, eta: float,
+def delta_w_batch(h_hat_post: np.ndarray, h_post: np.ndarray,
+                  h_pre: np.ndarray, eta: float,
                   mean: bool = True) -> np.ndarray:
     """Batched Eq. (7), accumulated in batch order then scaled.
 
-    ``h_hat_post`` / ``h_post`` are ``(B, n_post)``, ``h_pre`` is
+    ``h_hat_post`` / ``h_post`` are float64 ``(B, n_post)``, ``h_pre`` is
     ``(B, n_pre)``; returns ``(n_pre, n_post)``.  The reduction order is
     part of the kernel contract (sample 0 first), which is what lets a
     compiled loop be bit-identical to the NumPy reference — a BLAS GEMM's
     blocked summation order would not be.
     """
-    dtype, (h_hat, h, pre) = _dw_operands(h_hat_post, h_post, h_pre)
-    if h_hat.ndim != 2 or pre.ndim != 2 or h_hat.shape != h.shape \
-            or h_hat.shape[0] != pre.shape[0]:
-        raise ValueError(
-            f"expected (B, n_post) and (B, n_pre) stacks, got "
-            f"{h_hat.shape}, {h.shape} and {pre.shape}")
-    if mean and h_hat.shape[0] == 0:
+    _operand("h_hat_post", h_hat_post, _F64, (None, None))
+    _operand("h_post", h_post, _F64, h_hat_post.shape)
+    _operand("h_pre", h_pre, _F64, (len(h_hat_post), None))
+    if mean and len(h_hat_post) == 0:
         raise ValueError("cannot mean-reduce an empty batch")
-    flat = [np.ascontiguousarray(a, dtype=dtype) for a in (h_hat, h, pre)]
-    return _impl().delta_w_batch(*flat, float(eta), bool(mean))
-
-
-def delta_w_loihi(h_hat_post, z_post, pre_trace, eta: float) -> np.ndarray:
-    """Eq. (12): ``dW = (2*eta*h_hat - eta*Z) (x) pre`` (inputs raveled)."""
-    dtype, (h_hat, z, pre) = _dw_operands(h_hat_post, z_post, pre_trace)
-    if h_hat.size != z.size:
-        raise ValueError(f"h_hat has {h_hat.size} entries, Z has {z.size}")
-    h_hat = _input(h_hat, dtype, h_hat.shape)
-    z = _input(z, dtype, z.shape)
-    pre = _input(pre, dtype, pre.shape)
-    return _impl().delta_w_loihi(h_hat, z, pre, float(eta))
+    return _impl().delta_w_batch(h_hat_post, h_post, h_pre, float(eta),
+                                 bool(mean))
 
 
 # -- microcode sum-of-products -----------------------------------------
@@ -405,30 +375,6 @@ def sum_of_products(rule, x0, x1, y0, y1, tag, w) -> np.ndarray:
     dz = _impl().sop_eval(*_flatten_rule(rule), pre_stack, post_stack,
                           syn_stack, n_rep, n_src, n_dst)
     return dz.reshape(syn_shape)
-
-
-# -- fused loops: operand checks ----------------------------------------
-
-def _operand(name: str, a, dtype, shape) -> None:
-    """Reject an array a fused C loop cannot read safely.
-
-    Anything but a C-contiguous ``dtype`` array of ``shape`` (``None``
-    matches any length) raises ``TypeError`` before its address is taken.
-    """
-    if isinstance(a, np.ndarray) and a.dtype == dtype \
-            and a.flags.c_contiguous and a.ndim == len(shape):
-        for got, want in zip(a.shape, shape):
-            if want is not None and got != want:
-                break
-        else:
-            return
-    want = ", ".join("rows" if n is None else str(n) for n in shape)
-    got = type(a)
-    if isinstance(a, np.ndarray):
-        layout = "C-contiguous" if a.flags.c_contiguous else "non-contiguous"
-        got = f"a {layout} {a.dtype} array of shape {a.shape}"
-    raise TypeError(f"{name} must be a C-contiguous {np.dtype(dtype)} array "
-                    f"of shape ({want}{',' * (len(shape) == 1)}), got {got}")
 
 
 # -- fused chip-network run ---------------------------------------------
@@ -650,24 +596,23 @@ def spike_present(dims, steps: int, drive: np.ndarray, weights,
     if n_layers < 1 or min(dims) < 1 or int(steps) < 0:
         raise ValueError(f"need dims of >= 2 positive sizes and steps >= 0, "
                          f"got {dims} and {steps}")
-    f64 = np.dtype(np.float64)
-    _operand("drive", drive, f64, (None, dims[0]))
+    _operand("drive", drive, _F64, (None, dims[0]))
     batch = len(drive)
     if len(weights) != n_layers:
         raise ValueError(f"{len(weights)} weight matrices for {n_layers} "
                          f"layers")
     for i, w in enumerate(weights):
-        _operand(f"weights[{i}]", w, f64,
+        _operand(f"weights[{i}]", w, _F64,
                  (dims[i] + bool(bias_unit), dims[i + 1]))
     _operand("class_mask", class_mask, np.bool_, (dims[-1],))
     two_phase = target is not None
     if two_phase:
-        _operand("target", target, f64, (batch, dims[-1]))
+        _operand("target", target, _F64, (batch, dims[-1]))
         if len(feedback) != n_layers - 1:
             raise ValueError(f"{len(feedback)} feedback matrices for "
                              f"{n_layers - 1} hidden layers")
         for i, b in enumerate(feedback):
-            _operand(f"feedback[{i}]", b, f64,
+            _operand(f"feedback[{i}]", b, _F64,
                      (dims[i + 2] if fa else dims[-1], dims[i + 1]))
     weight_addr = np.array([w.ctypes.data for w in weights], dtype=np.uintp)
     feedback_addr = np.array([b.ctypes.data for b in feedback]
@@ -701,7 +646,6 @@ cuba_step = _obs.kernel_profiler.wrap("cuba_step", cuba_step)
 trace_update = _obs.kernel_profiler.wrap("trace_update", trace_update)
 delta_w = _obs.kernel_profiler.wrap("delta_w", delta_w)
 delta_w_batch = _obs.kernel_profiler.wrap("delta_w_batch", delta_w_batch)
-delta_w_loihi = _obs.kernel_profiler.wrap("delta_w_loihi", delta_w_loihi)
 sum_of_products = _obs.kernel_profiler.wrap("sum_of_products",
                                             sum_of_products)
 network_run = _obs.kernel_profiler.wrap("network_run", network_run)

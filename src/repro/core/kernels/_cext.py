@@ -7,10 +7,15 @@ back to ``~/.cache/repro-kernels``).  The cache key hashes the source, the
 compiler, the flags and the host CPU (``-march=native`` builds for the
 build host's instruction set, and a library loaded on an older CPU would
 die of SIGILL, which no ``ImportError`` fallback can catch), so changing
-any of them rebuilds.  Concurrent builders (e.g. several worker processes
-importing at once) race benignly: the ``.c`` and the ``.so`` are each
-written to a temporary file and moved into place with an atomic
-``os.replace``.
+any of them rebuilds.  An import whose library is already cached, for
+either flag set, loads it without starting the compiler.  Concurrent
+builders (e.g. several worker processes importing at once) race benignly:
+the ``.c`` and the ``.so`` are each written to a temporary file and moved
+into place with an atomic ``os.replace``, and the ``.c`` of a rejected
+flag set is removed.
+
+Every floating-point kernel is float64 only; :mod:`repro.core.kernels`
+checks each operand before it reaches this module.
 
 Any failure — no compiler, compilation error, unloadable library — raises
 ``ImportError`` so the selection chain in :mod:`repro.core.kernels` can
@@ -125,49 +130,58 @@ def _write_atomic(path: Path, text: str) -> None:
             os.unlink(tmp_path)
 
 
+def _compile(cc: str, builds) -> Path:
+    """Build the first ``(flags, lib_path)`` the compiler accepts; return
+    its library path.  A rejected attempt leaves no file behind."""
+    last_error = None
+    for flags, lib_path in builds:
+        cache = lib_path.parent
+        src_path = lib_path.with_suffix(".c")
+        try:
+            cache.mkdir(parents=True, exist_ok=True)
+            _write_atomic(src_path, SOURCE)
+            fd, tmp_path = tempfile.mkstemp(dir=cache, suffix=".so")
+            os.close(fd)
+            try:
+                proc = subprocess.run(
+                    [cc, *flags, "-o", tmp_path, str(src_path), *LDLIBS],
+                    capture_output=True, text=True)
+                if proc.returncode == 0:
+                    os.replace(tmp_path, lib_path)
+                    return lib_path
+                # Another process may have removed it already.
+                src_path.unlink(missing_ok=True)
+                last_error = (f"kernel C compilation failed ({cc} "
+                              f"{' '.join(flags)}): {proc.stderr}")
+            finally:
+                if os.path.exists(tmp_path):
+                    os.unlink(tmp_path)
+        except OSError as exc:
+            raise ImportError(
+                f"could not build the 'cext' kernel backend: {exc}") from exc
+    raise ImportError(last_error or "could not build the 'cext' backend")
+
+
 def _build() -> ctypes.CDLL:
     cc = _find_compiler()
     cpu = _cpu_fingerprint()
-    # Try the optimized flag set first; a compiler that rejects any of
+    # The optimized flag set first; a compiler that rejects any of
     # OPT_FLAGS (old gcc, non-x86 clang spellings, ...) falls back to the
     # portable baseline.  The cache key hashes the exact flags used, so
-    # the two variants never collide.
-    last_error = None
-    for flags in (CFLAGS + OPT_FLAGS, CFLAGS):
-        lib_path = _lib_path(cc, flags, cpu)
-        cache = lib_path.parent
-        if not lib_path.exists():
-            try:
-                cache.mkdir(parents=True, exist_ok=True)
-                src_path = lib_path.with_suffix(".c")
-                _write_atomic(src_path, SOURCE)
-                fd, tmp_path = tempfile.mkstemp(dir=cache, suffix=".so")
-                os.close(fd)
-                try:
-                    proc = subprocess.run(
-                        [cc, *flags, "-o", tmp_path, str(src_path),
-                         *LDLIBS],
-                        capture_output=True, text=True)
-                    if proc.returncode != 0:
-                        last_error = (
-                            f"kernel C compilation failed ({cc} "
-                            f"{' '.join(flags)}): {proc.stderr}")
-                        continue
-                    os.replace(tmp_path, lib_path)
-                finally:
-                    if os.path.exists(tmp_path):
-                        os.unlink(tmp_path)
-            except OSError as exc:
-                raise ImportError(
-                    f"could not build the 'cext' kernel backend: {exc}"
-                ) from exc
-        try:
-            return ctypes.CDLL(str(lib_path))
-        except OSError as exc:
-            raise ImportError(
-                f"could not load compiled kernels from {lib_path}: {exc}"
-            ) from exc
-    raise ImportError(last_error or "could not build the 'cext' backend")
+    # the two variants never collide.  Every candidate's library is looked
+    # for before any compile, so a process whose library is cached starts
+    # no compiler, even where the optimized attempt was rejected.
+    builds = [(flags, _lib_path(cc, flags, cpu))
+              for flags in (CFLAGS + OPT_FLAGS, CFLAGS)]
+    lib_path = next((path for _, path in builds if path.exists()), None)
+    if lib_path is None:
+        lib_path = _compile(cc, builds)
+    try:
+        return ctypes.CDLL(str(lib_path))
+    except OSError as exc:
+        raise ImportError(
+            f"could not load compiled kernels from {lib_path}: {exc}"
+        ) from exc
 
 
 _lib = _build()
@@ -179,27 +193,15 @@ _c_ssize = ctypes.c_ssize_t
 _ptr = ctypes.c_void_p
 
 for _name, _argtypes in {
-    "if_step_f64": [_ptr, _ptr, _ptr, _c_double, _c_int, _c_int64, _ptr,
-                    _c_ssize],
-    "if_step_f32": [_ptr, _ptr, _ptr, _c_double, _c_int, _c_int64, _ptr,
-                    _c_ssize],
+    "if_step_f64": [_ptr, _ptr, _ptr, _c_ssize],
     "cuba_step_i64": [_ptr, _ptr, _ptr, _ptr, _ptr, _c_int64, _c_int64,
                       _c_int64, _c_int, _c_int64, _c_int, _c_int, _ptr,
                       _c_ssize],
     "trace_update_f64": [_ptr, _ptr, _c_double, _c_double, _c_double,
                          _c_ssize],
-    "trace_update_f32": [_ptr, _ptr, _c_double, _c_double, _c_double,
-                         _c_ssize],
     "delta_w_f64": [_ptr, _ptr, _ptr, _c_double, _ptr, _c_ssize, _c_ssize],
-    "delta_w_f32": [_ptr, _ptr, _ptr, _c_double, _ptr, _c_ssize, _c_ssize],
     "delta_w_batch_f64": [_ptr, _ptr, _ptr, _c_double, _c_int, _ptr,
                           _c_ssize, _c_ssize, _c_ssize],
-    "delta_w_batch_f32": [_ptr, _ptr, _ptr, _c_double, _c_int, _ptr,
-                          _c_ssize, _c_ssize, _c_ssize],
-    "delta_w_loihi_f64": [_ptr, _ptr, _ptr, _c_double, _ptr, _c_ssize,
-                          _c_ssize],
-    "delta_w_loihi_f32": [_ptr, _ptr, _ptr, _c_double, _ptr, _c_ssize,
-                          _c_ssize],
     "sop_eval_f64": [_ptr, _ptr, _ptr, _ptr, _ptr, _c_ssize, _ptr, _ptr,
                      _ptr, _ptr, _c_ssize, _c_ssize, _c_ssize],
     "network_run_i64": [_c_int64, _c_int64, _c_ssize, _ptr, _ptr, _ptr,
@@ -222,24 +224,17 @@ def _p(a: np.ndarray):
     return a.ctypes.data_as(_ptr)
 
 
-def _float_fn(stem: str, dtype):
-    return getattr(_lib, f"{stem}_f64" if dtype == np.float64
-                   else f"{stem}_f32")
+# -- backend interface (operands checked by the package) --------------------
 
-
-# -- backend interface (flat arrays; normalization done by the package) ----
-
-def if_step(v, refrac, drive, threshold, soft_reset, refractory):
-    spikes = np.empty(v.size, dtype=bool)
-    _float_fn("if_step", v.dtype)(
-        _p(v), _p(refrac), _p(drive), threshold, int(soft_reset),
-        refractory, _p(spikes), v.size)
+def if_step(v, drive):
+    spikes = np.empty(v.shape, dtype=bool)
+    _lib.if_step_f64(_p(v), _p(drive), _p(spikes), v.size)
     return spikes
 
 
 def cuba_step(u, v, refrac, bias, syn, decay_u, decay_v, vth, soft_reset,
               refractory, floor_at_zero, non_spiking):
-    fired = np.empty(v.size, dtype=bool)
+    fired = np.empty(v.shape, dtype=bool)
     _lib.cuba_step_i64(
         _p(u), _p(v), _p(refrac), _p(bias), _p(syn), decay_u, decay_v, vth,
         int(soft_reset), refractory, int(floor_at_zero), int(non_spiking),
@@ -248,30 +243,23 @@ def cuba_step(u, v, refrac, bias, syn, decay_u, decay_v, vth, soft_reset,
 
 
 def trace_update(values, spikes, impulse, decay, trace_max):
-    _float_fn("trace_update", values.dtype)(
-        _p(values), _p(spikes), impulse, decay, trace_max, values.size)
+    _lib.trace_update_f64(_p(values), _p(spikes), impulse, decay, trace_max,
+                          values.size)
 
 
 def delta_w(h_hat, h, pre, eta):
-    dw = np.empty((pre.size, h_hat.size), dtype=h_hat.dtype)
-    _float_fn("delta_w", h_hat.dtype)(
-        _p(h_hat), _p(h), _p(pre), eta, _p(dw), pre.size, h_hat.size)
+    dw = np.empty((pre.size, h_hat.size))
+    _lib.delta_w_f64(_p(h_hat), _p(h), _p(pre), eta, _p(dw), pre.size,
+                     h_hat.size)
     return dw
 
 
 def delta_w_batch(h_hat, h, pre, eta, mean):
     nb, nj = h_hat.shape
     ni = pre.shape[1]
-    dw = np.empty((ni, nj), dtype=h_hat.dtype)
-    _float_fn("delta_w_batch", h_hat.dtype)(
-        _p(h_hat), _p(h), _p(pre), eta, int(mean), _p(dw), nb, ni, nj)
-    return dw
-
-
-def delta_w_loihi(h_hat, z, pre, eta):
-    dw = np.empty((pre.size, h_hat.size), dtype=h_hat.dtype)
-    _float_fn("delta_w_loihi", h_hat.dtype)(
-        _p(h_hat), _p(z), _p(pre), eta, _p(dw), pre.size, h_hat.size)
+    dw = np.empty((ni, nj))
+    _lib.delta_w_batch_f64(_p(h_hat), _p(h), _p(pre), eta, int(mean), _p(dw),
+                           nb, ni, nj)
     return dw
 
 

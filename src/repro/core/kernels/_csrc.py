@@ -4,6 +4,9 @@ The source is embedded as a string (rather than shipped as a data file) so
 the backend works from any install layout; :mod:`._cext` writes it into the
 kernel cache directory and compiles it with the system C compiler.
 
+Every floating-point kernel is float64 only; the package wrappers hand
+over C-contiguous arrays of the declared dtype and shape and nothing else.
+
 Bit-identity contract: every kernel performs exactly the same IEEE-754
 operations, in the same per-element order, as the pure-NumPy reference in
 :mod:`._numpy`.  That is why compilation must NOT enable value-changing
@@ -18,10 +21,10 @@ int64.  The fused ``microcode_epoch_i64`` loop evaluates every rule with
 ``np.floor``/``np.round``/``np.clip`` on integer-valued doubles, so it
 reproduces ``LearningEngine.apply_all`` bit for bit
 (``tests/test_loihi_fused.py``).  The fused ``spike_present_f64`` loop
-steps every population with
-``if_step_f64`` and sums weight rows in the order the per-step reference
-in :mod:`repro.core.network` defines, so it reproduces that path bit for
-bit (``tests/test_spike_fused.py``).
+steps every population with ``if_step_f64``, the paper's one IF neuron,
+and sums weight rows in the order the per-step reference in
+:mod:`repro.core.network` defines, so it reproduces that path bit for bit
+(``tests/test_spike_fused.py``).
 """
 
 from ._layout import (MICROCODE_CONN_ARRAYS, MICROCODE_CONN_FIELDS,
@@ -30,7 +33,7 @@ from ._layout import (MICROCODE_CONN_ARRAYS, MICROCODE_CONN_FIELDS,
                       NETWORK_GROUP_ARRAYS, NETWORK_GROUP_FIELDS)
 
 #: Bump when the C ABI below changes; part of the compile-cache key.
-SOURCE_VERSION = 6
+SOURCE_VERSION = 7
 
 
 def _c_enum(prefix: str, fields) -> str:
@@ -54,70 +57,24 @@ static int64_t floordiv(int64_t a, int64_t b) {
     return q;
 }
 
-/* -- IF membrane update + spike/soft-reset step (core/neuron.py) -------- *
- * Branchless on purpose: every per-element decision is a ternary so the
- * compiler can emit masked/blend SIMD instead of branchy scalar code.
- * Blends select between the *same* elementwise IEEE results the reference
- * computes, so vectorization cannot change a single bit.                  */
-#define DEFINE_IF_STEP(NAME, T)                                             \
-void NAME(T *v, int64_t *refrac, const T *drive, double threshold,          \
-          int soft_reset, int64_t refractory, uint8_t *spikes,              \
-          ptrdiff_t n) {                                                    \
-    T thr = (T)threshold;                                                   \
-    T margin = thr - (T)1e-9;                                               \
-    if (!refractory) {                                                      \
-        /* Hot path: no refractory bookkeeping (EMSTDP's configuration).   \
-         * The int64 refrac mask blocks SIMD when mixed into the float     \
-         * blend, so OR-reduce it first (vectorizes on its own); with no   \
-         * held neuron the update is a pure float compare/blend loop.      \
-         * refrac[i] can still be nonzero if the caller seeded it; a held  \
-         * neuron neither integrates nor counts down, exactly like the     \
-         * general path below.  */                                         \
-        int64_t any_held = 0;                                               \
-        for (ptrdiff_t i = 0; i < n; i++) any_held |= refrac[i];            \
-        if (!any_held) {                                                    \
-            /* The compare is repeated instead of reusing a flag: gcc      \
-             * only if-converts (and thus vectorizes) this shape.  */      \
-            if (soft_reset) {                                               \
-                for (ptrdiff_t i = 0; i < n; i++) {                         \
-                    T vi = v[i] + drive[i];                                 \
-                    spikes[i] = vi >= margin;                               \
-                    vi = vi >= margin ? vi - thr : vi;                      \
-                    v[i] = vi < (T)0 ? (T)0 : vi;                           \
-                }                                                           \
-            } else {                                                        \
-                for (ptrdiff_t i = 0; i < n; i++) {                         \
-                    T vi = v[i] + drive[i];                                 \
-                    spikes[i] = vi >= margin;                               \
-                    vi = vi >= margin ? (T)0 : vi;                          \
-                    v[i] = vi < (T)0 ? (T)0 : vi;                           \
-                }                                                           \
-            }                                                               \
-            return;                                                         \
-        }                                                                   \
-        for (ptrdiff_t i = 0; i < n; i++) {                                 \
-            int active = refrac[i] == 0;                                    \
-            T vi = active ? v[i] + drive[i] : v[i];                         \
-            int s = active && (vi >= margin);                               \
-            vi = s ? (soft_reset ? vi - thr : (T)0) : vi;                   \
-            v[i] = vi < (T)0 ? (T)0 : vi;                                   \
-            spikes[i] = (uint8_t)s;                                         \
-        }                                                                   \
-        return;                                                             \
-    }                                                                       \
-    for (ptrdiff_t i = 0; i < n; i++) {                                     \
-        int64_t rf = refrac[i];                                             \
-        int active = rf == 0;                                               \
-        T vi = active ? v[i] + drive[i] : v[i];                             \
-        int s = active && (vi >= margin);                                   \
-        vi = s ? (soft_reset ? vi - thr : (T)0) : vi;                       \
-        v[i] = vi < (T)0 ? (T)0 : vi;                                       \
-        refrac[i] = s ? refractory : (rf > 0 ? rf - 1 : 0);                 \
-        spikes[i] = (uint8_t)s;                                             \
-    }                                                                       \
+/* -- IF neuron step (core/neuron.py): Eqs. (1)-(2) of the paper ------- *
+ * Add the drive, spike where v >= 1 - 1e-9, subtract the threshold 1 from
+ * the neurons that spiked (soft reset) and floor at 0.  Branchless on
+ * purpose: every per-element decision is a ternary so the compiler can
+ * emit masked/blend SIMD; the blends select between the *same*
+ * elementwise IEEE results the reference computes, so vectorization
+ * cannot change a single bit.  The compare is repeated instead of reusing
+ * a flag: gcc only if-converts (and thus vectorizes) this shape.         */
+void if_step_f64(double *v, const double *drive, uint8_t *spikes,
+                 ptrdiff_t n) {
+    const double margin = 1.0 - 1e-9;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double vi = v[i] + drive[i];
+        spikes[i] = vi >= margin;
+        vi = vi >= margin ? vi - 1.0 : vi;
+        v[i] = vi < 0.0 ? 0.0 : vi;
+    }
 }
-DEFINE_IF_STEP(if_step_f64, double)
-DEFINE_IF_STEP(if_step_f32, float)
 
 /* -- CUBA integer compartment step (loihi/compartment.py) --------------- *
  * decay_u == 4096 (instant current decay) and decay_v == 0 (no leak) are
@@ -172,77 +129,49 @@ void cuba_step_i64(int64_t *u, int64_t *v, int64_t *refrac,
 }
 
 /* -- Trace decay / accumulation / saturation (loihi/traces.py) ---------- */
-#define DEFINE_TRACE_UPDATE(NAME, T)                                        \
-void NAME(T *values, const uint8_t *spikes, double impulse, double decay,   \
-          double trace_max, ptrdiff_t n) {                                  \
-    T imp = (T)impulse;                                                     \
-    T mx = (T)trace_max;                                                    \
-    T dec = (T)decay;                                                       \
-    if (decay != 1.0) {                                                     \
-        for (ptrdiff_t i = 0; i < n; i++) {                                 \
-            T x = values[i] * dec + (spikes[i] ? imp : (T)0);               \
-            values[i] = x < mx ? x : mx;                                    \
-        }                                                                   \
-    } else {                                                                \
-        for (ptrdiff_t i = 0; i < n; i++) {                                 \
-            T x = values[i] + (spikes[i] ? imp : (T)0);                     \
-            values[i] = x < mx ? x : mx;                                    \
-        }                                                                   \
-    }                                                                       \
+void trace_update_f64(double *values, const uint8_t *spikes, double impulse,
+                      double decay, double trace_max, ptrdiff_t n) {
+    if (decay != 1.0) {
+        for (ptrdiff_t i = 0; i < n; i++) {
+            double x = values[i] * decay + (spikes[i] ? impulse : 0.0);
+            values[i] = x < trace_max ? x : trace_max;
+        }
+    } else {
+        for (ptrdiff_t i = 0; i < n; i++) {
+            double x = values[i] + (spikes[i] ? impulse : 0.0);
+            values[i] = x < trace_max ? x : trace_max;
+        }
+    }
 }
-DEFINE_TRACE_UPDATE(trace_update_f64, double)
-DEFINE_TRACE_UPDATE(trace_update_f32, float)
 
 /* -- EMSTDP Eq. (7): dW = eta * (h_hat - h) (x) pre --------------------- */
-#define DEFINE_DELTA_W(NAME, T)                                             \
-void NAME(const T *h_hat, const T *h, const T *pre, double eta, T *dw,      \
-          ptrdiff_t ni, ptrdiff_t nj) {                                     \
-    T e = (T)eta;                                                           \
-    for (ptrdiff_t i = 0; i < ni; i++) {                                    \
-        T p = pre[i];                                                       \
-        for (ptrdiff_t j = 0; j < nj; j++)                                  \
-            dw[i * nj + j] = e * (p * (h_hat[j] - h[j]));                   \
-    }                                                                       \
+void delta_w_f64(const double *h_hat, const double *h, const double *pre,
+                 double eta, double *dw, ptrdiff_t ni, ptrdiff_t nj) {
+    for (ptrdiff_t i = 0; i < ni; i++) {
+        double p = pre[i];
+        for (ptrdiff_t j = 0; j < nj; j++)
+            dw[i * nj + j] = eta * (p * (h_hat[j] - h[j]));
+    }
 }
-DEFINE_DELTA_W(delta_w_f64, double)
-DEFINE_DELTA_W(delta_w_f32, float)
 
 /* -- Batched Eq. (7): ordered accumulation over the batch axis ---------- */
-#define DEFINE_DELTA_W_BATCH(NAME, T)                                       \
-void NAME(const T *h_hat, const T *h, const T *pre, double eta, int mean,   \
-          T *dw, ptrdiff_t nb, ptrdiff_t ni, ptrdiff_t nj) {                \
-    for (ptrdiff_t k = 0; k < ni * nj; k++) dw[k] = (T)0;                   \
-    for (ptrdiff_t b = 0; b < nb; b++) {                                    \
-        for (ptrdiff_t i = 0; i < ni; i++) {                                \
-            T p = pre[b * ni + i];                                          \
-            for (ptrdiff_t j = 0; j < nj; j++)                              \
-                dw[i * nj + j] += p * (h_hat[b * nj + j] - h[b * nj + j]);  \
-        }                                                                   \
-    }                                                                       \
-    T e = (T)eta;                                                           \
-    for (ptrdiff_t k = 0; k < ni * nj; k++) dw[k] = e * dw[k];              \
-    if (mean) {                                                             \
-        T bb = (T)nb;                                                       \
-        for (ptrdiff_t k = 0; k < ni * nj; k++) dw[k] = dw[k] / bb;         \
-    }                                                                       \
+void delta_w_batch_f64(const double *h_hat, const double *h,
+                       const double *pre, double eta, int mean, double *dw,
+                       ptrdiff_t nb, ptrdiff_t ni, ptrdiff_t nj) {
+    for (ptrdiff_t k = 0; k < ni * nj; k++) dw[k] = 0.0;
+    for (ptrdiff_t b = 0; b < nb; b++) {
+        for (ptrdiff_t i = 0; i < ni; i++) {
+            double p = pre[b * ni + i];
+            for (ptrdiff_t j = 0; j < nj; j++)
+                dw[i * nj + j] += p * (h_hat[b * nj + j] - h[b * nj + j]);
+        }
+    }
+    for (ptrdiff_t k = 0; k < ni * nj; k++) dw[k] = eta * dw[k];
+    if (mean) {
+        double bb = (double)nb;
+        for (ptrdiff_t k = 0; k < ni * nj; k++) dw[k] = dw[k] / bb;
+    }
 }
-DEFINE_DELTA_W_BATCH(delta_w_batch_f64, double)
-DEFINE_DELTA_W_BATCH(delta_w_batch_f32, float)
-
-/* -- EMSTDP Eq. (12): dW = (2*eta*h_hat - eta*Z) (x) pre ---------------- */
-#define DEFINE_DELTA_W_LOIHI(NAME, T)                                       \
-void NAME(const T *h_hat, const T *z, const T *pre, double eta, T *dw,      \
-          ptrdiff_t ni, ptrdiff_t nj) {                                     \
-    T e = (T)eta;                                                           \
-    T e2 = (T)(2.0 * eta);                                                  \
-    for (ptrdiff_t i = 0; i < ni; i++) {                                    \
-        T p = pre[i];                                                       \
-        for (ptrdiff_t j = 0; j < nj; j++)                                  \
-            dw[i * nj + j] = p * (e2 * h_hat[j] - e * z[j]);                \
-    }                                                                       \
-}
-DEFINE_DELTA_W_LOIHI(delta_w_loihi_f64, double)
-DEFINE_DELTA_W_LOIHI(delta_w_loihi_f32, float)
 
 /* -- Microcode sum-of-products (loihi/microcode.py) --------------------- *
  * Flattened rule encoding (built by kernels._flatten_rule):
@@ -661,8 +590,8 @@ int microcode_epoch_i64(int64_t R, ptrdiff_t n_conns, const int64_t *c,
  * steps, then (given a target) phase 2 for T steps with membranes carried
  * over, the label layer, the output error pair, the FA chain or DFA
  * broadcast of hidden error pairs, and gates from the phase-1 counts.
- * Every IF population steps through if_step_f64 (threshold 1, soft
- * reset), so it inherits that kernel's contract.  Every weighted input is
+ * Every IF population steps through if_step_f64, so it inherits that
+ * kernel's contract.  Every weighted input is
  * the sum of the active rows of its matrix in row order, starting from
  * +0.0 (the bias unit's row last); a signed spike adds or subtracts its
  * row.  Samples are independent under frozen weights, so the loop runs
@@ -742,13 +671,13 @@ static ptrdiff_t list_signed(const double **rows, double *sign,
 /* A signed error pair: the positive channel integrates d, the negative
  * one -d; out = gated positive spike - gated negative spike, times scale
  * (the class mask for the output pair, 1 otherwise).                     */
-static void error_pair_step(double *v_pos, double *v_neg, int64_t *refrac,
-                            const double *d, double *neg_d, uint8_t *sp,
-                            uint8_t *sn, const int64_t *gate_count,
+static void error_pair_step(double *v_pos, double *v_neg, const double *d,
+                            double *neg_d, uint8_t *sp, uint8_t *sn,
+                            const int64_t *gate_count,
                             const double *scale, double *out, ptrdiff_t n) {
     for (ptrdiff_t j = 0; j < n; j++) neg_d[j] = -d[j];
-    if_step_f64(v_pos, refrac, d, 1.0, 1, 0, sp, n);
-    if_step_f64(v_neg, refrac, neg_d, 1.0, 1, 0, sn, n);
+    if_step_f64(v_pos, d, sp, n);
+    if_step_f64(v_neg, neg_d, sn, n);
     for (ptrdiff_t j = 0; j < n; j++) {
         uint8_t g = gate_count ? gate_count[j] > 0 : 1;
         double e = (double)(sp[j] & g) - (double)(sn[j] & g);
@@ -787,15 +716,13 @@ int spike_present_f64(ptrdiff_t n_layers, const int64_t *dims, int64_t T,
                                             + n_err) * sizeof(double));
     ptrdiff_t *off = (ptrdiff_t *)malloc((size_t)(n_layers + 1)
                                          * sizeof(ptrdiff_t));
-    int64_t *refrac = (int64_t *)calloc((size_t)widest, sizeof(int64_t));
     uint8_t *spk = (uint8_t *)malloc((size_t)(total + 3 * widest));
     /* Active-row lists: a layer's inputs plus the bias row.              */
     const double **rows = (const double **)malloc((size_t)(widest + 1)
                                                   * sizeof(double *));
-    if (!buf || !off || !refrac || !spk || !rows) {
+    if (!buf || !off || !spk || !rows) {
         free(buf);
         free(off);
-        free(refrac);
         free(spk);
         free(rows);
         return -1;
@@ -822,7 +749,7 @@ int spike_present_f64(ptrdiff_t n_layers, const int64_t *dims, int64_t T,
             memset(c, 0, (size_t)total * sizeof(int64_t));
             if (phase) memset(v_label, 0, (size_t)n_err * sizeof(double));
             for (int64_t t = 0; t < T; t++) {
-                if_step_f64(v, refrac, x, 1.0, 1, 0, spk, dims[0]);
+                if_step_f64(v, x, spk, dims[0]);
                 for (ptrdiff_t j = 0; j < dims[0]; j++) c[j] += spk[j];
                 for (ptrdiff_t i = 0; i < n_layers; i++) {     /* forward */
                     ptrdiff_t n_pre = dims[i], n = dims[i + 1];
@@ -845,17 +772,16 @@ int spike_present_f64(ptrdiff_t n_layers, const int64_t *dims, int64_t T,
                     }
                     uint8_t *s = spk + off[i + 1];
                     int64_t *ci = c + off[i + 1];
-                    if_step_f64(v + off[i + 1], refrac, acc, 1.0, 1, 0, s, n);
+                    if_step_f64(v + off[i + 1], acc, s, n);
                     for (ptrdiff_t j = 0; j < n; j++) ci[j] += s[j];
                 }
                 if (!phase) continue;
                 /* Output error: label spikes minus masked output spikes. */
-                if_step_f64(v_label, refrac, target + b * n_out, 1.0, 1, 0,
-                            s_label, n_out);
+                if_step_f64(v_label, target + b * n_out, s_label, n_out);
                 for (ptrdiff_t j = 0; j < n_out; j++)
                     d[j] = error_gain * ((double)s_label[j]
                                          - (double)spk[last + j] * mask[j]);
-                error_pair_step(v_opos, v_oneg, refrac, d, neg_d, sp, sn,
+                error_pair_step(v_opos, v_oneg, d, neg_d, sp, sn,
                                 gate_output ? c1 + last : NULL, mask,
                                 pend_out, n_out);
                 /* Hidden errors: FA relays down the chain from the layer
@@ -872,8 +798,7 @@ int spike_present_f64(ptrdiff_t n_layers, const int64_t *dims, int64_t T,
                     sum_rows(acc, rows, sign, active, n);
                     for (ptrdiff_t j = 0; j < n; j++)
                         d[j] = hidden_error_gain * acc[j];
-                    error_pair_step(v_hpos + h, v_hneg + h, refrac, d, neg_d,
-                                    sp, sn,
+                    error_pair_step(v_hpos + h, v_hneg + h, d, neg_d, sp, sn,
                                     gate_hidden ? c1 + off[i + 1] : NULL,
                                     NULL, pend_hid + h, n);
                     e_above = pend_hid + h;
@@ -884,7 +809,6 @@ int spike_present_f64(ptrdiff_t n_layers, const int64_t *dims, int64_t T,
     }
     free(buf);
     free(off);
-    free(refrac);
     free(spk);
     free(rows);
     return 0;

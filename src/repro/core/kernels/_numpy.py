@@ -9,9 +9,8 @@ Eq. (7) kernel accumulates per-sample outer products in batch order rather
 than delegating to a BLAS GEMM, whose blocked summation order is
 unspecified and unreproducible from a plain loop.
 
-Scalars are cast to the array dtype *before* entering the arithmetic so the
-float32 path performs genuine float32 operations (matching the compiled
-backends) instead of promoting to float64.
+Every floating-point kernel is float64 only, and every operand arrives
+checked: a C-contiguous array of the kernel's dtype and shape.
 """
 
 from __future__ import annotations
@@ -19,23 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def if_step(v, refrac, drive, threshold, soft_reset, refractory):
-    dt = v.dtype.type
-    thr = dt(threshold)
-    margin = thr - dt(1e-9)
-    active = refrac == 0
-    np.copyto(v, np.where(active, v + drive, v))
+def if_step(v, drive):
+    v += drive
     # The epsilon margin keeps grid-exact drives (e.g. 0.3 over 100 steps)
     # from losing a spike to float accumulation error.
-    spikes = active & (v >= margin)
-    if soft_reset:
-        np.copyto(v, np.where(spikes, v - thr, v))
-    else:
-        np.copyto(v, np.where(spikes, dt(0), v))
+    spikes = v >= 1.0 - 1e-9
+    np.subtract(v, 1.0, out=v, where=spikes)
     np.clip(v, 0, None, out=v)
-    if refractory:
-        refrac[spikes] = refractory
-        refrac[~spikes & (refrac > 0)] -= 1
     return spikes
 
 
@@ -62,36 +51,27 @@ def cuba_step(u, v, refrac, bias, syn, decay_u, decay_v, vth, soft_reset,
 
 
 def trace_update(values, spikes, impulse, decay, trace_max):
-    dt = values.dtype.type
     if decay != 1.0:
-        values *= dt(decay)
-    bumped = values + np.where(spikes, dt(impulse), dt(0))
-    np.copyto(values, np.minimum(bumped, dt(trace_max)))
+        values *= decay
+    bumped = values + np.where(spikes, impulse, 0.0)
+    np.copyto(values, np.minimum(bumped, trace_max))
 
 
 def delta_w(h_hat, h, pre, eta):
-    dt = h_hat.dtype.type
     diff = h_hat - h
-    return dt(eta) * (pre[:, None] * diff[None, :])
+    return eta * (pre[:, None] * diff[None, :])
 
 
 def delta_w_batch(h_hat, h, pre, eta, mean):
-    dt = h_hat.dtype.type
     nb = h_hat.shape[0]
     diff = h_hat - h
-    acc = np.zeros((pre.shape[1], h_hat.shape[1]), dtype=h_hat.dtype)
+    acc = np.zeros((pre.shape[1], h_hat.shape[1]))
     for b in range(nb):
         acc += pre[b][:, None] * diff[b][None, :]
-    dw = dt(eta) * acc
+    dw = eta * acc
     if mean:
-        dw = dw / dt(nb)
+        dw = dw / nb
     return dw
-
-
-def delta_w_loihi(h_hat, z, pre, eta):
-    dt = h_hat.dtype.type
-    coeff = dt(2.0 * eta) * h_hat - dt(eta) * z
-    return pre[:, None] * coeff[None, :]
 
 
 def sop_eval(scales, offs, kinds, idxs, consts, pre_stack, post_stack,

@@ -34,9 +34,9 @@ def delta_w_reference(h_hat_post: np.ndarray, h_post: np.ndarray,
     ``(len(h_pre), len(h_post))`` matching the forward weight layout
     ``potential = rates_pre @ W``.
     """
-    return kernels.delta_w(np.asarray(h_hat_post, dtype=float),
-                           np.asarray(h_post, dtype=float),
-                           np.asarray(h_pre, dtype=float), eta)
+    return kernels.delta_w(np.ascontiguousarray(h_hat_post, dtype=float),
+                           np.ascontiguousarray(h_post, dtype=float),
+                           np.ascontiguousarray(h_pre, dtype=float), eta)
 
 
 def delta_w_reference_batch(h_hat_post: np.ndarray, h_post: np.ndarray,
@@ -57,9 +57,9 @@ def delta_w_reference_batch(h_hat_post: np.ndarray, h_post: np.ndarray,
     """
     if reduction not in ("mean", "sum"):
         raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
-    h_hat = np.asarray(h_hat_post, dtype=float)
-    h = np.asarray(h_post, dtype=float)
-    pre = np.asarray(h_pre, dtype=float)
+    h_hat = np.ascontiguousarray(h_hat_post, dtype=float)
+    h = np.ascontiguousarray(h_post, dtype=float)
+    pre = np.ascontiguousarray(h_pre, dtype=float)
     if h_hat.ndim != 2 or pre.ndim != 2 or h_hat.shape[0] != pre.shape[0]:
         raise ValueError(
             f"expected (B, n_post) and (B, n_pre) stacks, got {h_hat.shape} "
@@ -78,11 +78,13 @@ def delta_w_loihi_form(h_hat_post: np.ndarray, z_post: np.ndarray,
 
     ``z_post`` is the tag variable ``Z = h_hat + h`` accumulated over both
     phases; ``pre_trace`` is whatever the presynaptic trace holds at the end
-    of phase 2.
+    of phase 2.  No engine applies this form per step (the chip runs it as
+    microcode), so it is plain NumPy rather than a kernel.
     """
-    return kernels.delta_w_loihi(np.asarray(h_hat_post, dtype=float),
-                                 np.asarray(z_post, dtype=float),
-                                 np.asarray(pre_trace, dtype=float), eta)
+    h_hat = np.asarray(h_hat_post, dtype=float)
+    z = np.asarray(z_post, dtype=float)
+    pre = np.asarray(pre_trace, dtype=float)
+    return pre[:, None] * ((2 * eta) * h_hat - eta * z)[None, :]
 
 
 class WeightUpdater:

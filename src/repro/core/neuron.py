@@ -2,11 +2,13 @@
 
 EMSTDP uses the same simple IF neuron in the forward and the feedback path
 (Eq. 1 of the paper).  The membrane potential accumulates the weighted input
-every timestep; when it crosses the threshold the neuron emits a spike and
-the threshold is subtracted ("soft reset"), which makes the spike count over
-a window of ``T`` steps equal to ``floor(u / theta)`` where ``u`` is the
-total accumulated drive (Eq. 2) — the rate activation the algorithm is built
-on.
+every timestep; when it crosses the threshold 1 the neuron emits a spike
+and the threshold is subtracted ("soft reset"), which makes the spike count
+over a window of ``T`` steps equal to ``floor(u / theta)`` where ``u`` is
+the total accumulated drive (Eq. 2) — the rate activation the algorithm is
+built on.  The membrane is floored at the resting potential 0.  That is the
+one neuron :func:`repro.core.kernels.if_step` implements, and the one the
+fused ``kernels.spike_present`` loop steps.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from . import kernels
 
 
 class IFLayer:
-    """A vectorized layer of integrate-and-fire neurons.
+    """A vectorized layer of the paper's integrate-and-fire neurons.
 
     All potentials are expressed in *normalized* units where the firing
     threshold is 1.0 and a constant drive of ``r`` per step produces a spike
@@ -27,14 +29,6 @@ class IFLayer:
     ----------
     n:
         Number of neurons.
-    threshold:
-        Firing threshold (normalized units).
-    soft_reset:
-        If ``True`` (default) the threshold is subtracted on spike, which
-        realises the ``floor(u/theta)`` rate activation of Eq. (2).  If
-        ``False`` the potential is reset to zero, losing the residual charge.
-    refractory:
-        Number of steps a neuron stays silent after a spike (0 = none).
     batch_size:
         ``None`` (default) keeps the classic single-sample layout with state
         of shape ``(n,)``.  An integer ``B`` gives every neuron ``B``
@@ -43,32 +37,22 @@ class IFLayer:
         exactly as an unbatched layer fed that row would.
     """
 
-    def __init__(self, n: int, threshold: float = 1.0, soft_reset: bool = True,
-                 refractory: int = 0, batch_size: int = None):
+    def __init__(self, n: int, batch_size: int = None):
         if n < 1:
             raise ValueError("layer must contain at least one neuron")
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if refractory < 0:
-            raise ValueError("refractory must be >= 0")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1 (or None for unbatched)")
         self.n = int(n)
-        self.threshold = float(threshold)
-        self.soft_reset = bool(soft_reset)
-        self.refractory = int(refractory)
         self.batch_size = None if batch_size is None else int(batch_size)
         shape = (self.n,) if self.batch_size is None else (self.batch_size, self.n)
         self._state_shape = shape
         self.v = np.zeros(shape)
         self.spike_count = np.zeros(shape, dtype=np.int64)
-        self._refrac_left = np.zeros(shape, dtype=np.int64)
 
     def reset(self) -> None:
-        """Clear all state (membrane potential, counters, refractory)."""
+        """Clear all state (membrane potential and counters)."""
         self.v.fill(0.0)
         self.spike_count.fill(0)
-        self._refrac_left.fill(0)
 
     def reset_counts(self) -> None:
         """Clear only the spike counters (used at phase boundaries)."""
@@ -79,20 +63,17 @@ class IFLayer:
 
         Returns the boolean spike vector for this step.
         """
-        drive = np.asarray(drive, dtype=float)
+        drive = np.ascontiguousarray(drive, dtype=float)
         if drive.shape != self._state_shape:
             raise ValueError(
                 f"drive must have shape {self._state_shape}, got {drive.shape}")
         # Integrate, spike (with the epsilon margin that keeps grid-exact
-        # drives from losing a spike to float accumulation error), soft/hard
+        # drives from losing a spike to float accumulation error), soft
         # reset, and floor at the resting potential: a negative membrane
         # would silently store "anti-spikes" that the rate activation
         # floor(u/theta) does not model.  The whole update runs in the
-        # selected kernel backend, mutating v and the refractory counters
-        # in place.
-        spikes = kernels.if_step(self.v, self._refrac_left, drive,
-                                 self.threshold, soft_reset=self.soft_reset,
-                                 refractory=self.refractory)
+        # selected kernel backend, mutating v in place.
+        spikes = kernels.if_step(self.v, drive)
         self.spike_count += spikes
         return spikes
 
@@ -115,33 +96,27 @@ class SignedErrorLayer:
     signed spikes.
     """
 
-    def __init__(self, n: int, threshold: float = 1.0, batch_size: int = None):
+    def __init__(self, n: int, batch_size: int = None):
         self.n = int(n)
         self.batch_size = None if batch_size is None else int(batch_size)
-        self.pos = IFLayer(n, threshold=threshold, batch_size=batch_size)
-        self.neg = IFLayer(n, threshold=threshold, batch_size=batch_size)
+        self.pos = IFLayer(n, batch_size=batch_size)
+        self.neg = IFLayer(n, batch_size=batch_size)
 
     def reset(self) -> None:
         self.pos.reset()
         self.neg.reset()
 
-    def step(self, signed_drive: np.ndarray, gate: np.ndarray = None,
-             enabled: bool = True) -> np.ndarray:
+    def step(self, signed_drive: np.ndarray,
+             gate: np.ndarray = None) -> np.ndarray:
         """Advance one step; return signed spikes in ``{-1, 0, +1}``.
 
         ``signed_drive`` feeds the positive channel as-is and the negative
         channel negated.  ``gate`` is a boolean per-neuron mask (the soma
-        output is ANDed with it); ``enabled`` is a global phase gate.
+        output is ANDed with it).
         """
-        signed_drive = np.asarray(signed_drive, dtype=float)
+        signed_drive = np.ascontiguousarray(signed_drive, dtype=float)
         sp = self.pos.step(signed_drive)
         sn = self.neg.step(-signed_drive)
-        if not enabled:
-            # The phase gate closes the soma: spikes are swallowed.  Counts
-            # must not include swallowed spikes either.
-            self.pos.spike_count -= sp
-            self.neg.spike_count -= sn
-            return np.zeros(self.pos._state_shape)
         if gate is not None:
             gate = np.asarray(gate, dtype=bool)
             self.pos.spike_count -= sp & ~gate

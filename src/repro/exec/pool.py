@@ -107,9 +107,6 @@ class WorkerPool:
             return
         self._supervise(on_task_done, progress, seen)
 
-    def worker_pids(self):
-        return {wid: proc.pid for wid, proc in self._procs.items()}
-
     # -- internals -------------------------------------------------------
 
     @staticmethod

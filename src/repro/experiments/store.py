@@ -181,9 +181,6 @@ class RunStore:
         self._write_manifest(run.path, manifest)
         return RunInfo(run.experiment, run.run_id, run.path, manifest)
 
-    def append_record(self, run: RunInfo, record: dict) -> None:
-        append_jsonl(run.path / RECORDS_NAME, record)
-
     @staticmethod
     def _write_manifest(path: Path, manifest: dict) -> None:
         tmp = path / (MANIFEST_NAME + ".tmp")
@@ -191,6 +188,15 @@ class RunStore:
         tmp.replace(path / MANIFEST_NAME)
 
     # -- reading ---------------------------------------------------------
+
+    def load_run(self, experiment: str, run_id: str) -> RunInfo:
+        """The run at :meth:`run_dir`, read from its manifest alone."""
+        path = self.run_dir(experiment, run_id)
+        manifest_path = path / MANIFEST_NAME
+        if not manifest_path.is_file():
+            raise FileNotFoundError(f"no run manifest at {manifest_path}")
+        return RunInfo(experiment, run_id, path,
+                       json.loads(manifest_path.read_text()))
 
     def list_runs(self, experiment: Optional[str] = None) -> List[RunInfo]:
         """All runs (newest directory name last), optionally filtered."""
@@ -203,12 +209,8 @@ class RunStore:
             if experiment is not None and exp_dir.name != experiment:
                 continue
             for run_dir in sorted(exp_dir.iterdir()):
-                manifest_path = run_dir / MANIFEST_NAME
-                if not manifest_path.is_file():
-                    continue
-                manifest = json.loads(manifest_path.read_text())
-                runs.append(RunInfo(exp_dir.name, run_dir.name, run_dir,
-                                    manifest))
+                if (run_dir / MANIFEST_NAME).is_file():
+                    runs.append(self.load_run(exp_dir.name, run_dir.name))
         return runs
 
     def find(self, run_id: str) -> RunInfo:

@@ -165,10 +165,6 @@ class CompartmentGroup:
         # the fused runtime loop reads state arrays in place.
         self.bias = bias.astype(np.int64, order="C")
 
-    def set_bias_mant(self, bias_mant: np.ndarray) -> None:
-        """Program biases via Loihi's mantissa convention."""
-        self.set_bias(np.asarray(bias_mant, dtype=np.int64) << MANT_SHIFT)
-
     def reset_state(self) -> None:
         """Zero membrane, current, refractory and spike flags (not counts)."""
         self.u.fill(0)
@@ -214,13 +210,15 @@ class CompartmentGroup:
         if not self.enabled:
             self.spikes.fill(False)
             return self.spikes
-        syn_input = np.asarray(syn_input, dtype=np.int64)
+        syn_input = np.ascontiguousarray(syn_input, dtype=np.int64)
         p = self.proto
         # Current decay/accumulation (Eq. 8, forward-Euler, integer), leak,
         # threshold, reset and refractory bookkeeping all run in the
         # selected kernel backend, mutating u, v and the refractory
         # counters in place.
-        fired = kernels.cuba_step(self.u, self.v, self._refrac, self.bias,
+        fired = kernels.cuba_step(self.u, self.v, self._refrac,
+                                  np.ascontiguousarray(self.bias,
+                                                       dtype=np.int64),
                                   syn_input, p.decay_u, p.decay_v, p.vth,
                                   soft_reset=p.soft_reset,
                                   refractory=p.refractory,

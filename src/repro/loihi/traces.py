@@ -60,7 +60,7 @@ class TraceState:
 
     def update(self, spikes: np.ndarray) -> None:
         """One timestep: decay, then add the impulse where spikes occurred."""
-        spikes = np.asarray(spikes, dtype=bool)
+        spikes = np.ascontiguousarray(spikes, dtype=bool)
         if spikes.shape != self.shape:
             raise ValueError(f"spikes must have shape {self.shape}")
         kernels.trace_update(self.values, spikes, self.config.impulse,

@@ -110,11 +110,6 @@ class OnChipEMSTDP:
     def output_name(self) -> str:
         return self.forward_names[-1]
 
-    def forward_weight_norms(self) -> List[np.ndarray]:
-        """Current forward weights in normalized units (for inspection)."""
-        return [self.scales.from_mant(c.weight_mant)
-                for c in self.plastic_connections]
-
     def replicate(self, replicas: int) -> "OnChipEMSTDP":
         """A batch-parallel copy: same wiring, ``replicas`` state copies.
 

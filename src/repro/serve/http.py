@@ -363,7 +363,3 @@ class InferenceHTTPServer:
                 signal.signal(sig, handler)
             self.stop()
         return received.get("signum")
-
-    def serve_until_interrupt(self) -> None:
-        """Backward-compatible foreground mode: Ctrl-C/SIGTERM stop cleanly."""
-        self.serve_until_signal()

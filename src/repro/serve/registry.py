@@ -221,12 +221,6 @@ class ModelRegistry:
         with self._lock:
             self._listeners.append(listener)
 
-    def set_default(self, name: str) -> None:
-        with self._lock:
-            if name not in self._entries:
-                raise KeyError(f"no model named {name!r}")
-            self._default_name = name
-
     # -- resolution ------------------------------------------------------
 
     def _entry(self, name: str, version: str) -> ModelEntry:

@@ -66,9 +66,6 @@ class SweepResult:
     def status(self) -> str:
         return self.sweep.status
 
-    def complete_points(self) -> List[PointResult]:
-        return [p for p in self.points if p.status == "complete"]
-
 
 class SweepRunner:
     """Executes :class:`SweepSpec` expansions against a run + sweep store.
@@ -165,7 +162,9 @@ class SweepRunner:
                                                 run_id=run_id,
                                                 status="running")
             else:
-                run = self.runs.find(run_id)
+                # The child's directory follows from the point: read its
+                # one manifest, not every run in the store.
+                run = self.runs.load_run(point.spec.name, run_id)
                 sweep = self.store.update_point(sweep, point.point_id,
                                                 status="running")
             if progress is not None:

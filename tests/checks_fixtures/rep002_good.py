@@ -3,9 +3,9 @@ from repro.core import kernels
 from repro.core.kernels import delta_w, if_step, kernel_backend
 
 
-def public_calls(v, refrac, drive):
-    kernels.if_step(v, refrac, drive, 1.0)
-    return if_step(v, refrac, drive, 1.0)
+def public_calls(v, drive):
+    kernels.if_step(v, drive)
+    return if_step(v, drive)
 
 
 def public_update(h_hat, h, pre):

@@ -37,8 +37,8 @@ class TestBatchedIFLayer:
         B, n, steps = 5, 7, 40
         rng = np.random.default_rng(0)
         drives = rng.uniform(-0.4, 1.2, size=(steps, B, n))
-        batched = IFLayer(n, batch_size=B, refractory=1)
-        singles = [IFLayer(n, refractory=1) for _ in range(B)]
+        batched = IFLayer(n, batch_size=B)
+        singles = [IFLayer(n) for _ in range(B)]
         for t in range(steps):
             sb = batched.step(drives[t])
             for b, layer in enumerate(singles):
@@ -86,13 +86,6 @@ class TestBatchedSignedErrorLayer:
                                       pair.step(drives[t, b], gate=gates[b]))
         for b, pair in enumerate(singles):
             assert np.array_equal(batched.signed_count[b], pair.signed_count)
-
-    def test_disabled_swallows_batched_spikes(self):
-        layer = SignedErrorLayer(3, batch_size=2)
-        out = layer.step(np.full((2, 3), 1.5), enabled=False)
-        assert out.shape == (2, 3)
-        assert np.all(out == 0)
-        assert np.all(layer.signed_count == 0)
 
 
 # ----------------------------------------------------------------------

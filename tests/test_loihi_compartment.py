@@ -52,6 +52,17 @@ class TestIFDynamics:
             g.step(np.array([proto.vth // 4]))
         assert g.spike_count[0] == 1
 
+    def test_step_converts_outside_input(self):
+        """The kernel takes only C-contiguous int64 arrays; the group
+        builds them from a strided view or a list, and from an int32
+        bias assigned directly."""
+        proto = if_prototype()
+        g = CompartmentGroup(2, proto)
+        g.bias = np.array([proto.vth // 2, 0], dtype=np.int32)
+        g.step(np.array([proto.vth // 2, 0, 0, 0])[::2])
+        g.step([0, proto.vth])
+        assert g.spike_count.tolist() == [1, 1]
+
     def test_current_decay_instant_for_if(self):
         proto = if_prototype()
         g = CompartmentGroup(1, proto)

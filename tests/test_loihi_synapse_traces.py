@@ -99,3 +99,11 @@ class TestTraces:
         tr = counter_trace(2)
         with pytest.raises(ValueError):
             tr.update(np.array([True]))
+
+    def test_update_converts_outside_input(self):
+        """The kernel takes only C-contiguous bool spikes; the trace builds
+        them from a strided view or a 0/1 list."""
+        tr = counter_trace(2)
+        tr.update(np.array([True, False, False, True])[::2])
+        tr.update([1, 1])
+        assert tr.read().tolist() == [2, 1]

@@ -312,13 +312,12 @@ def test_profiler_delta_isolates_one_unit_of_work():
 def test_public_kernels_are_profiled():
     obs.kernel_profiler.reset()
     v = np.zeros((4, 16))
-    refrac = np.zeros((4, 16), dtype=np.int64)
     drive = np.full((4, 16), 0.5)
     before = obs.kernel_profiler.sample
     obs.kernel_profiler.sample = 1
     try:
         for _ in range(3):
-            kernels.if_step(v.copy(), refrac.copy(), drive, 1.0)
+            kernels.if_step(v.copy(), drive)
     finally:
         obs.kernel_profiler.sample = before
         snap = obs.kernel_profiler.snapshot()

@@ -7,6 +7,7 @@ test each plus CLI coverage through the tiny t_sweep.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,54 @@ def test_sweep_resume_skips_finished_points_and_reuses_runs(tmp_path, kill):
         # Nothing was outstanding: no task enqueued, the record untouched.
         assert TaskQueue(sweep_dir / QUEUE_DB_NAME).counts() == {}
         assert records_path.read_text() == records_before
+
+
+def test_sweep_resume_reads_one_manifest_per_child_run(tmp_path,
+                                                       monkeypatch):
+    """A resumed point's child run is read from its own manifest: the
+    resume never lists the run store, however many runs it holds, and a
+    missing manifest is an error naming its path."""
+    result = SweepRunner(out_root=tmp_path, max_workers=1).run(fast_sweep())
+    first_run_ids = [p.run_id for p in result.points]
+    store = RunStore(tmp_path)
+    for i in range(12):
+        store.create_run(fast_base(), f"pad-{i:03d}")
+    # Kill after p001's last record: its summary line, child run status
+    # and sweep.json entry are not written yet.
+    sweep_dir = result.sweep_dir
+    manifest = json.loads((sweep_dir / "sweep.json").read_text())
+    manifest["status"] = "running"
+    manifest["points"][1]["status"] = "running"
+    (sweep_dir / "sweep.json").write_text(json.dumps(manifest))
+    summary_path = sweep_dir / "summary.jsonl"
+    summary_path.write_text(summary_path.read_text().splitlines()[0] + "\n")
+    child = store.find(first_run_ids[1])
+    (child.path / "manifest.json").write_text(
+        json.dumps(dict(child.manifest, status="running")))
+
+    def no_listing(self, experiment=None):
+        raise AssertionError("resume listed the whole run store")
+
+    monkeypatch.setattr(RunStore, "list_runs", no_listing)
+    moved = child.path / "manifest.moved"
+    (child.path / "manifest.json").rename(moved)
+    with pytest.raises(FileNotFoundError,
+                       match=re.escape(str(child.path / "manifest.json"))):
+        SweepRunner(out_root=tmp_path, max_workers=1).run(
+            resume=result.sweep_id)
+    moved.rename(child.path / "manifest.json")
+    resumed = SweepRunner(out_root=tmp_path, max_workers=1).run(
+        resume=result.sweep_id)
+    monkeypatch.undo()
+
+    assert resumed.status == "complete"
+    assert [p.skipped for p in resumed.points] == [True, False]
+    assert [p.run_id for p in resumed.points] == first_run_ids
+    assert store.find(first_run_ids[1]).status == "complete"
+    lines = [json.loads(ln) for ln in summary_path.read_text().splitlines()]
+    assert [ln["point_id"] for ln in lines] == ["p000", "p001"]
+    # Nothing was outstanding: no task enqueued.
+    assert TaskQueue(sweep_dir / QUEUE_DB_NAME).counts() == {}
 
 
 def test_sweep_resume_latest_and_unknown_ids(tmp_path):
