@@ -8,10 +8,9 @@ the micro-batcher's ``max_batch``:
 * ``max_batch=1`` — every request is dispatched alone (the baseline a
   naive request/response server would give you);
 * ``max_batch=16`` — concurrent requests coalesce into one
-  ``predict_batch`` call.  ``max_batch`` is set to the client count so a
-  full round of in-flight requests flushes on *full*, not on deadline —
-  the tuning rule the README documents (a ``max_batch`` far above the
-  offered concurrency turns every flush into a ``max_wait_ms`` stall).
+  ``predict_batch`` call.  ``max_batch`` is set to the client count, so
+  one call can take every request that queued while the previous one
+  ran.
 
 The served model is the spike-backend :class:`EMSTDPNetwork` — its
 ``T``-step simulation costs nearly the same for one sample as for a whole

@@ -210,10 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8100,
                        help="listen port (0 = ephemeral; default 8100)")
     serve.add_argument("--max-batch", type=int, default=32, metavar="N",
-                       help="flush a micro-batch at this size (default 32)")
+                       help="most requests one micro-batch takes (default 32)")
     serve.add_argument("--max-wait-ms", type=float, default=5.0, metavar="F",
-                       help="flush at the latest this long after the first "
-                            "queued request (default 5 ms)")
+                       help="bound on holding a request back to fill a batch; "
+                            "always met, none is held (default 5 ms)")
     serve.add_argument("--cache-size", type=int, default=1024, metavar="N",
                        help="LRU prediction-cache capacity (0 disables)")
     serve.add_argument("--workers", type=int, default=1, metavar="W",
@@ -235,12 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="front-end listen port (0 = ephemeral; "
                               "default 8100)")
     cluster.add_argument("--max-batch", type=int, default=16, metavar="N",
-                         help="per-worker micro-batch flush size "
-                              "(default 16)")
+                         help="most requests one per-worker micro-batch "
+                              "takes (default 16)")
     cluster.add_argument("--max-wait-ms", type=float, default=5.0,
                          metavar="F",
-                         help="per-worker micro-batch deadline (default "
-                              "5 ms)")
+                         help="bound on holding a request back to fill a "
+                              "batch; always met, none is held (default 5 ms)")
     cluster.add_argument("--cache-size", type=int, default=1024, metavar="N",
                          help="per-worker LRU prediction-cache capacity")
     cluster.add_argument("--max-inflight", type=int, default=32, metavar="M",
@@ -717,14 +717,18 @@ def _cmd_serve(args) -> int:
     from .serve import InferenceHTTPServer, InferenceService, ModelRegistry
 
     registry = ModelRegistry()
+    try:  # before any load: a bad batching flag costs no checkpoint read
+        service = InferenceService(
+            registry, max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
+            cache_size=args.cache_size, workers=args.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         entries = registry.load_source(args.checkpoint, store_root=args.out)
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    service = InferenceService(
-        registry, max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-        cache_size=args.cache_size, workers=args.workers)
     server = InferenceHTTPServer(service, host=args.host, port=args.port)
     print(format_table(
         ["name", "class", "dims", "energy (mJ/req)"],

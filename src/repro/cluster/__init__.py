@@ -3,7 +3,7 @@
 One front-end HTTP router process fans requests out over per-worker
 request/response pipes to N model-worker processes.  Each worker owns its
 own :class:`~repro.serve.registry.ModelRegistry`,
-:class:`~repro.serve.batcher.MicroBatcher` pool, and
+:class:`~repro.serve.batcher.MicroBatcher`, and
 :class:`~repro.serve.cache.PredictionCache`, self-loaded from a checkpoint
 source — workers share nothing, so one crashing cannot corrupt another.
 

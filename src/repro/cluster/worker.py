@@ -6,9 +6,9 @@ never inherit live objects from the parent), builds a private
 :class:`~repro.serve.service.InferenceService` — registry, micro-batcher,
 prediction cache, telemetry — and then serves the duplex pipe:
 
-* a receive loop dispatches data-plane requests onto a small thread pool
-  (so concurrent requests coalesce in the micro-batcher exactly as they
-  do in the single-process server);
+* a receive loop dispatches data-plane requests onto a small thread pool,
+  so requests that queue while the micro-batcher's worker is busy
+  coalesce into its next batch, as in the single-process server;
 * a heartbeat thread reports light load stats every ``heartbeat_s`` —
   the supervisor treats silence as a wedged worker and replaces it;
 * ``swap`` loads a new checkpoint *into the running registry* and

@@ -22,6 +22,7 @@ model's own ``load_state_dict`` errors.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -103,7 +104,8 @@ def load_checkpoint(stem: Union[str, Path], model=None,
     class matches ``type(model).__name__``.  A missing half of the pair —
     whichever of ``<stem>.json`` / ``<stem>.npz`` is absent — raises
     :class:`CheckpointError` naming the missing file, never a raw
-    ``FileNotFoundError``.
+    ``FileNotFoundError``; so does a corrupt half (a manifest that is not
+    JSON or lacks an entry the model needs, an unreadable array file).
     """
     npz_path, json_path = checkpoint_paths(stem)
     if not json_path.exists():
@@ -115,7 +117,11 @@ def load_checkpoint(stem: Union[str, Path], model=None,
     if not npz_path.exists():
         raise CheckpointError(f"manifest {json_path} has no array file "
                               f"{npz_path}")
-    manifest = json.loads(json_path.read_text())
+    try:
+        manifest = json.loads(json_path.read_text())
+    except ValueError as exc:
+        raise CheckpointError(
+            f"manifest {json_path} is not valid JSON: {exc}") from exc
     fmt = int(manifest.get("format_version", -1))
     if not 0 <= fmt <= CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
@@ -123,16 +129,23 @@ def load_checkpoint(stem: Union[str, Path], model=None,
             f"(v{CHECKPOINT_FORMAT_VERSION}); upgrade repro to read it")
 
     state: Dict[str, object] = {}
-    with np.load(npz_path, allow_pickle=False) as arrays:
-        for key, value in manifest["state"].items():
-            if isinstance(value, dict) and _ARRAY_LIST in value:
-                n = value[_ARRAY_LIST]
-                if n is None:
-                    state[key] = arrays[key]
+    try:  # our own handle: np.load leaks its own when the zip is truncated
+        with open(npz_path, "rb") as fh, \
+                np.load(fh, allow_pickle=False) as arrays:
+            for key, value in manifest["state"].items():
+                if isinstance(value, dict) and _ARRAY_LIST in value:
+                    n = value[_ARRAY_LIST]
+                    if n is None:
+                        state[key] = arrays[key]
+                    else:
+                        state[key] = [arrays[f"{key}.{i}"] for i in range(n)]
                 else:
-                    state[key] = [arrays[f"{key}.{i}"] for i in range(n)]
-            else:
-                state[key] = value
+                    state[key] = value
+    except (OSError, EOFError, ValueError, KeyError,
+            zipfile.BadZipFile) as exc:
+        raise CheckpointError(
+            f"array file {npz_path} does not match its manifest or is "
+            f"corrupt: {type(exc).__name__}: {exc}") from exc
 
     if model is not None:
         expected = manifest["model_class"]
@@ -140,7 +153,12 @@ def load_checkpoint(stem: Union[str, Path], model=None,
             raise CheckpointError(
                 f"checkpoint holds a {expected}, cannot load into "
                 f"{type(model).__name__}")
-        model.load_state_dict(state)
+        try:
+            model.load_state_dict(state)
+        except KeyError as exc:
+            raise CheckpointError(
+                f"manifest {json_path} has no state entry {exc.args[0]!r}"
+            ) from exc
     return state, manifest
 
 

@@ -7,7 +7,7 @@ request/response interface built from five pieces:
 * :class:`ModelRegistry` — named, versioned model store with hot-swap,
   loading from ``repro.persist`` checkpoint stems or ``runs/`` directories;
 * :class:`MicroBatcher` — coalesces concurrent single-sample requests into
-  ``predict_batch`` calls (flush-on-full / flush-on-deadline);
+  ``predict_batch`` calls (an idle worker takes everything queued);
 * :class:`PredictionCache` — LRU keyed by input digest + model version;
 * :class:`InferenceService` — the in-process facade tying them together
   with per-request telemetry (latency percentiles, batch-size histogram,

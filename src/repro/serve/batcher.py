@@ -1,23 +1,21 @@
-"""Micro-batching request scheduler.
+"""Work-conserving micro-batching request scheduler.
 
 Single-sample prediction requests arrive concurrently from many client
 threads; dispatching each one alone through ``predict_batch`` wastes the
-batched engine (the whole point of PR 1 is that a ``(B, n_in)`` block costs
-barely more than one sample).  The :class:`MicroBatcher` closes the gap: a
-collector thread accumulates queued requests into one batch and flushes it
+batched engine (a ``(B, n_in)`` block costs barely more than one sample).
+The :class:`MicroBatcher` closes the gap without a timer: each of its
+``workers`` threads waits for a request, takes it together with whatever
+else is already queued (up to ``max_batch``, in arrival order), calls the
+runner once, and resolves each request's future with its own row plus
+scheduling telemetry (batch size, queue wait).
 
-* **on full** — the batch reached ``max_batch``, or
-* **on deadline** — ``max_wait_ms`` elapsed since the *first* request of
-  the forming batch entered the queue (so a lone request never waits more
-  than one deadline, and a trickle of requests still coalesces).
+So an idle batcher dispatches a lone request at once, and a busy one
+coalesces everything that arrived while its workers ran: batches grow
+only while every worker is busy, which is when waiting costs nothing.
+This is the adaptive batching of Clipper (Crankshaw et al., NSDI 2017)
+with the batch size capped instead of tuned.  A request waits only for a
+free worker; a deadline flush could not start its batch any sooner.
 
-After a deadline expires the collector also greedily drains whatever is
-already queued (non-blocking, up to ``max_batch``), so a backlog produces
-full batches instead of degenerating into batch-of-one flushes.
-
-Flushed batches are handed to a worker pool (``workers`` threads) that
-stacks the samples, calls the runner once, and resolves each request's
-future with its own row plus scheduling telemetry (batch size, queue wait).
 ``close()`` is graceful: no new requests are accepted, everything already
 queued is still batched and answered, and the workers are joined.
 """
@@ -25,11 +23,11 @@ queued is still batched and answered, and the workers are joined.
 from __future__ import annotations
 
 import dataclasses
-import queue
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence
+from collections import deque
+from concurrent.futures import Future
+from typing import Callable, Deque, List, Optional, Sequence
 
 import numpy as np
 
@@ -62,40 +60,33 @@ class MicroBatcher:
         ``predict_batch``.  Called from worker threads; must be thread-safe
         for read-only inference (NumPy forward passes are).
     max_batch:
-        Flush as soon as this many requests have accumulated.
-    max_wait_ms:
-        Flush at the latest this long after the first queued request of the
-        batch, even if the batch is not full.
+        The most requests one runner call takes.
     workers:
-        Worker threads executing flushed batches (batches run concurrently
-        when > 1; request order within a batch is always preserved).
+        Worker threads, each pulling its own batches (batches run
+        concurrently when > 1; request order within a batch is always
+        arrival order).
     """
 
     def __init__(self, runner: Callable[[np.ndarray], Sequence],
-                 max_batch: int = 32, max_wait_ms: float = 5.0,
-                 workers: int = 1):
+                 max_batch: int = 32, workers: int = 1):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
         self.runner = runner
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_ms) / 1e3
-        self._queue: "queue.Queue[_Pending]" = queue.Queue()
-        self._closing = threading.Event()
-        # Serializes the closing-flag check against the enqueue: without
-        # it, a submit() racing close() could land its request after the
-        # collector drained the queue, leaving the future unresolved.
-        self._submit_lock = threading.Lock()
-        self._lock = threading.Lock()
-        self.batches_dispatched = 0  # guarded-by: _lock
-        self.requests_done = 0  # guarded-by: _lock
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(int(workers), 1),
-            thread_name_prefix="microbatch-worker")
-        self._collector = threading.Thread(
-            target=self._collect, name="microbatch-collector", daemon=True)
-        self._collector.start()
+        # One condition guards the queue and the closing flag: submit()
+        # checks the flag and enqueues under it, so nothing lands after a
+        # worker saw "closing and empty" and exited.
+        self._ready = threading.Condition()
+        self._queue: Deque[_Pending] = deque()  # guarded-by: _ready
+        self._closing = False  # guarded-by: _ready
+        self._workers = [
+            threading.Thread(target=self._work, daemon=True,
+                             name=f"microbatch-worker-{i}")
+            for i in range(int(workers))]
+        for thread in self._workers:
+            thread.start()
 
     # -- client side -----------------------------------------------------
 
@@ -103,72 +94,48 @@ class MicroBatcher:
         """Enqueue one sample; resolves to an :class:`ItemResult`."""
         pending = _Pending(np.asarray(x, dtype=float), Future(),
                            time.monotonic())
-        with self._submit_lock:
-            if self._closing.is_set():
+        with self._ready:
+            if self._closing:
                 raise RuntimeError("MicroBatcher is closed")
-            self._queue.put(pending)
+            self._queue.append(pending)
+            self._ready.notify()
         return pending.future
 
     def pending(self) -> int:
         """Requests queued but not yet dispatched."""
-        return self._queue.qsize()
-
-    # -- collector thread ------------------------------------------------
-
-    def _collect(self) -> None:
-        while True:
-            try:
-                first = self._queue.get(timeout=0.02)
-            except queue.Empty:
-                if not self._closing.is_set():
-                    continue
-                # Closing: no further enqueues are possible (submit and
-                # close share a lock), so one final non-blocking check
-                # completes the drain even if a request landed between the
-                # timed-out get above and the flag becoming visible.
-                try:
-                    first = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-            batch = [first]
-            deadline = first.enqueued + self.max_wait_s
-            while len(batch) < self.max_batch and not self._closing.is_set():
-                timeout = deadline - time.monotonic()
-                if timeout <= 0:
-                    break
-                try:
-                    batch.append(self._queue.get(timeout=timeout))
-                except queue.Empty:
-                    break
-            # Deadline passed (or closing): top the batch up from whatever
-            # is already queued so a backlog still flushes full batches.
-            while len(batch) < self.max_batch:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except queue.Empty:
-                    break
-            with self._lock:
-                self.batches_dispatched += 1
-            obs.counter("serve_batches_dispatched")
-            obs.observe("serve_batch_size", len(batch),
-                        buckets=(1, 2, 4, 8, 16, 32, 64, 128))
-            self._pool.submit(self._run_batch, batch)
-        self._pool.shutdown(wait=True)
+        with self._ready:
+            return len(self._queue)
 
     # -- worker side -----------------------------------------------------
+
+    def _work(self) -> None:
+        while True:
+            with self._ready:
+                while not self._queue:
+                    if self._closing:
+                        return
+                    self._ready.wait()
+                batch = [self._queue.popleft() for _ in
+                         range(min(len(self._queue), self.max_batch))]
+            # A caller may have cancelled its future while it was queued;
+            # the rest are marked running, so none can be cancelled now.
+            batch = [p for p in batch
+                     if p.future.set_running_or_notify_cancel()]
+            if batch:
+                obs.counter("serve_batches_dispatched")
+                obs.observe("serve_batch_size", len(batch),
+                            buckets=(1, 2, 4, 8, 16, 32, 64, 128))
+                self._run_batch(batch)
 
     def _run_batch(self, batch: List[_Pending]) -> None:
         dispatched = time.monotonic()
         try:
             values = self.runner(np.stack([p.x for p in batch]))
+            if len(values) != len(batch):
+                raise RuntimeError(
+                    f"runner returned {len(values)} results for a batch of "
+                    f"{len(batch)}")
         except Exception as exc:  # propagate to every caller in the batch
-            for p in batch:
-                p.future.set_exception(exc)
-            return
-        if len(values) != len(batch):
-            exc = RuntimeError(
-                f"runner returned {len(values)} results for a batch of "
-                f"{len(batch)}")
             for p in batch:
                 p.future.set_exception(exc)
             return
@@ -176,8 +143,6 @@ class MicroBatcher:
             p.future.set_result(ItemResult(
                 value=value, batch_size=len(batch),
                 queue_ms=(dispatched - p.enqueued) * 1e3))
-        with self._lock:
-            self.requests_done += len(batch)
 
     # -- shutdown --------------------------------------------------------
 
@@ -187,19 +152,17 @@ class MicroBatcher:
         Requests already submitted are still batched and answered; new
         ``submit`` calls raise.  Safe to call more than once.
 
-        Returns ``True`` when the collector drained and exited within
-        ``timeout`` (every accepted request has its answer), ``False``
-        when the join timed out with requests still in flight — callers
-        that pass a timeout must check, not assume the drain happened.
+        Returns ``True`` when every worker drained and exited within
+        ``timeout`` (one deadline shared by all of them; every accepted
+        request has its answer), ``False`` when the join timed out with
+        requests still in flight — callers that pass a timeout must
+        check, not assume the drain happened.
         """
-        with self._submit_lock:
-            # Once the flag is set under the lock no further enqueue can
-            # happen, so everything in the queue predates it and the
-            # collector is guaranteed to drain it before exiting.
-            self._closing.set()
-        self._collector.join(timeout)
-        return not self._collector.is_alive()
-
-    @property
-    def closed(self) -> bool:
-        return self._closing.is_set()
+        with self._ready:
+            self._closing = True
+            self._ready.notify_all()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for thread in self._workers:
+            thread.join(None if deadline is None
+                        else max(0.0, deadline - time.monotonic()))
+        return not any(thread.is_alive() for thread in self._workers)

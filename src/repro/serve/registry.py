@@ -64,7 +64,12 @@ def model_from_checkpoint(stem: Union[str, Path]):
     """
     state, manifest = load_checkpoint(stem)
     cls = manifest.get("model_class")
-    dims = tuple(int(d) for d in state["dims"])
+    try:
+        dims = tuple(int(d) for d in state["dims"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"manifest {checkpoint_paths(stem)[1]} has no valid state entry "
+            f"'dims'") from exc
 
     if cls == "EMSTDPNetwork":
         from ..core.config import EMSTDPConfig, full_precision_config
@@ -89,7 +94,7 @@ def model_from_checkpoint(stem: Union[str, Path]):
         config = (EMSTDPConfig(**cfg_dict) if cfg_dict is not None
                   else loihi_default_config())
         # Serve through the batch-parallel replicated runtime: the
-        # micro-batcher flushes up to its max batch in one predict_batch
+        # micro-batcher takes up to its max batch in one predict_batch
         # call, so the replica width matches the default serving batch.
         model = LoihiEMSTDPTrainer(build_emstdp_network(dims, config),
                                    batch_replicas=32)

@@ -17,8 +17,8 @@ already in the old version's batcher finish on the weights they started
 on, and the old batcher stays alive for explicitly version-pinned
 requests until ``shutdown()`` closes every batcher (in-flight requests
 complete; new ones are refused).  One batcher per served (name, version)
-is the steady state — a collector thread plus the worker pool each —
-bounded by the number of registered versions.
+is the steady state — its ``workers`` threads each — bounded by the
+number of registered versions.
 """
 
 from __future__ import annotations
@@ -46,9 +46,12 @@ class InferenceService:
         The model registry to serve from (may keep gaining models and
         versions while the service runs).
     max_batch / max_wait_ms / workers:
-        Micro-batching knobs, applied to every per-model batcher: flush
-        when ``max_batch`` requests accumulated or ``max_wait_ms`` after
-        the first queued request, executed on ``workers`` threads.
+        Micro-batching knobs for every per-model batcher: each of its
+        ``workers`` threads takes every queued request, up to
+        ``max_batch``, as soon as it is idle.  No request is held back for
+        its batch to fill, so every ``max_wait_ms`` >= 0 is met; it is kept,
+        and reported in ``/metrics``, for callers that pass it.  Values
+        below 1 (below 0 for ``max_wait_ms``) raise ``ValueError``.
     cache_size:
         LRU prediction-cache capacity (``0`` disables caching).
     """
@@ -56,6 +59,11 @@ class InferenceService:
     def __init__(self, registry: ModelRegistry, max_batch: int = 32,
                  max_wait_ms: float = 5.0, cache_size: int = 1024,
                  workers: int = 1):
+        for name, value, low in (("max_batch", max_batch, 1),
+                                 ("max_wait_ms", max_wait_ms, 0),
+                                 ("workers", workers, 1)):
+            if not value >= low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
         self.registry = registry
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
@@ -91,7 +99,7 @@ class InferenceService:
             if batcher is None:
                 batcher = MicroBatcher(
                     entry.model.predict_batch, max_batch=self.max_batch,
-                    max_wait_ms=self.max_wait_ms, workers=self.workers)
+                    workers=self.workers)
                 self._batchers[key] = batcher
             return batcher
 
@@ -180,8 +188,8 @@ class InferenceService:
                      use_cache: bool = True) -> list:
         """Predict a whole list: all requests are submitted *before* any is
         awaited, so they coalesce into micro-batches even from a single
-        caller thread (a sequential ``predict`` loop would dispatch each
-        sample alone after a full ``max_wait_ms`` stall)."""
+        caller thread (a sequential ``predict`` loop dispatches each
+        sample alone and waits out one runner call per sample)."""
         started = [self._begin(x, model, version, use_cache) for x in X]
         return [self._gather(state) for state in started]
 

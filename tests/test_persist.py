@@ -8,6 +8,7 @@ backends), the :class:`BackpropMLP` baseline, and the simulated-chip
 
 import json
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -221,3 +222,56 @@ def test_load_without_model_returns_state(tmp_path):
     assert tuple(state["dims"]) == DIMS
     assert len(state["weights"]) == len(net.weights)
     assert manifest["model_class"] == "EMSTDPNetwork"
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _flip_last_byte_of_first_array(npz_path):
+    """Flip a byte inside the first member's stored data (not a header),
+    so only the zip CRC-32 can notice."""
+    with zipfile.ZipFile(npz_path) as zf:
+        info = zf.infolist()[0]
+    data = bytearray(npz_path.read_bytes())
+    head = info.header_offset
+    name_len = int.from_bytes(data[head + 26:head + 28], "little")
+    extra_len = int.from_bytes(data[head + 28:head + 30], "little")
+    data[head + 30 + name_len + extra_len + info.compress_size - 1] ^= 0xFF
+    npz_path.write_bytes(bytes(data))
+
+
+def _drop_dims(json_path):
+    manifest = json.loads(json_path.read_text())
+    del manifest["state"]["dims"]
+    json_path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("corrupt, half", [
+    (_truncate, 0),
+    (_flip_last_byte_of_first_array, 0),
+    (lambda path: path.write_bytes(b""), 0),
+    (_truncate, 1),
+    (_drop_dims, 1),
+], ids=["truncated-npz", "flipped-array-byte", "empty-npz",
+        "truncated-manifest", "manifest-without-dims"])
+def test_corrupt_checkpoint_raises_checkpoint_error(tmp_path, capsys,
+                                                    corrupt, half):
+    from repro import cli
+    from repro.serve import ModelRegistry
+
+    stem = tmp_path / "net"
+    save_checkpoint(_trained_emstdp(), stem)
+    bad = checkpoint_paths(stem)[half]
+    corrupt(bad)
+    fresh = EMSTDPNetwork(DIMS, full_precision_config(phase_length=8))
+    with pytest.raises(CheckpointError, match=re.escape(str(bad))):
+        load_checkpoint(stem, model=fresh)
+    with pytest.raises(CheckpointError, match=re.escape(str(bad))):
+        ModelRegistry().load(stem)
+    # The CLI reports it as its one-line error, not a traceback.
+    assert cli.main(["serve", str(stem), "--port", "0",
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err

@@ -1,16 +1,19 @@
 """The serving subsystem: batching, caching, registry, service, HTTP, CLI.
 
 The concurrency-sensitive pieces get explicit coverage: micro-batcher
-flush-on-deadline vs. flush-on-full, cache invalidation on model hot-swap,
+dispatch when idle vs. coalescing while busy, cache invalidation on model hot-swap,
 checkpoint round trips through the registry for all three model families,
 and graceful service shutdown with requests still in flight.
 """
 
+import collections
 import http.client
+import itertools
 import json
 import os
 import signal
 import socket
+import sys
 import threading
 import time
 import urllib.request
@@ -59,14 +62,14 @@ def _echo_runner(calls):
 
 def test_batcher_flush_on_full_does_not_wait_for_deadline():
     calls = []
-    batcher = MicroBatcher(_echo_runner(calls), max_batch=4,
-                           max_wait_ms=10_000.0)
+    batcher = MicroBatcher(_echo_runner(calls), max_batch=4)
     try:
         t0 = time.monotonic()
         futures = [batcher.submit(np.full(3, i)) for i in range(4)]
         results = [f.result(timeout=5) for f in futures]
         elapsed = time.monotonic() - t0
-        # Well under the 10 s deadline: the full batch flushed immediately.
+        # Four submits from one thread run before the idle worker gets the
+        # interpreter back, so it takes them as one full batch at once.
         assert elapsed < 2.0
         assert [r.value for r in results] == [0.0, 1.0, 2.0, 3.0]
         assert {r.batch_size for r in results} == {4}
@@ -75,25 +78,169 @@ def test_batcher_flush_on_full_does_not_wait_for_deadline():
         batcher.close()
 
 
-def test_batcher_flush_on_deadline_with_partial_batch():
+def test_batcher_idle_dispatches_lone_request_at_once():
     calls = []
-    batcher = MicroBatcher(_echo_runner(calls), max_batch=64,
-                           max_wait_ms=30.0)
+    batcher = MicroBatcher(_echo_runner(calls), max_batch=32)
     try:
-        futures = [batcher.submit(np.full(3, i)) for i in range(3)]
-        results = [f.result(timeout=5) for f in futures]
-        # The batch never filled; the 30 ms deadline flushed all three
-        # together (not three batches of one).
-        assert {r.batch_size for r in results} == {3}
-        assert all(r.queue_ms >= 0.0 for r in results)
-        assert calls == [3]
+        t0 = time.monotonic()
+        result = batcher.submit(np.full(3, 7.0)).result(timeout=5)
+        # No batch-filling wait: an idle worker takes a lone request.
+        assert time.monotonic() - t0 < 1.0
+        assert (result.value, result.batch_size) == (7.0, 1)
+        assert calls == [1]
     finally:
         batcher.close()
 
 
+def _gated_runner(batches, entered, release):
+    """Runner recording each batch's values; every call waits on release."""
+    def run(X):
+        entered.set()
+        release.wait(timeout=5)
+        batches.append([float(row[0]) for row in X])
+        return batches[-1]
+    return run
+
+
+@pytest.mark.parametrize("n, expected", [
+    (3, [[0.0, 1.0, 2.0]]),
+    (4, [[0.0, 1.0, 2.0, 3.0]]),
+    (10, [[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0], [8.0, 9.0]]),
+], ids=["3", "4", "10"])
+def test_batcher_coalesces_requests_queued_while_runner_busy(n, expected):
+    batches, entered, release = [], threading.Event(), threading.Event()
+    batcher = MicroBatcher(_gated_runner(batches, entered, release),
+                           max_batch=4)
+    try:
+        blocker = batcher.submit(np.full(3, -1.0))
+        assert entered.wait(timeout=5)  # the only worker is now busy
+        futures = [batcher.submit(np.full(3, i)) for i in range(n)]
+        assert batcher.pending() == n
+        release.set()
+        results = [f.result(timeout=5) for f in futures]
+        assert blocker.result(timeout=5).batch_size == 1
+        # Everything queued meanwhile leaves in submit order: full batches
+        # of max_batch, then the rest.
+        assert batches == [[-1.0]] + expected
+        assert [r.value for r in results] == [float(i) for i in range(n)]
+        assert [r.batch_size for r in results] == \
+            [len(b) for b in expected for _ in b]
+    finally:
+        release.set()
+        batcher.close()
+
+
+def test_batcher_skips_a_cancelled_request_and_keeps_serving():
+    batches, entered, release = [], threading.Event(), threading.Event()
+    batcher = MicroBatcher(_gated_runner(batches, entered, release),
+                           max_batch=4)
+    try:
+        batcher.submit(np.full(3, -1.0))
+        assert entered.wait(timeout=5)
+        futures = [batcher.submit(np.full(3, i)) for i in range(3)]
+        assert futures[1].cancel()  # still queued, so it can be cancelled
+        release.set()
+        assert [futures[i].result(timeout=5).value for i in (0, 2)] == \
+            [0.0, 2.0]
+        # The worker survived the cancelled future and serves on.
+        assert batcher.submit(np.full(3, 5.0)).result(timeout=5).value == 5.0
+        assert batches == [[-1.0], [0.0, 2.0], [5.0]]
+    finally:
+        release.set()
+        batcher.close()
+
+
+def test_batcher_workers_run_batches_concurrently():
+    # Each runner call waits for a second one: with one worker at a time
+    # the barrier breaks and both requests fail.
+    barrier = threading.Barrier(2, timeout=5)
+
+    def run(X):
+        barrier.wait()
+        return [float(row[0]) for row in X]
+
+    batcher = MicroBatcher(run, max_batch=1, workers=2)
+    try:
+        futures = [batcher.submit(np.full(3, i)) for i in range(2)]
+        assert [f.result(timeout=10).value for f in futures] == [0.0, 1.0]
+    finally:
+        barrier.abort()
+        batcher.close()
+
+
+def test_batcher_close_with_two_workers_drains_around_a_stuck_runner():
+    entered, release = threading.Event(), threading.Event()
+
+    def run(X):
+        if X[0, 0] < 0:
+            entered.set()
+            release.wait(timeout=10)
+        return [float(row[0]) for row in X]
+
+    batcher = MicroBatcher(run, max_batch=2, workers=2)
+    stuck = batcher.submit(np.full(3, -1.0))
+    assert entered.wait(timeout=5)
+    futures = [batcher.submit(np.full(3, i)) for i in range(6)]
+    try:
+        # One runner is stuck, so a bounded close reports "not drained"...
+        assert batcher.close(timeout=0.05) is False
+        with pytest.raises(RuntimeError, match="closed"):
+            batcher.submit(np.zeros(3))
+        # ...while the other worker still answers every accepted request.
+        assert [f.result(timeout=5).value for f in futures] == \
+            [float(i) for i in range(6)]
+        assert not stuck.done()
+    finally:
+        release.set()
+    assert batcher.close() is True
+    assert stuck.result(timeout=1).value == -1.0
+
+
+def test_batcher_stress_submits_racing_close_lose_nothing():
+    """More workers than cores, a tiny switch interval, and client threads
+    submitting until close() refuses them: every accepted request runs
+    exactly once and is answered with its own row; nothing else runs."""
+    ran, ran_lock = collections.Counter(), threading.Lock()
+
+    def run(X):
+        with ran_lock:
+            ran.update(float(row[0]) for row in X)
+        return [float(row[0]) for row in X]
+
+    batcher = MicroBatcher(run, max_batch=8, workers=4)
+    accepted = {}
+
+    def client(k):
+        for j in itertools.count(k, 6):
+            try:
+                accepted[j] = batcher.submit(np.full(2, float(j)))
+            except RuntimeError:
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clients = [threading.Thread(target=client, args=(k,), daemon=True)
+                   for k in range(6)]
+        for t in clients:
+            t.start()
+        time.sleep(0.1)
+        assert batcher.close(timeout=30) is True
+        for t in clients:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert accepted
+    results = {j: f.result(timeout=0) for j, f in accepted.items()}
+    assert all(r.value == float(j) for j, r in results.items())
+    assert all(1 <= r.batch_size <= 8 for r in results.values())
+    assert ran == collections.Counter(float(j) for j in accepted)
+
+
 def test_batcher_never_exceeds_max_batch():
     calls = []
-    batcher = MicroBatcher(_echo_runner(calls), max_batch=4, max_wait_ms=20.0)
+    batcher = MicroBatcher(_echo_runner(calls), max_batch=4)
     try:
         futures = [batcher.submit(np.full(3, i)) for i in range(11)]
         values = [f.result(timeout=5).value for f in futures]
@@ -106,7 +253,7 @@ def test_batcher_never_exceeds_max_batch():
 def test_batcher_runner_exception_propagates_to_every_request():
     def boom(X):
         raise ValueError("model fell over")
-    batcher = MicroBatcher(boom, max_batch=2, max_wait_ms=5.0)
+    batcher = MicroBatcher(boom, max_batch=2)
     try:
         futures = [batcher.submit(np.zeros(3)) for _ in range(2)]
         for f in futures:
@@ -118,7 +265,7 @@ def test_batcher_runner_exception_propagates_to_every_request():
 
 def test_batcher_close_reports_drained():
     calls = []
-    batcher = MicroBatcher(_echo_runner(calls), max_batch=2, max_wait_ms=1.0)
+    batcher = MicroBatcher(_echo_runner(calls), max_batch=2)
     batcher.submit(np.zeros(3)).result(timeout=5)
     assert batcher.close() is True
     assert batcher.close() is True  # idempotent, still drained
@@ -131,7 +278,7 @@ def test_batcher_close_timeout_reports_not_drained():
         release.wait(timeout=10)
         return [float(row[0]) for row in X]
 
-    batcher = MicroBatcher(stuck, max_batch=1, max_wait_ms=0.0)
+    batcher = MicroBatcher(stuck, max_batch=1)
     future = batcher.submit(np.zeros(3))
     try:
         # The runner is blocked, so a bounded close must say "not drained"
@@ -152,9 +299,9 @@ def test_batcher_shutdown_completes_in_flight_requests():
         calls.append(len(X))
         return [float(row[0]) for row in X]
 
-    batcher = MicroBatcher(slow, max_batch=2, max_wait_ms=1.0)
+    batcher = MicroBatcher(slow, max_batch=2)
     futures = [batcher.submit(np.full(3, i)) for i in range(6)]
-    while batcher.pending() and not calls:
+    while batcher.pending() == len(futures):  # until a batch is in flight
         time.sleep(0.001)
     closer = threading.Thread(target=batcher.close, daemon=True)
     closer.start()
@@ -467,6 +614,22 @@ def test_service_metrics_concurrent_with_predict_load():
     assert service.metrics()["batching"]["active_batchers"] == 0
 
 
+@pytest.mark.parametrize("argument, flag, value", [
+    ("max_batch", "--max-batch", 0),
+    ("max_wait_ms", "--max-wait-ms", -1),
+    ("workers", "--workers", 0),
+])
+def test_bad_batching_argument_is_rejected_up_front(tmp_path, capsys,
+                                                    argument, flag, value):
+    with pytest.raises(ValueError, match=argument):
+        InferenceService(ModelRegistry(), **{argument: value})
+    # `repro serve` says so and exits 2 before loading anything.
+    assert cli.main(["serve", str(tmp_path / "nope"), "--port", "0",
+                     flag, str(value), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and argument in err
+
+
 def test_service_unknown_model_raises_and_counts_error():
     registry = ModelRegistry()
     registry.register("net", _trained_net())
@@ -722,8 +885,8 @@ def test_predict_many_coalesces_from_a_single_caller():
     with InferenceService(registry, max_batch=8, max_wait_ms=50.0,
                           cache_size=0) as service:
         results = service.predict_many(xs[:6], use_cache=False)
-    # All six were submitted before any was awaited, so they dispatched
-    # together instead of as six deadline-stalled batches of one.
+    # All six were submitted before any was awaited, so they coalesced
+    # instead of leaving as six batches of one.
     assert max(r["batch_size"] for r in results) >= 2
 
 
