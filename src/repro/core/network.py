@@ -12,7 +12,15 @@ hardware resource constraints.  Two dynamics backends are provided:
     (:meth:`EMSTDPNetwork.forward_rates` and the two-phase solve) takes one
     sample ``(n,)`` or a block ``(B, n)``: every step is elementwise on the
     grid or a matmul, so the per-sample calls and the batched engine run
-    the same code, a 1-D call doing per-sample arithmetic.
+    the same code, a 1-D call doing per-sample arithmetic.  Inference,
+    phase 1 and every phase-2 pass run one forward (``_RateSolve``).  The
+    weights are frozen within a solve and the phase-2 corrections enter
+    after each layer's quantization, so the first layer's drive is
+    computed once per solve: one first-layer product instead of
+    ``1 + phase2_iterations``.  The clip/quantize chains run in place in
+    buffers made once per solve, with the same IEEE operations in the
+    same order; ``tests/test_rate_oracle.py`` pins every output bit to
+    the unfused solver.
 
 ``spike``
     Simulates all ``2*T`` timesteps with explicit integrate-and-fire neurons,
@@ -64,8 +72,8 @@ from .encoding import (as_labeled_batch, as_sample_batch, bias_encode,
                        encode_labels, quantize_to_bins)
 from .feedback import make_dfa_weights, make_fa_weights
 from .learning import WeightUpdater
-from .loss import predict_class, predict_classes, signed_error_rates
-from .neuron import IFLayer, SignedErrorLayer, quantize_rate, rate_activation
+from .loss import predict_class, predict_classes
+from .neuron import IFLayer, SignedErrorLayer
 
 
 def accumulate_rows(spikes: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -160,6 +168,126 @@ def spike_present_reference(dims, steps, drive, weights, class_mask,
     return phase1, [layer.spike_count for layer in layers]
 
 
+# The rate solver's chains run in place with the IEEE operations of
+# rate_activation / quantize_rate, in their order.  np.clip(v, lo, hi) is
+# min(max(v, lo), hi) except that it keeps a -0.0 which np.maximum turns
+# into +0.0; each chain says why no such zero reaches its result.  Scalar
+# operands are 0-d float64 arrays (``T`` too): NumPy converts a Python
+# scalar anew on every call, into the same float64 operand.
+_ZERO, _ONE, _EPS, _HALF = (np.array(v) for v in (0.0, 1.0, 1e-9, 0.5))
+
+
+def _activate(p: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """:func:`rate_activation` of a fresh drive ``p``, in place.
+
+    ``floor(p*T + 1e-9)`` is never -0.0 (a sum that rounds to zero is
+    +0.0), so its clip to [0, T] is a max and a min.
+    """
+    np.multiply(p, T, out=p)
+    np.add(p, _EPS, out=p)
+    np.floor(p, out=p)
+    np.maximum(p, _ZERO, out=p)
+    np.minimum(p, T, out=p)
+    return np.divide(p, T, out=p)
+
+
+def _requantize(r: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """``quantize_rate(np.clip(r, 0, 1), T)``, in place.
+
+    A zero of either sign becomes 1e-9 at ``* T + 1e-9``, so the max may
+    drop a sign the clip would keep.  ``quantize_rate``'s own clip to
+    [0, T] is left out: for ``r`` in [0, 1], ``floor(r*T + 1e-9)`` is
+    already in [0, T].
+    """
+    np.maximum(r, _ZERO, out=r)
+    np.minimum(r, _ONE, out=r)
+    np.multiply(r, T, out=r)
+    np.add(r, _EPS, out=r)
+    np.floor(r, out=r)
+    return np.divide(r, T, out=r)
+
+
+def _signed_error(e: np.ndarray, T: np.ndarray, gate: Optional[np.ndarray]
+                  ) -> np.ndarray:
+    """Net rate of an IF error pair, ``e_pos - e_neg``, into ``e[0]``.
+
+    ``e`` stacks the two channels; ``e[0]`` holds the drive ``d`` on entry.
+    Both get :func:`repro.core.loss.signed_error_rates`'s quantization of
+    ``d`` and ``-d`` in one pass, then the optional 0/1 ``gate``.
+    """
+    np.negative(e[0], out=e[1])
+    _requantize(e, T)
+    if gate is not None:
+        np.multiply(e, gate, out=e)
+    return np.subtract(e[0], e[1], out=e[0])
+
+
+def _damp(c: np.ndarray, new: np.ndarray) -> None:
+    """The damped fixed-point step ``c = c + 0.5 * (new - c)``, in place;
+    ``new`` is overwritten."""
+    np.subtract(new, c, out=new)
+    np.multiply(new, _HALF, out=new)
+    np.add(c, new, out=c)
+
+
+class _RateSolve:
+    """One rate solve's fixed part and its forward pass.
+
+    Within a solve the weights are frozen, and phase 2 adds its
+    corrections only after each layer's IF quantization.  So the quantized
+    input ``q0`` and the first layer's pre-correction rates ``drive``,
+    ``rate_activation(aug(q0) @ W0)``, are the same in phase 1 and in
+    every phase-2 pass: they are computed once.  Each layer's input block
+    is allocated once, its bias column written once.
+    """
+
+    def __init__(self, net: "EMSTDPNetwork", x):
+        self.T = T = np.array(float(net.config.T))
+        self.weights = net.weights
+        self.mask = net.class_mask.astype(float)
+        self.q0 = quantize_to_bins(np.asarray(x, dtype=float), net.config.T)
+        lead = self.q0.shape[:-1]
+        self.inputs = None
+        if net._bias:
+            self.inputs = [np.empty(lead + (n + 1,)) for n in net.dims[:-1]]
+            for a in self.inputs:
+                a[..., -1] = 1.0
+        self.drive = _activate(self._input(0, self.q0) @ self.weights[0], T)
+
+    def _input(self, i: int, r: np.ndarray) -> np.ndarray:
+        """Layer ``i``'s rates with the bias unit's rate 1 appended, if
+        the network has one."""
+        if self.inputs is None:
+            return r
+        a = self.inputs[i]
+        a[..., :-1] = r
+        return a
+
+    def forward(self, corrections: Optional[List[np.ndarray]] = None,
+                out: Optional[List[np.ndarray]] = None) -> List[np.ndarray]:
+        """Every layer's rates ``[q0, r_1, ..., r_L]``.
+
+        ``corrections[i]`` (signed spike rates) are added *after* the IF
+        quantization of layer ``i+1`` — the effect of one-to-one error
+        spikes carrying a full threshold's worth of charge.  Layer
+        ``i+1``'s rates go to ``out[i]`` when ``out`` is given, else to
+        fresh arrays.
+        """
+        T = self.T
+        last = len(self.weights) - 1
+        rates = [self.q0]
+        for i, w in enumerate(self.weights):
+            o = None if out is None else out[i]
+            r = (self.drive if i == 0 else _activate(
+                np.matmul(self._input(i, rates[i]), w, out=o), T))
+            if corrections is not None:
+                r = _requantize(np.add(r, corrections[i], out=o), T)
+            if i == last:
+                r = np.multiply(r, self.mask, out=o)
+            rates.append(r)
+        return rates
+
+
 class EMSTDPNetwork:
     """A multilayer SNN trained online with EMSTDP.
 
@@ -221,29 +349,15 @@ class EMSTDPNetwork:
         return np.concatenate([rates, np.ones(rates.shape[:-1] + (1,))],
                               axis=-1)
 
-    def forward_rates(self, x: np.ndarray,
-                      corrections: Optional[List[np.ndarray]] = None,
-                      ) -> List[np.ndarray]:
-        """Steady-state rates of every layer given input ``x`` in [0, 1].
+    def forward_rates(self, x: np.ndarray) -> List[np.ndarray]:
+        """Steady-state (phase-1) rates of every layer given input ``x``
+        in [0, 1].
 
         ``x`` is one sample ``(n_in,)`` or a block ``(B, n_in)``; every
         step is elementwise on the ``1/T`` grid or a matmul, so row ``b``
         of a block's result equals the result for ``x[b]`` alone.
-        ``corrections[i]`` (signed spike rates, with ``x``'s leading shape)
-        are added *after* the IF quantization of layer ``i+1`` — the effect
-        of one-to-one error spikes carrying a full threshold's worth of
-        charge.
         """
-        T = self.config.T
-        rates = [quantize_to_bins(np.asarray(x, dtype=float), T)]
-        for i, w in enumerate(self.weights):
-            r = rate_activation(self._augment(rates[i]) @ w, T)
-            if corrections is not None and corrections[i] is not None:
-                r = quantize_rate(np.clip(r + corrections[i], 0.0, 1.0), T)
-            if i == self.n_layers - 1:
-                r = r * self.class_mask
-            rates.append(r)
-        return rates
+        return _RateSolve(self, x).forward()
 
     def predict(self, x: np.ndarray) -> int:
         """Class decision from a phase-1 inference pass."""
@@ -305,14 +419,17 @@ class EMSTDPNetwork:
         weights, for one sample ``x`` and its label or for a ``(B, n_in)``
         block and its ``(B,)`` labels (every sample settles at once)."""
         cfg = self.config
-        T = cfg.T
-        h = self.forward_rates(x)
+        solve = _RateSolve(self, x)
+        T = solve.T
+        h = solve.forward()
         target = encode_labels(labels, self.n_classes).reshape(
-            h[-1].shape) * self.class_mask
+            h[-1].shape) * solve.mask
 
         # The forward-activity gates: a neuron that never fired in phase 1
         # keeps its error channel shut (surrogate derivative h' = 0).
-        gates = [hi > 0 for hi in h]
+        # ``gates[i]`` belongs to layer ``i + 1``; a 0/1 float multiplies
+        # like the bool it replaces.
+        gates = [(hi > 0).astype(float) for hi in h[1:]]
 
         # Phase 2 is a closed loop: error spikes raise/lower the forward
         # rates, which in turn changes the error.  The spiking system settles
@@ -329,33 +446,37 @@ class EMSTDPNetwork:
         # threshold's worth of charge produce no spikes, which filters the
         # broadcast noise that raw current injection would accumulate into
         # weight drift.
+        #
+        # Each iteration runs in buffers made once per solve: the damped
+        # corrections (the output's is ``e_out``), the stacked (+, -) error
+        # channels of every layer, and the phase-2 rates.  A correction
+        # starts at 0.0, as a scalar 0.0 would: ``0.0 + 0.5 * (d - 0.0)``.
         fa = cfg.feedback == "fa"
         order = range(self.n_layers - 1)
-        h_hat = [hi.copy() for hi in h]
-        damping = 0.5
-        e_out = np.zeros(h[-1].shape)
-        corrections: List[Optional[np.ndarray]] = [None] * self.n_layers
+        lead = h[0].shape[:-1]
+        corrections = [np.zeros(lead + (n,)) for n in self.dims[1:]]
+        channels = [np.empty((2,) + lead + (n,)) for n in self.dims[1:]]
+        out = [np.empty(lead + (n,)) for n in self.dims[1:]]
+        e_out = corrections[-1]
+        gain, hidden_gain = (np.array(float(g)) for g in
+                             (cfg.error_gain, cfg.hidden_error_gain))
+        h_hat = h
         for _ in range(cfg.phase2_iterations):
-            e_pos, e_neg = signed_error_rates(target, h_hat[-1], cfg.error_gain, T)
-            if cfg.gate_output:
-                e_pos = e_pos * gates[-1]
-                e_neg = e_neg * gates[-1]
-            e_new = (e_pos - e_neg) * self.class_mask
-            e_out = e_out + damping * (e_new - e_out)
-            corrections[-1] = e_out
+            e = channels[-1]
+            np.subtract(target, h_hat[-1], out=e[0])
+            np.multiply(e[0], gain, out=e[0])
+            _signed_error(e, T, gates[-1] if cfg.gate_output else None)
+            _damp(e_out, np.multiply(e[0], solve.mask, out=e[0]))
             e_above = e_out
             for i in (reversed(order) if fa else order):
-                eps = cfg.hidden_error_gain * (
-                    (e_above if fa else e_out) @ self.feedback_weights[i])
-                ep = quantize_rate(np.clip(eps, 0.0, 1.0), T)
-                en = quantize_rate(np.clip(-eps, 0.0, 1.0), T)
-                if cfg.gate_hidden:
-                    ep = ep * gates[i + 1]
-                    en = en * gates[i + 1]
-                prev = corrections[i] if corrections[i] is not None else 0.0
-                corrections[i] = prev + damping * ((ep - en) - prev)
+                e = channels[i]
+                np.matmul(e_above if fa else e_out, self.feedback_weights[i],
+                          out=e[0])
+                np.multiply(e[0], hidden_gain, out=e[0])
+                _damp(corrections[i], _signed_error(
+                    e, T, gates[i] if cfg.gate_hidden else None))
                 e_above = corrections[i]
-            h_hat = self.forward_rates(x, corrections=corrections)
+            h_hat = solve.forward(corrections, out)
         return h, h_hat
 
     # -- spike backend --------------------------------------------------
