@@ -18,7 +18,10 @@ what happens behind those calls:
   limit;
 * **failure propagation** — a worker dying mid-request fails that request
   loudly (HTTP 500), never silently: accepted requests are either
-  answered or errored, a guarantee the supervision tests pin down;
+  answered or errored, a guarantee the supervision tests pin down.  A
+  worker's 404 (unknown model) and 400 (malformed input) come back as
+  the ``KeyError`` and :class:`~repro.serve.errors.InvalidInput` the
+  in-process service raises, so the HTTP layer answers them alike;
 * **aggregation** — ``/metrics`` merges the front end's own latency
   telemetry with every worker's full metrics payload, per-slot supervisor
   state, and restart counts; ``/healthz`` reflects worker *quorum*, not
@@ -35,10 +38,8 @@ import time
 from concurrent.futures import TimeoutError as FutureTimeout
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from .. import obs
-from ..serve.errors import Overloaded, WorkerDied
+from ..serve.errors import InvalidInput, Overloaded, WorkerDied, as_input
 from ..serve.telemetry import Telemetry, merge_batch_histograms
 from . import protocol
 from .supervisor import Supervisor, WorkerHandle
@@ -135,6 +136,8 @@ class ClusterService:
             self.telemetry.record_error()
             if response.get("status") == 404:
                 raise KeyError(error)
+            if response.get("status") == 400:
+                raise InvalidInput(error)
             raise RuntimeError(error)
         value = response["value"]
         self._stamp(value, handle)
@@ -154,7 +157,7 @@ class ClusterService:
                 version: Optional[str] = None, use_cache: bool = True,
                 ) -> dict:
         t0 = time.perf_counter()
-        body = {"input": np.asarray(x, dtype=float),
+        body = {"input": as_input(x),
                 "model": model, "version": version, "use_cache": use_cache}
         value = self._roundtrip(protocol.PREDICT, body)
         self._record(value, (time.perf_counter() - t0) * 1e3)
@@ -167,7 +170,7 @@ class ClusterService:
         that worker's micro-batcher together, which is the whole point of
         sending them as one request."""
         t0 = time.perf_counter()
-        body = {"inputs": [np.asarray(x, dtype=float) for x in X],
+        body = {"inputs": [as_input(x) for x in X],
                 "model": model, "version": version, "use_cache": use_cache}
         values = self._roundtrip(protocol.PREDICT_MANY, body)
         elapsed_ms = (time.perf_counter() - t0) * 1e3

@@ -35,6 +35,7 @@ from pathlib import Path
 from .. import obs
 from ..persist import checkpoint_paths
 from ..serve import InferenceService, ModelRegistry
+from ..serve.errors import InvalidInput
 from . import protocol
 from .protocol import WorkerSpec
 
@@ -110,6 +111,9 @@ class _Worker:
         except KeyError as exc:  # unknown model/version
             self.send((protocol.RESPONSE, msg_id, {
                 "ok": False, "status": 404, "error": str(exc.args[0])}))
+        except InvalidInput as exc:  # not a sample the model takes
+            self.send((protocol.RESPONSE, msg_id, {
+                "ok": False, "status": 400, "error": str(exc)}))
         except Exception as exc:
             self.send((protocol.RESPONSE, msg_id, {
                 "ok": False, "status": 500,

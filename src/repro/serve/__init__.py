@@ -22,7 +22,7 @@ request/response interface built from five pieces:
 
 from .batcher import ItemResult, MicroBatcher
 from .cache import PredictionCache, input_digest
-from .errors import Overloaded, WorkerDied
+from .errors import InvalidInput, Overloaded, WorkerDied
 from .http import InferenceHTTPServer
 from .loadgen import LoadReport, http_predict_fn, run_load, service_predict_fn
 from .registry import ModelEntry, ModelRegistry, model_from_checkpoint
@@ -30,7 +30,8 @@ from .service import InferenceService
 from .telemetry import Telemetry, estimate_request_energy_mj
 
 __all__ = [
-    "InferenceHTTPServer", "InferenceService", "ItemResult", "LoadReport",
+    "InferenceHTTPServer", "InferenceService", "InvalidInput", "ItemResult",
+    "LoadReport",
     "MicroBatcher", "ModelEntry", "ModelRegistry", "Overloaded",
     "PredictionCache", "Telemetry", "WorkerDied",
     "estimate_request_energy_mj", "http_predict_fn", "input_digest",

@@ -28,6 +28,8 @@ The handler is duck-typed over the injected service: anything with
 how ``repro.cluster`` reuses this file unchanged for its front-end router.
 A service may raise :class:`~repro.serve.errors.Overloaded` to refuse a
 request under admission control; it maps to ``503`` + ``Retry-After``.
+:class:`~repro.serve.errors.InvalidInput` (an input of the wrong shape,
+not numbers, or not finite) maps to ``400``.
 
 Each HTTP connection is handled on its own thread, so concurrent clients
 land in the micro-batcher together — the HTTP layer adds no serialization
@@ -60,7 +62,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from ..obs import prom
-from .errors import Overloaded
+from .errors import InvalidInput, Overloaded
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
@@ -223,6 +225,9 @@ class _Handler(BaseHTTPRequestHandler):
                 400, f'"use_cache" must be a JSON boolean, got '
                      f'{use_cache!r}')
             return
+        if not isinstance(request.get("inputs", []), list):
+            self._send_error_json(400, '"inputs" must be a list of samples')
+            return
         try:
             if "inputs" in request:
                 payload = self.service.predict_many(
@@ -240,10 +245,13 @@ class _Handler(BaseHTTPRequestHandler):
         except Overloaded as exc:  # admission control refused
             self._send_overloaded(exc)
             return
+        except InvalidInput as exc:  # not a sample the model takes
+            self._send_error_json(400, str(exc))
+            return
         except KeyError as exc:  # unknown model/version
             self._send_error_json(404, str(exc.args[0]))
             return
-        except Exception as exc:  # model raised / shapes wrong / shut down
+        except Exception as exc:  # model raised / shut down
             self._send_error_json(500, f"{type(exc).__name__}: {exc}")
             return
         self._send_json(payload)

@@ -33,6 +33,7 @@ import numpy as np
 from .. import obs
 from .batcher import MicroBatcher
 from .cache import PredictionCache
+from .errors import as_input
 from .registry import ModelEntry, ModelRegistry
 from .telemetry import Telemetry
 
@@ -113,29 +114,38 @@ class InferenceService:
         Returns a JSON-ready dict: ``prediction``, the serving ``model`` /
         ``version``, ``cached``, ``batch_size`` (0 for cache hits),
         ``queue_ms``, ``latency_ms``, and the modeled ``energy_mj``.
+        ``x`` must be a 1-D vector of the model's input width, all finite
+        numbers; otherwise :class:`~repro.serve.errors.InvalidInput`.
         """
-        return self._gather(self._begin(x, model, version, use_cache))
+        return self._gather(self._begin([x], model, version, use_cache)[0])
 
-    def _begin(self, x, model: Optional[str], version: Optional[str],
-               use_cache: bool) -> dict:
-        """Resolve + cache-probe + batcher-submit one request (non-blocking)."""
+    def _begin(self, X: Sequence, model: Optional[str],
+               version: Optional[str], use_cache: bool) -> list:
+        """Resolve + cache-probe + batcher-submit requests (non-blocking).
+
+        Every input is checked against the resolved model before any is
+        submitted: one malformed input raises
+        :class:`~repro.serve.errors.InvalidInput` and leaves no request of
+        its list behind in a batcher.
+        """
         with self._lock:
             if self._closed:
                 raise RuntimeError("InferenceService is shut down")
         t0 = time.perf_counter()
-        x = np.asarray(x, dtype=float)
+        started = []
         try:
             entry = self.registry.resolve(model, version)
-            key = self.cache.key(x, entry.name, entry.version)
-            if use_cache:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    return {"t0": t0, "entry": entry, "hit": hit}
-            future = self._batcher(entry).submit(x)
+            for x in [as_input(x, entry.dims[0]) for x in X]:
+                key = self.cache.key(x, entry.name, entry.version)
+                hit = self.cache.get(key) if use_cache else None
+                started.append(
+                    {"t0": t0, "entry": entry, "hit": hit} if hit is not None
+                    else {"t0": t0, "entry": entry, "key": key,
+                          "future": self._batcher(entry).submit(x)})
         except Exception:
             self.telemetry.record_error()
             raise
-        return {"t0": t0, "entry": entry, "key": key, "future": future}
+        return started
 
     def _gather(self, state: dict) -> dict:
         """Wait for a begun request and record its telemetry."""
@@ -189,8 +199,9 @@ class InferenceService:
         """Predict a whole list: all requests are submitted *before* any is
         awaited, so they coalesce into micro-batches even from a single
         caller thread (a sequential ``predict`` loop dispatches each
-        sample alone and waits out one runner call per sample)."""
-        started = [self._begin(x, model, version, use_cache) for x in X]
+        sample alone and waits out one runner call per sample).  A
+        malformed input fails the whole list before any is submitted."""
+        started = self._begin(X, model, version, use_cache)
         return [self._gather(state) for state in started]
 
     # -- introspection ---------------------------------------------------

@@ -24,8 +24,8 @@ from repro.cluster import (ClusterError, ClusterService, Supervisor,
 from repro.core import EMSTDPNetwork, full_precision_config
 from repro.data.synth import make_blobs
 from repro.persist import save_checkpoint
-from repro.serve import (InferenceHTTPServer, Overloaded, http_predict_fn,
-                         run_load)
+from repro.serve import (InferenceHTTPServer, InvalidInput, Overloaded,
+                         http_predict_fn, run_load)
 
 DIMS = (12, 10, 4)
 
@@ -109,6 +109,31 @@ def test_predict_routes_to_workers_and_stamps_attribution(cluster):
     assert len(many) == 6
     # One list request stays on one worker so its items micro-batch there.
     assert len({item["worker"]["slot"] for item in many}) == 1
+
+
+def test_malformed_input_is_400_through_the_cluster(cluster):
+    """A worker's input check comes back as InvalidInput (a string fails
+    in the front end already), and the HTTP layer answers 400."""
+    service, xs = cluster["service"], cluster["xs"]
+    with pytest.raises(InvalidInput, match=r"shape \(13,\)"):
+        service.predict(np.zeros(DIMS[0] + 1))
+    with pytest.raises(InvalidInput, match=r"input\[0\] is nan"):
+        service.predict_many([xs[0], np.full(DIMS[0], np.nan)])
+    with pytest.raises(InvalidInput, match="must be numbers"):
+        service.predict("0.5")
+    nan = ", ".join(["NaN"] + ["0.5"] * (DIMS[0] - 1))
+    inf = ", ".join(["0.5"] * (DIMS[0] - 1) + ["Infinity"])
+    url = cluster["server"].url + "/predict"
+    for body in ('{"input": [0.5, 0.5]}', '{"input": [%s]}' % nan,
+                 '{"input": [%s]}' % inf, '{"input": "0.5"}'):
+        request = urllib.request.Request(
+            url, data=body.encode(), method="POST",
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400, body
+        excinfo.value.read()
+    assert service.predict(xs[0])["prediction"] in range(DIMS[-1])
 
 
 def test_http_round_trip_and_load_spread_over_workers(cluster):

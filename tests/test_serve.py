@@ -28,12 +28,21 @@ from repro.core import EMSTDPNetwork, full_precision_config, loihi_default_confi
 from repro.data.synth import make_blobs
 from repro.onchip import LoihiEMSTDPTrainer, build_emstdp_network
 from repro.persist import CheckpointError, save_checkpoint
-from repro.serve import (InferenceHTTPServer, InferenceService, MicroBatcher,
-                         ModelRegistry, Overloaded, PredictionCache,
-                         estimate_request_energy_mj, http_predict_fn,
-                         run_load, service_predict_fn)
+from repro.serve import (InferenceHTTPServer, InferenceService, InvalidInput,
+                         MicroBatcher, ModelRegistry, Overloaded,
+                         PredictionCache, estimate_request_energy_mj,
+                         http_predict_fn, run_load, service_predict_fn)
 
 DIMS = (12, 10, 4)
+
+
+def _wait_for(predicate, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
 
 
 def _task(seed=3, n=40):
@@ -639,6 +648,87 @@ def test_service_unknown_model_raises_and_counts_error():
         assert service.metrics()["errors"] == 1
 
 
+def _held_net(dims=DIMS):
+    """A network whose ``predict_batch`` waits for ``release`` after
+    setting ``entered``; records the size of every batch it runs."""
+    net = EMSTDPNetwork(dims, full_precision_config(seed=0, phase_length=8))
+    net.entered, net.release, net.batches = (threading.Event(),
+                                             threading.Event(), [])
+    real = net.predict_batch
+
+    def held(X):
+        net.batches.append(len(X))
+        net.entered.set()
+        assert net.release.wait(10)
+        return real(X)
+
+    net.predict_batch = held
+    return net
+
+
+def test_service_bad_input_fails_alone_among_queued_requests():
+    """With the runner held, six valid inputs and one of the wrong length
+    are sent together: the bad one fails at once, the six are answered as
+    one batch (before the check, np.stack failed all seven)."""
+    net = _held_net((8, 12, 3))
+    registry = ModelRegistry()
+    registry.register("net", net)
+    xs = np.random.default_rng(0).uniform(0, 1, (7, 8))
+    outcomes = {}
+
+    def client(i, x):
+        try:
+            outcomes[i] = service.predict(x)
+        except Exception as exc:
+            outcomes[i] = exc
+
+    with InferenceService(registry, max_batch=8, cache_size=0) as service:
+        busy = threading.Thread(target=client, args=("busy", xs[6]))
+        busy.start()
+        assert net.entered.wait(5)
+        clients = [threading.Thread(target=client, args=(i, x))
+                   for i, x in enumerate(list(xs[:6]) + [np.zeros(5)])]
+        for t in clients:
+            t.start()
+        assert _wait_for(lambda: service.pending() == 6 and 6 in outcomes)
+        assert isinstance(outcomes[6], InvalidInput)
+        assert "shape (5,)" in str(outcomes[6])
+        net.release.set()
+        for t in clients + [busy]:
+            t.join(timeout=10)
+        assert service.metrics()["errors"] == 1
+    assert net.batches == [1, 6]
+    for i in range(6):
+        assert outcomes[i]["prediction"] == int(net.predict(xs[i]))
+        assert outcomes[i]["batch_size"] == 6
+
+
+@pytest.mark.parametrize("bad, match", [
+    (np.zeros(DIMS[0] + 1), r"shape \(13,\)"),
+    (np.zeros((1, DIMS[0])), r"shape \(1, 12\)"),
+    ([0.5] * 3 + [float("nan")] + [0.5] * 8, r"input\[3\] is nan"),
+    ([0.5] * 11 + [float("-inf")], r"input\[11\] is -inf"),
+    ("0.5", "must be numbers"),
+    ([0.5] * 11 + ["x"], "must be numbers"),
+    ([True] * DIMS[0], "must be numbers"),
+    ([[0.5], [0.5, 0.5]], "not an array"),
+])
+def test_predict_many_checks_every_input_before_submitting(bad, match):
+    net = _held_net()
+    registry = ModelRegistry()
+    registry.register("net", net)
+    xs, _ = _task(seed=9)
+    with InferenceService(registry, cache_size=0) as service:
+        with pytest.raises(InvalidInput, match=match):
+            service.predict_many([xs[0], xs[1], bad, xs[2]])
+        with pytest.raises(InvalidInput, match=match):
+            service.predict(bad)
+        # Nothing of the failed list reached the batcher.
+        assert net.batches == [] and service.pending() == 0
+        net.release.set()
+        assert len(service.predict_many(xs[:3])) == 3
+
+
 # ---------------------------------------------------------------------------
 # HTTP endpoint
 # ---------------------------------------------------------------------------
@@ -876,6 +966,64 @@ def test_http_non_object_json_body_is_400(http_server):
         with pytest.raises(urllib.error.HTTPError) as err:
             _post(http_server.url + "/predict", body)
         assert err.value.code == 400
+
+
+#: Malformed ``/predict`` bodies (``NaN`` and ``Infinity`` are the JSON
+#: literals Python's json module reads), each answered 400.
+BAD_BODIES = (
+    b'{"input": [0.5, 0.5, 0.5]}',
+    b'{"input": [0.5, NaN, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}',
+    b'{"input": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, '
+    b'Infinity]}',
+    b'{"input": "0.5"}',
+    b'{"inputs": [[0.5, 0.5]]}',
+    b'{"inputs": 5}',
+)
+
+
+def test_http_malformed_input_is_400_and_valid_requests_still_answered():
+    """Bad requests sent while valid ones are queued behind a held runner
+    get 400 at once, on a kept-alive connection; the valid ones are then
+    answered 200."""
+    net = _held_net()
+    registry = ModelRegistry()
+    registry.register("net", net)
+    service = InferenceService(registry, cache_size=0)
+    server = InferenceHTTPServer(service, port=0).start()
+    xs, _ = _task(seed=9)
+    answers = {}
+
+    def client(i):
+        answers[i] = _post(server.url + "/predict", {"input": xs[i].tolist()})
+
+    clients = [threading.Thread(target=client, args=(i,)) for i in range(4)]
+    try:
+        clients[0].start()
+        assert net.entered.wait(5)
+        for t in clients[1:]:
+            t.start()
+        assert _wait_for(lambda: service.pending() == 3)
+        conn = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            for body in BAD_BODIES:
+                conn.request("POST", "/predict", body=body,
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                error = json.loads(resp.read())["error"]
+                assert resp.status == 400, (body, error)
+        finally:
+            conn.close()
+        net.release.set()
+        for t in clients:
+            t.join(timeout=10)
+    finally:
+        net.release.set()
+        server.stop()
+        service.shutdown()
+    assert sorted(answers) == [0, 1, 2, 3]
+    for i, (status, payload) in answers.items():
+        assert status == 200
+        assert payload["prediction"] == int(net.predict(xs[i]))
 
 
 def test_predict_many_coalesces_from_a_single_caller():
