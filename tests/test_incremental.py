@@ -52,40 +52,36 @@ class TestReplayStore:
 
 
 class TestProtocol:
-    def _run(self, **cfg):
+    @pytest.fixture(scope="class")
+    def result(self):
+        """One run of the default protocol, read by every test below that
+        takes it (the run is deterministic, so one run is every run)."""
         train, test = blob_datasets()
         net = EMSTDPNetwork((12, 20, 6),
                             full_precision_config(seed=2, phase_length=32))
-        defaults = dict(initial_classes=2, classes_per_increment=2,
-                        n_increments=2, rounds_per_increment=3, seed=4)
-        defaults.update(cfg)
-        learner = IncrementalOnlineLearner(net, train, test,
-                                           IOLConfig(**defaults))
+        learner = IncrementalOnlineLearner(net, train, test, IOLConfig(
+            initial_classes=2, classes_per_increment=2, n_increments=2,
+            rounds_per_increment=3, seed=4))
         return learner.run()
 
-    def test_round_count(self):
-        result = self._run()
+    def test_round_count(self, result):
         assert len(result.records) == 2 * 3
 
-    def test_observed_classes_grow(self):
-        result = self._run()
+    def test_observed_classes_grow(self, result):
         sizes = [len(r.observed_classes) for r in result.records]
         assert sizes[0] == 4 and sizes[-1] == 6
         assert sizes == sorted(sizes)
 
-    def test_introduction_rounds_marked(self):
-        result = self._run()
+    def test_introduction_rounds_marked(self, result):
         intro = result.curves()["introduction_rounds"]
         assert intro == [0, 3]
 
-    def test_step2_recovers_on_average(self):
-        result = self._run()
+    def test_step2_recovers_on_average(self, result):
         a1 = np.mean([r.acc_after_step1 for r in result.records])
         a2 = np.mean([r.acc_after_step2 for r in result.records])
         assert a2 >= a1 - 0.02
 
-    def test_final_accuracy_reasonable(self):
-        result = self._run()
+    def test_final_accuracy_reasonable(self, result):
         assert result.records[-1].acc_after_step2 > 0.5
 
     def test_mask_cleared_after_run(self):
@@ -98,7 +94,6 @@ class TestProtocol:
         learner.run()
         assert net.class_mask.all()
 
-    def test_metrics_helpers(self):
-        result = self._run()
+    def test_metrics_helpers(self, result):
         assert isinstance(forgetting_dip(result), float)
         assert isinstance(recovery(result), float)
