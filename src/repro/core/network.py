@@ -237,8 +237,8 @@ class _RateSolve:
     corrections only after each layer's IF quantization.  So the quantized
     input ``q0`` and the first layer's pre-correction rates ``drive``,
     ``rate_activation(aug(q0) @ W0)``, are the same in phase 1 and in
-    every phase-2 pass: they are computed once.  Each layer's input block
-    is allocated once, its bias column written once.
+    every phase-2 pass: they are computed once.  Every later layer's
+    input block is allocated once, its bias column written once.
     """
 
     def __init__(self, net: "EMSTDPNetwork", x):
@@ -246,20 +246,20 @@ class _RateSolve:
         self.weights = net.weights
         self.mask = net.class_mask.astype(float)
         self.q0 = quantize_to_bins(np.asarray(x, dtype=float), net.config.T)
+        self.drive = _activate(net._augment(self.q0) @ self.weights[0], T)
         lead = self.q0.shape[:-1]
         self.inputs = None
         if net._bias:
-            self.inputs = [np.empty(lead + (n + 1,)) for n in net.dims[:-1]]
+            self.inputs = [np.empty(lead + (n + 1,)) for n in net.dims[1:-1]]
             for a in self.inputs:
                 a[..., -1] = 1.0
-        self.drive = _activate(self._input(0, self.q0) @ self.weights[0], T)
 
     def _input(self, i: int, r: np.ndarray) -> np.ndarray:
-        """Layer ``i``'s rates with the bias unit's rate 1 appended, if
-        the network has one."""
+        """Layer ``i``'s rates (``i >= 1``) with the bias unit's rate 1
+        appended, if the network has one."""
         if self.inputs is None:
             return r
-        a = self.inputs[i]
+        a = self.inputs[i - 1]
         a[..., :-1] = r
         return a
 
