@@ -157,7 +157,7 @@ class ClusterService:
                 version: Optional[str] = None, use_cache: bool = True,
                 ) -> dict:
         t0 = time.perf_counter()
-        body = {"input": as_input(x),
+        body = {"input": self._as_input(x),
                 "model": model, "version": version, "use_cache": use_cache}
         value = self._roundtrip(protocol.PREDICT, body)
         self._record(value, (time.perf_counter() - t0) * 1e3)
@@ -170,13 +170,23 @@ class ClusterService:
         that worker's micro-batcher together, which is the whole point of
         sending them as one request."""
         t0 = time.perf_counter()
-        body = {"inputs": [as_input(x) for x in X],
+        body = {"inputs": [self._as_input(x) for x in X],
                 "model": model, "version": version, "use_cache": use_cache}
         values = self._roundtrip(protocol.PREDICT_MANY, body)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         for value in values:
             self._record(value, elapsed_ms / max(1, len(values)))
         return values
+
+    def _as_input(self, x):
+        """``x`` as a float array for the pipe.  Anything but numbers fails
+        here, counted as an error, before it takes a worker's slot; the
+        worker checks the shape and finiteness."""
+        try:
+            return as_input(x)
+        except InvalidInput:
+            self.telemetry.record_error()
+            raise
 
     def _record(self, value: dict, latency_ms: float) -> None:
         self.telemetry.record(

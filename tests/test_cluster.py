@@ -119,8 +119,10 @@ def test_malformed_input_is_400_through_the_cluster(cluster):
         service.predict(np.zeros(DIMS[0] + 1))
     with pytest.raises(InvalidInput, match=r"input\[0\] is nan"):
         service.predict_many([xs[0], np.full(DIMS[0], np.nan)])
+    errors = service.metrics()["errors"]
     with pytest.raises(InvalidInput, match="must be numbers"):
         service.predict("0.5")
+    assert service.metrics()["errors"] == errors + 1
     nan = ", ".join(["NaN"] + ["0.5"] * (DIMS[0] - 1))
     inf = ", ".join(["0.5"] * (DIMS[0] - 1) + ["Infinity"])
     url = cluster["server"].url + "/predict"
