@@ -31,8 +31,7 @@ from .telemetry import Telemetry, estimate_request_energy_mj
 
 __all__ = [
     "InferenceHTTPServer", "InferenceService", "InvalidInput", "ItemResult",
-    "LoadReport",
-    "MicroBatcher", "ModelEntry", "ModelRegistry", "Overloaded",
+    "LoadReport", "MicroBatcher", "ModelEntry", "ModelRegistry", "Overloaded",
     "PredictionCache", "Telemetry", "WorkerDied",
     "estimate_request_energy_mj", "http_predict_fn", "input_digest",
     "model_from_checkpoint", "run_load", "service_predict_fn",
