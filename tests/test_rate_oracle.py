@@ -171,22 +171,16 @@ def _check(dims, cfg, n=48, seed=0):
 
 
 @pytest.mark.parametrize(
-    "feedback,config,layers,gate_output,T",
-    list(itertools.product(("fa", "dfa"), CONFIGS, DIMS, (False, True),
-                           (64, 20))))
-def test_solver_matches_the_oracle(feedback, config, layers, gate_output, T):
+    "feedback,config,layers,gate_output,T,bias",
+    [(*combo, T, bias) for combo in itertools.product(
+        ("fa", "dfa"), CONFIGS, DIMS, (False, True))
+     for T, bias in ((64, True), (20, True), (64, False))])
+def test_solver_matches_the_oracle(feedback, config, layers, gate_output, T,
+                                   bias):
     """T = 64 is the paper's phase; at T = 20 the 1/T grid is not exact in
     binary, so ``floor(r*T + 1e-9)`` needs its 1e-9."""
     cfg = CONFIGS[config](seed=3, feedback=feedback, gate_output=gate_output,
-                          phase_length=T)
-    _check(DIMS[layers], cfg)
-
-
-@pytest.mark.parametrize("feedback,layers",
-                         list(itertools.product(("fa", "dfa"), DIMS)))
-def test_solver_without_bias_neuron_matches_the_oracle(feedback, layers):
-    cfg = full_precision_config(seed=4, feedback=feedback,
-                                use_bias_neuron=False)
+                          phase_length=T, use_bias_neuron=bias)
     _check(DIMS[layers], cfg)
 
 
