@@ -12,7 +12,7 @@ online ``fit_batch``, and the weights after ``train_stream``, with and
 without a class mask.  The configurations cover both feedback modes, the
 full-precision and the 8-bit stochastically rounded weights (the
 rounding generator must be drawn in the same order), one to three weight
-layers, the output gate and no bias neuron.
+layers, the output gate, no bias neuron, and phase lengths 64 and 20.
 
 The twins run on the same machine, so the oracle needs no recorded
 digest: BLAS kernels differ across CPUs, but one process's products of
