@@ -8,6 +8,7 @@ harder-than-MNIST confusion structure of the real dataset.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -49,23 +50,32 @@ def _silhouette(label: int) -> list:
     return body[label]
 
 
+@functools.lru_cache(maxsize=None)
+def _template(label: int, side: int) -> np.ndarray:
+    """The undistorted silhouette of ``label``: filled once per process and
+    side, read-only (it depends on nothing a sample draws)."""
+    img = blank_canvas(side)
+    s = side - 1
+    for poly in _silhouette(label):
+        fill_polygon(img, poly * s, value=0.85)
+    img.flags.writeable = False
+    return img
+
+
 def render_garment(label: int, side: int = 16,
                    rng: Optional[np.random.Generator] = None,
                    distort: bool = True) -> np.ndarray:
     if not 0 <= label <= 9:
         raise ValueError(f"label must be 0..9, got {label}")
-    img = blank_canvas(side)
-    s = side - 1
-    for poly in _silhouette(label):
-        fill_polygon(img, poly * s, value=0.85)
-    if distort:
-        rng = as_rng(rng)
-        # garment fabric texture + shape variation
-        img = img * rng.uniform(0.75, 1.0)
-        img = warp(img, rng, max_shift=side / 12.0, max_rot=0.12,
-                   max_scale=0.15)
-        img = add_noise(img, rng, sigma=0.08)
-    return img
+    img = _template(label, side)
+    if not distort:
+        return img.copy()
+    rng = as_rng(rng)
+    # garment fabric texture + shape variation
+    img = img * rng.uniform(0.75, 1.0)
+    img = warp(img, rng, max_shift=side / 12.0, max_rot=0.12,
+               max_scale=0.15)
+    return add_noise(img, rng, sigma=0.08)
 
 
 def generate(n_samples: int, side: int = 16, seed: int = 0,

@@ -1,14 +1,15 @@
 """MNIST-like synthetic digits: stroke-rendered 0-9 with affine distortions.
 
 Each digit class is a fixed template of line/arc strokes in normalized
-coordinates; every sample renders the template and applies a random affine
-warp plus pixel noise, giving the intra-class variability of handwriting at
-a difficulty calibrated to play MNIST's role (the easiest of the four
-benchmarks).
+coordinates, drawn once per image side; every sample applies a random
+affine warp plus pixel noise to it, giving the intra-class variability of
+handwriting at a difficulty calibrated to play MNIST's role (the easiest
+of the four benchmarks).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -35,12 +36,10 @@ _TEMPLATES = {
 }
 
 
-def render_digit(digit: int, side: int = 16,
-                 rng: Optional[np.random.Generator] = None,
-                 distort: bool = True) -> np.ndarray:
-    """Render one digit image in [0, 1] of shape ``(side, side)``."""
-    if digit not in _TEMPLATES:
-        raise ValueError(f"digit must be 0..9, got {digit}")
+@functools.lru_cache(maxsize=None)
+def _template(digit: int, side: int) -> np.ndarray:
+    """The undistorted strokes of ``digit``: drawn once per process and
+    side, read-only (they depend on nothing a sample draws)."""
     img = blank_canvas(side)
     s = side - 1
     thickness = max(side / 14.0, 1.0)
@@ -53,11 +52,22 @@ def render_digit(digit: int, side: int = 16,
             _, cr, cc, radius, a0, a1 = prim
             draw_arc(img, cr * s, cc * s, radius * s,
                      a0 * np.pi, a1 * np.pi, thickness=thickness)
-    if distort:
-        rng = as_rng(rng)
-        img = warp(img, rng, max_shift=side / 12.0)
-        img = add_noise(img, rng, sigma=0.04)
+    img.flags.writeable = False
     return img
+
+
+def render_digit(digit: int, side: int = 16,
+                 rng: Optional[np.random.Generator] = None,
+                 distort: bool = True) -> np.ndarray:
+    """Render one digit image in [0, 1] of shape ``(side, side)``."""
+    if digit not in _TEMPLATES:
+        raise ValueError(f"digit must be 0..9, got {digit}")
+    img = _template(digit, side)
+    if not distort:
+        return img.copy()
+    rng = as_rng(rng)
+    img = warp(img, rng, max_shift=side / 12.0)
+    return add_noise(img, rng, sigma=0.04)
 
 
 def generate(n_samples: int, side: int = 16, seed: int = 0,

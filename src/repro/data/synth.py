@@ -4,8 +4,8 @@ The paper evaluates on MNIST, Fashion-MNIST, CIFAR-10 and MSTAR.  None of
 those datasets can be downloaded in this environment, so :mod:`repro.data`
 provides deterministic *parametric generators* producing 10-class image
 tasks with the same roles: graded difficulty (digits easiest, CIFAR-like
-hardest), intra-class variation, and streaming (batch-1) access.  See
-DESIGN.md's substitution table.
+hardest), intra-class variation, and streaming (batch-1) access.  The
+package docstring maps each paper dataset to its stand-in.
 
 All generators return images in ``[0, 1]`` with shape ``(H, W)`` or
 ``(H, W, C)`` and integer labels; every sample is a pure function of
@@ -15,6 +15,7 @@ All generators return images in ``[0, 1]`` with shape ``(H, W)`` or
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -82,6 +83,15 @@ def blank_canvas(side: int) -> np.ndarray:
     return np.zeros((side, side), dtype=float)
 
 
+@functools.lru_cache(maxsize=None)
+def _index_grid(side: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column index of every pixel; one read-only pair per side."""
+    rr, cc = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    rr.flags.writeable = False
+    cc.flags.writeable = False
+    return rr, cc
+
+
 def draw_line(img: np.ndarray, r0: float, c0: float, r1: float, c1: float,
               value: float = 1.0, thickness: float = 1.2) -> None:
     """Anti-aliased thick line segment drawn in place."""
@@ -89,7 +99,7 @@ def draw_line(img: np.ndarray, r0: float, c0: float, r1: float, c1: float,
     n = max(int(4 * side), 2)
     rs = np.linspace(r0, r1, n)
     cs = np.linspace(c0, c1, n)
-    rr, cc = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    rr, cc = _index_grid(side)
     for r, c in zip(rs[:: max(n // (2 * side), 1)], cs[:: max(n // (2 * side), 1)]):
         d2 = (rr - r) ** 2 + (cc - c) ** 2
         img += value * np.exp(-d2 / (2 * (thickness / 2.2) ** 2))
@@ -102,7 +112,7 @@ def draw_arc(img: np.ndarray, cr: float, cc_: float, radius: float,
     """Anti-aliased arc from angle ``a0`` to ``a1`` (radians)."""
     side = img.shape[0]
     angles = np.linspace(a0, a1, max(int(6 * radius), 8))
-    rr, cc = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    rr, cc = _index_grid(side)
     for a in angles:
         r = cr + radius * np.sin(a)
         c = cc_ + radius * np.cos(a)
@@ -140,7 +150,7 @@ def warp(img: np.ndarray, rng: np.random.Generator, max_shift: float = 1.5,
     dr = rng.uniform(-max_shift, max_shift)
     dc = rng.uniform(-max_shift, max_shift)
     centre = (side - 1) / 2.0
-    rr, cc = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    rr, cc = _index_grid(side)
     rrel = (rr - centre - dr) / scale
     crel = (cc - centre - dc) / scale
     cos_a, sin_a = np.cos(-angle), np.sin(-angle)

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.data import DATASETS, load_dataset
-from repro.data import cifar_like, fashion_like, mnist_like, mstar_like
+from repro.data import cifar_like, fashion_like, mnist_like, mstar_like, synth
 from repro.data.synth import add_noise, blank_canvas, fill_polygon
 from repro.models import ConvFrontend, PretrainResult, im2col, paper_topology
 from repro.models.conv import ConvLayer, softmax_cross_entropy
@@ -220,6 +220,18 @@ def test_undistorted_image_is_the_callers_own(kind):
                       render(3, side=16, distort=False))
     _assert_same_bits(oracle(3, side=16, rng=np.random.default_rng(2)),
                       render(3, side=16, rng=np.random.default_rng(2)))
+
+
+@pytest.mark.parametrize("module", [mnist_like, fashion_like],
+                         ids=["digit", "garment"])
+def test_cached_template_raises_on_write(module):
+    template = module._template(3, 16)
+    assert module._template(3, 16) is template
+    with pytest.raises(ValueError, match="read-only"):
+        template[0, 0] = 1.0
+    rows, cols = synth._index_grid(16)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1
 
 
 # ---------------------------------------------------------------------------
