@@ -15,29 +15,28 @@ dense layers.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .topology import ConvSpec, DenseSpec, parse_topology
 
 
 def im2col(x: np.ndarray, kernel: int, stride: int) -> Tuple[np.ndarray, int, int]:
-    """Patch-extract ``(N, H, W, C)`` into ``(N, OH, OW, k*k*C)`` columns."""
+    """Patch-extract ``(N, H, W, C)`` into ``(N, OH, OW, k*k*C)`` columns.
+
+    A column holds its patch in (kernel row, kernel column, channel) order.
+    """
     n, h, w, c = x.shape
     pad = kernel // 2
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     oh = (h + 2 * pad - kernel) // stride + 1
     ow = (w + 2 * pad - kernel) // stride + 1
-    cols = np.empty((n, oh, ow, kernel * kernel * c), dtype=x.dtype)
-    idx = 0
-    for dr in range(kernel):
-        for dc in range(kernel):
-            patch = xp[:, dr:dr + stride * oh:stride,
-                       dc:dc + stride * ow:stride, :]
-            cols[..., idx * c:(idx + 1) * c] = patch
-            idx += 1
-    return cols, oh, ow
+    # (N, OH, OW, C, k, k) windows, copied once in the columns' order.
+    windows = sliding_window_view(xp, (kernel, kernel), axis=(1, 2))
+    cols = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3).copy()
+    return cols.reshape(n, oh, ow, kernel * kernel * c), oh, ow
 
 
 class ConvLayer:
@@ -63,8 +62,20 @@ class ConvLayer:
         return out
 
     def backward(self, grad: np.ndarray, lr: float,
-                 momentum: float) -> Optional[np.ndarray]:
-        cols, z, x_shape = self._cache
+                 momentum: float) -> np.ndarray:
+        """One SGD step; returns the gradient w.r.t. the layer's input,
+        which trains the layer below."""
+        g2 = self._update(grad, lr, momentum)
+        cols, _, x_shape = self._cache
+        # With the weights just updated (LinearLayer uses the old ones).
+        dcols = g2 @ self.weight.T
+        return self._col2im(dcols.reshape(cols.shape), x_shape)
+
+    def _update(self, grad: np.ndarray, lr: float,
+                momentum: float) -> np.ndarray:
+        """SGD-with-momentum step from the gradient w.r.t. the output;
+        returns it ReLU-masked, one row per output pixel."""
+        cols, z, _ = self._cache
         grad = grad * (z > 0)
         n = grad.shape[0]
         g2 = grad.reshape(-1, grad.shape[-1])
@@ -75,10 +86,7 @@ class ConvLayer:
         self.v_b = momentum * self.v_b - lr * db
         self.weight += self.v_w
         self.bias += self.v_b
-        # Input gradient is not needed for a 2-layer frontend head-first
-        # training scheme, but col2im is implemented for completeness.
-        dcols = g2 @ self.weight.T
-        return self._col2im(dcols.reshape(cols.shape), x_shape)
+        return g2
 
     def _col2im(self, dcols: np.ndarray, x_shape) -> np.ndarray:
         n, h, w, c = x_shape
@@ -197,8 +205,10 @@ class ConvFrontend:
                 losses.append(loss)
                 dfeat = self.head.backward(grad, lr, momentum)
                 dfeat = dfeat.reshape((len(idx),) + self.feature_shape)
-                for layer in reversed(self.conv_layers):
+                for layer in reversed(self.conv_layers[1:]):
                     dfeat = layer.backward(dfeat, lr, momentum)
+                if self.conv_layers:  # the bottom one trains nothing below
+                    self.conv_layers[0]._update(dfeat, lr, momentum)
         feats = self._conv_forward(x)
         self.feature_scale = max(float(np.percentile(feats, 99)), 1e-6)
         preds = np.argmax(self.head.forward(feats), axis=1)
