@@ -7,7 +7,9 @@ The :class:`MicroBatcher` closes the gap without a timer: each of its
 ``workers`` threads waits for a request, takes it together with whatever
 else is already queued (up to ``max_batch``, in arrival order), calls the
 runner once, and resolves each request's future with its own row plus
-scheduling telemetry (batch size, queue wait).
+scheduling telemetry (batch size, queue wait).  A batch whose samples
+differ in shape is run once per shape, in arrival order, so a
+wrong-shaped request fails alone.
 
 So an idle batcher dispatches a lone request at once, and a busy one
 coalesces everything that arrived while its workers ran: batches grow
@@ -27,7 +29,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from typing import Callable, Deque, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,7 +132,23 @@ class MicroBatcher:
     def _run_batch(self, batch: List[_Pending]) -> None:
         dispatched = time.monotonic()
         try:
-            values = self.runner(np.stack([p.x for p in batch]))
+            xs = np.stack([p.x for p in batch])
+        except ValueError:
+            # Mixed shapes: one runner call per shape, in arrival order,
+            # so a wrong-shaped request fails alone.
+            by_shape: Dict[Tuple[int, ...], List[_Pending]] = {}
+            for p in batch:
+                by_shape.setdefault(p.x.shape, []).append(p)
+            for group in by_shape.values():
+                self._run_stacked(group, np.stack([p.x for p in group]),
+                              dispatched)
+            return
+        self._run_stacked(batch, xs, dispatched)
+
+    def _run_stacked(self, batch: List[_Pending], xs: np.ndarray,
+                 dispatched: float) -> None:
+        try:
+            values = self.runner(xs)
             if len(values) != len(batch):
                 raise RuntimeError(
                     f"runner returned {len(values)} results for a batch of "

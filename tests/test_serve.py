@@ -272,6 +272,40 @@ def test_batcher_runner_exception_propagates_to_every_request():
         batcher.close()
 
 
+def test_batcher_wrong_shaped_request_fails_alone():
+    """With the runner held, six 8-value requests and one 5-value request
+    queue up together: the six are answered as one batch and only the odd
+    one fails (stacking all seven used to fail every one of them)."""
+    batches, entered, release = [], threading.Event(), threading.Event()
+    gated = _gated_runner(batches, entered, release)
+
+    def runner(X):
+        if X.shape[1] != 8:
+            raise ValueError(f"expected 8 inputs, got {X.shape[1]}")
+        return gated(X)
+
+    batcher = MicroBatcher(runner, max_batch=8)
+    try:
+        blocker = batcher.submit(np.full(8, -1.0))
+        assert entered.wait(timeout=5)  # the only worker is now busy
+        values = [0.0, 1.0, 2.0, None, 3.0, 4.0, 5.0]
+        futures = [batcher.submit(np.zeros(5) if v is None
+                                  else np.full(8, v)) for v in values]
+        assert batcher.pending() == 7
+        release.set()
+        assert blocker.result(timeout=5).value == -1.0
+        outcomes = [f.exception(timeout=5) or f.result() for f in futures]
+        assert isinstance(outcomes[3], ValueError)
+        assert "got 5" in str(outcomes[3])
+        good = outcomes[:3] + outcomes[4:]
+        assert [r.value for r in good] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert {r.batch_size for r in good} == {6}
+        assert batches == [[-1.0], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]]
+    finally:
+        release.set()
+        batcher.close()
+
+
 def test_batcher_close_reports_drained():
     calls = []
     batcher = MicroBatcher(_echo_runner(calls), max_batch=2)
