@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the reproduction's design choices.
 
 Not paper tables — engineering evidence for the four adaptation techniques
 of Section I and the knobs around them:

@@ -11,7 +11,8 @@ Paper (Table I):
 Shape criteria: FP >= Loihi on every dataset (8-bit quantization gap);
 DFA >= FA on chip (fewer accumulated quantization hops); difficulty
 ordering MNIST > Fashion > MSTAR > CIFAR.  The substrates are synthetic
-stand-ins (see DESIGN.md), so absolute numbers differ from the paper's.
+stand-ins (see ``repro.data``), so absolute numbers differ from the
+paper's.
 """
 
 import numpy as np

@@ -1,8 +1,9 @@
 """Fixtures for the benchmark harness.
 
-Each ``bench_*`` file regenerates one table or figure of the paper (see
-DESIGN.md's experiment index) and prints the measured rows next to the
-paper's published values.  Run from the repo root with::
+Each ``bench_*`` file regenerates one table or figure of the paper (the
+README's "Running the benchmarks" section lists them) and prints the
+measured rows next to the paper's published values.  Run from the repo
+root with::
 
     python -m pytest benchmarks/ -s
 
@@ -11,7 +12,7 @@ environment variables needed.)
 
 Sizes are scaled down from the paper's full runs (hundreds instead of tens
 of thousands of samples) so the whole harness finishes in minutes; the
-*shape* criteria recorded in EXPERIMENTS.md are unaffected by the scale.
+*shape* criteria in each module's docstring are unaffected by the scale.
 
 Only fixtures live here — importable helpers are in ``_bench_utils.py`` so
 that this conftest never shadows ``tests/conftest.py`` (both are imported
