@@ -161,10 +161,6 @@ def _assert_same_bits(want: np.ndarray, have: np.ndarray, what=""):
     assert have.tobytes() == want.tobytes(), what
 
 
-def test_every_registered_dataset_has_an_oracle():
-    assert set(ORACLE_RENDER) == set(DATASETS)
-
-
 @pytest.mark.parametrize("side", [8, 16, 28])
 @pytest.mark.parametrize("name", sorted(DATASETS))
 def test_load_dataset_matches_the_oracle(name, side):
