@@ -6,10 +6,11 @@ compiled backend (numba if installed, else the C extension) against the
 pure-NumPy reference on representative sizes:
 
 * IF membrane step at the batched-trainer shape (32 replicas x 1024
-  neurons) and the CUBA compartment step at (32, 256);
+  neurons) and the chip's compartment step at (32, 256);
 * Eq. (7) ``dW`` at the paper's MNIST MLP hidden layer (784 x 512) and the
   ordered batch reduction at B = 32;
-* trace update and the microcode sum-of-products at (512, 64).
+* trace counter update at (32, 256) and the microcode sum-of-products at
+  (512, 64).
 
 Acceptance gate (full run): the compiled IF step and both dW kernels must
 be >= 3x the NumPy reference.  Every run first re-asserts bit-identity on
@@ -61,18 +62,15 @@ def _cases(rng):
     syn = rng.integers(0, 9000, cshape)
 
     def case_cuba_step():
-        u = np.zeros(cshape, dtype=np.int64)
         v = np.zeros(cshape, dtype=np.int64)
-        refrac = np.zeros(cshape, dtype=np.int64)
         bias = np.zeros(cshape, dtype=np.int64)
-        return lambda: kernels.cuba_step(u, v, refrac, bias, syn,
-                                         4096, 0, 256 << 6)
+        return lambda: kernels.cuba_step(v, bias, syn, 256 << 6, True, False)
 
     spikes = rng.random(cshape) < 0.3
 
     def case_trace_update():
         values = np.zeros(cshape)
-        return lambda: kernels.trace_update(values, spikes, 1, 1.0, 127)
+        return lambda: kernels.trace_update(values, spikes, 127)
 
     n_pre, n_post = 784, 512
     h_hat = rng.random(n_post)

@@ -1,8 +1,8 @@
 """Backend-selected compiled kernels for the per-timestep inner loops.
 
 Every number in ``BENCH_*.json`` bottoms out in the same hot loops: the
-IF neuron step (:mod:`repro.core.neuron`), the chip compartments' CUBA
-step (:mod:`repro.loihi.compartment`), trace decay/accumulation
+IF neuron step (:mod:`repro.core.neuron`), the chip's integrate-and-fire
+compartment step (:mod:`repro.loihi.compartment`), the trace counters
 (:mod:`repro.loihi.traces`), the EMSTDP ``dW`` accumulation (Eq. 7 in
 :mod:`repro.core.learning`), the microcode sum-of-products
 (:mod:`repro.loihi.microcode`) and, fused over whole phases, the chip
@@ -67,8 +67,8 @@ import numpy as np
 
 from ._layout import (MICROCODE_CONN_ARRAYS, MICROCODE_CONN_FIELDS,
                       MICROCODE_RULE_FIELDS, NETWORK_CONN_ARRAYS,
-                      NETWORK_CONN_FIELDS, NETWORK_CONN_TRACE_FIELDS,
-                      NETWORK_GROUP_ARRAYS, NETWORK_GROUP_FIELDS)
+                      NETWORK_CONN_FIELDS, NETWORK_GROUP_ARRAYS,
+                      NETWORK_GROUP_FIELDS)
 
 __all__ = [
     "MicrocodeProgram", "available_backends", "backend_name",
@@ -243,39 +243,36 @@ def if_step(v: np.ndarray, drive: np.ndarray) -> np.ndarray:
     return _impl().if_step(v, drive)
 
 
-def cuba_step(u: np.ndarray, v: np.ndarray, refrac: np.ndarray,
-              bias: np.ndarray, syn_input: np.ndarray, decay_u: int,
-              decay_v: int, vth: int, soft_reset: bool = True,
-              refractory: int = 0, floor_at_zero: bool = True,
-              non_spiking: bool = False) -> np.ndarray:
-    """One CUBA LIF timestep on Loihi's integer state (Eq. 8).
+def cuba_step(v: np.ndarray, bias: np.ndarray, syn_input: np.ndarray,
+              vth: int, floor_at_zero: bool,
+              non_spiking: bool) -> np.ndarray:
+    """One timestep of the chip's integrate-and-fire compartment (Eq. 8
+    with no leak and instant current decay, as EMSTDP programs it).
 
-    ``u``, ``v`` and ``refrac`` are updated in place; they, ``bias`` and
-    ``syn_input`` are int64 arrays of one shape.  Returns the boolean
-    fired array.  ``decay_*`` use the 12-bit convention where 4096 clears
-    the state every step.
+    Adds ``syn_input`` and ``bias`` to the membrane ``v``, floors it at 0
+    with ``floor_at_zero``, spikes where ``v >= vth`` and subtracts ``vth``
+    where spiked; a ``non_spiking`` compartment only integrates.  ``v`` is
+    updated in place; it, ``bias`` and ``syn_input`` are int64 arrays of
+    one shape.  Returns the boolean fired array.
     """
     _operand("v", v, _I64)
-    for name, a in (("u", u), ("refrac", refrac), ("bias", bias),
-                    ("syn_input", syn_input)):
-        _operand(name, a, _I64, v.shape)
-    return _impl().cuba_step(u, v, refrac, bias, syn_input, int(decay_u),
-                             int(decay_v), int(vth), bool(soft_reset),
-                             int(refractory), bool(floor_at_zero),
-                             bool(non_spiking))
+    _operand("bias", bias, _I64, v.shape)
+    _operand("syn_input", syn_input, _I64, v.shape)
+    return _impl().cuba_step(v, bias, syn_input, int(vth),
+                             bool(floor_at_zero), bool(non_spiking))
 
 
-def trace_update(values: np.ndarray, spikes: np.ndarray, impulse: float,
-                 decay: float, trace_max: float) -> None:
-    """One trace timestep: decay, add ``impulse`` where spiked, saturate.
+def trace_update(values: np.ndarray, spikes: np.ndarray,
+                 trace_max: float) -> None:
+    """One trace-counter timestep: add 1 where spiked, saturate at
+    ``trace_max``.
 
     ``values`` (float64) is updated in place; ``spikes`` is a bool array
     of its shape.
     """
     _operand("values", values, _F64)
     _operand("spikes", spikes, np.bool_, values.shape)
-    _impl().trace_update(values, spikes, float(impulse), float(decay),
-                         float(trace_max))
+    _impl().trace_update(values, spikes, float(trace_max))
 
 
 def delta_w(h_hat_post: np.ndarray, h_post: np.ndarray, h_pre: np.ndarray,
@@ -381,9 +378,8 @@ def sum_of_products(rule, x0, x1, y0, y1, tag, w) -> np.ndarray:
 
 def network_run(steps: int, replicas: int, groups: np.ndarray,
                 group_arrays: np.ndarray, conns: np.ndarray,
-                conn_traces: np.ndarray, conn_arrays: np.ndarray,
-                group_spikes: np.ndarray, conn_events: np.ndarray,
-                trace_max: float) -> None:
+                conn_arrays: np.ndarray, group_spikes: np.ndarray,
+                conn_events: np.ndarray, trace_max: float) -> None:
     """Advance a flattened chip network ``steps`` timesteps in one call.
 
     The network arrives as the tables laid out by ``NETWORK_*`` (one row
@@ -401,7 +397,7 @@ def network_run(steps: int, replicas: int, groups: np.ndarray,
        non-spiking one integrates and emits none; otherwise the spikes are
        ANDed with ``gate.v > 0``, ORed with the merge group's spikes as
        currently stored and ANDed with the mask, then counted;
-    3. **trace** — each plastic connection updates its pre trace, then its
+    3. **trace** — each plastic connection counts its pre trace, then its
        post trace, with :func:`trace_update` semantics.
 
     Spike totals accumulate per group into ``group_spikes`` and synaptic
@@ -421,18 +417,15 @@ def network_run(steps: int, replicas: int, groups: np.ndarray,
     _operand("group_arrays", group_arrays, np.uintp,
              (None, len(NETWORK_GROUP_ARRAYS)))
     _operand("conns", conns, np.int64, (None, len(NETWORK_CONN_FIELDS)))
-    _operand("conn_traces", conn_traces, np.float64,
-             (None, len(NETWORK_CONN_TRACE_FIELDS)))
     _operand("conn_arrays", conn_arrays, np.uintp,
              (None, len(NETWORK_CONN_ARRAYS)))
-    if len(group_arrays) != len(groups) or len(conn_traces) != len(conns) \
-            or len(conn_arrays) != len(conns):
+    if len(group_arrays) != len(groups) or len(conn_arrays) != len(conns):
         raise ValueError("network tables disagree on row counts")
     _operand("group_spikes", group_spikes, np.int64, (len(groups),))
     _operand("conn_events", conn_events, np.int64, (len(conns),))
     _impl().network_run(int(steps), int(replicas), groups, group_arrays,
-                        conns, conn_traces, conn_arrays, group_spikes,
-                        conn_events, float(trace_max))
+                        conns, conn_arrays, group_spikes, conn_events,
+                        float(trace_max))
 
 
 # -- fused learning epoch -----------------------------------------------

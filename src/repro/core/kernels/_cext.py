@@ -194,18 +194,16 @@ _ptr = ctypes.c_void_p
 
 for _name, _argtypes in {
     "if_step_f64": [_ptr, _ptr, _ptr, _c_ssize],
-    "cuba_step_i64": [_ptr, _ptr, _ptr, _ptr, _ptr, _c_int64, _c_int64,
-                      _c_int64, _c_int, _c_int64, _c_int, _c_int, _ptr,
+    "cuba_step_i64": [_ptr, _ptr, _ptr, _c_int64, _c_int, _c_int, _ptr,
                       _c_ssize],
-    "trace_update_f64": [_ptr, _ptr, _c_double, _c_double, _c_double,
-                         _c_ssize],
+    "trace_update_f64": [_ptr, _ptr, _c_double, _c_ssize],
     "delta_w_f64": [_ptr, _ptr, _ptr, _c_double, _ptr, _c_ssize, _c_ssize],
     "delta_w_batch_f64": [_ptr, _ptr, _ptr, _c_double, _c_int, _ptr,
                           _c_ssize, _c_ssize, _c_ssize],
     "sop_eval_f64": [_ptr, _ptr, _ptr, _ptr, _ptr, _c_ssize, _ptr, _ptr,
                      _ptr, _ptr, _c_ssize, _c_ssize, _c_ssize],
     "network_run_i64": [_c_int64, _c_int64, _c_ssize, _ptr, _ptr, _ptr,
-                        _c_ssize, _ptr, _ptr, _ptr, _ptr, _c_double],
+                        _c_ssize, _ptr, _ptr, _ptr, _c_double],
     "spike_present_f64": [_c_ssize, _ptr, _c_int64, _c_ssize, _ptr, _ptr,
                           _ptr, _ptr, _ptr, _c_int, _c_int, _c_int, _c_int,
                           _c_double, _c_double, _ptr, _ptr],
@@ -232,19 +230,15 @@ def if_step(v, drive):
     return spikes
 
 
-def cuba_step(u, v, refrac, bias, syn, decay_u, decay_v, vth, soft_reset,
-              refractory, floor_at_zero, non_spiking):
+def cuba_step(v, bias, syn, vth, floor_at_zero, non_spiking):
     fired = np.empty(v.shape, dtype=bool)
-    _lib.cuba_step_i64(
-        _p(u), _p(v), _p(refrac), _p(bias), _p(syn), decay_u, decay_v, vth,
-        int(soft_reset), refractory, int(floor_at_zero), int(non_spiking),
-        _p(fired), v.size)
+    _lib.cuba_step_i64(_p(v), _p(bias), _p(syn), vth, int(floor_at_zero),
+                       int(non_spiking), _p(fired), v.size)
     return fired
 
 
-def trace_update(values, spikes, impulse, decay, trace_max):
-    _lib.trace_update_f64(_p(values), _p(spikes), impulse, decay, trace_max,
-                          values.size)
+def trace_update(values, spikes, trace_max):
+    _lib.trace_update_f64(_p(values), _p(spikes), trace_max, values.size)
 
 
 def delta_w(h_hat, h, pre, eta):
@@ -273,13 +267,13 @@ def sop_eval(scales, offs, kinds, idxs, consts, pre_stack, post_stack,
     return dz
 
 
-def network_run(steps, replicas, groups, group_arrays, conns, conn_traces,
-                conn_arrays, group_spikes, conn_events, trace_max):
+def network_run(steps, replicas, groups, group_arrays, conns, conn_arrays,
+                group_spikes, conn_events, trace_max):
     status = _lib.network_run_i64(
         steps, replicas, len(groups), groups.ctypes.data,
         group_arrays.ctypes.data, group_spikes.ctypes.data, len(conns),
-        conns.ctypes.data, conn_traces.ctypes.data, conn_arrays.ctypes.data,
-        conn_events.ctypes.data, trace_max)
+        conns.ctypes.data, conn_arrays.ctypes.data, conn_events.ctypes.data,
+        trace_max)
     if status == -2:
         raise ValueError("network tables hold an out-of-range size, group "
                          "index or mask stride, or a null address")

@@ -14,9 +14,11 @@ optimizations — no ``-ffast-math`` and no FMA contraction
 (``-ffp-contract=off``): a fused multiply-add rounds once where the
 reference rounds twice, which would break the ``array_equal`` equivalence
 suite in ``tests/test_kernels.py``.  The fused ``network_run_i64`` loop
-reuses the per-step ``cuba_step_i64`` and ``trace_update_f64`` functions
-verbatim, so it inherits their contract; its remaining arithmetic is exact
-int64.  The fused ``microcode_epoch_i64`` loop evaluates every rule with
+steps every chip compartment with ``cuba_step_i64`` (the one
+integrate-and-fire compartment the EMSTDP builder programs) and counts
+every trace with ``trace_update_f64``, both verbatim, so it inherits their
+contract; its remaining arithmetic is exact int64.  The fused
+``microcode_epoch_i64`` loop evaluates every rule with
 ``sop_eval_f64`` verbatim; its rounding and clamping are the reference's
 ``np.floor``/``np.round``/``np.clip`` on integer-valued doubles, so it
 reproduces ``LearningEngine.apply_all`` bit for bit
@@ -29,11 +31,11 @@ and sums weight rows in the order the per-step reference in
 
 from ._layout import (MICROCODE_CONN_ARRAYS, MICROCODE_CONN_FIELDS,
                       MICROCODE_RULE_FIELDS, NETWORK_CONN_ARRAYS,
-                      NETWORK_CONN_FIELDS, NETWORK_CONN_TRACE_FIELDS,
-                      NETWORK_GROUP_ARRAYS, NETWORK_GROUP_FIELDS)
+                      NETWORK_CONN_FIELDS, NETWORK_GROUP_ARRAYS,
+                      NETWORK_GROUP_FIELDS)
 
 #: Bump when the C ABI below changes; part of the compile-cache key.
-SOURCE_VERSION = 7
+SOURCE_VERSION = 8
 
 
 def _c_enum(prefix: str, fields) -> str:
@@ -49,13 +51,6 @@ SOURCE = r"""
 #include <stddef.h>
 #include <stdlib.h>
 #include <string.h>
-
-/* Python floor division (// rounds toward -inf; C / truncates toward 0). */
-static int64_t floordiv(int64_t a, int64_t b) {
-    int64_t q = a / b;
-    if ((a % b != 0) && ((a < 0) != (b < 0))) q -= 1;
-    return q;
-}
 
 /* -- IF neuron step (core/neuron.py): Eqs. (1)-(2) of the paper ------- *
  * Add the drive, spike where v >= 1 - 1e-9, subtract the threshold 1 from
@@ -76,71 +71,31 @@ void if_step_f64(double *v, const double *drive, uint8_t *spikes,
     }
 }
 
-/* -- CUBA integer compartment step (loihi/compartment.py) --------------- *
- * decay_u == 4096 (instant current decay) and decay_v == 0 (no leak) are
- * the paper's IF configuration; both make the floordiv exact:
- * floordiv(u * 0, 4096) == 0 and floordiv(v * 4096, 4096) == v, so the
- * specializations below change the arithmetic path but not one result.   */
-void cuba_step_i64(int64_t *u, int64_t *v, int64_t *refrac,
-                   const int64_t *bias, const int64_t *syn,
-                   int64_t decay_u, int64_t decay_v, int64_t vth,
-                   int soft_reset, int64_t refractory, int floor_at_zero,
-                   int non_spiking, uint8_t *fired, ptrdiff_t n) {
-    int u_clears = decay_u == 4096;
-    int v_holds = decay_v == 0;
-    if (u_clears && v_holds && !non_spiking && !refractory
-        && floor_at_zero && soft_reset) {
-        /* The default IF prototype with nobody refractory: a pure int64
-         * compare/blend loop the compiler can vectorize.  Identical
-         * arithmetic to the general loop below (see the floordiv
-         * identities above), just without the masks.  */
-        int64_t any_held = 0;
-        for (ptrdiff_t i = 0; i < n; i++) any_held |= refrac[i];
-        if (!any_held) {
-            for (ptrdiff_t i = 0; i < n; i++) {
-                int64_t ui = syn[i];
-                int64_t vi = v[i] + ui + bias[i];
-                vi = vi < 0 ? 0 : vi;
-                fired[i] = vi >= vth;
-                v[i] = vi >= vth ? vi - vth : vi;
-                u[i] = ui;
-            }
-            return;
-        }
-    }
+/* -- Chip compartment step (loihi/compartment.py) ---------------------- *
+ * The integrate-and-fire compartment EMSTDP programs (no leak, instant
+ * current decay): add the synaptic input and the bias, floor at 0 if the
+ * prototype says so, spike where v >= vth and subtract vth from the
+ * compartments that spiked; a non-spiking compartment only integrates.
+ * Exact int64, and branchless per element like if_step_f64: the two flags
+ * are loop-invariant.                                                   */
+void cuba_step_i64(int64_t *v, const int64_t *bias, const int64_t *syn,
+                   int64_t vth, int floor_at_zero, int non_spiking,
+                   uint8_t *fired, ptrdiff_t n) {
     for (ptrdiff_t i = 0; i < n; i++) {
-        int64_t ui = u_clears ? syn[i]
-                              : floordiv(u[i] * (4096 - decay_u), 4096)
-                                + syn[i];
-        int64_t rf = refrac[i];
-        int ok = rf == 0;
-        int64_t leaked = v_holds ? v[i]
-                                 : floordiv(v[i] * (4096 - decay_v), 4096);
-        int64_t vi = ok ? leaked + ui + bias[i] : v[i];
-        if (floor_at_zero) vi = vi < 0 ? 0 : vi;
-        u[i] = ui;
-        if (non_spiking) { v[i] = vi; fired[i] = 0; continue; }
-        int f = ok && (vi >= vth);
-        vi = f ? (soft_reset ? vi - vth : 0) : vi;
-        v[i] = vi;
-        if (refractory) refrac[i] = f ? refractory : (rf > 0 ? rf - 1 : 0);
+        int64_t vi = v[i] + syn[i] + bias[i];
+        vi = floor_at_zero && vi < 0 ? 0 : vi;
+        int f = !non_spiking && vi >= vth;
         fired[i] = (uint8_t)f;
+        v[i] = f ? vi - vth : vi;
     }
 }
 
-/* -- Trace decay / accumulation / saturation (loihi/traces.py) ---------- */
-void trace_update_f64(double *values, const uint8_t *spikes, double impulse,
-                      double decay, double trace_max, ptrdiff_t n) {
-    if (decay != 1.0) {
-        for (ptrdiff_t i = 0; i < n; i++) {
-            double x = values[i] * decay + (spikes[i] ? impulse : 0.0);
-            values[i] = x < trace_max ? x : trace_max;
-        }
-    } else {
-        for (ptrdiff_t i = 0; i < n; i++) {
-            double x = values[i] + (spikes[i] ? impulse : 0.0);
-            values[i] = x < trace_max ? x : trace_max;
-        }
+/* -- Trace counter (loihi/traces.py): +1 where spiked, saturate -------- */
+void trace_update_f64(double *values, const uint8_t *spikes,
+                      double trace_max, ptrdiff_t n) {
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double x = values[i] + (spikes[i] ? 1.0 : 0.0);
+        values[i] = x < trace_max ? x : trace_max;
     }
 }
 
@@ -288,16 +243,16 @@ void sop_eval_f64(const double *scales, const int32_t *offs,
  *               the merge group's spikes as currently stored and ANDs the
  *               mask; disabled groups hold state and emit nothing,
  *               non-spiking groups integrate and emit nothing;
- *   trace     — each plastic connection updates its pre, then its post
+ *   trace     — each plastic connection counts its pre, then its post
  *               trace with trace_update_f64.
  * Returns 0; -1 if scratch allocation fails, -2 if a table holds an
  * out-of-range size, group index or mask stride, or a null address —
  * both before any state is touched.                                      */
 """ + "".join(_c_enum(prefix, fields) for prefix, fields in (
     ("G", NETWORK_GROUP_FIELDS), ("GA", NETWORK_GROUP_ARRAYS),
-    ("C", NETWORK_CONN_FIELDS), ("CT", NETWORK_CONN_TRACE_FIELDS),
-    ("CA", NETWORK_CONN_ARRAYS), ("MC", MICROCODE_CONN_FIELDS),
-    ("MA", MICROCODE_CONN_ARRAYS), ("MR", MICROCODE_RULE_FIELDS))) + r"""
+    ("C", NETWORK_CONN_FIELDS), ("CA", NETWORK_CONN_ARRAYS),
+    ("MC", MICROCODE_CONN_FIELDS), ("MA", MICROCODE_CONN_ARRAYS),
+    ("MR", MICROCODE_RULE_FIELDS))) + r"""
 #define GROUP_ARRAY(T, k, f) ((T *)ga[(k) * GA_FIELDS + (f)])
 
 static int network_tables_ok(int64_t R, ptrdiff_t n_groups,
@@ -330,8 +285,8 @@ static int network_tables_ok(int64_t R, ptrdiff_t n_groups,
 int network_run_i64(int64_t steps, int64_t R, ptrdiff_t n_groups,
                     const int64_t *g, const uintptr_t *ga,
                     int64_t *g_spikes, ptrdiff_t n_conns, const int64_t *c,
-                    const double *ct, const uintptr_t *ca,
-                    int64_t *c_events, double trace_max) {
+                    const uintptr_t *ca, int64_t *c_events,
+                    double trace_max) {
     if (!network_tables_ok(R, n_groups, g, ga, n_conns, c, ca)) return -2;
     ptrdiff_t total = 0, widest = 1;
     ptrdiff_t *off = (ptrdiff_t *)malloc((size_t)(n_groups > 0 ? n_groups
@@ -387,13 +342,9 @@ int network_run_i64(int64_t steps, int64_t R, ptrdiff_t n_groups,
                 memset(spikes, 0, (size_t)m);
                 continue;
             }
-            cuba_step_i64(GROUP_ARRAY(int64_t, k, GA_U),
-                          GROUP_ARRAY(int64_t, k, GA_V),
-                          GROUP_ARRAY(int64_t, k, GA_REFRAC),
+            cuba_step_i64(GROUP_ARRAY(int64_t, k, GA_V),
                           GROUP_ARRAY(const int64_t, k, GA_BIAS),
-                          cur + off[k], gk[G_DECAY_U], gk[G_DECAY_V],
-                          gk[G_VTH], (int)gk[G_SOFT_RESET],
-                          gk[G_REFRACTORY], (int)gk[G_FLOOR_AT_ZERO],
+                          cur + off[k], gk[G_VTH], (int)gk[G_FLOOR_AT_ZERO],
                           (int)gk[G_NON_SPIKING], fired, m);
             if (gk[G_NON_SPIKING]) {
                 memset(spikes, 0, (size_t)m);
@@ -426,15 +377,12 @@ int network_run_i64(int64_t steps, int64_t R, ptrdiff_t n_groups,
         for (ptrdiff_t k = 0; k < n_conns; k++) {              /* trace */
             const int64_t *ck = c + k * C_FIELDS;
             if (!ck[C_PLASTIC]) continue;
-            const double *tk = ct + k * CT_FIELDS;
             int64_t src = ck[C_SRC], dst = ck[C_DST];
             trace_update_f64((double *)ca[k * CA_FIELDS + CA_PRE_TRACE],
                              GROUP_ARRAY(const uint8_t, src, GA_SPIKES),
-                             tk[CT_PRE_IMPULSE], tk[CT_PRE_DECAY], trace_max,
-                             R * g[src * G_FIELDS + G_N]);
+                             trace_max, R * g[src * G_FIELDS + G_N]);
             trace_update_f64((double *)ca[k * CA_FIELDS + CA_POST_TRACE],
                              GROUP_ARRAY(const uint8_t, dst, GA_SPIKES),
-                             tk[CT_POST_IMPULSE], tk[CT_POST_DECAY],
                              trace_max, R * g[dst * G_FIELDS + G_N]);
         }
     }

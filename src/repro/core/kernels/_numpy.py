@@ -28,33 +28,21 @@ def if_step(v, drive):
     return spikes
 
 
-def cuba_step(u, v, refrac, bias, syn, decay_u, decay_v, vth, soft_reset,
-              refractory, floor_at_zero, non_spiking):
-    # Current decay then accumulation (Eq. 8, forward-Euler, integer).
-    np.copyto(u, (u * (4096 - decay_u)) // 4096 + syn)
-    ok = refrac == 0
-    leaked = (v * (4096 - decay_v)) // 4096
-    np.copyto(v, np.where(ok, leaked + u + bias, v))
+def cuba_step(v, bias, syn, vth, floor_at_zero, non_spiking):
+    v += syn
+    v += bias
     if floor_at_zero:
         np.clip(v, 0, None, out=v)
     if non_spiking:
         return np.zeros(v.shape, dtype=bool)
-    fired = ok & (v >= vth)
-    if soft_reset:
-        np.copyto(v, np.where(fired, v - vth, v))
-    else:
-        np.copyto(v, np.where(fired, 0, v))
-    if refractory:
-        refrac[fired] = refractory
-        refrac[~fired & (refrac > 0)] -= 1
+    fired = v >= vth
+    np.subtract(v, vth, out=v, where=fired)
     return fired
 
 
-def trace_update(values, spikes, impulse, decay, trace_max):
-    if decay != 1.0:
-        values *= decay
-    bumped = values + np.where(spikes, impulse, 0.0)
-    np.copyto(values, np.minimum(bumped, trace_max))
+def trace_update(values, spikes, trace_max):
+    values += spikes
+    np.minimum(values, trace_max, out=values)
 
 
 def delta_w(h_hat, h, pre, eta):

@@ -136,7 +136,7 @@ def spike_present_reference(dims, steps, drive, weights, class_mask,
     # Phase 2: counters restart, membrane potentials persist.  The chip
     # trainer differs here: it zeroes the forward membranes at the phase
     # boundary (repro.onchip.trainer); bringing that reset to this engine
-    # and the C kernel is ROADMAP.md item 2.  The forward-activity gates
+    # and the C kernel is ROADMAP.md item 1.  The forward-activity gates
     # shut the error channel of a neuron silent in phase 1 (surrogate
     # derivative h' = 0).
     gates = [c > 0 for c in phase1]

@@ -1,17 +1,21 @@
-"""CUBA leaky-integrate-and-fire compartments (Loihi neuron model).
+"""Integrate-and-fire compartments (the Loihi neuron as EMSTDP programs it).
 
-Loihi's compartments keep two integer state variables (Section II-B of the
-paper): the synaptic response current ``u`` (a decaying sum of weighted
-incoming spikes) and the membrane potential ``v`` (Eq. 8).  Decays are
-specified as 12-bit factors: the state is multiplied by
-``(4096 - decay) / 4096`` every step, so ``decay = 0`` holds the value
-forever and ``decay = 4096`` clears it each step.
+Loihi's compartments are CUBA leaky integrate-and-fire neurons with an
+integer synaptic current ``u`` and membrane potential ``v`` (Eq. 8,
+Section II-B of the paper).  EMSTDP configures every compartment as a pure
+integrate-and-fire neuron, Section III-A: the maximum membrane time
+constant (no leak, ``decay_v = 0``) and an instantly decaying current
+(``decay_u = 4096``), so the current each step is exactly that step's
+synaptic input and the membrane only integrates.  That is the one neuron
+modelled here: each step adds the synaptic input and the bias to ``v``,
+spikes where ``v`` reaches the threshold and subtracts the threshold
+where it spiked (the ``floor(u/theta)`` rate code of Eq. (2)).  What a
+group's :class:`CompartmentPrototype` still chooses is the threshold,
+whether the membrane floors at rest and whether the compartment spikes
+at all; the builder uses three settings (a signed forward membrane, a
+floored error/label membrane and a non-spiking auxiliary compartment).
 
-EMSTDP configures the forward-path neurons as pure integrate-and-fire by
-using the maximum membrane time constant (``decay_v = 0``) and an instantly
-decaying current (``decay_u = 4096``), Section III-A.
-
-All state is kept in integer arrays; thresholds and biases use Loihi's
+All state is kept in integer arrays; thresholds use Loihi's
 mantissa-times-64 convention (``vth = vth_mant << 6``).
 """
 
@@ -27,9 +31,6 @@ from ..core import kernels
 #: Fixed-point shift of mantissa parameters (Loihi uses ``mant << 6``).
 MANT_SHIFT = 6
 
-#: Full-scale decay constant: ``decay / 4096`` of the state leaks per step.
-DECAY_SCALE = 4096
-
 
 @dataclasses.dataclass(frozen=True)
 class CompartmentPrototype:
@@ -39,57 +40,25 @@ class CompartmentPrototype:
     ----------
     vth_mant:
         Threshold mantissa; the firing threshold is ``vth_mant << 6``.
-    decay_u:
-        Synaptic current decay in ``[0, 4096]``; 4096 means the current
-        vanishes every step (the IF configuration used by EMSTDP).
-    decay_v:
-        Membrane potential decay in ``[0, 4096]``; 0 means no leak.
-    bias_mant:
-        Constant bias added to the membrane every step (``bias_mant << 6``).
-        Runtime-writable per compartment — this is how inputs and labels are
-        injected (Section III-D).
-    soft_reset:
-        Subtract the threshold on spike instead of zeroing the membrane;
-        realises the ``floor(u/theta)`` rate code of Eq. (2).
-    refractory:
-        Steps of silence after a spike.
+    floor_at_zero:
+        Clamp the membrane at the resting potential from below.
     non_spiking:
         A compare-only compartment (used as the auxiliary compartment of a
         multi-compartment neuron): it integrates but never emits spikes.
-    floor_at_zero:
-        Clamp the membrane at the resting potential from below.
     """
 
     vth_mant: int = 256
-    decay_u: int = DECAY_SCALE
-    decay_v: int = 0
-    bias_mant: int = 0
-    soft_reset: bool = True
-    refractory: int = 0
-    non_spiking: bool = False
     floor_at_zero: bool = True
+    non_spiking: bool = False
 
     def __post_init__(self):
         if not 1 <= self.vth_mant <= (1 << 17):
             raise ValueError("vth_mant out of range")
-        if not 0 <= self.decay_u <= DECAY_SCALE:
-            raise ValueError("decay_u must be in [0, 4096]")
-        if not 0 <= self.decay_v <= DECAY_SCALE:
-            raise ValueError("decay_v must be in [0, 4096]")
-        if self.refractory < 0:
-            raise ValueError("refractory must be >= 0")
 
     @property
     def vth(self) -> int:
         """Integer firing threshold."""
         return self.vth_mant << MANT_SHIFT
-
-
-def if_prototype(vth_mant: int = 256, **overrides) -> CompartmentPrototype:
-    """The paper's IF configuration: no membrane leak, instant current decay."""
-    params = dict(vth_mant=vth_mant, decay_u=DECAY_SCALE, decay_v=0)
-    params.update(overrides)
-    return CompartmentPrototype(**params)
 
 
 class CompartmentGroup:
@@ -116,13 +85,12 @@ class CompartmentGroup:
         #: so one vectorized step advances all replicas at once.
         self.replicas = int(replicas)
         shape = self.state_shape
-        self.u = np.zeros(shape, dtype=np.int64)
         self.v = np.zeros(shape, dtype=np.int64)
-        self.bias = np.full(shape, proto.bias_mant << MANT_SHIFT,
-                            dtype=np.int64)
+        #: Per-compartment bias, runtime-writable: how inputs and labels
+        #: are injected (Section III-D).
+        self.bias = np.zeros(shape, dtype=np.int64)
         self.spikes = np.zeros(shape, dtype=bool)
         self.spike_count = np.zeros(shape, dtype=np.int64)
-        self._refrac = np.zeros(shape, dtype=np.int64)
         #: Optional gate: a group whose ``active()`` mask ANDs our spikes.
         self.gate_group: Optional["CompartmentGroup"] = None
         #: Host-controlled enable flag (the phase gate used by the trainer).
@@ -166,23 +134,19 @@ class CompartmentGroup:
         self.bias = bias.astype(np.int64, order="C")
 
     def reset_state(self) -> None:
-        """Zero membrane, current, refractory and spike flags (not counts)."""
-        self.u.fill(0)
+        """Zero membrane and spike flags (not counts)."""
         self.v.fill(0)
-        self._refrac.fill(0)
         self.spikes.fill(False)
 
     def reset_membrane(self) -> None:
-        """Zero only the integrator state (phase-boundary reset).
+        """Zero only the membrane (phase-boundary reset).
 
         Phase 2's spike count must be comparable to phase 1's: carrying the
         phase-1 residual potential into phase 2 hands every neuron an
         average half-threshold head start, a systematic +0.5 spike bias in
         ``h_hat - h`` that compounds into weight drift.
         """
-        self.u.fill(0)
         self.v.fill(0)
-        self._refrac.fill(0)
 
     def reset_counts(self) -> None:
         self.spike_count.fill(0)
@@ -212,16 +176,12 @@ class CompartmentGroup:
             return self.spikes
         syn_input = np.ascontiguousarray(syn_input, dtype=np.int64)
         p = self.proto
-        # Current decay/accumulation (Eq. 8, forward-Euler, integer), leak,
-        # threshold, reset and refractory bookkeeping all run in the
-        # selected kernel backend, mutating u, v and the refractory
-        # counters in place.
-        fired = kernels.cuba_step(self.u, self.v, self._refrac,
+        # Integration, floor, threshold and soft reset run in the selected
+        # kernel backend, updating v in place.
+        fired = kernels.cuba_step(self.v,
                                   np.ascontiguousarray(self.bias,
                                                        dtype=np.int64),
-                                  syn_input, p.decay_u, p.decay_v, p.vth,
-                                  soft_reset=p.soft_reset,
-                                  refractory=p.refractory,
+                                  syn_input, p.vth,
                                   floor_at_zero=p.floor_at_zero,
                                   non_spiking=p.non_spiking)
         if p.non_spiking:

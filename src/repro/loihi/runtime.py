@@ -93,17 +93,13 @@ def _conforms(a, dtype, shapes) -> bool:
             and a.shape in shapes and a.flags.c_contiguous)
 
 
-#: ``kernels.NETWORK_GROUP_ARRAYS`` column -> CompartmentGroup attribute
-#: and dtype.
-_GROUP_ARRAYS = {"u": ("u", np.int64), "v": ("v", np.int64),
-                 "refrac": ("_refrac", np.int64), "bias": ("bias", np.int64),
-                 "spikes": ("spikes", bool),
-                 "spike_count": ("spike_count", np.int64),
-                 "mask": ("mask", bool)}
+#: ``kernels.NETWORK_GROUP_ARRAYS`` column -> dtype of the
+#: CompartmentGroup attribute of that name.
+_GROUP_ARRAYS = {"v": np.int64, "bias": np.int64, "spikes": bool,
+                 "spike_count": np.int64, "mask": bool}
 
 #: CompartmentPrototype attributes copied into the group table.
-_PROTO_FIELDS = ("decay_u", "decay_v", "vth", "soft_reset", "refractory",
-                 "floor_at_zero", "non_spiking")
+_PROTO_FIELDS = ("vth", "floor_at_zero", "non_spiking")
 
 
 def _columns(names) -> dict:
@@ -112,7 +108,6 @@ def _columns(names) -> dict:
 
 _G = _columns(kernels.NETWORK_GROUP_FIELDS)
 _C = _columns(kernels.NETWORK_CONN_FIELDS)
-_CT = _columns(kernels.NETWORK_CONN_TRACE_FIELDS)
 _CA = _columns(kernels.NETWORK_CONN_ARRAYS)
 _MC = _columns(kernels.MICROCODE_CONN_FIELDS)
 
@@ -122,10 +117,10 @@ class _NetworkPlan:
 
     Group sizes and connection endpoints are fixed when the plan is built.
     :meth:`bind` re-reads everything the host may change between runs —
-    enable flags, prototypes, gate/merge links, weight scales, trace
-    configs and the state arrays, which ``set_bias``, ``set_weights``,
-    ``set_class_mask`` and ``LearningEngine.apply_all`` replace with new
-    objects (a fused learning epoch writes in place).  An
+    enable flags, prototypes, gate/merge links, weight scales and the state
+    arrays, which ``set_bias``, ``set_weights``, ``set_class_mask`` and
+    ``LearningEngine.apply_all`` replace with new objects (a fused learning
+    epoch writes in place).  An
     address is re-derived only when the object behind it changed, so a
     steady-state bind costs one identity check per array.
     """
@@ -140,7 +135,6 @@ class _NetworkPlan:
         self.group_arrays = np.zeros((n_g, len(_GROUP_ARRAYS)),
                                      dtype=np.uintp)
         self.conns = np.zeros((n_c, len(_C)), dtype=np.int64)
-        self.conn_traces = np.zeros((n_c, len(_CT)), dtype=np.float64)
         self.conn_arrays = np.zeros((n_c, len(_CA)), dtype=np.uintp)
         self.group_spikes = np.zeros(n_g, dtype=np.int64)
         self.conn_events = np.zeros(n_c, dtype=np.int64)
@@ -192,13 +186,12 @@ class _NetworkPlan:
                 seen["enabled"] = g.enabled
                 row[_G["enabled"]] = bool(g.enabled)
             for j, name in enumerate(kernels.NETWORK_GROUP_ARRAYS):
-                attr, dtype = _GROUP_ARRAYS[name]
-                a = getattr(g, attr)
+                a = getattr(g, name)
                 if a is seen.get(name):
                     continue
                 shapes = ((g.n,), g.state_shape) if name == "mask" \
                     else (g.state_shape,)
-                if not _conforms(a, dtype, shapes):
+                if not _conforms(a, _GROUP_ARRAYS[name], shapes):
                     return False
                 if name == "mask":
                     row[_G["mask_stride"]] = g.n if a.ndim == 2 else 0
@@ -226,12 +219,6 @@ class _NetworkPlan:
             return True
         for side, trace, group in (("pre", conn.pre_trace, conn.src),
                                    ("post", conn.post_trace, conn.dst)):
-            if trace.config is not seen.get(f"{side}_config"):
-                seen[f"{side}_config"] = trace.config
-                self.conn_traces[k, _CT[f"{side}_impulse"]] = \
-                    trace.config.impulse
-                self.conn_traces[k, _CT[f"{side}_decay"]] = \
-                    trace.config.decay
             values = trace.values
             if values is not seen.get(f"{side}_trace"):
                 if not _conforms(values, np.float64, (group.state_shape,)):
@@ -247,9 +234,8 @@ class _NetworkPlan:
         self.group_spikes.fill(0)
         self.conn_events.fill(0)
         kernels.network_run(steps, self.replicas, self.groups,
-                            self.group_arrays, self.conns, self.conn_traces,
-                            self.conn_arrays, self.group_spikes,
-                            self.conn_events, TRACE_MAX)
+                            self.group_arrays, self.conns, self.conn_arrays,
+                            self.group_spikes, self.conn_events, TRACE_MAX)
         for conn, events in zip(self.conn_objs, self.conn_events.tolist()):
             conn.syn_events += events
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .compartment import CompartmentGroup
-from .traces import counter_trace
+from .traces import TraceState
 
 #: Signed 8-bit mantissa range of a synaptic weight.
 WEIGHT_MANT_MAX = 127
@@ -81,9 +81,9 @@ class ConnectionGroup:
         self.name = name or f"{src.name}->{dst.name}"
         tag_shape = self.weight_mant.shape
         self.tag = np.zeros(tag_shape, dtype=np.int64) if plastic else None
-        self.pre_trace = counter_trace(src.n, self.replicas) if plastic \
+        self.pre_trace = TraceState(src.n, self.replicas) if plastic \
             else None
-        self.post_trace = counter_trace(dst.n, self.replicas) if plastic \
+        self.post_trace = TraceState(dst.n, self.replicas) if plastic \
             else None
         #: Cumulative number of synaptic events (spike x fan-out), for the
         #: energy model; batched replicas accumulate into the same counter.

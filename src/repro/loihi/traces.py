@@ -5,14 +5,12 @@ Loihi's learning engine exposes exponentially filtered spike traces (``x1``,
 EMSTDP configures them as *counters* — impulse 1, no decay — so that at the
 end of a phase the trace equals the spike count of that phase (the paper's
 "built in post-synaptic trace counter" approximation, contribution 2 in the
-introduction).
+introduction).  That counter is the only trace modelled here.
 
 Traces saturate at 7 bits (127) like the hardware's trace registers.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -22,49 +20,27 @@ from ..core import kernels
 TRACE_MAX = 127
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceConfig:
-    """Impulse/decay configuration of one trace register.
-
-    ``decay`` is the per-step multiplicative factor in [0, 1]: a counter
-    uses ``impulse=1, decay=1.0``; a classic STDP trace would use e.g.
-    ``impulse=16, decay=exp(-1/tau)``.
-    """
-
-    impulse: int = 1
-    decay: float = 1.0
-
-    def __post_init__(self):
-        if self.impulse < 0 or self.impulse > TRACE_MAX:
-            raise ValueError("impulse must be in [0, 127]")
-        if not 0.0 <= self.decay <= 1.0:
-            raise ValueError("decay must be in [0, 1]")
-
-
 class TraceState:
-    """Vector of trace registers for one compartment group.
+    """Vector of spike-count trace registers for one compartment group.
 
     With ``replicas > 1`` the register file gains a leading replica axis
     (``(replicas, n)``): each network replica keeps its own independent
     trace values, updated by one vectorized call.
     """
 
-    def __init__(self, n: int, config: TraceConfig = TraceConfig(),
-                 replicas: int = 1):
+    def __init__(self, n: int, replicas: int = 1):
         self.n = int(n)
-        self.config = config
         self.replicas = int(replicas)
         self.shape = (self.n,) if self.replicas == 1 \
             else (self.replicas, self.n)
         self.values = np.zeros(self.shape, dtype=np.float64)
 
     def update(self, spikes: np.ndarray) -> None:
-        """One timestep: decay, then add the impulse where spikes occurred."""
+        """One timestep: count a spike where one occurred, saturating."""
         spikes = np.ascontiguousarray(spikes, dtype=bool)
         if spikes.shape != self.shape:
             raise ValueError(f"spikes must have shape {self.shape}")
-        kernels.trace_update(self.values, spikes, self.config.impulse,
-                             self.config.decay, TRACE_MAX)
+        kernels.trace_update(self.values, spikes, TRACE_MAX)
 
     def read(self) -> np.ndarray:
         """Integer trace values as the learning engine sees them."""
@@ -72,9 +48,3 @@ class TraceState:
 
     def reset(self) -> None:
         self.values.fill(0.0)
-
-
-def counter_trace(n: int, replicas: int = 1) -> TraceState:
-    """A spike-count trace (impulse 1, no decay) — EMSTDP's configuration."""
-    return TraceState(n, TraceConfig(impulse=1, decay=1.0),
-                      replicas=replicas)

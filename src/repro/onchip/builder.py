@@ -2,8 +2,9 @@
 
 Wiring summary (Section III-A):
 
-* **Forward path** — IF groups per layer (``decay_v = 0``, instant current
-  decay) with plastic 8-bit connections; a shared always-on *bias* neuron
+* **Forward path** — IF groups per layer (no leak, instant current decay:
+  the one compartment :mod:`repro.loihi.compartment` models) with a signed
+  membrane and plastic 8-bit connections; a shared always-on *bias* neuron
   provides trainable biases through ordinary plastic synapses.
 * **Loss layer** — a bias-driven *label* group and two output error
   channels (positive/negative) integrating ``+w_L * target - w_L * predicted``
@@ -17,9 +18,14 @@ Wiring summary (Section III-A):
   through fixed random ``+D``/``-D`` blocks straight into the hidden
   forward neurons' membranes.
 
-All weights are signed 8-bit mantissas; the translation between the
-algorithm's normalized units (threshold = 1.0, rates in [0, 1]) and chip
-integer units is captured by :class:`ScaleScheme`.
+Every compartment takes one of three :class:`CompartmentPrototype`
+settings, all at one threshold: the forward groups' signed membrane, the
+floored membrane of the label, error, correction and dendrite groups, and
+the non-spiking auxiliary gate compartments.  Every plastic connection's
+traces are spike counters.  All weights are signed 8-bit mantissas; the
+translation between the algorithm's normalized units (threshold = 1.0,
+rates in [0, 1]) and chip integer units is captured by
+:class:`ScaleScheme`.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 
 from ..core.config import EMSTDPConfig, validate_dims
 from ..core.feedback import make_dfa_weights, make_fa_weights
-from ..loihi.compartment import CompartmentPrototype, if_prototype
+from ..loihi.compartment import CompartmentPrototype
 from ..loihi.sdk import Network
 from ..loihi.synapse import WEIGHT_MANT_MAX
 
@@ -199,10 +205,12 @@ def build_emstdp_network(dims: Sequence[int], config: EMSTDPConfig,
     # every hidden neuron picks up a systematic positive rate bias that
     # compounds into weight growth.  The error channels keep the floor —
     # their rectification is exactly what the +/- channel pair implements.
-    proto = if_prototype(vth_mant=scales.vth_mant, floor_at_zero=False)
-    err_proto = if_prototype(vth_mant=scales.vth_mant, floor_at_zero=True)
-    aux_proto = CompartmentPrototype(vth_mant=scales.vth_mant, decay_u=4096,
-                                     decay_v=0, non_spiking=True)
+    proto = CompartmentPrototype(vth_mant=scales.vth_mant,
+                                 floor_at_zero=False)
+    err_proto = CompartmentPrototype(vth_mant=scales.vth_mant,
+                                     floor_at_zero=True)
+    aux_proto = CompartmentPrototype(vth_mant=scales.vth_mant,
+                                     non_spiking=True)
 
     # ---- fixed frontend (offline-pretrained conv layers) -------------------
     frontend_names: List[str] = []

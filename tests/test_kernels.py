@@ -78,48 +78,42 @@ class TestIFStep:
 
 
 class TestCubaStep:
+    #: The builder's three compartments, as (floor_at_zero, non_spiking).
     CONFIGS = [
-        # (decay_u, decay_v, soft_reset, refractory, floor, non_spiking)
-        (4096, 0, True, 0, True, False),      # paper's IF configuration
-        (512, 128, True, 2, True, False),     # generic CUBA LIF
-        (512, 128, False, 0, False, False),   # hard reset, signed membrane
-        (4096, 0, True, 0, True, True),       # compare-only aux compartment
+        (True, False),    # error, label, correction and dendrite groups
+        (False, False),   # forward groups: signed membrane
+        (True, True),     # compare-only aux compartment
     ]
 
     @pytest.mark.parametrize("shape", [(0,), (1,), (6,), (3, 9)])
     @pytest.mark.parametrize("cfg", CONFIGS)
     def test_multistep_identity(self, shape, cfg):
-        decay_u, decay_v, soft, refr, floor, non_spiking = cfg
+        floor, non_spiking = cfg
         rng = np.random.default_rng(13)
         syn = rng.integers(-4000, 9000, (5,) + shape)
         bias = rng.integers(0, 2000, shape)
 
         def run():
-            u = np.zeros(shape, dtype=np.int64)
             v = np.zeros(shape, dtype=np.int64)
-            refrac = np.zeros(shape, dtype=np.int64)
-            fired = [kernels.cuba_step(u, v, refrac, bias, s, decay_u,
-                                       decay_v, 256 << 6, soft_reset=soft,
-                                       refractory=refr, floor_at_zero=floor,
-                                       non_spiking=non_spiking)
+            fired = [kernels.cuba_step(v, bias, s, 256 << 6, floor,
+                                       non_spiking)
                      for s in syn]
-            return (u, v, refrac, *fired)
+            return (v, *fired)
 
         _assert_backends_identical(run)
 
 
 class TestTraceUpdate:
     @pytest.mark.parametrize("shape", [(0,), (1,), (9,), (1, 6), (4, 11)])
-    @pytest.mark.parametrize("impulse,decay", [(1, 1.0), (16, 0.7),
-                                               (127, 0.5)])
-    def test_multistep_identity(self, shape, impulse, decay):
+    def test_multistep_identity(self, shape):
+        """Counting from 120 runs some registers into the 127 ceiling."""
         rng = np.random.default_rng(19)
-        spikes = rng.random((6,) + shape) < 0.4
+        spikes = rng.random((12,) + shape) < 0.6
 
         def run():
-            values = np.zeros(shape)
+            values = np.full(shape, 120.0)
             for s in spikes:
-                kernels.trace_update(values, s, impulse, decay, 127)
+                kernels.trace_update(values, s, 127)
             return (values,)
 
         _assert_backends_identical(run)
@@ -250,16 +244,13 @@ def _per_step_kernels():
             dict(v=np.full((2, 3), 0.5), drive=np.full((2, 3), 0.75)),
             lambda o: kernels.if_step(o["v"], o["drive"])),
         "cuba_step": (
-            dict(v=np.full(4, 9, i64), u=np.ones(4, i64),
-                 refrac=np.zeros(4, i64), bias=np.full(4, 3, i64),
+            dict(v=np.full(4, 9, i64), bias=np.full(4, 3, i64),
                  syn_input=np.full(4, 70, i64)),
-            lambda o: kernels.cuba_step(o["u"], o["v"], o["refrac"],
-                                        o["bias"], o["syn_input"], 4096, 0,
-                                        64)),
+            lambda o: kernels.cuba_step(o["v"], o["bias"], o["syn_input"],
+                                        64, True, False)),
         "trace_update": (
             dict(values=np.full(5, 4.0), spikes=np.ones(5, dtype=bool)),
-            lambda o: kernels.trace_update(o["values"], o["spikes"], 1, 0.5,
-                                           127)),
+            lambda o: kernels.trace_update(o["values"], o["spikes"], 127)),
         "delta_w": (
             dict(h_hat_post=np.ones(3), h_post=np.zeros(3),
                  h_pre=np.ones(2)),
@@ -363,7 +354,7 @@ class TestBackendSelection:
 
     def test_fused_network_run_only_on_compiled_backends(self):
         fused = {"network_run": lambda: kernels.network_run(
-                     1, 1, *([None] * 7), 127.0),
+                     1, 1, *([None] * 6), 127.0),
                  "spike_present": lambda: kernels.spike_present(
                      (2, 1), 1, None, None, None)}
         for name, call in fused.items():
@@ -382,8 +373,6 @@ class TestBackendSelection:
                      ("groups", kernels.NETWORK_GROUP_FIELDS, np.int64),
                      ("group_arrays", kernels.NETWORK_GROUP_ARRAYS, np.uintp),
                      ("conns", kernels.NETWORK_CONN_FIELDS, np.int64),
-                     ("conn_traces", kernels.NETWORK_CONN_TRACE_FIELDS,
-                      np.float64),
                      ("conn_arrays", kernels.NETWORK_CONN_ARRAYS, np.uintp))}
         counters = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         with kernels.forced_backend("cext"):
@@ -418,10 +407,8 @@ class TestBackendSelection:
                 state.ctypes.data
             with pytest.raises(ValueError, match="out-of-range"):
                 kernels.network_run(
-                    3, 1, group, arrays, conn,
-                    np.zeros((1, len(kernels.NETWORK_CONN_TRACE_FIELDS))),
-                    conn_arrays, np.zeros(1, np.int64),
-                    np.zeros(1, np.int64), 127.0)
+                    3, 1, group, arrays, conn, conn_arrays,
+                    np.zeros(1, np.int64), np.zeros(1, np.int64), 127.0)
 
     @pytest.mark.skipif("cext" not in AVAILABLE, reason="needs a C compiler")
     def test_spike_present_rejects_malformed_operands(self):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core import EMSTDPNetwork, loihi_default_config
-from repro.loihi import (LoihiChip, Network, Runtime, ShardedRuntime,
-                        if_prototype, parse_rule, shard_groups)
+from repro.loihi import (CompartmentPrototype, LoihiChip, Network, Runtime,
+                         ShardedRuntime, parse_rule, shard_groups)
 from repro.onchip import LoihiEMSTDPTrainer, build_emstdp_network
 
 from conftest import make_blobs
@@ -24,7 +24,7 @@ RULES = {"end": [parse_rule("dt = y1"),
 
 def plastic_net(replicas):
     net = Network("t", replicas=replicas)
-    proto = if_prototype()
+    proto = CompartmentPrototype()
     a = net.create_group(5, proto, "a")
     b = net.create_group(3, proto, "b")
     conn = net.connect(a, b, np.full((5, 3), 30), weight_scale=64,

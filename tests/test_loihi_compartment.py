@@ -1,11 +1,12 @@
-"""Unit tests for CUBA compartments and multi-compartment behaviours."""
+"""Unit tests for integrate-and-fire compartments and multi-compartment
+behaviours."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.loihi import CompartmentGroup, CompartmentPrototype, if_prototype
+from repro.loihi import CompartmentGroup, CompartmentPrototype
 
 
 class TestPrototype:
@@ -17,21 +18,23 @@ class TestPrototype:
         with pytest.raises(ValueError):
             CompartmentPrototype(vth_mant=0)
         with pytest.raises(ValueError):
-            CompartmentPrototype(decay_u=5000)
-        with pytest.raises(ValueError):
-            CompartmentPrototype(decay_v=-1)
-        with pytest.raises(ValueError):
-            CompartmentPrototype(refractory=-1)
+            CompartmentPrototype(vth_mant=(1 << 17) + 1)
 
     def test_if_prototype_is_non_leaky(self):
-        proto = if_prototype()
-        assert proto.decay_v == 0
-        assert proto.decay_u == 4096
+        """No membrane leak: a sub-threshold charge holds, step after
+        step, without input."""
+        proto = CompartmentPrototype()
+        g = CompartmentGroup(1, proto)
+        g.step(np.array([proto.vth - 1]))
+        for _ in range(50):
+            g.step(np.zeros(1, dtype=np.int64))
+        assert g.v[0] == proto.vth - 1
+        assert g.spike_count[0] == 0
 
 
 class TestIFDynamics:
     def test_constant_bias_rate(self):
-        proto = if_prototype(vth_mant=256)
+        proto = CompartmentPrototype(vth_mant=256)
         g = CompartmentGroup(4, proto)
         g.set_bias(np.full(4, proto.vth // 2))
         for _ in range(64):
@@ -39,14 +42,14 @@ class TestIFDynamics:
         assert (g.spike_count == 32).all()
 
     def test_full_bias_fires_every_step(self):
-        proto = if_prototype()
+        proto = CompartmentPrototype()
         g = CompartmentGroup(2, proto)
         g.set_bias(np.full(2, proto.vth))
         for _ in range(10):
             assert g.step(np.zeros(2, dtype=np.int64)).all()
 
     def test_synaptic_input_integration(self):
-        proto = if_prototype()
+        proto = CompartmentPrototype()
         g = CompartmentGroup(1, proto)
         for _ in range(4):
             g.step(np.array([proto.vth // 4]))
@@ -56,7 +59,7 @@ class TestIFDynamics:
         """The kernel takes only C-contiguous int64 arrays; the group
         builds them from a strided view or a list, and from an int32
         bias assigned directly."""
-        proto = if_prototype()
+        proto = CompartmentPrototype()
         g = CompartmentGroup(2, proto)
         g.bias = np.array([proto.vth // 2, 0], dtype=np.int32)
         g.step(np.array([proto.vth // 2, 0, 0, 0])[::2])
@@ -64,42 +67,30 @@ class TestIFDynamics:
         assert g.spike_count.tolist() == [1, 1]
 
     def test_current_decay_instant_for_if(self):
-        proto = if_prototype()
+        proto = CompartmentPrototype()
         g = CompartmentGroup(1, proto)
         g.step(np.array([proto.vth // 2]))
         g.step(np.array([0]))  # current must not persist
         assert g.v[0] == proto.vth // 2
 
-    def test_leaky_membrane(self):
-        proto = CompartmentPrototype(vth_mant=256, decay_u=4096, decay_v=2048)
-        g = CompartmentGroup(1, proto)
-        g.step(np.array([1000]))
-        v1 = g.v[0]
-        g.step(np.array([0]))
-        assert g.v[0] == v1 // 2
-
     def test_soft_reset_keeps_residual(self):
-        proto = if_prototype()
+        proto = CompartmentPrototype()
         g = CompartmentGroup(1, proto)
         g.step(np.array([proto.vth + 100]))
         assert g.v[0] == 100
 
-    def test_hard_reset(self):
-        proto = if_prototype(soft_reset=False)
-        g = CompartmentGroup(1, proto)
-        g.step(np.array([proto.vth + 100]))
-        assert g.v[0] == 0
-
     def test_signed_membrane_vs_floor(self):
-        signed = CompartmentGroup(1, if_prototype(floor_at_zero=False))
-        floored = CompartmentGroup(1, if_prototype(floor_at_zero=True))
+        signed = CompartmentGroup(1, CompartmentPrototype(
+            floor_at_zero=False))
+        floored = CompartmentGroup(1, CompartmentPrototype(
+            floor_at_zero=True))
         for g in (signed, floored):
             g.step(np.array([-5000]))
         assert signed.v[0] == -5000
         assert floored.v[0] == 0
 
     def test_disabled_group_holds_state(self):
-        proto = if_prototype()
+        proto = CompartmentPrototype()
         g = CompartmentGroup(1, proto)
         g.step(np.array([proto.vth // 2]))
         g.enabled = False
@@ -109,7 +100,7 @@ class TestIFDynamics:
         assert g.v[0] == proto.vth // 2
 
     def test_mask_silences_compartments(self):
-        proto = if_prototype()
+        proto = CompartmentPrototype()
         g = CompartmentGroup(3, proto)
         g.mask = np.array([True, False, True])
         g.set_bias(np.full(3, proto.vth))
@@ -121,7 +112,7 @@ class TestIFDynamics:
     def test_bias_rate_proportionality(self, rate):
         """Spike count over T steps is proportional to the bias (Eq. in
         Section III-D: h_in = floor(i*T / theta))."""
-        proto = if_prototype(vth_mant=256)
+        proto = CompartmentPrototype(vth_mant=256)
         g = CompartmentGroup(1, proto)
         T = 64
         g.set_bias(np.array([proto.vth * rate // T]))
@@ -133,9 +124,9 @@ class TestIFDynamics:
 
 class TestMultiCompartment:
     def test_and_gate_blocks_until_aux_active(self):
-        proto = if_prototype()
+        proto = CompartmentPrototype()
         aux = CompartmentGroup(1, CompartmentPrototype(
-            vth_mant=256, non_spiking=True, decay_u=4096, decay_v=0))
+            vth_mant=256, non_spiking=True))
         soma = CompartmentGroup(1, proto)
         soma.gate_group = aux
         soma.set_bias(np.array([proto.vth]))
@@ -146,7 +137,7 @@ class TestMultiCompartment:
         assert soma.spikes.all()      # gate open
 
     def test_or_merge_adds_spikes(self):
-        proto = if_prototype()
+        proto = CompartmentPrototype()
         dend = CompartmentGroup(1, proto)
         soma = CompartmentGroup(1, proto)
         soma.merge_group = dend
@@ -156,7 +147,7 @@ class TestMultiCompartment:
         assert soma.spike_count[0] == 1
 
     def test_merge_respects_mask(self):
-        proto = if_prototype()
+        proto = CompartmentPrototype()
         dend = CompartmentGroup(1, proto)
         soma = CompartmentGroup(1, proto)
         soma.merge_group = dend
@@ -166,7 +157,7 @@ class TestMultiCompartment:
         assert not soma.spikes.any()
 
     def test_aux_active_memory_survives_membrane_reset_of_soma(self):
-        proto = if_prototype()
+        proto = CompartmentPrototype()
         aux = CompartmentGroup(1, CompartmentPrototype(
             vth_mant=256, non_spiking=True))
         aux.step(np.array([500]))
@@ -177,7 +168,7 @@ class TestMultiCompartment:
 
 class TestStateManagement:
     def test_reset_state_keeps_counts(self):
-        g = CompartmentGroup(1, if_prototype())
+        g = CompartmentGroup(1, CompartmentPrototype())
         g.set_bias(np.array([g.proto.vth]))
         for _ in range(5):
             g.step(np.zeros(1, dtype=np.int64))
@@ -186,7 +177,7 @@ class TestStateManagement:
         assert g.spike_count[0] == 5
 
     def test_reset_membrane_keeps_spike_flags(self):
-        g = CompartmentGroup(1, if_prototype())
+        g = CompartmentGroup(1, CompartmentPrototype())
         g.set_bias(np.array([g.proto.vth]))
         g.step(np.zeros(1, dtype=np.int64))
         g.reset_membrane()
@@ -194,10 +185,10 @@ class TestStateManagement:
         assert g.spikes.all()  # axonal output of last step not rewritten
 
     def test_bias_shape_check(self):
-        g = CompartmentGroup(2, if_prototype())
+        g = CompartmentGroup(2, CompartmentPrototype())
         with pytest.raises(ValueError):
             g.set_bias(np.zeros(3))
 
     def test_min_size(self):
         with pytest.raises(ValueError):
-            CompartmentGroup(0, if_prototype())
+            CompartmentGroup(0, CompartmentPrototype())

@@ -7,11 +7,10 @@ call.  Every test here plays one schedule twice: once through the
 reference (each ``run(T)`` as ``T`` calls of :meth:`Runtime.step`, or each
 epoch as ``LearningEngine.apply_all`` per connection), once fused with the
 reference patched to fail, so a silent fallback cannot pass.  The two end
-states are compared with ``np.array_equal``: membranes, currents,
-refractory counters, spikes, spike counts, traces, tags, weights,
-per-connection synaptic events, ``RunStats``, the sharded runtime's
-per-shard and merged stats and, for epochs, the state of every
-stochastic-rounding generator.
+states are compared with ``np.array_equal``: membranes, spikes, spike
+counts, traces, tags, weights, per-connection synaptic events,
+``RunStats``, the sharded runtime's per-shard and merged stats and, for
+epochs, the state of every stochastic-rounding generator.
 """
 
 import contextlib
@@ -25,8 +24,8 @@ from hypothesis import strategies as st
 
 from repro.core import kernels, loihi_default_config
 from repro.loihi import (CompartmentPrototype, LearningEngine, LoihiChip,
-                         Network, Runtime, ShardedRuntime, TraceConfig,
-                         TraceState, parse_rule)
+                         Network, Runtime, ShardedRuntime, parse_rule)
+from repro.loihi.traces import TRACE_MAX
 from repro.onchip import LoihiEMSTDPTrainer, build_emstdp_network
 
 from conftest import make_blobs
@@ -86,7 +85,7 @@ def snapshot(network, runtime, prefix=""):
     """Every piece of state the two paths must agree on."""
     state = {}
     for g in network.groups:
-        for attr in ("u", "v", "_refrac", "spikes", "spike_count"):
+        for attr in ("v", "spikes", "spike_count"):
             state[f"{prefix}{g.name}.{attr}"] = np.array(getattr(g, attr))
     for c in network.connections:
         state[f"{prefix}{c.name}.weight"] = c.weight_mant.copy()
@@ -272,7 +271,7 @@ def test_copied_runtime_binds_its_own_arrays():
 
 def _plastic_net(replicas):
     net = Network("t", replicas=replicas)
-    proto = CompartmentPrototype(vth_mant=256, decay_u=4096, decay_v=0)
+    proto = CompartmentPrototype(vth_mant=256)
     a = net.create_group(5, proto, "a")
     b = net.create_group(3, proto, "b")
     c = net.create_group(3, proto, "c")
@@ -376,10 +375,6 @@ def network_specs(draw):
             "n": n,
             "proto": {
                 "vth_mant": draw(st.integers(1, 6)),
-                "decay_u": draw(st.sampled_from([0, 1, 700, 4095, 4096])),
-                "decay_v": draw(st.sampled_from([0, 1, 300, 4096])),
-                "soft_reset": draw(st.booleans()),
-                "refractory": draw(st.integers(0, 3)),
                 "non_spiking": draw(st.sampled_from([False] * 3 + [True])),
                 "floor_at_zero": draw(st.booleans()),
             },
@@ -397,7 +392,6 @@ def network_specs(draw):
         "dst": draw(st.integers(0, n_groups - 1)),
         "scale": draw(st.integers(1, 8)),
         "plastic": draw(st.booleans()),
-        "trace": draw(st.sampled_from([(1, 1.0), (16, 0.7), (127, 0.5)])),
     } for _ in range(draw(st.integers(1, 6)))]
     schedule = draw(st.lists(
         st.tuples(st.integers(0, 8), st.sampled_from(
@@ -429,15 +423,10 @@ def _build(spec):
             group.merge_group = groups[g["merge"]]
     for k, c in enumerate(spec["conns"]):
         src, dst = groups[c["src"]], groups[c["dst"]]
-        conn = net.connect(src, dst, rng.integers(-127, 128, (src.n, dst.n)),
-                           c["scale"], plastic=c["plastic"],
-                           learning_rule="r" if c["plastic"] else "",
-                           name=f"c{k}")
-        if c["plastic"]:
-            impulse, decay = c["trace"]
-            config = TraceConfig(impulse=impulse, decay=decay)
-            conn.pre_trace = TraceState(src.n, config, replicas=replicas)
-            conn.post_trace = TraceState(dst.n, config, replicas=replicas)
+        net.connect(src, dst, rng.integers(-127, 128, (src.n, dst.n)),
+                    c["scale"], plastic=c["plastic"],
+                    learning_rule="r" if c["plastic"] else "",
+                    name=f"c{k}")
     rngs = [np.random.default_rng((spec["seed"], r))
             for r in range(replicas)]
     rt = Runtime(net, rng=rngs)
@@ -460,7 +449,28 @@ def _play(spec):
     return snapshot(net, rt)
 
 
+def _group_spec(vth_mant, floor_at_zero):
+    return {"n": 4, "proto": {"vth_mant": vth_mant, "non_spiking": False,
+                              "floor_at_zero": floor_at_zero},
+            "gate": None, "merge": None, "mask": "all", "enabled": True}
+
+
+#: A schedule long enough to run trace counters into ``TRACE_MAX``, which
+#: the drawn schedules (at most 40 steps) never reach.
+_SATURATING = {"replicas": 2, "seed": 1,
+               "groups": [_group_spec(2, True), _group_spec(3, False)],
+               "conns": [{"src": 0, "dst": 1, "scale": 2, "plastic": True}],
+               "schedule": [(140, "epoch"), (5, "none")]}
+
+
+def test_saturating_example_reaches_trace_max():
+    net, rt, _ = _build(_SATURATING)
+    rt.run(_SATURATING["schedule"][0][0])
+    assert (net.connections[0].pre_trace.values == TRACE_MAX).any()
+
+
 @given(spec=network_specs())
+@example(spec=_SATURATING)
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_random_networks_fused_equals_per_step(spec):
@@ -614,21 +624,18 @@ def test_copied_runtime_epochs_write_only_its_own_arrays():
     _assert_trainers_identical(original, clone)
 
 
-def _two_plastic_net(replicas, trace=(1, 1.0), n_c=4):
+def _two_plastic_net(replicas, n_c=4):
     """``a`` drives ``b`` (3 wide) and ``c`` through plastic connections
     with rule names ``r`` and ``s``."""
     net = Network("epochs", replicas=replicas)
-    proto = CompartmentPrototype(vth_mant=256, decay_u=4096, decay_v=0)
+    proto = CompartmentPrototype(vth_mant=256)
     a = net.create_group(5, proto, "a")
     b = net.create_group(3, proto, "b")
     c = net.create_group(n_c, proto, "c")
     rng = np.random.default_rng(replicas)
     for dst, rule in ((b, "r"), (c, "s")):
-        conn = net.connect(a, dst, rng.integers(-40, 60, (5, dst.n)),
-                           weight_scale=64, plastic=True, learning_rule=rule)
-        config = TraceConfig(impulse=trace[0], decay=trace[1])
-        conn.pre_trace = TraceState(a.n, config, replicas=replicas)
-        conn.post_trace = TraceState(dst.n, config, replicas=replicas)
+        net.connect(a, dst, rng.integers(-40, 60, (5, dst.n)),
+                    weight_scale=64, plastic=True, learning_rule=rule)
     net.connect(b, c, np.full((3, n_c), 20), weight_scale=64)
     a.set_bias(rng.integers(0, 1 << 14, a.state_shape))
     return net
@@ -787,12 +794,11 @@ _EVERY_FACTOR_KIND = dict(
     rules=[parse_rule("dt = 3 * y0 - 2^-1 * x0 * (y1 - 2)"),
            parse_rule("dw = 2^-3 * t * w * x1 - 2^-2 * (w + 1) + 2^-4")],
     other=[parse_rule("dw = 2 * x1 * y1 - t"), parse_rule("dt = y1")],
-    trace=(16, 0.7), steps=[9, 4], seed=5)
+    steps=[9, 4], seed=5)
 
 
 @given(replicas=st.sampled_from([1, 2, 3]), rules=rule_lists(),
        other=rule_lists(), stochastic=st.booleans(),
-       trace=st.sampled_from([(1, 1.0), (16, 0.7), (127, 0.5)]),
        steps=st.lists(st.integers(0, 12), min_size=1, max_size=3),
        seed=st.integers(0, 2 ** 16))
 @example(replicas=2, stochastic=True, **_EVERY_FACTOR_KIND)
@@ -800,9 +806,9 @@ _EVERY_FACTOR_KIND = dict(
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_random_rules_epochs_equal_apply_all(replicas, rules, other,
-                                             stochastic, trace, steps, seed):
+                                             stochastic, steps, seed):
     def play():
-        net = _two_plastic_net(replicas, trace)
+        net = _two_plastic_net(replicas)
         rt = _runtime(net, seed, stochastic)
         rt.register_rule("r", {"end": rules})
         rt.register_rule("s", {"end": other})

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.loihi import (ConnectionGroup, LearningEngine, emstdp_rules,
-                         if_prototype, parse_rule, phase1_tag_rules)
+from repro.loihi import (CompartmentPrototype, ConnectionGroup,
+                         LearningEngine, emstdp_rules, parse_rule,
+                         phase1_tag_rules)
 from repro.loihi.compartment import CompartmentGroup
 
 
 def make_conn(n_pre=3, n_post=2, w0=0):
-    src = CompartmentGroup(n_pre, if_prototype(), name="src")
-    dst = CompartmentGroup(n_post, if_prototype(), name="dst")
+    src = CompartmentGroup(n_pre, CompartmentPrototype(), name="src")
+    dst = CompartmentGroup(n_post, CompartmentPrototype(), name="dst")
     w = np.full((n_pre, n_post), w0, dtype=np.int64)
     return ConnectionGroup(src, dst, w, weight_scale=64, plastic=True,
                            learning_rule="r")
@@ -110,8 +111,8 @@ class TestEngine:
         assert (conn.weight_mant == 48).all()
 
     def test_non_plastic_rejected(self):
-        src = CompartmentGroup(1, if_prototype(), name="s")
-        dst = CompartmentGroup(1, if_prototype(), name="d")
+        src = CompartmentGroup(1, CompartmentPrototype(), name="s")
+        dst = CompartmentGroup(1, CompartmentPrototype(), name="d")
         conn = ConnectionGroup(src, dst, np.zeros((1, 1)), 64, plastic=False)
         eng = LearningEngine()
         with pytest.raises(ValueError):

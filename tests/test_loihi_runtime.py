@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.loihi import (LoihiChip, Network, Runtime, emstdp_rules,
-                         if_prototype, parse_rule)
+from repro.loihi import (CompartmentPrototype, LoihiChip, Network, Runtime,
+                         emstdp_rules, parse_rule)
 
 
 def tiny_network():
     net = Network("t")
-    proto = if_prototype()
+    proto = CompartmentPrototype()
     a = net.create_group(4, proto, "a")
     b = net.create_group(2, proto, "b")
     conn = net.connect(a, b, np.full((4, 2), 32), weight_scale=64,
@@ -20,15 +20,15 @@ def tiny_network():
 class TestNetworkBuilder:
     def test_duplicate_names_rejected(self):
         net = Network()
-        net.create_group(2, if_prototype(), "g")
+        net.create_group(2, CompartmentPrototype(), "g")
         with pytest.raises(ValueError):
-            net.create_group(2, if_prototype(), "g")
+            net.create_group(2, CompartmentPrototype(), "g")
 
     def test_foreign_groups_rejected(self):
         net1 = Network()
         net2 = Network()
-        a = net1.create_group(2, if_prototype(), "a")
-        b = net2.create_group(2, if_prototype(), "b")
+        a = net1.create_group(2, CompartmentPrototype(), "a")
+        b = net2.create_group(2, CompartmentPrototype(), "b")
         with pytest.raises(ValueError):
             net1.connect(a, b, np.zeros((2, 2)), 64)
 
@@ -124,7 +124,7 @@ class TestEndToEndChipLearning:
     def test_emstdp_rule_changes_weights_toward_target(self):
         """Minimal on-chip supervised step: strengthen the co-active pair."""
         net = Network()
-        proto = if_prototype()
+        proto = CompartmentPrototype()
         pre = net.create_group(1, proto, "pre")
         post = net.create_group(2, proto, "post")
         conn = net.connect(pre, post, np.array([[20, 20]]), 64,

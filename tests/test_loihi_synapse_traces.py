@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.loihi import (ConnectionGroup, TraceConfig, TraceState,
-                         counter_trace, if_prototype)
+from repro.loihi import CompartmentPrototype, ConnectionGroup, TraceState
 from repro.loihi.compartment import CompartmentGroup
 
 
 def groups(n_src=3, n_dst=2):
-    return (CompartmentGroup(n_src, if_prototype(), name="a"),
-            CompartmentGroup(n_dst, if_prototype(), name="b"))
+    return (CompartmentGroup(n_src, CompartmentPrototype(), name="a"),
+            CompartmentGroup(n_dst, CompartmentPrototype(), name="b"))
 
 
 class TestConnectionGroup:
@@ -66,44 +65,32 @@ class TestConnectionGroup:
 
 class TestTraces:
     def test_counter_counts(self):
-        tr = counter_trace(2)
+        tr = TraceState(2)
         tr.update(np.array([True, False]))
         tr.update(np.array([True, True]))
         assert tr.read().tolist() == [2, 1]
 
     def test_saturation_at_127(self):
-        tr = counter_trace(1)
+        tr = TraceState(1)
         for _ in range(200):
             tr.update(np.array([True]))
         assert tr.read()[0] == 127
 
-    def test_decaying_trace(self):
-        tr = TraceState(1, TraceConfig(impulse=16, decay=0.5))
-        tr.update(np.array([True]))
-        tr.update(np.array([False]))
-        assert tr.read()[0] == 8
-
     def test_reset(self):
-        tr = counter_trace(1)
+        tr = TraceState(1)
         tr.update(np.array([True]))
         tr.reset()
         assert tr.read()[0] == 0
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TraceConfig(impulse=-1)
-        with pytest.raises(ValueError):
-            TraceConfig(decay=1.5)
-
     def test_shape_check(self):
-        tr = counter_trace(2)
+        tr = TraceState(2)
         with pytest.raises(ValueError):
             tr.update(np.array([True]))
 
     def test_update_converts_outside_input(self):
         """The kernel takes only C-contiguous bool spikes; the trace builds
         them from a strided view or a 0/1 list."""
-        tr = counter_trace(2)
+        tr = TraceState(2)
         tr.update(np.array([True, False, False, True])[::2])
         tr.update([1, 1])
         assert tr.read().tolist() == [2, 1]
