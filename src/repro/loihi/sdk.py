@@ -19,6 +19,13 @@ from .mapping import Mapper, Mapping
 from .synapse import ConnectionGroup
 
 
+def _block(conn: ConnectionGroup) -> np.ndarray:
+    """The ``(src.n, dst.n)`` weights of one replica (a replicated plastic
+    block is ``(R, src.n, dst.n)``): the replicas copy the same synapses."""
+    w = conn.weight_mant
+    return w[0] if w.ndim == 3 else w
+
+
 class Network:
     """A declared (not yet placed) network of groups and connections."""
 
@@ -81,7 +88,7 @@ class Network:
         total = 0
         for conn in self.connections:
             if conn.dst is group:
-                total += int(np.max(np.count_nonzero(conn.weight_mant, axis=0),
+                total += int(np.max(np.count_nonzero(_block(conn), axis=0),
                                     initial=0))
         return total
 
@@ -90,7 +97,7 @@ class Network:
         total = 0
         for conn in self.connections:
             if conn.src is group:
-                total += int(np.max(np.count_nonzero(conn.weight_mant, axis=1),
+                total += int(np.max(np.count_nonzero(_block(conn), axis=1),
                                     initial=0))
         return total
 

@@ -7,8 +7,8 @@ from repro.loihi import (CompartmentPrototype, LoihiChip, Network, Runtime,
                          emstdp_rules, parse_rule)
 
 
-def tiny_network():
-    net = Network("t")
+def tiny_network(replicas=1):
+    net = Network("t", replicas=replicas)
     proto = CompartmentPrototype()
     a = net.create_group(4, proto, "a")
     b = net.create_group(2, proto, "b")
@@ -32,8 +32,12 @@ class TestNetworkBuilder:
         with pytest.raises(ValueError):
             net1.connect(a, b, np.zeros((2, 2)), 64)
 
-    def test_fanin_fanout(self):
-        net, a, b, _ = tiny_network()
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_fanin_fanout(self, replicas):
+        """Counted on one replica's block: a replicated plastic block is
+        ``(R, S, D)``, and its replicas are copies of the same synapses."""
+        net, a, b, conn = tiny_network(replicas)
+        assert conn.weight_mant.ndim == (3 if replicas > 1 else 2)
         assert net.fanin(b) == 4
         assert net.fanout(a) == 2
         assert net.fanin(a) == 0
