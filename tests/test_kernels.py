@@ -78,9 +78,11 @@ class TestIFStep:
 
 
 class TestCubaStep:
-    #: The builder's three compartments, as (floor_at_zero, non_spiking).
+    #: Every (floor_at_zero, non_spiking) pair the kernel takes; the
+    #: builder programs all but the second.
     CONFIGS = [
         (True, False),    # error, label, correction and dendrite groups
+        (False, True),    # signed membrane that only integrates
         (False, False),   # forward groups: signed membrane
         (True, True),     # compare-only aux compartment
     ]
