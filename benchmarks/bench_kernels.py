@@ -69,7 +69,7 @@ def _cases(rng):
     spikes = rng.random(cshape) < 0.3
 
     def case_trace_update():
-        values = np.zeros(cshape)
+        values = np.zeros(cshape, dtype=np.int64)
         return lambda: kernels.trace_update(values, spikes, 127)
 
     n_pre, n_post = 784, 512

@@ -87,7 +87,7 @@ def _assert_bit_identical(replicas: int = 4) -> None:
             build_emstdp_network(DIMS, cfg),
             rng=np.random.default_rng((cfg.seed + 1, r)))
         seq.train_sample(xs[r], int(ys[r]))
-        seq_counts = seq.runtime.spike_counts(seq.model.output_name)
+        seq_counts = seq.runtime.spike_counts(seq.model.output_name)[0]
         assert np.array_equal(seq_counts, counts[r]), \
             f"replica {r}: batched spike counts differ from sequential"
         for i, conn in enumerate(seq.model.plastic_connections):

@@ -263,16 +263,16 @@ def cuba_step(v: np.ndarray, bias: np.ndarray, syn_input: np.ndarray,
 
 
 def trace_update(values: np.ndarray, spikes: np.ndarray,
-                 trace_max: float) -> None:
+                 trace_max: int) -> None:
     """One trace-counter timestep: add 1 where spiked, saturate at
     ``trace_max``.
 
-    ``values`` (float64) is updated in place; ``spikes`` is a bool array
-    of its shape.
+    ``values`` (the int64 registers) is updated in place; ``spikes`` is a
+    bool array of its shape.
     """
-    _operand("values", values, _F64)
+    _operand("values", values, _I64)
     _operand("spikes", spikes, np.bool_, values.shape)
-    _impl().trace_update(values, spikes, float(trace_max))
+    _impl().trace_update(values, spikes, int(trace_max))
 
 
 def delta_w(h_hat_post: np.ndarray, h_post: np.ndarray, h_pre: np.ndarray,
@@ -379,7 +379,7 @@ def sum_of_products(rule, x0, x1, y0, y1, tag, w) -> np.ndarray:
 def network_run(steps: int, replicas: int, groups: np.ndarray,
                 group_arrays: np.ndarray, conns: np.ndarray,
                 conn_arrays: np.ndarray, group_spikes: np.ndarray,
-                conn_events: np.ndarray, trace_max: float) -> None:
+                conn_events: np.ndarray, trace_max: int) -> None:
     """Advance a flattened chip network ``steps`` timesteps in one call.
 
     The network arrives as the tables laid out by ``NETWORK_*`` (one row
@@ -397,8 +397,8 @@ def network_run(steps: int, replicas: int, groups: np.ndarray,
        non-spiking one integrates and emits none; otherwise the spikes are
        ANDed with ``gate.v > 0``, ORed with the merge group's spikes as
        currently stored and ANDed with the mask, then counted;
-    3. **trace** — each plastic connection counts its pre trace, then its
-       post trace, with :func:`trace_update` semantics.
+    3. **trace** — each plastic connection counts its int64 pre trace
+       registers, then its post ones, with :func:`trace_update` semantics.
 
     Spike totals accumulate per group into ``group_spikes`` and synaptic
     events per connection into ``conn_events`` (both int64).  The caller
@@ -425,7 +425,7 @@ def network_run(steps: int, replicas: int, groups: np.ndarray,
     _operand("conn_events", conn_events, np.int64, (len(conns),))
     _impl().network_run(int(steps), int(replicas), groups, group_arrays,
                         conns, conn_arrays, group_spikes, conn_events,
-                        float(trace_max))
+                        int(trace_max))
 
 
 # -- fused learning epoch -----------------------------------------------
@@ -495,7 +495,7 @@ def microcode_epoch(replicas: int, conns: np.ndarray, conn_arrays: np.ndarray,
     ``MICROCODE_CONN_ARRAYS`` tables) runs rules ``rule_lo`` to
     ``rule_hi`` of ``program`` in order, connections in table order.
     Each rule is :func:`sum_of_products` of the operands as they stand
-    (spikes as ``x0``/``y0``, floored trace values as ``x1``/``y1``),
+    (spikes as ``x0``/``y0``, the trace registers as ``x1``/``y1``),
     rounded and added to its target (weight or tag), which is clamped to
     ``±weight_max`` or ``±tag_max`` and written in place.  With
     ``uniforms``, a ``(replicas, draws)`` float64 block holding one row

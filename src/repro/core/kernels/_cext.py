@@ -196,14 +196,14 @@ for _name, _argtypes in {
     "if_step_f64": [_ptr, _ptr, _ptr, _c_ssize],
     "cuba_step_i64": [_ptr, _ptr, _ptr, _c_int64, _c_int, _c_int, _ptr,
                       _c_ssize],
-    "trace_update_f64": [_ptr, _ptr, _c_double, _c_ssize],
+    "trace_update_i64": [_ptr, _ptr, _c_int64, _c_ssize],
     "delta_w_f64": [_ptr, _ptr, _ptr, _c_double, _ptr, _c_ssize, _c_ssize],
     "delta_w_batch_f64": [_ptr, _ptr, _ptr, _c_double, _c_int, _ptr,
                           _c_ssize, _c_ssize, _c_ssize],
     "sop_eval_f64": [_ptr, _ptr, _ptr, _ptr, _ptr, _c_ssize, _ptr, _ptr,
                      _ptr, _ptr, _c_ssize, _c_ssize, _c_ssize],
     "network_run_i64": [_c_int64, _c_int64, _c_ssize, _ptr, _ptr, _ptr,
-                        _c_ssize, _ptr, _ptr, _ptr, _c_double],
+                        _c_ssize, _ptr, _ptr, _ptr, _c_int64],
     "spike_present_f64": [_c_ssize, _ptr, _c_int64, _c_ssize, _ptr, _ptr,
                           _ptr, _ptr, _ptr, _c_int, _c_int, _c_int, _c_int,
                           _c_double, _c_double, _ptr, _ptr],
@@ -238,7 +238,7 @@ def cuba_step(v, bias, syn, vth, floor_at_zero, non_spiking):
 
 
 def trace_update(values, spikes, trace_max):
-    _lib.trace_update_f64(_p(values), _p(spikes), trace_max, values.size)
+    _lib.trace_update_i64(_p(values), _p(spikes), trace_max, values.size)
 
 
 def delta_w(h_hat, h, pre, eta):

@@ -16,12 +16,13 @@ reference rounds twice, which would break the ``array_equal`` equivalence
 suite in ``tests/test_kernels.py``.  The fused ``network_run_i64`` loop
 steps every chip compartment with ``cuba_step_i64`` (the one
 integrate-and-fire compartment the EMSTDP builder programs) and counts
-every trace with ``trace_update_f64``, both verbatim, so it inherits their
-contract; its remaining arithmetic is exact int64.  The fused
-``microcode_epoch_i64`` loop evaluates every rule with
-``sop_eval_f64`` verbatim; its rounding and clamping are the reference's
-``np.floor``/``np.round``/``np.clip`` on integer-valued doubles, so it
-reproduces ``LearningEngine.apply_all`` bit for bit
+every int64 trace register with ``trace_update_i64``, both verbatim, so it
+inherits their contract; its remaining arithmetic is exact int64.  The
+fused ``microcode_epoch_i64`` loop evaluates every rule with
+``sop_eval_f64`` verbatim on the registers converted to double (exact:
+they are hardware-bounded integers); its rounding and clamping are the
+reference's ``np.floor``/``np.round``/``np.clip`` on integer-valued
+doubles, so it reproduces ``LearningEngine.apply_all`` bit for bit
 (``tests/test_loihi_fused.py``).  The fused ``spike_present_f64`` loop
 steps every population with ``if_step_f64``, the paper's one IF neuron,
 and sums weight rows in the order the per-step reference in
@@ -35,7 +36,7 @@ from ._layout import (MICROCODE_CONN_ARRAYS, MICROCODE_CONN_FIELDS,
                       NETWORK_GROUP_FIELDS)
 
 #: Bump when the C ABI below changes; part of the compile-cache key.
-SOURCE_VERSION = 8
+SOURCE_VERSION = 9
 
 
 def _c_enum(prefix: str, fields) -> str:
@@ -91,10 +92,10 @@ void cuba_step_i64(int64_t *v, const int64_t *bias, const int64_t *syn,
 }
 
 /* -- Trace counter (loihi/traces.py): +1 where spiked, saturate -------- */
-void trace_update_f64(double *values, const uint8_t *spikes,
-                      double trace_max, ptrdiff_t n) {
+void trace_update_i64(int64_t *values, const uint8_t *spikes,
+                      int64_t trace_max, ptrdiff_t n) {
     for (ptrdiff_t i = 0; i < n; i++) {
-        double x = values[i] + (spikes[i] ? 1.0 : 0.0);
+        int64_t x = values[i] + spikes[i];
         values[i] = x < trace_max ? x : trace_max;
     }
 }
@@ -244,7 +245,7 @@ void sop_eval_f64(const double *scales, const int32_t *offs,
  *               mask; disabled groups hold state and emit nothing,
  *               non-spiking groups integrate and emit nothing;
  *   trace     — each plastic connection counts its pre, then its post
- *               trace with trace_update_f64.
+ *               trace with trace_update_i64.
  * Returns 0; -1 if scratch allocation fails, -2 if a table holds an
  * out-of-range size, group index or mask stride, or a null address —
  * both before any state is touched.                                      */
@@ -286,7 +287,7 @@ int network_run_i64(int64_t steps, int64_t R, ptrdiff_t n_groups,
                     const int64_t *g, const uintptr_t *ga,
                     int64_t *g_spikes, ptrdiff_t n_conns, const int64_t *c,
                     const uintptr_t *ca, int64_t *c_events,
-                    double trace_max) {
+                    int64_t trace_max) {
     if (!network_tables_ok(R, n_groups, g, ga, n_conns, c, ca)) return -2;
     ptrdiff_t total = 0, widest = 1;
     ptrdiff_t *off = (ptrdiff_t *)malloc((size_t)(n_groups > 0 ? n_groups
@@ -323,7 +324,7 @@ int network_run_i64(int64_t steps, int64_t R, ptrdiff_t n_groups,
             c_events[k] += active * D;
             const int64_t *w = (const int64_t *)ca[k * CA_FIELDS + CA_WEIGHT];
             for (int64_t r = 0; r < R; r++) {
-                const int64_t *wr = ck[C_PER_REPLICA] ? w + r * S * D : w;
+                const int64_t *wr = ck[C_PLASTIC] ? w + r * S * D : w;
                 const uint8_t *spr = sp + r * S;
                 int64_t *out = cur + off[dst] + r * D;
                 for (ptrdiff_t s = 0; s < S; s++) {
@@ -378,10 +379,10 @@ int network_run_i64(int64_t steps, int64_t R, ptrdiff_t n_groups,
             const int64_t *ck = c + k * C_FIELDS;
             if (!ck[C_PLASTIC]) continue;
             int64_t src = ck[C_SRC], dst = ck[C_DST];
-            trace_update_f64((double *)ca[k * CA_FIELDS + CA_PRE_TRACE],
+            trace_update_i64((int64_t *)ca[k * CA_FIELDS + CA_PRE_TRACE],
                              GROUP_ARRAY(const uint8_t, src, GA_SPIKES),
                              trace_max, R * g[src * G_FIELDS + G_N]);
-            trace_update_f64((double *)ca[k * CA_FIELDS + CA_POST_TRACE],
+            trace_update_i64((int64_t *)ca[k * CA_FIELDS + CA_POST_TRACE],
                              GROUP_ARRAY(const uint8_t, dst, GA_SPIKES),
                              trace_max, R * g[dst * G_FIELDS + G_N]);
         }
@@ -398,13 +399,12 @@ int network_run_i64(int64_t steps, int64_t R, ptrdiff_t n_groups,
  * program order; the table layouts are kernels.MICROCODE_*.  Every rule
  * is evaluated by sop_eval_f64 on the operands as they stand, so a weight
  * rule reads the tag an earlier tag rule just wrote: x0 / y0 are the
- * source / destination spikes, x1 / y1 the pre / post trace values
- * floored (TraceState.read), t and w the tag and weight blocks.  dz is
- * rounded stochastically, floor(dz) + (u < dz - floor(dz)) with replica
- * r's next S * D uniforms from row r of u, or, without u, to nearest with
- * ties to even (nearbyint in the default rounding mode, as np.round),
- * then added to its target in place and clamped to +-weight_max (w) or
- * +-tag_max (t).  With hardware-bounded operands (see sop_eval_f64) every
+ * source / destination spikes, x1 / y1 the pre / post trace registers,
+ * t and w the tag and weight blocks.  dz is rounded stochastically,
+ * floor(dz) + (u < dz - floor(dz)) with replica r's next S * D uniforms
+ * from row r of u, or, without u, to nearest with ties to even
+ * (nearbyint in the default rounding mode, as np.round), then added to
+ * its target in place and clamped to +-weight_max (w) or +-tag_max (t).  With hardware-bounded operands (see sop_eval_f64) every
  * dz is a signed power-of-two multiple of an integer far inside 2^53, so
  * floor, the subtraction and nearbyint are exact, as in the reference.
  * Returns 0; -1 if scratch allocation fails, -2 if a table holds an
@@ -480,19 +480,19 @@ int microcode_epoch_i64(int64_t R, ptrdiff_t n_conns, const int64_t *c,
         ptrdiff_t S = ck[MC_N_SRC], D = ck[MC_N_DST];
         ptrdiff_t RS = R * S, RD = R * D, SD = S * D, RSD = R * SD;
         const uint8_t *xs = (const uint8_t *)ak[MA_SRC_SPIKES];
-        const double *xt = (const double *)ak[MA_PRE_TRACE];
+        const int64_t *xt = (const int64_t *)ak[MA_PRE_TRACE];
         const uint8_t *ys = (const uint8_t *)ak[MA_DST_SPIKES];
-        const double *yt = (const double *)ak[MA_POST_TRACE];
+        const int64_t *yt = (const int64_t *)ak[MA_POST_TRACE];
         int64_t *tag = (int64_t *)ak[MA_TAG];
         int64_t *w = (int64_t *)ak[MA_WEIGHT];
         double *dz = syn + 2 * RSD;
         for (ptrdiff_t i = 0; i < RS; i++) {
             pre[i] = (double)xs[i];
-            pre[RS + i] = floor(xt[i]);
+            pre[RS + i] = (double)xt[i];
         }
         for (ptrdiff_t j = 0; j < RD; j++) {
             post[j] = (double)ys[j];
-            post[RD + j] = floor(yt[j]);
+            post[RD + j] = (double)yt[j];
         }
         for (int64_t q = ck[MC_RULE_LO]; q < ck[MC_RULE_HI]; q++) {
             const int64_t *rq = rl + q * MR_FIELDS;

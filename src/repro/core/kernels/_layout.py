@@ -4,7 +4,9 @@
 One definition for both sides of each call: the package re-exports these
 tuples (the runtime derives its column indices from them) and
 :mod:`._csrc` generates the C loops' column enums from them, so the two
-cannot disagree.
+cannot disagree.  Every address points at a C-contiguous array holding
+one row or block per network replica, ``R = 1`` included; only a static
+connection's weights and a shared mask are one block for all replicas.
 """
 
 #: Columns of :func:`network_run`'s int64 group table.  ``gate`` and
@@ -19,14 +21,13 @@ NETWORK_GROUP_FIELDS = (
 #: ``mask``.
 NETWORK_GROUP_ARRAYS = ("v", "bias", "spikes", "spike_count", "mask")
 
-#: Columns of the int64 connection table.  ``per_replica`` marks an
-#: ``(R, S, D)`` weight block; otherwise one ``(S, D)`` block serves every
-#: replica.
-NETWORK_CONN_FIELDS = ("src", "dst", "weight_scale", "per_replica",
-                       "plastic")
+#: Columns of the int64 connection table.  A ``plastic`` connection holds
+#: one ``(S, D)`` weight block per replica, ``(R, S, D)``, and counts
+#: traces; a static one's single ``(S, D)`` block serves every replica.
+NETWORK_CONN_FIELDS = ("src", "dst", "weight_scale", "plastic")
 
-#: Columns of the connection address table: int64 weights and the float64
-#: pre/post trace values (ignored for static connections).
+#: Columns of the connection address table: int64 weights and the int64
+#: pre/post trace registers (ignored for static connections).
 NETWORK_CONN_ARRAYS = ("weight", "pre_trace", "post_trace")
 
 #: Columns of :func:`microcode_epoch`'s int64 connection table: the
@@ -35,8 +36,8 @@ NETWORK_CONN_ARRAYS = ("weight", "pre_trace", "post_trace")
 MICROCODE_CONN_FIELDS = ("n_src", "n_dst", "rule_lo", "rule_hi")
 
 #: Columns of its address table, one row per connection: the bool source
-#: and destination spikes (``x0``, ``y0``) and float64 pre and post trace
-#: values (``x1``, ``y1``), all ``R * n``; the int64 tag and weight
+#: and destination spikes (``x0``, ``y0``) and int64 pre and post trace
+#: registers (``x1``, ``y1``), all ``R * n``; the int64 tag and weight
 #: blocks (``R * S * D``), written in place.
 MICROCODE_CONN_ARRAYS = ("src_spikes", "pre_trace", "dst_spikes",
                          "post_trace", "tag", "weight")

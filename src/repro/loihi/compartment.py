@@ -15,7 +15,8 @@ whether the membrane floors at rest and whether the compartment spikes
 at all; the builder uses three settings (a signed forward membrane, a
 floored error/label membrane and a non-spiking auxiliary compartment).
 
-All state is kept in integer arrays; thresholds use Loihi's
+All state is kept in integer arrays of shape ``(R, n)``, one row per
+network replica (``R = 1`` for a lone network); thresholds use Loihi's
 mantissa-times-64 convention (``vth = vth_mant << 6``).
 """
 
@@ -79,10 +80,9 @@ class CompartmentGroup:
         self.n = int(n)
         self.proto = proto
         self.name = name or f"group{id(self):x}"
-        #: Number of independent network replicas sharing this declaration.
-        #: ``replicas == 1`` keeps the historical 1-D state layout; with
-        #: ``replicas > 1`` every state array gains a leading replica axis,
-        #: so one vectorized step advances all replicas at once.
+        #: Number of independent network replicas sharing this declaration:
+        #: every state array has one row per replica, so one vectorized
+        #: step advances all replicas at once.
         self.replicas = int(replicas)
         shape = self.state_shape
         self.v = np.zeros(shape, dtype=np.int64)
@@ -109,29 +109,22 @@ class CompartmentGroup:
 
     @property
     def state_shape(self):
-        """Shape of every state array: ``(n,)`` or ``(replicas, n)``."""
-        return (self.n,) if self.replicas == 1 else (self.replicas, self.n)
+        """Shape of every state array: ``(replicas, n)``."""
+        return (self.replicas, self.n)
 
     # -- state management -------------------------------------------------
 
     def set_bias(self, bias: np.ndarray) -> None:
         """Program per-compartment biases (integer potential units).
 
-        A ``(n,)`` vector is broadcast to every replica; a replicated group
-        also accepts a ``(replicas, n)`` block programming each replica
-        independently (how the batched trainer injects one sample per
-        replica).
+        A ``(n,)`` vector is broadcast to every replica; a
+        ``(replicas, n)`` block programs each replica independently (how
+        the trainer injects one sample per replica).
         """
-        bias = np.asarray(bias)
-        if bias.shape == (self.n,) and self.replicas > 1:
-            bias = np.broadcast_to(bias, self.state_shape)
-        if bias.shape != self.state_shape:
-            raise ValueError(
-                f"bias must have shape {self.state_shape} (or ({self.n},)), "
-                f"got {bias.shape}")
         # C order (a broadcast (n,) bias would otherwise copy column-major):
         # the fused runtime loop reads state arrays in place.
-        self.bias = bias.astype(np.int64, order="C")
+        self.bias = np.broadcast_to(bias, self.state_shape).astype(
+            np.int64, order="C")
 
     def reset_state(self) -> None:
         """Zero membrane and spike flags (not counts)."""

@@ -30,6 +30,10 @@ Scale factors must be written as ``2^k`` (signed integer ``k``), matching
 the hardware's shift-based arithmetic.  Fractional results are resolved by
 stochastic rounding (Loihi supports rounding modes on the learning engine);
 deterministic round-to-nearest is available for reproducible unit tests.
+
+Every variable is an integer register with a leading replica axis
+(``(R, n)`` spikes and traces, ``(R, S, D)`` tags and weights; ``R = 1``
+for a lone network), and each replica rounds with its own stream.
 """
 
 from __future__ import annotations
@@ -175,53 +179,42 @@ class LearningEngine:
     mirroring how the hardware batches plasticity processing.
     """
 
-    def __init__(self, rng: Optional[np.random.Generator] = None,
-                 stochastic_rounding: bool = True,
-                 rngs: Optional[Sequence[np.random.Generator]] = None):
-        if rngs is not None:
-            #: Per-replica stochastic-rounding streams for batched
-            #: (replicated) connections.  Replica ``r`` always rounds with
-            #: ``rngs[r]`` drawing a ``(src.n, dst.n)`` block — exactly the
-            #: draw a single-replica engine built on ``rngs[r]`` would make,
-            #: which is what keeps batched learning bit-identical to
-            #: sequential per-replica execution.
-            self.rngs = list(rngs)
-            self.rng = self.rngs[0]
-        else:
-            self.rngs = None
-            self.rng = as_rng(rng)
+    def __init__(self, rngs: Optional[Sequence[np.random.Generator]] = None,
+                 stochastic_rounding: bool = True):
+        #: Per-replica stochastic-rounding streams (``None``: one fresh
+        #: stream, for one replica).  Replica ``r`` always rounds with
+        #: ``rngs[r]`` drawing a ``(src.n, dst.n)`` block — exactly the
+        #: draw a single-replica engine built on ``rngs[r]`` would make,
+        #: which is what keeps batched learning bit-identical to
+        #: sequential per-replica execution.
+        self.rngs = [as_rng(None)] if rngs is None else list(rngs)
         self.stochastic_rounding = bool(stochastic_rounding)
 
     def evaluate(self, rule: SumOfProducts, conn: ConnectionGroup) -> np.ndarray:
         """The raw (float) ``dz`` block for a rule on a connection.
 
-        Shape ``(src.n, dst.n)``, with a leading replica axis when the
-        connection is replicated.  The sum-of-products itself runs in the
-        selected kernel backend.
+        Shape ``(replicas, src.n, dst.n)``.  The sum-of-products itself
+        runs in the selected kernel backend.
         """
         if not conn.plastic:
             raise ValueError(f"connection {conn.name!r} is not plastic")
         return kernels.sum_of_products(
             rule,
-            conn.src.spikes.astype(np.int64), conn.pre_trace.read(),
-            conn.dst.spikes.astype(np.int64), conn.post_trace.read(),
+            conn.src.spikes.astype(np.int64), conn.pre_trace.values,
+            conn.dst.spikes.astype(np.int64), conn.post_trace.values,
             conn.tag, conn.weight_mant)
 
     def _round(self, dz: np.ndarray) -> np.ndarray:
-        if self.stochastic_rounding:
-            floor = np.floor(dz)
-            frac = dz - floor
-            if dz.ndim == 3 and self.rngs is not None:
-                if len(self.rngs) != dz.shape[0]:
-                    raise ValueError(
-                        f"engine has {len(self.rngs)} replica rng streams, "
-                        f"connection has {dz.shape[0]} replicas")
-                draw = np.stack([rng.random(dz.shape[1:])
-                                 for rng in self.rngs])
-            else:
-                draw = self.rng.random(dz.shape)
-            return (floor + (draw < frac)).astype(np.int64)
-        return np.round(dz).astype(np.int64)
+        if not self.stochastic_rounding:
+            return np.round(dz).astype(np.int64)
+        if len(self.rngs) != len(dz):
+            raise ValueError(
+                f"engine has {len(self.rngs)} replica rng streams, "
+                f"connection has {len(dz)} replicas")
+        floor = np.floor(dz)
+        frac = dz - floor
+        draw = np.stack([rng.random(dz.shape[1:]) for rng in self.rngs])
+        return (floor + (draw < frac)).astype(np.int64)
 
     def apply(self, rule: SumOfProducts, conn: ConnectionGroup) -> None:
         """Evaluate ``rule`` and commit the change with hardware clamping."""

@@ -15,6 +15,11 @@ update):
 The runtime also owns the counters (:class:`~repro.loihi.energy.RunStats`)
 that the energy model turns into Table II / Fig. 3 rows.
 
+A network of ``R`` replicas (``R = 1`` for a lone network) keeps one row
+per replica in every state array, ``(R, n)``, and one block per replica
+in every plastic weight and tag, ``(R, S, D)``; a static weight block is
+one ``(S, D)`` shared by every replica.
+
 Two execution paths implement these semantics.  :meth:`Runtime.step` is
 the per-step reference: Python walks the groups and connections and calls
 one kernel per group and trace.  :meth:`Runtime.run` advances a whole
@@ -59,30 +64,17 @@ from .traces import TRACE_MAX
 
 def _replica_engine(network: Network, rng, stochastic_rounding: bool,
                     ) -> LearningEngine:
-    """Build the learning engine, spawning per-replica rounding streams.
+    """Build the learning engine on one rounding stream per replica.
 
-    For a replicated network, ``rng`` may be a sequence of generators (one
-    per replica — the form the equivalence tests use to pin each replica's
-    stream) or a single generator, from which per-replica child streams are
-    derived deterministically.
+    ``rng`` is a sequence of ``network.replicas`` generators, replica
+    ``r`` rounding with ``rng[r]``; a lone generator (or seed) is a
+    sequence of one.
     """
-    replicas = getattr(network, "replicas", 1)
-    if isinstance(rng, (list, tuple)):
-        if len(rng) != replicas:
-            raise ValueError(
-                f"got {len(rng)} rng streams for {replicas} replicas")
-        if replicas == 1:
-            return LearningEngine(rng=rng[0],
-                                  stochastic_rounding=stochastic_rounding)
-        return LearningEngine(rngs=list(rng),
-                              stochastic_rounding=stochastic_rounding)
-    rng = as_rng(rng)
-    if replicas == 1:
-        return LearningEngine(rng=rng,
-                              stochastic_rounding=stochastic_rounding)
-    children = [np.random.default_rng(int(rng.integers(0, 2 ** 63)))
-                for _ in range(replicas)]
-    return LearningEngine(rngs=children,
+    streams = list(rng) if isinstance(rng, (list, tuple)) else [as_rng(rng)]
+    if len(streams) != network.replicas:
+        raise ValueError(f"got {len(streams)} rng streams for "
+                         f"{network.replicas} replicas")
+    return LearningEngine(rngs=streams,
                           stochastic_rounding=stochastic_rounding)
 
 
@@ -207,13 +199,11 @@ class _NetworkPlan:
             self.conns[k, _C["weight_scale"]] = conn.weight_scale
         w = conn.weight_mant
         if w is not seen.get("weight"):
-            block = (conn.src.n, conn.dst.n)
-            per_replica = np.ndim(w) == 3
-            if not _conforms(w, np.int64, ((self.replicas,) + block
-                                           if per_replica else block,)):
+            block = ((self.replicas,) if conn.plastic else ()) \
+                + (conn.src.n, conn.dst.n)
+            if not _conforms(w, np.int64, (block,)):
                 return False
             seen["weight"] = w
-            self.conns[k, _C["per_replica"]] = per_replica
             self.conn_arrays[k, _CA["weight"]] = w.ctypes.data
         if not conn.plastic:
             return True
@@ -221,7 +211,7 @@ class _NetworkPlan:
                                    ("post", conn.post_trace, conn.dst)):
             values = trace.values
             if values is not seen.get(f"{side}_trace"):
-                if not _conforms(values, np.float64, (group.state_shape,)):
+                if not _conforms(values, np.int64, (group.state_shape,)):
                     return False
                 seen[f"{side}_trace"] = values
                 self.conn_arrays[k, _CA[f"{side}_trace"]] = \
@@ -297,10 +287,9 @@ class _EpochPlan:
                     and conn.weight_mant.flags.writeable:
                 continue
             src, dst = conn.src.state_shape, conn.dst.state_shape
-            syn = (conn.src.n, conn.dst.n) if self.replicas == 1 \
-                else (self.replicas, conn.src.n, conn.dst.n)
-            specs = ((bool, src), (np.float64, src), (bool, dst),
-                     (np.float64, dst), (np.int64, syn), (np.int64, syn))
+            syn = (self.replicas, conn.src.n, conn.dst.n)
+            specs = ((bool, src), (np.int64, src), (bool, dst),
+                     (np.int64, dst), (np.int64, syn), (np.int64, syn))
             if not all(_conforms(a, dtype, (shape,))
                        for a, (dtype, shape) in zip(arrays, specs)):
                 return False
@@ -333,10 +322,10 @@ class _EpochPlan:
 class Runtime:
     """Steps a network and orchestrates learning epochs.
 
-    Works unchanged for replicated networks (``Network(replicas=R)``): all
-    state carries a leading replica axis and one :meth:`step` advances every
-    replica.  ``rng`` then accepts a sequence of ``R`` generators pinning
-    each replica's stochastic-rounding stream.
+    One :meth:`step` advances every replica of the network
+    (``Network(replicas=R)``).  ``rng`` is a sequence of ``R`` generators
+    pinning each replica's stochastic-rounding stream; a lone generator
+    is a sequence of one.
     """
 
     def __init__(self, network: Network,
@@ -450,8 +439,8 @@ class Runtime:
 
     def _epoch_fused(self, epoch: str, work) -> bool:
         """Apply ``work`` through the epoch's flattened plan; False
-        (nothing applied) if the operands or the engine's rounding streams
-        cannot be expressed in its tables.
+        (nothing applied) if the operands cannot be expressed in its
+        tables.
 
         The engine draws its uniforms in the reference's order: per
         connection, per rule, one ``(src.n, dst.n)`` block from each
@@ -459,17 +448,13 @@ class Runtime:
         plan takes them as one ``random`` call per stream, which gives the
         same values and leaves the stream in the same state.
         """
-        replicas = self.network.replicas
-        engine = self.engine
-        streams = [engine.rng] if replicas == 1 else engine.rngs
-        if streams is None or len(streams) != replicas:
-            return False
         plan = self._epochs.get(epoch)
         if plan is None or not plan.matches(work):
-            plan = self._epochs[epoch] = _EpochPlan(work, replicas)
+            plan = self._epochs[epoch] = _EpochPlan(work,
+                                                    self.network.replicas)
         if not plan.bind():
             return False
-        plan.run(streams, engine.stochastic_rounding)
+        plan.run(self.engine.rngs, self.engine.stochastic_rounding)
         return True
 
     # -- state management ----------------------------------------------------------
@@ -495,6 +480,7 @@ class Runtime:
                 group.reset_counts()
 
     def spike_counts(self, group_name: str) -> np.ndarray:
+        """The group's ``(R, n)`` spike counters, copied."""
         return self.network.group(group_name).spike_count.copy()
 
     def mark_sample(self, n: int = 1) -> None:

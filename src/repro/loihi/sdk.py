@@ -20,10 +20,9 @@ from .synapse import ConnectionGroup
 
 
 def _block(conn: ConnectionGroup) -> np.ndarray:
-    """The ``(src.n, dst.n)`` weights of one replica (a replicated plastic
-    block is ``(R, src.n, dst.n)``): the replicas copy the same synapses."""
-    w = conn.weight_mant
-    return w[0] if w.ndim == 3 else w
+    """The ``(src.n, dst.n)`` weights of one replica (a plastic block is
+    ``(R, src.n, dst.n)``): the replicas copy the same synapses."""
+    return conn.weight_mant[0] if conn.plastic else conn.weight_mant
 
 
 class Network:

@@ -7,7 +7,9 @@ delivered to the destination per presynaptic spike is
 into membrane units.  Plastic connections additionally carry a per-synapse
 *tag* — the third synaptic variable of Loihi's learning engine, which
 EMSTDP uses to hold ``Z = h + h_hat`` (Eq. 12) — and pre/post trace
-counters.
+counters.  A plastic connection's weights and tags are ``(R, S, D)``, one
+block per network replica (``R = 1`` for a lone network); a static
+connection's ``(S, D)`` block serves every replica.
 """
 
 from __future__ import annotations
@@ -65,16 +67,14 @@ class ConnectionGroup:
         self.dst = dst
         #: Replica count inherited from the endpoint groups.  Static
         #: connections share one ``(src.n, dst.n)`` weight block across all
-        #: replicas (the values never diverge); plastic connections with
-        #: ``replicas > 1`` carry an independent ``(replicas, src.n, dst.n)``
-        #: weight/tag copy per replica so batched learning matches
-        #: sequential per-replica execution bit for bit.
+        #: replicas (the values never diverge); plastic connections carry
+        #: an independent ``(replicas, src.n, dst.n)`` weight/tag copy per
+        #: replica so batched learning matches sequential per-replica
+        #: execution bit for bit.
         self.replicas = src.replicas
-        weight_mant = weight_mant.astype(np.int64, order="C")
-        if plastic and self.replicas > 1:
-            weight_mant = np.broadcast_to(
-                weight_mant, (self.replicas,) + weight_mant.shape).copy()
-        self.weight_mant = weight_mant
+        block = ((self.replicas,) if plastic else ()) + weight_mant.shape
+        self.weight_mant = np.broadcast_to(weight_mant, block).astype(
+            np.int64, order="C")
         self.weight_scale = int(weight_scale)
         self.plastic = bool(plastic)
         self.learning_rule = learning_rule
@@ -97,20 +97,17 @@ class ConnectionGroup:
     def propagate(self, spikes: np.ndarray) -> np.ndarray:
         """Integer current delivered to ``dst`` for presynaptic ``spikes``.
 
-        ``spikes`` has the source group's state shape: ``(src.n,)`` single
-        replica, ``(replicas, src.n)`` batched; the returned current matches
-        the destination's state shape.
+        ``spikes`` has the source group's state shape,
+        ``(replicas, src.n)``; the returned current has the destination's,
+        ``(replicas, dst.n)``.  Each replica's spike row multiplies its own
+        weight block, or the one block every replica shares.
         """
         spikes = np.asarray(spikes, dtype=bool)
         if not spikes.any():
             return np.zeros(self.dst.state_shape, dtype=np.int64)
         self.syn_events += int(spikes.sum()) * self.dst.n
-        pre = spikes.astype(np.int64)
-        if self.weight_mant.ndim == 3:  # per-replica plastic weights
-            contrib = np.einsum("rs,rsd->rd", pre, self.weight_mant)
-        else:
-            contrib = pre @ self.weight_mant
-        return contrib * self.weight_scale
+        pre = spikes.astype(np.int64)[:, None]
+        return (pre @ self.weight_mant)[:, 0] * self.weight_scale
 
     def update_traces(self, pre_spikes: np.ndarray,
                       post_spikes: np.ndarray) -> None:
@@ -129,19 +126,14 @@ class ConnectionGroup:
             self.tag.fill(0)
 
     def set_weights(self, weight_mant: np.ndarray) -> None:
-        """Overwrite mantissas (host reprogramming), with range check.
+        """Overwrite mantissas (host reprogramming), clipped to
+        ``±WEIGHT_MANT_MAX``.
 
-        A replicated plastic connection also accepts one ``(src.n, dst.n)``
-        block, broadcast to every replica — how the batched trainer seeds
-        each chunk with the canonical weights.
+        A plastic connection also accepts one ``(src.n, dst.n)`` block,
+        broadcast to every replica — how the batched trainer seeds each
+        chunk with the canonical weights.
         """
-        weight_mant = np.asarray(weight_mant)
-        if weight_mant.shape == (self.src.n, self.dst.n) \
-                and self.weight_mant.ndim == 3:
-            weight_mant = np.broadcast_to(
-                weight_mant, self.weight_mant.shape)
-        if weight_mant.shape != self.weight_mant.shape:
-            raise ValueError("shape mismatch")
+        weight_mant = np.broadcast_to(weight_mant, self.weight_mant.shape)
         weight_mant = np.clip(weight_mant, -WEIGHT_MANT_MAX, WEIGHT_MANT_MAX)
         # C order, like every state array the fused runtime loop reads.
         self.weight_mant = weight_mant.astype(np.int64, order="C")

@@ -5,7 +5,8 @@ Loihi's learning engine exposes exponentially filtered spike traces (``x1``,
 EMSTDP configures them as *counters* — impulse 1, no decay — so that at the
 end of a phase the trace equals the spike count of that phase (the paper's
 "built in post-synaptic trace counter" approximation, contribution 2 in the
-introduction).  That counter is the only trace modelled here.
+introduction).  That counter is the only trace modelled here, so every
+trace is an integer register, read by the learning engine as it stands.
 
 Traces saturate at 7 bits (127) like the hardware's trace registers.
 """
@@ -21,19 +22,15 @@ TRACE_MAX = 127
 
 
 class TraceState:
-    """Vector of spike-count trace registers for one compartment group.
-
-    With ``replicas > 1`` the register file gains a leading replica axis
-    (``(replicas, n)``): each network replica keeps its own independent
-    trace values, updated by one vectorized call.
-    """
+    """The int64 spike-count trace registers of one compartment group,
+    ``(replicas, n)``: each network replica keeps its own independent
+    trace values, updated by one vectorized call."""
 
     def __init__(self, n: int, replicas: int = 1):
         self.n = int(n)
         self.replicas = int(replicas)
-        self.shape = (self.n,) if self.replicas == 1 \
-            else (self.replicas, self.n)
-        self.values = np.zeros(self.shape, dtype=np.float64)
+        self.shape = (self.replicas, self.n)
+        self.values = np.zeros(self.shape, dtype=np.int64)
 
     def update(self, spikes: np.ndarray) -> None:
         """One timestep: count a spike where one occurred, saturating."""
@@ -42,9 +39,5 @@ class TraceState:
             raise ValueError(f"spikes must have shape {self.shape}")
         kernels.trace_update(self.values, spikes, TRACE_MAX)
 
-    def read(self) -> np.ndarray:
-        """Integer trace values as the learning engine sees them."""
-        return np.floor(self.values).astype(np.int64)
-
     def reset(self) -> None:
-        self.values.fill(0.0)
+        self.values.fill(0)

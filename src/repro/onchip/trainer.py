@@ -194,25 +194,20 @@ class LoihiEMSTDPTrainer:
         learns on the chip.
         """
         T = model.config.T
-
-        def program(name, rates):
-            bias = model.scales.rate_to_bias(rates)
-            # A single-replica network keeps the 1-D state layout.
-            rt.set_bias(name, bias[0] if model.network.replicas == 1
-                        else bias)
-
+        to_bias = model.scales.rate_to_bias
         train = labels is not None
         rt.reset_state(counts=True)
         if train:
             rt.reset_traces()
             rt.reset_tags()
-        program(model.input_name, quantize_to_bins(X, T))
+        rt.set_bias(model.input_name, to_bias(quantize_to_bins(X, T)))
         if train:
-            program(model.label_name, encode_labels(labels, model.dims[-1]))
+            rt.set_bias(model.label_name,
+                        to_bias(encode_labels(labels, model.dims[-1])))
         if model.label_name is not None:
             rt.disable(self._phase2_names)
         rt.run(T)
-        counts = np.atleast_2d(rt.spike_counts(model.output_name))
+        counts = rt.spike_counts(model.output_name)
         if train:
             rt.learning_epoch("phase1_end")
             rt.reset_traces()
@@ -367,11 +362,7 @@ class LoihiEMSTDPTrainer:
             for conn_c, conn_b, w_start in zip(
                     self.model.plastic_connections,
                     model_b.plastic_connections, w0):
-                wb = conn_b.weight_mant
-                if wb.ndim == 3:
-                    delta = (wb - w_start[None]).mean(axis=0)
-                else:
-                    delta = (wb - w_start).astype(float)
+                delta = (conn_b.weight_mant - w_start).mean(axis=0)
                 conn_c.set_weights(w_start + self._round_host(delta))
             preds[lo:lo + len(xb)] = np.argmax(counts, axis=-1)
             self.runtime.stats.merge(rt.stats)
@@ -452,7 +443,7 @@ class LoihiEMSTDPTrainer:
         return {
             "dims": tuple(self.model.dims),
             "config": dataclasses.asdict(self.model.config),
-            "weight_mant": [c.weight_mant.copy()
+            "weight_mant": [c.weight_mant[0].copy()
                             for c in self.model.plastic_connections],
             "class_mask": self._class_mask.copy(),
             "samples_trained": self.samples_trained,

@@ -9,7 +9,9 @@ counter (impulse 1, no decay).  The library now models only that corner.
 ``frozen_cuba_step`` and ``frozen_trace_update`` are the general NumPy
 kernels as they were written before, copied verbatim; called with the
 builder's constants they are the oracle the library's kernels must match
-byte for byte, on every available backend:
+byte for byte, on every available backend (the frozen trace kernel counts
+in float64; the library's int64 registers must equal its values cast
+exactly, once they are checked to be integers):
 
 * the kernels themselves, for each of the builder's three compartments
   (signed forward, floored error/label, non-spiking auxiliary) over
@@ -86,6 +88,13 @@ def _same_bytes(a, b):
         and a.tobytes() == b.tobytes()
 
 
+def _registers(values):
+    """The frozen kernel's float64 trace values as the int64 registers
+    they must equal: integers, cast exactly."""
+    assert (values == np.floor(values)).all()
+    return values.astype(np.int64)
+
+
 # ----------------------------------------------------------------------
 # (a) the kernels
 # ----------------------------------------------------------------------
@@ -122,13 +131,13 @@ def test_trace_counter_matches_the_frozen_kernel(backend, shape):
     """Dense spikes over 160 steps run every register into 127."""
     rng = np.random.default_rng(29)
     spikes = rng.random((160,) + shape) < 0.9
-    values_ref, values = np.zeros(shape), np.zeros(shape)
+    values_ref, values = np.zeros(shape), np.zeros(shape, dtype=np.int64)
     with kernels.forced_backend(backend):
         for s in spikes:
             frozen_trace_update(values_ref, s, trace_max=TRACE_MAX,
                                 **BUILDER_TRACE)
             kernels.trace_update(values, s, TRACE_MAX)
-            assert _same_bytes(values, values_ref)
+            assert _same_bytes(values, _registers(values_ref))
     assert (values == TRACE_MAX).all()
 
 
@@ -150,8 +159,11 @@ def _adapted_cuba_step(v, bias, syn_input, vth, floor_at_zero, non_spiking):
 
 
 def _adapted_trace_update(values, spikes, trace_max):
-    frozen_trace_update(values, spikes, trace_max=trace_max,
+    # The frozen kernel counts in float64; the registers are int64.
+    counted = values.astype(np.float64)
+    frozen_trace_update(counted, spikes, trace_max=trace_max,
                         **BUILDER_TRACE)
+    values[...] = _registers(counted)
 
 
 def _stepped_run(self, steps):
@@ -193,8 +205,7 @@ def _state(trainer):
                 state[f"{prefix}{c.name}.pre"] = c.pre_trace.values.copy()
                 state[f"{prefix}{c.name}.post"] = c.post_trace.values.copy()
         state[f"{prefix}stats"] = np.array(dataclasses.astuple(rt.stats))
-        engine = rt.engine
-        for i, gen in enumerate(engine.rngs or [engine.rng]):
+        for i, gen in enumerate(rt.engine.rngs):
             state[f"{prefix}rng{i}"] = np.frombuffer(
                 repr(gen.bit_generator.state).encode(), dtype=np.uint8)
     state["reduce_rng"] = np.frombuffer(

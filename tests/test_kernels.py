@@ -113,7 +113,7 @@ class TestTraceUpdate:
         spikes = rng.random((12,) + shape) < 0.6
 
         def run():
-            values = np.full(shape, 120.0)
+            values = np.full(shape, 120, dtype=np.int64)
             for s in spikes:
                 kernels.trace_update(values, s, 127)
             return (values,)
@@ -251,7 +251,8 @@ def _per_step_kernels():
             lambda o: kernels.cuba_step(o["v"], o["bias"], o["syn_input"],
                                         64, True, False)),
         "trace_update": (
-            dict(values=np.full(5, 4.0), spikes=np.ones(5, dtype=bool)),
+            dict(values=np.full(5, 4, dtype=i64),
+                 spikes=np.ones(5, dtype=bool)),
             lambda o: kernels.trace_update(o["values"], o["spikes"], 127)),
         "delta_w": (
             dict(h_hat_post=np.ones(3), h_post=np.zeros(3),

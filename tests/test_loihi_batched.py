@@ -52,8 +52,8 @@ class TestReplicaEquivalence:
             net, conn = plastic_net(1)
             rt = drive(Runtime(net, rng=np.random.default_rng(self.SEEDS[r])),
                        biases[r])
-            weights.append(conn.weight_mant.copy())
-            counts.append((rt.spike_counts("a"), rt.spike_counts("b")))
+            weights.append(conn.weight_mant[0].copy())
+            counts.append((rt.spike_counts("a")[0], rt.spike_counts("b")[0]))
         return weights, counts
 
     def test_batched_learning_bit_identical_per_replica(self):

@@ -25,11 +25,11 @@ class TestPrototype:
         step, without input."""
         proto = CompartmentPrototype()
         g = CompartmentGroup(1, proto)
-        g.step(np.array([proto.vth - 1]))
+        g.step(np.array([[proto.vth - 1]]))
         for _ in range(50):
-            g.step(np.zeros(1, dtype=np.int64))
-        assert g.v[0] == proto.vth - 1
-        assert g.spike_count[0] == 0
+            g.step(np.zeros((1, 1), dtype=np.int64))
+        assert g.v[0, 0] == proto.vth - 1
+        assert g.spike_count[0, 0] == 0
 
 
 class TestIFDynamics:
@@ -38,7 +38,7 @@ class TestIFDynamics:
         g = CompartmentGroup(4, proto)
         g.set_bias(np.full(4, proto.vth // 2))
         for _ in range(64):
-            g.step(np.zeros(4, dtype=np.int64))
+            g.step(np.zeros((1, 4), dtype=np.int64))
         assert (g.spike_count == 32).all()
 
     def test_full_bias_fires_every_step(self):
@@ -46,14 +46,14 @@ class TestIFDynamics:
         g = CompartmentGroup(2, proto)
         g.set_bias(np.full(2, proto.vth))
         for _ in range(10):
-            assert g.step(np.zeros(2, dtype=np.int64)).all()
+            assert g.step(np.zeros((1, 2), dtype=np.int64)).all()
 
     def test_synaptic_input_integration(self):
         proto = CompartmentPrototype()
         g = CompartmentGroup(1, proto)
         for _ in range(4):
-            g.step(np.array([proto.vth // 4]))
-        assert g.spike_count[0] == 1
+            g.step(np.array([[proto.vth // 4]]))
+        assert g.spike_count[0, 0] == 1
 
     def test_step_converts_outside_input(self):
         """The kernel takes only C-contiguous int64 arrays; the group
@@ -61,23 +61,23 @@ class TestIFDynamics:
         bias assigned directly."""
         proto = CompartmentPrototype()
         g = CompartmentGroup(2, proto)
-        g.bias = np.array([proto.vth // 2, 0], dtype=np.int32)
-        g.step(np.array([proto.vth // 2, 0, 0, 0])[::2])
-        g.step([0, proto.vth])
-        assert g.spike_count.tolist() == [1, 1]
+        g.bias = np.array([[proto.vth // 2, 0]], dtype=np.int32)
+        g.step(np.array([[proto.vth // 2, 0, 0, 0]])[:, ::2])
+        g.step([[0, proto.vth]])
+        assert g.spike_count.tolist() == [[1, 1]]
 
     def test_current_decay_instant_for_if(self):
         proto = CompartmentPrototype()
         g = CompartmentGroup(1, proto)
-        g.step(np.array([proto.vth // 2]))
-        g.step(np.array([0]))  # current must not persist
-        assert g.v[0] == proto.vth // 2
+        g.step(np.array([[proto.vth // 2]]))
+        g.step(np.array([[0]]))  # current must not persist
+        assert g.v[0, 0] == proto.vth // 2
 
     def test_soft_reset_keeps_residual(self):
         proto = CompartmentPrototype()
         g = CompartmentGroup(1, proto)
-        g.step(np.array([proto.vth + 100]))
-        assert g.v[0] == 100
+        g.step(np.array([[proto.vth + 100]]))
+        assert g.v[0, 0] == 100
 
     def test_signed_membrane_vs_floor(self):
         signed = CompartmentGroup(1, CompartmentPrototype(
@@ -85,27 +85,27 @@ class TestIFDynamics:
         floored = CompartmentGroup(1, CompartmentPrototype(
             floor_at_zero=True))
         for g in (signed, floored):
-            g.step(np.array([-5000]))
-        assert signed.v[0] == -5000
-        assert floored.v[0] == 0
+            g.step(np.array([[-5000]]))
+        assert signed.v[0, 0] == -5000
+        assert floored.v[0, 0] == 0
 
     def test_disabled_group_holds_state(self):
         proto = CompartmentPrototype()
         g = CompartmentGroup(1, proto)
-        g.step(np.array([proto.vth // 2]))
+        g.step(np.array([[proto.vth // 2]]))
         g.enabled = False
         for _ in range(5):
-            spikes = g.step(np.array([proto.vth]))
+            spikes = g.step(np.array([[proto.vth]]))
             assert not spikes.any()
-        assert g.v[0] == proto.vth // 2
+        assert g.v[0, 0] == proto.vth // 2
 
     def test_mask_silences_compartments(self):
         proto = CompartmentPrototype()
         g = CompartmentGroup(3, proto)
         g.mask = np.array([True, False, True])
         g.set_bias(np.full(3, proto.vth))
-        g.step(np.zeros(3, dtype=np.int64))
-        assert g.spikes.tolist() == [True, False, True]
+        g.step(np.zeros((1, 3), dtype=np.int64))
+        assert g.spikes.tolist() == [[True, False, True]]
 
     @given(rate=st.integers(0, 64))
     @settings(max_examples=30, deadline=None)
@@ -117,9 +117,9 @@ class TestIFDynamics:
         T = 64
         g.set_bias(np.array([proto.vth * rate // T]))
         for _ in range(T):
-            g.step(np.zeros(1, dtype=np.int64))
+            g.step(np.zeros((1, 1), dtype=np.int64))
         expected = (proto.vth * rate // T) * T // proto.vth
-        assert abs(int(g.spike_count[0]) - expected) <= 1
+        assert abs(int(g.spike_count[0, 0]) - expected) <= 1
 
 
 class TestMultiCompartment:
@@ -130,10 +130,10 @@ class TestMultiCompartment:
         soma = CompartmentGroup(1, proto)
         soma.gate_group = aux
         soma.set_bias(np.array([proto.vth]))
-        soma.step(np.zeros(1, dtype=np.int64))
+        soma.step(np.zeros((1, 1), dtype=np.int64))
         assert not soma.spikes.any()  # gate closed
-        aux.step(np.array([100]))     # forward partner activity
-        soma.step(np.zeros(1, dtype=np.int64))
+        aux.step(np.array([[100]]))   # forward partner activity
+        soma.step(np.zeros((1, 1), dtype=np.int64))
         assert soma.spikes.all()      # gate open
 
     def test_or_merge_adds_spikes(self):
@@ -141,10 +141,10 @@ class TestMultiCompartment:
         dend = CompartmentGroup(1, proto)
         soma = CompartmentGroup(1, proto)
         soma.merge_group = dend
-        dend.step(np.array([proto.vth]))   # dendrite fires
-        soma.step(np.zeros(1, dtype=np.int64))  # soma silent on its own
+        dend.step(np.array([[proto.vth]]))  # dendrite fires
+        soma.step(np.zeros((1, 1), dtype=np.int64))  # soma silent on its own
         assert soma.spikes.all()
-        assert soma.spike_count[0] == 1
+        assert soma.spike_count[0, 0] == 1
 
     def test_merge_respects_mask(self):
         proto = CompartmentPrototype()
@@ -152,18 +152,18 @@ class TestMultiCompartment:
         soma = CompartmentGroup(1, proto)
         soma.merge_group = dend
         soma.mask = np.array([False])
-        dend.step(np.array([proto.vth]))
-        soma.step(np.zeros(1, dtype=np.int64))
+        dend.step(np.array([[proto.vth]]))
+        soma.step(np.zeros((1, 1), dtype=np.int64))
         assert not soma.spikes.any()
 
     def test_aux_active_memory_survives_membrane_reset_of_soma(self):
         proto = CompartmentPrototype()
         aux = CompartmentGroup(1, CompartmentPrototype(
             vth_mant=256, non_spiking=True))
-        aux.step(np.array([500]))
+        aux.step(np.array([[500]]))
         assert aux.active().all()
         # phase-boundary reset clears soma but aux holds its charge
-        assert aux.v[0] == 500
+        assert aux.v[0, 0] == 500
 
 
 class TestStateManagement:
@@ -171,17 +171,17 @@ class TestStateManagement:
         g = CompartmentGroup(1, CompartmentPrototype())
         g.set_bias(np.array([g.proto.vth]))
         for _ in range(5):
-            g.step(np.zeros(1, dtype=np.int64))
+            g.step(np.zeros((1, 1), dtype=np.int64))
         g.reset_state()
-        assert g.v[0] == 0
-        assert g.spike_count[0] == 5
+        assert g.v[0, 0] == 0
+        assert g.spike_count[0, 0] == 5
 
     def test_reset_membrane_keeps_spike_flags(self):
         g = CompartmentGroup(1, CompartmentPrototype())
         g.set_bias(np.array([g.proto.vth]))
-        g.step(np.zeros(1, dtype=np.int64))
+        g.step(np.zeros((1, 1), dtype=np.int64))
         g.reset_membrane()
-        assert g.v[0] == 0
+        assert g.v[0, 0] == 0
         assert g.spikes.all()  # axonal output of last step not rewritten
 
     def test_bias_shape_check(self):

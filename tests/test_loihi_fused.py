@@ -535,8 +535,7 @@ def stream_states(*runtimes):
     """The state of every generator the runtimes' engines round with."""
     states = []
     for rt in runtimes:
-        engine = rt.engine
-        for rng in engine.rngs if engine.rngs is not None else [engine.rng]:
+        for rng in rt.engine.rngs:
             states.append(rng.bit_generator.state)
     return states
 
@@ -826,7 +825,8 @@ def _epoch_tables(tag, w, draws):
     """A one-connection epoch over ``(2, 3)`` blocks: its tables, program
     and uniforms, as ``Runtime`` builds them."""
     spikes_src, spikes_dst = np.ones(2, bool), np.ones(3, bool)
-    pre, post = np.array([3.0, 5.0]), np.array([2.0, 4.0, 6.0])
+    pre = np.array([3, 5], dtype=np.int64)
+    post = np.array([2, 4, 6], dtype=np.int64)
     program = kernels.microcode_program([[
         parse_rule("dt = y1"), parse_rule("dw = 2^-1 * t * x1")]])
     conns = np.array([[2, 3, 0, 2]], dtype=np.int64)

@@ -69,7 +69,7 @@ class TestEngine:
         conn.post_trace.values[:] = [5, 7]
         eng = LearningEngine(stochastic_rounding=False)
         eng.apply(parse_rule("dt = y1"), conn)
-        assert conn.tag[0].tolist() == [5, 7]
+        assert conn.tag[0, 0].tolist() == [5, 7]
 
     def test_emstdp_rule_matches_eq7(self):
         """dt=y1 at T then [dt=y1, dw] at 2T realizes eta*(hhat-h)*pre."""
@@ -85,7 +85,7 @@ class TestEngine:
         eng.apply_all(emstdp_rules(-4), conn)
         # dw = 2^-4 * (hhat - h) (x) pre = (1/16) * [20, -10] (x) [16, 8]
         expected = np.round(np.outer([16, 8], [20, -10]) / 16.0)
-        assert np.array_equal(conn.weight_mant, expected.astype(int))
+        assert np.array_equal(conn.weight_mant[0], expected.astype(int))
 
     def test_weight_clamped_to_int8(self):
         conn = make_conn(w0=120)
@@ -120,7 +120,7 @@ class TestEngine:
 
     def test_stochastic_rounding_unbiased(self):
         rng = np.random.default_rng(0)
-        eng = LearningEngine(rng=rng, stochastic_rounding=True)
+        eng = LearningEngine(rngs=[rng], stochastic_rounding=True)
         conn = make_conn(n_pre=100, n_post=100)
         conn.post_trace.values[:] = 1
         conn.pre_trace.values[:] = 1
@@ -141,4 +141,4 @@ class TestEngine:
         conn.pre_trace.values[:] = pre
         eng.apply_all(emstdp_rules(-6), conn)
         expected = int(np.round((hhat - h) * pre / 64.0))
-        assert abs(int(conn.weight_mant[0, 0]) - expected) <= 1
+        assert abs(int(conn.weight_mant[0, 0, 0]) - expected) <= 1

@@ -34,10 +34,10 @@ class TestNetworkBuilder:
 
     @pytest.mark.parametrize("replicas", [1, 3])
     def test_fanin_fanout(self, replicas):
-        """Counted on one replica's block: a replicated plastic block is
+        """Counted on one replica's block: a plastic block is
         ``(R, S, D)``, and its replicas are copies of the same synapses."""
         net, a, b, conn = tiny_network(replicas)
-        assert conn.weight_mant.ndim == (3 if replicas > 1 else 2)
+        assert conn.weight_mant.shape == (replicas, 4, 2)
         assert net.fanin(b) == 4
         assert net.fanout(a) == 2
         assert net.fanin(a) == 0
@@ -145,9 +145,9 @@ class TestEndToEndChipLearning:
         rt.reset_traces()
         # phase 2 (h_hat): drive post neuron 0 harder via external current
         for _ in range(16):
-            rt.network.group("post").step(np.array([proto.vth, 0]))
-            rt.network.group("pre").step(np.zeros(1, dtype=np.int64))
+            rt.network.group("post").step(np.array([[proto.vth, 0]]))
+            rt.network.group("pre").step(np.zeros((1, 1), dtype=np.int64))
             for c in net.connections:
                 c.update_traces(c.src.spikes, c.dst.spikes)
         rt.learning_epoch("phase2_end")
-        assert conn.weight_mant[0, 0] > conn.weight_mant[0, 1]
+        assert conn.weight_mant[0, 0, 0] > conn.weight_mant[0, 0, 1]

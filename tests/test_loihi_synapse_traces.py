@@ -17,20 +17,20 @@ class TestConnectionGroup:
         src, dst = groups()
         w = np.array([[10, 0], [0, 20], [5, 5]])
         conn = ConnectionGroup(src, dst, w, weight_scale=64)
-        spikes = np.array([True, False, True])
+        spikes = np.array([[True, False, True]])
         out = conn.propagate(spikes)
-        assert out.tolist() == [(10 + 5) * 64, 5 * 64]
+        assert out.tolist() == [[(10 + 5) * 64, 5 * 64]]
 
     def test_no_spikes_no_events(self):
         src, dst = groups()
         conn = ConnectionGroup(src, dst, np.ones((3, 2)), 64)
-        conn.propagate(np.zeros(3, dtype=bool))
+        conn.propagate(np.zeros((1, 3), dtype=bool))
         assert conn.syn_events == 0
 
     def test_syn_event_counting(self):
         src, dst = groups()
         conn = ConnectionGroup(src, dst, np.ones((3, 2)), 64)
-        conn.propagate(np.array([True, True, False]))
+        conn.propagate(np.array([[True, True, False]]))
         assert conn.syn_events == 2 * 2  # 2 spikes x fan-out 2
 
     def test_weight_range_enforced(self):
@@ -46,7 +46,7 @@ class TestConnectionGroup:
     def test_plastic_allocates_tag_and_traces(self):
         src, dst = groups()
         conn = ConnectionGroup(src, dst, np.zeros((3, 2)), 64, plastic=True)
-        assert conn.tag.shape == (3, 2)
+        assert conn.tag.shape == conn.weight_mant.shape == (1, 3, 2)
         assert conn.pre_trace.n == 3
         assert conn.post_trace.n == 2
 
@@ -66,21 +66,22 @@ class TestConnectionGroup:
 class TestTraces:
     def test_counter_counts(self):
         tr = TraceState(2)
-        tr.update(np.array([True, False]))
-        tr.update(np.array([True, True]))
-        assert tr.read().tolist() == [2, 1]
+        tr.update(np.array([[True, False]]))
+        tr.update(np.array([[True, True]]))
+        assert tr.values.dtype == np.int64
+        assert tr.values.tolist() == [[2, 1]]
 
     def test_saturation_at_127(self):
         tr = TraceState(1)
         for _ in range(200):
-            tr.update(np.array([True]))
-        assert tr.read()[0] == 127
+            tr.update(np.array([[True]]))
+        assert tr.values[0, 0] == 127
 
     def test_reset(self):
         tr = TraceState(1)
-        tr.update(np.array([True]))
+        tr.update(np.array([[True]]))
         tr.reset()
-        assert tr.read()[0] == 0
+        assert tr.values[0, 0] == 0
 
     def test_shape_check(self):
         tr = TraceState(2)
@@ -91,6 +92,6 @@ class TestTraces:
         """The kernel takes only C-contiguous bool spikes; the trace builds
         them from a strided view or a 0/1 list."""
         tr = TraceState(2)
-        tr.update(np.array([True, False, False, True])[::2])
-        tr.update([1, 1])
-        assert tr.read().tolist() == [2, 1]
+        tr.update(np.array([[True, False, False, True]])[:, ::2])
+        tr.update([[1, 1]])
+        assert tr.values.tolist() == [[2, 1]]

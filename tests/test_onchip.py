@@ -245,13 +245,11 @@ class TestOperationFlow1Schedule:
 
     def flow1(self, trainer, X, labels=None):
         """The docstring's calls for one presentation of the block ``X``
-        (one sample per replica; a lone sample keeps the 1-D layout)."""
+        (one sample per replica)."""
         model = trainer.model
-        one = len(X) == 1
 
         def bias(rates):
-            b = model.scales.rate_to_bias(rates)
-            return (b[0] if one else b).tolist()
+            return model.scales.rate_to_bias(rates).tolist()
 
         inp = ["set_bias", ["fwd0", bias(quantize_to_bins(X, self.T))]]
         if labels is None:

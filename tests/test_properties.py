@@ -75,7 +75,7 @@ class TestUpdateInvariants:
         eng = LearningEngine(stochastic_rounding=False)
         eng.apply(parse_rule(f"dw = 2^{scale} * y1 * x1"), conn)
         bound = (2.0 ** scale) * h * pre + 0.5
-        assert abs(int(conn.weight_mant[0, 0])) <= min(bound, 127)
+        assert abs(int(conn.weight_mant[0, 0, 0])) <= min(bound, 127)
 
 
 class TestScaleSchemeInvariants:
