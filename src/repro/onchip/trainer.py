@@ -182,6 +182,16 @@ class LoihiEMSTDPTrainer:
                 "this network was built without an error path "
                 "(include_error_path=False); it can only run inference")
 
+    def _check_labels(self, labels) -> None:
+        """``ValueError``, before any host call, for a label outside the
+        output layer (as :func:`encode_labels` reports it) or of a
+        masked-out class."""
+        y = np.asarray(labels, dtype=np.int64).reshape(-1)
+        encode_labels(y, self.model.dims[-1])
+        masked = sorted(set(y[~self._class_mask[y]].tolist()))
+        if masked:
+            raise ValueError(f"labels {masked} are masked out")
+
     def _present(self, rt: Runtime, model: OnChipEMSTDP, X: np.ndarray,
                  labels: Optional[np.ndarray] = None) -> np.ndarray:
         """Operation Flow 1 for the ``(B, n_in)`` block ``X`` on ``rt``:
@@ -227,8 +237,7 @@ class LoihiEMSTDPTrainer:
     def train_sample(self, x: np.ndarray, label: int) -> Dict[str, object]:
         """One 2T-step training presentation (Operation Flow 1 inner loop)."""
         self._require_error_path()
-        if not self._class_mask[label]:
-            raise ValueError(f"label {label} is masked out")
+        self._check_labels(label)
         counts = self._present(self.runtime, self.model, self._as_batch(x),
                                [label])
         self.samples_trained += 1
@@ -334,6 +343,7 @@ class LoihiEMSTDPTrainer:
         if update_mode == "minibatch":
             self._require_error_path()
         X, y = as_labeled_batch(X, labels, self.model.dims[0])
+        self._check_labels(y)
         if update_mode == "online":
             preds = np.array([self.train_sample(x, int(label))["prediction"]
                               for x, label in zip(X, y)], dtype=np.int64)
@@ -348,9 +358,6 @@ class LoihiEMSTDPTrainer:
 
     def _fit_minibatch(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Minibatch chunks on the replicated twins; phase-1 predictions."""
-        if not self._class_mask[y].all():
-            bad = sorted(set(int(v) for v in y[~self._class_mask[y]]))
-            raise ValueError(f"labels {bad} are masked out")
         width = self._target_replicas(len(X))
         preds = np.empty(len(X), dtype=np.int64)
         for lo in range(0, len(X), width):

@@ -1,5 +1,6 @@
 """Integration tests: EMSTDP on the chip simulator."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -317,3 +318,27 @@ class TestOperationFlow1Schedule:
             self.on("chip", self.flow1(trainer, xs[:1]))
             + self.on(3, self.flow1(trainer, xs[1:])))
         assert "disable" not in [name for _, name, _ in calls]
+
+    @pytest.mark.parametrize("how", ["train_sample", "online", "minibatch"])
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_label_out_of_range_fails_before_any_host_call(self, calls,
+                                                           label, how):
+        """A label outside the 3 classes fails as the reference engine's
+        does, before the trainer resets, programs or runs anything: the
+        samples before it in a batch are not trained either."""
+        trainer = self.trainer()
+        xs, ys = make_blobs(6, 3, 3, seed=5)
+        weights = [c.weight_mant.copy()
+                   for c in trainer.model.plastic_connections]
+        stats = dataclasses.replace(trainer.runtime.stats)
+        with pytest.raises(ValueError, match=f"^label {label} out of range "
+                                             f"for 3 classes$"):
+            if how == "train_sample":
+                trainer.train_sample(xs[0], label)
+            else:
+                trainer.fit_batch(xs, [int(ys[0]), int(ys[1]), label],
+                                  update_mode=how)
+        assert calls == []
+        for conn, w in zip(trainer.model.plastic_connections, weights):
+            assert np.array_equal(conn.weight_mant, w)
+        assert trainer.runtime.stats == stats
