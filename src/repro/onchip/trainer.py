@@ -90,18 +90,24 @@ def eta_exponent(eta: float, weight_clip: float, T: int) -> int:
     return round(math.log2(scale))
 
 
-def _checked_mantissas(name: str, mant) -> np.ndarray:
-    """``mant`` as int64 mantissas, or ``ValueError`` naming connection
-    ``name`` if any entry is non-finite, not an integer or beyond
-    ``±WEIGHT_MANT_MAX``: a corrupt checkpoint must not load as other
-    weights (clipped, truncated, or NaN cast to an arbitrary integer)."""
+def _checked_mantissas(conn, mant) -> np.ndarray:
+    """``mant`` as int64 mantissas, or ``ValueError`` naming ``conn`` if
+    it is not one ``(src.n, dst.n)`` block or any entry is non-finite, not
+    an integer or beyond ``±WEIGHT_MANT_MAX``: a corrupt checkpoint must
+    not load as other weights (broadcast, clipped, truncated, or NaN cast
+    to an arbitrary integer)."""
     mant = np.asarray(mant)
+    block = (conn.src.n, conn.dst.n)
+    if mant.shape != block:
+        raise ValueError(
+            f"checkpoint weights of connection {conn.name!r} have shape "
+            f"{mant.shape}, not {block}")
     if mant.dtype.kind not in "biuf" or not (
             np.isfinite(mant).all() and (mant == np.round(mant)).all()
             and (np.abs(mant) <= WEIGHT_MANT_MAX).all()):
         raise ValueError(
-            f"checkpoint weights of connection {name!r} are not integer "
-            f"mantissas in [-{WEIGHT_MANT_MAX}, {WEIGHT_MANT_MAX}]")
+            f"checkpoint weights of connection {conn.name!r} are not "
+            f"integer mantissas in [-{WEIGHT_MANT_MAX}, {WEIGHT_MANT_MAX}]")
     return mant.astype(np.int64)
 
 
@@ -468,7 +474,7 @@ class LoihiEMSTDPTrainer:
                 f"checkpoint has {len(mants)} plastic connections, "
                 f"network has {len(conns)}")
         for conn, mant in zip(conns, mants):
-            conn.set_weights(_checked_mantissas(conn.name, mant))
+            conn.set_weights(_checked_mantissas(conn, mant))
         mask = np.asarray(state["class_mask"], dtype=bool)
         if mask.shape != (self.model.dims[-1],):
             raise ValueError("class_mask shape does not match output layer")

@@ -79,6 +79,11 @@ def test_loihi_trainer_round_trip_bit_identical(tmp_path):
     rates_before = np.stack([trainer.infer(x) for x in xs[:8]])
 
     save_checkpoint(trainer, tmp_path / "chip")
+    npz_path, _ = checkpoint_paths(tmp_path / "chip")
+    with np.load(npz_path) as saved:
+        for i, conn in enumerate(trainer.model.plastic_connections):
+            assert saved[f"weight_mant.{i}"].shape == (conn.src.n,
+                                                       conn.dst.n)
     fresh = LoihiEMSTDPTrainer(build_emstdp_network(DIMS, cfg.replace(seed=55)))
     load_checkpoint(tmp_path / "chip", model=fresh)
 
@@ -91,10 +96,13 @@ def test_loihi_trainer_round_trip_bit_identical(tmp_path):
     lambda w: np.where(w == w.flat[0], 500, w),
     lambda w: w + 0.7,
     lambda w: np.where(w == w.flat[0], np.nan, w),
-], ids=["out_of_range", "non_integer", "nan"])
+    lambda w: w[None],
+    lambda w: w[:, :-1],
+], ids=["out_of_range", "non_integer", "nan", "replica_axis", "wrong_shape"])
 def test_loihi_trainer_rejects_corrupt_mantissas(corrupt):
-    """A mantissa the chip cannot hold fails loudly, naming its connection,
-    instead of loading as some other weight; valid mantissas round-trip."""
+    """A mantissa block the chip cannot hold, or one that is not a single
+    ``(src.n, dst.n)`` block, fails loudly, naming its connection, instead
+    of loading as some other weight; valid mantissas round-trip."""
     cfg = loihi_default_config(seed=4, phase_length=8)
     trainer = LoihiEMSTDPTrainer(build_emstdp_network(DIMS, cfg))
     xs, ys = _task()
