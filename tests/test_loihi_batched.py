@@ -200,8 +200,8 @@ class TestTrainerBatchedPath:
         assert 1 not in set(trainer.predict_batch(xs).tolist())
 
     def test_trailing_chunk_of_one_sample(self):
-        """Regression: B % batch_replicas == 1 routes a width-1 twin whose
-        state layout is 1-D; programming it must not explode."""
+        """Regression: B % batch_replicas == 1 routes a width-1 twin;
+        programming it must not explode."""
         xs, ys = make_blobs(8, 3, 5, seed=7)
         trainer = self.fresh(batch_replicas=4)
         seq = np.stack([trainer.infer(x) for x in xs])
