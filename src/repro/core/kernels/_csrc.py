@@ -404,9 +404,10 @@ int network_run_i64(int64_t steps, int64_t R, ptrdiff_t n_groups,
  * floor(dz) + (u < dz - floor(dz)) with replica r's next S * D uniforms
  * from row r of u, or, without u, to nearest with ties to even
  * (nearbyint in the default rounding mode, as np.round), then added to
- * its target in place and clamped to +-weight_max (w) or +-tag_max (t).  With hardware-bounded operands (see sop_eval_f64) every
- * dz is a signed power-of-two multiple of an integer far inside 2^53, so
- * floor, the subtraction and nearbyint are exact, as in the reference.
+ * its target in place and clamped to +-weight_max (w) or +-tag_max (t).
+ * With hardware-bounded operands (see sop_eval_f64) every dz is a signed
+ * power-of-two multiple of an integer far inside 2^53, so floor, the
+ * subtraction and nearbyint are exact, as in the reference.
  * Returns 0; -1 if scratch allocation fails, -2 if a table holds an
  * out-of-range size, slice, factor code or draw count, or a null
  * address — both before any state is touched.                            */
