@@ -218,33 +218,32 @@ for _name, _argtypes in {
                    else None)
 
 
-def _p(a: np.ndarray):
-    return a.ctypes.data_as(_ptr)
-
-
 # -- backend interface (operands checked by the package) --------------------
 
 def if_step(v, drive):
     spikes = np.empty(v.shape, dtype=bool)
-    _lib.if_step_f64(_p(v), _p(drive), _p(spikes), v.size)
+    _lib.if_step_f64(v.ctypes.data, drive.ctypes.data, spikes.ctypes.data,
+                     v.size)
     return spikes
 
 
 def cuba_step(v, bias, syn, vth, floor_at_zero, non_spiking):
     fired = np.empty(v.shape, dtype=bool)
-    _lib.cuba_step_i64(_p(v), _p(bias), _p(syn), vth, int(floor_at_zero),
-                       int(non_spiking), _p(fired), v.size)
+    _lib.cuba_step_i64(v.ctypes.data, bias.ctypes.data, syn.ctypes.data, vth,
+                       int(floor_at_zero), int(non_spiking),
+                       fired.ctypes.data, v.size)
     return fired
 
 
 def trace_update(values, spikes, trace_max):
-    _lib.trace_update_i64(_p(values), _p(spikes), trace_max, values.size)
+    _lib.trace_update_i64(values.ctypes.data, spikes.ctypes.data, trace_max,
+                          values.size)
 
 
 def delta_w(h_hat, h, pre, eta):
     dw = np.empty((pre.size, h_hat.size))
-    _lib.delta_w_f64(_p(h_hat), _p(h), _p(pre), eta, _p(dw), pre.size,
-                     h_hat.size)
+    _lib.delta_w_f64(h_hat.ctypes.data, h.ctypes.data, pre.ctypes.data, eta,
+                     dw.ctypes.data, pre.size, h_hat.size)
     return dw
 
 
@@ -252,8 +251,8 @@ def delta_w_batch(h_hat, h, pre, eta, mean):
     nb, nj = h_hat.shape
     ni = pre.shape[1]
     dw = np.empty((ni, nj))
-    _lib.delta_w_batch_f64(_p(h_hat), _p(h), _p(pre), eta, int(mean), _p(dw),
-                           nb, ni, nj)
+    _lib.delta_w_batch_f64(h_hat.ctypes.data, h.ctypes.data, pre.ctypes.data,
+                           eta, int(mean), dw.ctypes.data, nb, ni, nj)
     return dw
 
 
@@ -261,9 +260,10 @@ def sop_eval(scales, offs, kinds, idxs, consts, pre_stack, post_stack,
              syn_stack, n_rep, n_src, n_dst):
     dz = np.empty((n_rep, n_src, n_dst), dtype=np.float64)
     _lib.sop_eval_f64(
-        _p(scales), _p(offs), _p(kinds), _p(idxs), _p(consts), len(scales),
-        _p(pre_stack), _p(post_stack), _p(syn_stack), _p(dz),
-        n_rep, n_src, n_dst)
+        scales.ctypes.data, offs.ctypes.data, kinds.ctypes.data,
+        idxs.ctypes.data, consts.ctypes.data, len(scales),
+        pre_stack.ctypes.data, post_stack.ctypes.data, syn_stack.ctypes.data,
+        dz.ctypes.data, n_rep, n_src, n_dst)
     return dz
 
 
@@ -314,3 +314,4 @@ def microcode_epoch(replicas, conns, conn_arrays, rules, scales, offs, kinds,
     if status:
         raise MemoryError("microcode_epoch could not allocate its scratch "
                           "buffers")
+
