@@ -7,24 +7,28 @@ compartment step (:mod:`repro.loihi.compartment`), the trace counters
 :mod:`repro.core.learning`), the microcode sum-of-products
 (:mod:`repro.loihi.microcode`) and, fused over whole phases, the chip
 runtime's timestep loop (:func:`network_run`), its learning epochs
-(:func:`microcode_epoch`) and the reference spike engine's two-phase
-presentation (:func:`spike_present`).  This package routes them through
-one of two interchangeable backends:
+(:func:`microcode_epoch`), the reference spike engine's two-phase
+presentation (:func:`spike_present`) and the rate engine's phase 2
+(:func:`rate_phase2`).  This package routes them through one of two
+interchangeable backends:
 
 ``cext``
     The loops as C, compiled once with the system compiler and loaded via
     ctypes (no third-party dependency beyond a C compiler).  Also provides
     the fused loops: :func:`network_run`, which advances a flattened chip
     network ``T`` steps in one call, :func:`microcode_epoch`, which
-    applies every plastic connection's learning rules in one call, and
+    applies every plastic connection's learning rules in one call,
     :func:`spike_present`, which runs one EMSTDP presentation of a
-    ``(B, n_in)`` block in one call.
+    ``(B, n_in)`` block in one call, and :func:`rate_phase2`, which runs
+    every damped phase-2 pass of a rate training solve of a ``(B, n)``
+    block in one call (phase 1, the inference pass, stays on BLAS).
 ``numpy``
     The pure-NumPy reference implementation — always available.  It has
     no fused loop: the chip runtime and the spike engine step their
-    layers one timestep at a time, and the chip's learning engine applies
-    one rule to one connection at a time, which is the reference each
-    fused loop is pinned to.
+    layers one timestep at a time, the chip's learning engine applies
+    one rule to one connection at a time, and the rate engine runs its
+    phase-2 passes in NumPy, which is the reference each fused loop is
+    pinned to.
 
 The kernels take exactly what the engines pass: floating-point state is
 float64 only, and each array operand must already be a C-contiguous array
@@ -49,9 +53,10 @@ the golden fixtures in ``tests/golden/``, because the EMSTDP learning rule
 is the paper's core contribution: a fast kernel that drifts the math by one
 ulp is a wrong kernel.  ``tests/test_loihi_fused.py`` pins
 :func:`network_run` to the per-step runtime and :func:`microcode_epoch` to
-``LearningEngine.apply_all`` the same way, and
+``LearningEngine.apply_all`` the same way,
 ``tests/test_spike_fused.py`` pins :func:`spike_present` to the per-step
-spike engine.
+spike engine, and ``tests/test_rate_fused.py`` pins :func:`rate_phase2`
+to ``network.rate_phase2_reference`` byte for byte.
 ``benchmarks/bench_kernels.py`` gates the speedup.
 """
 
@@ -74,8 +79,8 @@ __all__ = [
     "MicrocodeProgram", "available_backends", "backend_name",
     "backend_provides", "cuba_step", "delta_w", "delta_w_batch",
     "forced_backend", "if_step", "microcode_epoch", "microcode_program",
-    "network_run", "select_backend", "spike_present", "sum_of_products",
-    "trace_update",
+    "network_run", "rate_phase2", "select_backend", "spike_present",
+    "sum_of_products", "trace_update",
 ]
 
 #: Autodetection preference order.
@@ -159,9 +164,9 @@ def backend_provides(kernel: str) -> bool:
     """Whether the active backend implements ``kernel`` natively.
 
     Every backend implements the per-step kernels; only compiled ones
-    provide the fused :func:`network_run`, :func:`microcode_epoch` and
-    :func:`spike_present`, so callers ask before choosing between one
-    fused call and a per-step loop.
+    provide the fused :func:`network_run`, :func:`microcode_epoch`,
+    :func:`spike_present` and :func:`rate_phase2`, so callers ask before
+    choosing between one fused call and a per-step loop.
     """
     return hasattr(_active_impl, kernel)
 
@@ -623,6 +628,89 @@ def spike_present(dims, steps: int, drive: np.ndarray, weights,
     return phases[0], (phases[1] if two_phase else None)
 
 
+# -- fused rate-engine phase 2 ------------------------------------------
+
+def rate_phase2(dims, T: float, iterations: int, drive: np.ndarray, h,
+                weights, class_mask: np.ndarray, target: np.ndarray,
+                feedback=(), *, fa: bool = False, bias_unit: bool = True,
+                gate_hidden: bool = True, gate_output: bool = False,
+                error_gain: float = 1.0, hidden_error_gain: float = 1.0):
+    """The rate engine's phase 2 for a ``(B, n)`` block in one call.
+
+    Runs ``iterations`` damped fixed-point passes with the exact
+    semantics of :func:`repro.core.network.rate_phase2_reference`, the
+    NumPy path it is pinned to, and returns the phase-2 rates of layers
+    1..L as ``(B, dims[k])`` float64 arrays.  ``h`` holds the phase-1
+    rates of layers 1..L and ``drive`` the first layer's pre-correction
+    rates, ``rate_activation([q0, 1] @ W0)``, which phase 1 computed;
+    ``weights[0]`` is checked but not read.  Each pass:
+
+    * drives the output error pair with
+      ``error_gain * (target - h_hat[L])``; each channel's rate is
+      ``quantize_rate(clip(±d, 0, 1), T)``, times the phase-1 gate with
+      ``gate_output``, and their difference times the class mask is
+      damped into the output's correction, ``c + 0.5 * (new - c)``;
+    * drives each hidden error pair with ``hidden_error_gain`` times a
+      correction through ``feedback[i]``: the layer above's with ``fa``
+      (top layer first; shape ``(dims[i+2], dims[i+1])``), the output's
+      without (shape ``(dims[-1], dims[i+1])``), gated with
+      ``gate_hidden`` and damped the same way;
+    * runs the corrected forward pass: layer 1 is
+      ``quantize_rate(clip(drive + c, 0, 1), T)``, each later layer the
+      same of ``rate_activation([r, 1] @ W) + c`` (the ``1`` only with
+      ``bias_unit``), and the output is masked.
+
+    Every product is the sum of the rows of its matrix over the nonzero
+    inputs, each row times its input, in row order from +0.0 with the
+    bias unit's row last — the spike path's rule, which a C loop and the
+    NumPy reference both reproduce where a BLAS product's order is not
+    defined.  Every array is checked against ``dims`` before its address
+    reaches the backend: one that is not a C-contiguous array of the
+    right dtype and shape raises ``TypeError``; a wrong number of rate,
+    weight or feedback arrays raises ``ValueError``.  Raises
+    ``NotImplementedError`` when the active backend has no fused loop
+    (see :func:`backend_provides`).
+    """
+    if not backend_provides("rate_phase2"):
+        raise NotImplementedError(
+            f"kernel backend {_active_name!r} has no fused rate_phase2; "
+            f"use repro.core.network.rate_phase2_reference instead")
+    dims = tuple(int(n) for n in dims)
+    n_layers = len(dims) - 1
+    if n_layers < 1 or min(dims) < 1 or int(iterations) < 0 \
+            or not float(T) > 0:
+        raise ValueError(f"need dims of >= 2 positive sizes, T > 0 and "
+                         f"iterations >= 0, got {dims}, {T} and {iterations}")
+    _operand("drive", drive, _F64, (None, dims[1]))
+    batch = len(drive)
+    for name, arrays, count in (("rate", h, n_layers),
+                                ("weight", weights, n_layers),
+                                ("feedback", feedback, n_layers - 1)):
+        if len(arrays) != count:
+            raise ValueError(f"{len(arrays)} {name} arrays for {n_layers} "
+                             f"layers")
+    for k, r in enumerate(h):
+        _operand(f"h[{k}]", r, _F64, (batch, dims[k + 1]))
+    for i, w in enumerate(weights):
+        _operand(f"weights[{i}]", w, _F64,
+                 (dims[i] + bool(bias_unit), dims[i + 1]))
+    _operand("class_mask", class_mask, np.bool_, (dims[-1],))
+    _operand("target", target, _F64, (batch, dims[-1]))
+    for i, b in enumerate(feedback):
+        _operand(f"feedback[{i}]", b, _F64,
+                 (dims[i + 2] if fa else dims[-1], dims[i + 1]))
+    out = np.empty(batch * sum(dims[1:]))
+    _impl().rate_phase2(
+        np.array(dims, dtype=np.int64), float(T), int(iterations), drive,
+        *(np.array([a.ctypes.data for a in arrays], dtype=np.uintp)
+          for arrays in (h, weights, feedback)),
+        class_mask, target, bool(bias_unit), bool(fa), bool(gate_hidden),
+        bool(gate_output), float(error_gain), float(hidden_error_gain), out)
+    edges = np.cumsum((0,) + dims[1:]) * batch
+    return [out[lo:hi].reshape(batch, n)
+            for lo, hi, n in zip(edges, edges[1:], dims[1:])]
+
+
 # Backend bootstrap: the env override wins over autodetection; unknown
 # values are rejected here, at import, with the ValueError from
 # select_backend.
@@ -645,3 +733,4 @@ network_run = _obs.kernel_profiler.wrap("network_run", network_run)
 microcode_epoch = _obs.kernel_profiler.wrap("microcode_epoch",
                                             microcode_epoch)
 spike_present = _obs.kernel_profiler.wrap("spike_present", spike_present)
+rate_phase2 = _obs.kernel_profiler.wrap("rate_phase2", rate_phase2)

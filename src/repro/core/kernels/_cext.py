@@ -210,11 +210,15 @@ for _name, _argtypes in {
     "microcode_epoch_i64": [_c_int64, _c_ssize, _ptr, _ptr, _c_ssize, _ptr,
                             _c_ssize, _ptr, _ptr, _c_ssize, _ptr, _ptr, _ptr,
                             _ptr, _c_ssize, _c_int64, _c_int64],
+    "rate_phase2_f64": [_c_ssize, _ptr, _c_double, _c_int64, _c_ssize, _ptr,
+                        _ptr, _ptr, _ptr, _ptr, _ptr, _c_int, _c_int, _c_int,
+                        _c_int, _c_double, _c_double, _ptr],
 }.items():
     _fn = getattr(_lib, _name)
     _fn.argtypes = _argtypes
     _fn.restype = (_c_int if _name in ("network_run_i64", "spike_present_f64",
-                                       "microcode_epoch_i64")
+                                       "microcode_epoch_i64",
+                                       "rate_phase2_f64")
                    else None)
 
 
@@ -315,3 +319,19 @@ def microcode_epoch(replicas, conns, conn_arrays, rules, scales, offs, kinds,
         raise MemoryError("microcode_epoch could not allocate its scratch "
                           "buffers")
 
+
+def rate_phase2(dims, T, iterations, drive, h, weights, feedback, class_mask,
+                target, bias_unit, fa, gate_hidden, gate_output, error_gain,
+                hidden_error_gain, out):
+    status = _lib.rate_phase2_f64(
+        len(dims) - 1, dims.ctypes.data, T, iterations, len(drive),
+        drive.ctypes.data, h.ctypes.data, weights.ctypes.data,
+        feedback.ctypes.data, class_mask.ctypes.data, target.ctypes.data,
+        int(bias_unit), int(fa), int(gate_hidden), int(gate_output),
+        error_gain, hidden_error_gain, out.ctypes.data)
+    if status == -2:
+        raise ValueError("rate_phase2 got a non-positive size or a null "
+                         "address")
+    if status:
+        raise MemoryError("rate_phase2 could not allocate its scratch "
+                          "buffers")

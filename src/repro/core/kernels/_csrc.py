@@ -27,7 +27,11 @@ doubles, so it reproduces ``LearningEngine.apply_all`` bit for bit
 steps every population with ``if_step_f64``, the paper's one IF neuron,
 and sums weight rows in the order the per-step reference in
 :mod:`repro.core.network` defines, so it reproduces that path bit for bit
-(``tests/test_spike_fused.py``).
+(``tests/test_spike_fused.py``).  The fused ``rate_phase2_f64`` loop runs
+the rate engine's clip/quantize chains as the reference's IEEE operations
+in their order and sums its phase-2 products with the same row sums, so
+it reproduces ``network.rate_phase2_reference`` byte for byte
+(``tests/test_rate_fused.py``).
 """
 
 from ._layout import (MICROCODE_CONN_ARRAYS, MICROCODE_CONN_FIELDS,
@@ -36,7 +40,7 @@ from ._layout import (MICROCODE_CONN_ARRAYS, MICROCODE_CONN_FIELDS,
                       NETWORK_GROUP_FIELDS)
 
 #: Bump when the C ABI below changes; part of the compile-cache key.
-SOURCE_VERSION = 9
+SOURCE_VERSION = 10
 
 
 def _c_enum(prefix: str, fields) -> str:
@@ -759,6 +763,160 @@ int spike_present_f64(ptrdiff_t n_layers, const int64_t *dims, int64_t T,
     free(buf);
     free(off);
     free(spk);
+    free(rows);
+    return 0;
+}
+
+/* -- Rate-engine phase 2 (core/network.py: rate dynamics) -------------- *
+ * All `iterations` damped fixed-point passes of phase 2 for a (B, n)
+ * block with the exact semantics of network.rate_phase2_reference: per
+ * pass, the output error pair, the FA chain or DFA broadcast of the
+ * hidden error pairs, and the corrected forward pass of every layer, the
+ * first layer's drive coming precomputed from phase 1.  Each elementwise
+ * chain is the reference's IEEE operations in its order; its max and min
+ * are compare-and-selects, since no zero's sign survives the + 1e-9 next
+ * to them.  Without a gate the error channels are multiplied by 1.0,
+ * which changes no bit.  Every product sums the rows of its matrix over
+ * the nonzero inputs, in row order from +0.0 (the bias unit's row last),
+ * through list_signed and sum_rows, as network.accumulate_rows does.
+ * Samples are independent under frozen weights, so the loop runs each
+ * sample's passes before the next one; h_hat starts as a copy of h.
+ * Returns 0; -1 if scratch allocation fails, -2 on a bad size or a null
+ * address — both before any output is written.                           */
+static double rate_requantize(double r, double T) {
+    r = r < 0.0 ? 0.0 : r;
+    r = r > 1.0 ? 1.0 : r;
+    return floor(r * T + 1e-9) / T;
+}
+
+static double rate_activate(double p, double T) {
+    p = floor(p * T + 1e-9);
+    p = p < 0.0 ? 0.0 : p;
+    p = p > T ? T : p;
+    return p / T;
+}
+
+/* One pair's damped step from drive d: net gated rate, then
+ * c + (new - c) * 0.5; scale is the class mask for the output pair.     */
+static void rate_error_pair(double *c, const double *d, double gain,
+                            const double *h1, int gated, const double *scale,
+                            double T, ptrdiff_t n) {
+    for (ptrdiff_t j = 0; j < n; j++) {
+        double x = d[j] * gain;
+        double g = gated && !(h1[j] > 0.0) ? 0.0 : 1.0;
+        double e = rate_requantize(x, T) * g - rate_requantize(-x, T) * g;
+        if (scale) e = e * scale[j];
+        c[j] = c[j] + (e - c[j]) * 0.5;
+    }
+}
+
+int rate_phase2_f64(ptrdiff_t n_layers, const int64_t *dims, double T,
+                    int64_t iterations, ptrdiff_t B, const double *drive,
+                    const uintptr_t *h, const uintptr_t *weights,
+                    const uintptr_t *feedback, const uint8_t *class_mask,
+                    const double *target, int bias_unit, int fa,
+                    int gate_hidden, int gate_output, double error_gain,
+                    double hidden_error_gain, double *out) {
+    if (n_layers < 1 || iterations < 0 || B < 0 || !dims || !h || !weights
+        || !class_mask || (n_layers > 1 && !feedback)
+        || (B && (!drive || !target || !out)))
+        return -2;
+    ptrdiff_t total = 0, widest = 1;
+    for (ptrdiff_t k = 1; k <= n_layers; k++) {
+        if (dims[k] < 1) return -2;
+        total += dims[k];
+        if (dims[k] > widest) widest = dims[k];
+    }
+    if (dims[0] < 1) return -2;
+    for (ptrdiff_t i = 0; i < n_layers; i++)
+        if (!weights[i] || (B && !h[i])
+            || (i < n_layers - 1 && !feedback[i]))
+            return -2;
+    ptrdiff_t n_out = dims[n_layers];
+    /* Per sample: the damped corrections of layers 1..L, then the row
+     * sums, the listed rows' multipliers and the class mask.             */
+    double *buf = (double *)malloc((size_t)(total + 2 * widest + 1 + n_out)
+                                   * sizeof(double));
+    ptrdiff_t *off = (ptrdiff_t *)malloc((size_t)(n_layers + 1)
+                                         * sizeof(ptrdiff_t));
+    const double **rows = (const double **)malloc((size_t)(widest + 1)
+                                                  * sizeof(double *));
+    if (!buf || !off || !rows) {
+        free(buf);
+        free(off);
+        free(rows);
+        return -1;
+    }
+    double *corr = buf, *acc = corr + total, *sign = acc + widest;
+    double *mask = sign + widest + 1;
+    for (ptrdiff_t k = 0, o = 0; k <= n_layers; k++) {
+        off[k] = o;
+        if (k < n_layers) o += dims[k + 1];
+    }
+    for (ptrdiff_t j = 0; j < n_out; j++) mask[j] = class_mask[j] ? 1.0 : 0.0;
+    const ptrdiff_t last = n_layers - 1;
+    double *e_out = corr + off[last];
+#define H1(i) ((const double *)h[i] + b * dims[(i) + 1])
+#define HAT(i) (out + B * off[i] + b * dims[(i) + 1])
+
+    for (ptrdiff_t b = 0; b < B; b++) {
+        for (ptrdiff_t i = 0; i < n_layers; i++)
+            memcpy(HAT(i), H1(i), (size_t)dims[i + 1] * sizeof(double));
+        memset(corr, 0, (size_t)total * sizeof(double));
+        const double *t = target + b * n_out;
+        for (int64_t it = 0; it < iterations; it++) {
+            const double *o = HAT(last);
+            for (ptrdiff_t j = 0; j < n_out; j++) acc[j] = t[j] - o[j];
+            rate_error_pair(e_out, acc, error_gain, H1(last), gate_output,
+                            mask, T, n_out);
+            /* Hidden errors: FA relays down the chain from the layer
+             * above, DFA broadcasts the output error to every layer.     */
+            const double *e_above = e_out;
+            ptrdiff_t n_above = n_out;
+            for (ptrdiff_t k = 0; k < n_layers - 1; k++) {
+                ptrdiff_t i = fa ? n_layers - 2 - k : k;
+                ptrdiff_t n = dims[i + 1];
+                ptrdiff_t active = list_signed(
+                    rows, sign, fa ? e_above : e_out,
+                    (const double *)feedback[i], fa ? n_above : n_out, n);
+                for (ptrdiff_t j = 0; j < n; j++) acc[j] = 0.0;
+                sum_rows(acc, rows, sign, active, n);
+                rate_error_pair(corr + off[i], acc, hidden_error_gain, H1(i),
+                                gate_hidden, NULL, T, n);
+                e_above = corr + off[i];
+                n_above = n;
+            }
+            for (ptrdiff_t i = 0; i < n_layers; i++) {  /* corrected pass */
+                ptrdiff_t n = dims[i + 1];
+                double *r = HAT(i);
+                const double *c = corr + off[i];
+                if (i == 0) {
+                    const double *x = drive + b * n;
+                    for (ptrdiff_t j = 0; j < n; j++)
+                        r[j] = rate_requantize(x[j] + c[j], T);
+                } else {
+                    const double *w = (const double *)weights[i];
+                    ptrdiff_t active = list_signed(rows, sign, HAT(i - 1), w,
+                                                   dims[i], n);
+                    if (bias_unit) {
+                        rows[active] = w + dims[i] * n;
+                        sign[active++] = 1.0;
+                    }
+                    for (ptrdiff_t j = 0; j < n; j++) acc[j] = 0.0;
+                    sum_rows(acc, rows, sign, active, n);
+                    for (ptrdiff_t j = 0; j < n; j++)
+                        r[j] = rate_requantize(
+                            rate_activate(acc[j], T) + c[j], T);
+                }
+                if (i == last)
+                    for (ptrdiff_t j = 0; j < n; j++) r[j] = r[j] * mask[j];
+            }
+        }
+    }
+#undef H1
+#undef HAT
+    free(buf);
+    free(off);
     free(rows);
     return 0;
 }

@@ -12,15 +12,22 @@ hardware resource constraints.  Two dynamics backends are provided:
     (:meth:`EMSTDPNetwork.forward_rates` and the two-phase solve) takes one
     sample ``(n,)`` or a block ``(B, n)``: every step is elementwise on the
     grid or a matmul, so the per-sample calls and the batched engine run
-    the same code, a 1-D call doing per-sample arithmetic.  Inference,
-    phase 1 and every phase-2 pass run one forward (``_RateSolve``).  The
+    the same code, a 1-D call doing per-sample arithmetic.  Inference and
+    phase 1 run one forward (``_RateSolve``) on BLAS products.  The
     weights are frozen within a solve and the phase-2 corrections enter
     after each layer's quantization, so the first layer's drive is
     computed once per solve: one first-layer product instead of
-    ``1 + phase2_iterations``.  The clip/quantize chains run in place in
-    buffers made once per solve, with the same IEEE operations in the
-    same order; ``tests/test_rate_oracle.py`` pins every output bit to
-    the unfused solver.
+    ``1 + phase2_iterations``.  Every phase-2 pass of a training solve
+    then runs in one :func:`repro.core.kernels.rate_phase2` call when the
+    kernel backend provides that loop, else in
+    :func:`rate_phase2_reference`, the NumPy path it is pinned to byte for
+    byte (``tests/test_rate_fused.py``); a single sample goes in as a
+    block of one.  Phase 2's products (the feedback product and each
+    corrected pass's product into layers >= 1) follow the spike path's
+    rule below, row-ordered sums from +0.0, and its clip/quantize chains
+    are the IEEE operations of ``rate_activation`` / ``quantize_rate`` in
+    their order; ``tests/test_rate_oracle.py`` pins every output bit to
+    the unfused solver with those products.
 
 ``spike``
     Simulates all ``2*T`` timesteps with explicit integrate-and-fire neurons,
@@ -78,14 +85,16 @@ from .neuron import IFLayer, SignedErrorLayer
 
 def accumulate_rows(spikes: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``spikes @ w`` as the spike path defines it, for ``(B, n_rows)``
-    spikes in ``{0, 1}`` or signed ``{-1, 0, +1}``.
+    spikes in ``{0, 1}`` or signed ``{-1, 0, +1}``, and the rate path's
+    phase 2 for rates and corrections.
 
-    Each batch row gets the sum of the rows of ``w`` whose spike is
-    nonzero, in row order, starting from +0.0; a signed spike adds or
-    subtracts its row.  ``np.add.accumulate`` adds strictly in order
-    (never pairwise) but starts from the first term, so a sum of only
-    ``-0.0`` terms comes out ``-0.0``; ``+ 0.0`` makes it the +0.0 of a
-    sum started at +0.0 and leaves every other value as it is.
+    Each batch row gets the sum of the rows of ``w`` whose input is
+    nonzero, each times its input, in row order, starting from +0.0; a
+    signed spike adds or subtracts its row.  ``np.add.accumulate`` adds
+    strictly in order (never pairwise) but starts from the first term, so
+    a sum of only ``-0.0`` terms comes out ``-0.0``; ``+ 0.0`` makes it
+    the +0.0 of a sum started at +0.0 and leaves every other value as it
+    is.
     """
     acc = np.zeros((spikes.shape[0], w.shape[1]))
     for b, row in enumerate(spikes):
@@ -230,15 +239,83 @@ def _damp(c: np.ndarray, new: np.ndarray) -> None:
     np.add(c, new, out=c)
 
 
+def rate_phase2_reference(dims, T, iterations, drive, h, weights, class_mask,
+                          target, feedback=(), *, fa=False, bias_unit=True,
+                          gate_hidden=True, gate_output=False,
+                          error_gain=1.0, hidden_error_gain=1.0):
+    """NumPy reference of :func:`repro.core.kernels.rate_phase2`.
+
+    Same arguments and result: ``iterations`` damped fixed-point passes
+    of the rate engine's phase 2 for a ``(B, n)`` block, starting from
+    the phase-1 rates ``h`` of layers 1..L and the first layer's
+    pre-correction rates ``drive``; returns the phase-2 rates of layers
+    1..L.  Every chain is the IEEE operations of ``rate_activation`` /
+    ``quantize_rate`` in their order, and every phase-2 product (the
+    feedback product and each corrected pass's layer >= 1 product) goes
+    through :func:`accumulate_rows`.
+    """
+    T = np.array(float(T))
+    mask = class_mask.astype(float)
+    n_layers = len(dims) - 1
+    batch = len(drive)
+    # ``gates[i]`` belongs to layer ``i + 1``; a 0/1 float multiplies like
+    # the bool it replaces.
+    gates = [(r > 0).astype(float) for r in h]
+    # Buffers made once: the damped corrections (a correction starts at
+    # 0.0, as a scalar 0.0 would: ``0.0 + 0.5 * (d - 0.0)``), the stacked
+    # (+, -) error channels of every layer, each hidden layer's input with
+    # the bias unit's rate 1 appended, and the phase-2 rates, which start
+    # as the phase-1 rates.
+    corrections = [np.zeros((batch, n)) for n in dims[1:]]
+    channels = [np.empty((2, batch, n)) for n in dims[1:]]
+    inputs = [np.ones((batch, n + 1)) for n in dims[1:-1]]
+    h_hat = [np.array(r) for r in h]
+    e_out = corrections[-1]
+    gain, hidden_gain = (np.array(float(g)) for g in
+                         (error_gain, hidden_error_gain))
+    order = range(n_layers - 1)
+    for _ in range(iterations):
+        e = channels[-1]
+        np.subtract(target, h_hat[-1], out=e[0])
+        np.multiply(e[0], gain, out=e[0])
+        _signed_error(e, T, gates[-1] if gate_output else None)
+        _damp(e_out, np.multiply(e[0], mask, out=e[0]))
+        e_above = e_out
+        for i in (reversed(order) if fa else order):
+            e = channels[i]
+            e[0] = accumulate_rows(e_above if fa else e_out, feedback[i])
+            np.multiply(e[0], hidden_gain, out=e[0])
+            _damp(corrections[i], _signed_error(
+                e, T, gates[i] if gate_hidden else None))
+            e_above = corrections[i]
+        # The corrected forward pass: corrections (signed spike rates)
+        # enter after each layer's IF quantization — the effect of
+        # one-to-one error spikes carrying a full threshold's worth of
+        # charge — so the first layer's drive is the phase-1 one.
+        for i, r in enumerate(h_hat):
+            if i == 0:
+                np.add(drive, corrections[0], out=r)
+            else:
+                x = h_hat[i - 1]
+                if bias_unit:
+                    x = inputs[i - 1]
+                    x[:, :-1] = h_hat[i - 1]
+                r[...] = _activate(accumulate_rows(x, weights[i]), T)
+                np.add(r, corrections[i], out=r)
+            _requantize(r, T)
+        np.multiply(h_hat[-1], mask, out=h_hat[-1])
+    return h_hat
+
+
 class _RateSolve:
-    """One rate solve's fixed part and its forward pass.
+    """One rate solve's fixed part and its phase-1 forward pass.
 
     Within a solve the weights are frozen, and phase 2 adds its
     corrections only after each layer's IF quantization.  So the quantized
     input ``q0`` and the first layer's pre-correction rates ``drive``,
     ``rate_activation(aug(q0) @ W0)``, are the same in phase 1 and in
-    every phase-2 pass: they are computed once.  Every later layer's
-    input block is allocated once, its bias column written once.
+    every phase-2 pass: they are computed once, and phase 2 starts from
+    ``drive``.
     """
 
     def __init__(self, net: "EMSTDPNetwork", x):
@@ -263,27 +340,16 @@ class _RateSolve:
         a[..., :-1] = r
         return a
 
-    def forward(self, corrections: Optional[List[np.ndarray]] = None,
-                out: Optional[List[np.ndarray]] = None) -> List[np.ndarray]:
-        """Every layer's rates ``[q0, r_1, ..., r_L]``.
-
-        ``corrections[i]`` (signed spike rates) are added *after* the IF
-        quantization of layer ``i+1`` — the effect of one-to-one error
-        spikes carrying a full threshold's worth of charge.  Layer
-        ``i+1``'s rates go to ``out[i]`` when ``out`` is given, else to
-        fresh arrays.
-        """
+    def forward(self) -> List[np.ndarray]:
+        """Every layer's phase-1 rates ``[q0, r_1, ..., r_L]``."""
         T = self.T
         last = len(self.weights) - 1
         rates = [self.q0]
         for i, w in enumerate(self.weights):
-            o = None if out is None else out[i]
-            r = (self.drive if i == 0 else _activate(
-                np.matmul(self._input(i, rates[i]), w, out=o), T))
-            if corrections is not None:
-                r = _requantize(np.add(r, corrections[i], out=o), T)
+            r = (self.drive if i == 0 else
+                 _activate(self._input(i, rates[i]) @ w, T))
             if i == last:
-                r = np.multiply(r, self.mask, out=o)
+                r = r * self.mask
             rates.append(r)
         return rates
 
@@ -420,16 +486,9 @@ class EMSTDPNetwork:
         block and its ``(B,)`` labels (every sample settles at once)."""
         cfg = self.config
         solve = _RateSolve(self, x)
-        T = solve.T
         h = solve.forward()
         target = encode_labels(labels, self.n_classes).reshape(
             h[-1].shape) * solve.mask
-
-        # The forward-activity gates: a neuron that never fired in phase 1
-        # keeps its error channel shut (surrogate derivative h' = 0).
-        # ``gates[i]`` belongs to layer ``i + 1``; a 0/1 float multiplies
-        # like the bool it replaces.
-        gates = [(hi > 0).astype(float) for hi in h[1:]]
 
         # Phase 2 is a closed loop: error spikes raise/lower the forward
         # rates, which in turn changes the error.  The spiking system settles
@@ -445,39 +504,31 @@ class EMSTDPNetwork:
         # the dendrites are integrate-and-fire: corrections below one
         # threshold's worth of charge produce no spikes, which filters the
         # broadcast noise that raw current injection would accumulate into
-        # weight drift.
+        # weight drift.  The forward-activity gates shut the error channel
+        # of a neuron silent in phase 1 (surrogate derivative h' = 0).
         #
-        # Each iteration runs in buffers made once per solve: the damped
-        # corrections (the output's is ``e_out``), the stacked (+, -) error
-        # channels of every layer, and the phase-2 rates.  A correction
-        # starts at 0.0, as a scalar 0.0 would: ``0.0 + 0.5 * (d - 0.0)``.
-        fa = cfg.feedback == "fa"
-        order = range(self.n_layers - 1)
-        lead = h[0].shape[:-1]
-        corrections = [np.zeros(lead + (n,)) for n in self.dims[1:]]
-        channels = [np.empty((2,) + lead + (n,)) for n in self.dims[1:]]
-        out = [np.empty(lead + (n,)) for n in self.dims[1:]]
-        e_out = corrections[-1]
-        gain, hidden_gain = (np.array(float(g)) for g in
-                             (cfg.error_gain, cfg.hidden_error_gain))
-        h_hat = h
-        for _ in range(cfg.phase2_iterations):
-            e = channels[-1]
-            np.subtract(target, h_hat[-1], out=e[0])
-            np.multiply(e[0], gain, out=e[0])
-            _signed_error(e, T, gates[-1] if cfg.gate_output else None)
-            _damp(e_out, np.multiply(e[0], solve.mask, out=e[0]))
-            e_above = e_out
-            for i in (reversed(order) if fa else order):
-                e = channels[i]
-                np.matmul(e_above if fa else e_out, self.feedback_weights[i],
-                          out=e[0])
-                np.multiply(e[0], hidden_gain, out=e[0])
-                _damp(corrections[i], _signed_error(
-                    e, T, gates[i] if cfg.gate_hidden else None))
-                e_above = corrections[i]
-            h_hat = solve.forward(corrections, out)
-        return h, h_hat
+        # Every pass runs in one kernels.rate_phase2 call when the backend
+        # provides it, else in rate_phase2_reference; both take (B, n)
+        # blocks, so one sample goes in as a block of one.
+        phase2 = (kernels.rate_phase2
+                  if kernels.backend_provides("rate_phase2")
+                  else rate_phase2_reference)
+
+        def block(a):
+            return np.ascontiguousarray(a, dtype=float).reshape(
+                -1, a.shape[-1])
+
+        h_hat = phase2(
+            self.dims, cfg.T, cfg.phase2_iterations, block(solve.drive),
+            [block(r) for r in h[1:]], [block(w) for w in self.weights],
+            self.class_mask, block(target),
+            [block(b) for b in self.feedback_weights],
+            fa=cfg.feedback == "fa", bias_unit=bool(self._bias),
+            gate_hidden=cfg.gate_hidden, gate_output=cfg.gate_output,
+            error_gain=cfg.error_gain,
+            hidden_error_gain=cfg.hidden_error_gain)
+        return h, [h[0]] + [r.reshape(hi.shape)
+                            for r, hi in zip(h_hat, h[1:])]
 
     # -- spike backend --------------------------------------------------
 

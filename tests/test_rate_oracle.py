@@ -4,15 +4,22 @@
 the first layer's drive was cached and the clip/quantize chains fused:
 ``forward_rates`` and ``_rate_two_phase`` are copied verbatim, one
 ``np.clip`` / ``quantize_rate`` call at a time and nine first-layer
-products per solve.  A twin pair (same dims, config and seed) is driven
-through the same schedule, one network on the library's solver and one
-on the oracle, and every output must have the same bits: phase-1 and
-phase-2 rates for one sample and for blocks, inference, minibatch and
-online ``fit_batch``, and the weights after ``train_stream``, with and
-without a class mask.  The configurations cover both feedback modes, the
-full-precision and the 8-bit stochastically rounded weights (the
-rounding generator must be drawn in the same order), one to three weight
-layers, the output gate, no bias neuron, and phase lengths 64 and 20.
+products per solve, with one change: phase 2's products, the feedback
+product and each corrected pass's product into layers >= 1, go through
+:func:`repro.core.network.accumulate_rows`.  That is the rule the engine
+defines for them (row-ordered sums from +0.0 over the nonzero inputs, the
+bias row last, as on the spike path), which a compiled loop reproduces,
+so the oracle pins that rule rather than agreement with a BLAS product;
+phase 1 and inference keep their BLAS products.  A twin pair (same
+dims, config and seed) is driven through the same schedule, one network
+on the library's solver and one on the oracle, and every output must
+have the same bits: phase-1 and phase-2 rates for one sample and for
+blocks, inference, minibatch and online ``fit_batch``, and the weights
+after ``train_stream``, with and without a class mask.  The
+configurations cover both feedback modes, the full-precision and the
+8-bit stochastically rounded weights (the rounding generator must be
+drawn in the same order), one to three weight layers, the output gate,
+no bias neuron, and phase lengths 64 and 20.
 
 The twins run on the same machine, so the oracle needs no recorded
 digest: BLAS kernels differ across CPUs, but one process's products of
@@ -29,11 +36,18 @@ from repro.core import (EMSTDPNetwork, full_precision_config,
                         loihi_default_config)
 from repro.core.encoding import encode_labels, quantize_to_bins
 from repro.core.loss import signed_error_rates
+from repro.core.network import accumulate_rows
 from repro.core.neuron import quantize_rate, rate_activation
 from repro.data import make_blobs
 
 DIMS = {1: (12, 5), 2: (12, 9, 5), 3: (12, 9, 7, 5)}
 CONFIGS = {"fp": full_precision_config, "loihi": loihi_default_config}
+
+
+def _rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` by the phase-2 rule, for one sample or a block."""
+    flat = accumulate_rows(a.reshape(-1, a.shape[-1]), w)
+    return flat.reshape(a.shape[:-1] + (w.shape[1],))
 
 
 class OracleNetwork(EMSTDPNetwork):
@@ -45,7 +59,9 @@ class OracleNetwork(EMSTDPNetwork):
         T = self.config.T
         rates = [quantize_to_bins(np.asarray(x, dtype=float), T)]
         for i, w in enumerate(self.weights):
-            r = rate_activation(self._augment(rates[i]) @ w, T)
+            a = self._augment(rates[i])
+            phase2 = corrections is not None and i >= 1
+            r = rate_activation(_rows(a, w) if phase2 else a @ w, T)
             if corrections is not None and corrections[i] is not None:
                 r = quantize_rate(np.clip(r + corrections[i], 0.0, 1.0), T)
             if i == self.n_layers - 1:
@@ -77,8 +93,8 @@ class OracleNetwork(EMSTDPNetwork):
             corrections[-1] = e_out
             e_above = e_out
             for i in (reversed(order) if fa else order):
-                eps = cfg.hidden_error_gain * (
-                    (e_above if fa else e_out) @ self.feedback_weights[i])
+                eps = cfg.hidden_error_gain * _rows(
+                    e_above if fa else e_out, self.feedback_weights[i])
                 ep = quantize_rate(np.clip(eps, 0.0, 1.0), T)
                 en = quantize_rate(np.clip(-eps, 0.0, 1.0), T)
                 if cfg.gate_hidden:
