@@ -369,12 +369,19 @@ def test_drain_answers_inflight_and_reports_drained(checkpoints):
             target=lambda i=i: futures.append(
                 service.predict(checkpoints["xs"][i], use_cache=False)),
             daemon=True) for i in range(4)]
-        for t in pool:
-            t.start()
         # All four must be *accepted* (in flight on the worker) before the
         # drain starts — that is the property under test: accepted
-        # requests get answered, not dropped.
-        assert _wait(lambda: service.pending() == 4, timeout_s=10.0)
+        # requests get answered, not dropped.  The worker answers as soon
+        # as it is idle, so it is stopped until all four are in its pipe;
+        # it resumes well inside the 5 s heartbeat timeout.
+        worker_pid = supervisor.describe()[0]["pid"]
+        os.kill(worker_pid, signal.SIGSTOP)
+        try:
+            for t in pool:
+                t.start()
+            assert _wait(lambda: service.pending() == 4, timeout_s=3.0)
+        finally:
+            os.kill(worker_pid, signal.SIGCONT)
         assert service.shutdown(timeout=30.0) is True
         for t in pool:
             t.join(timeout=30)
