@@ -69,6 +69,15 @@ def _operands(net, X, y):
     return args, kwargs
 
 
+def _both_legs(args, kwargs):
+    """The reference's and the kernel's result for the same call."""
+    with leg("numpy"):
+        ref = rate_phase2_reference(*args, **kwargs)
+    with leg("cext"):
+        got = kernels.rate_phase2(*args, **kwargs)
+    return ref, got
+
+
 def _assert_same_bytes(ref, got):
     assert len(ref) == len(got)
     for r, g in zip(ref, got):
@@ -102,10 +111,7 @@ def test_kernel_equals_reference(feedback, gate_hidden, gate_output, bias,
             else:
                 net.clear_class_mask()
             args, kwargs = _operands(net, X[:batch], y[:batch])
-            with leg("numpy"):
-                ref = rate_phase2_reference(*args, **kwargs)
-            with leg("cext"):
-                got = kernels.rate_phase2(*args, **kwargs)
+            ref, got = _both_legs(args, kwargs)
             _assert_same_bytes(ref, got)
             moved += any(not np.array_equal(r, h)
                          for r, h in zip(ref, args[4]))
@@ -118,8 +124,8 @@ def test_kernel_equals_reference(feedback, gate_hidden, gate_output, bias,
 def test_kernel_equals_reference_on_wide_layers(fa, iterations):
     """Layers wide enough for every part of the C row sum (whole vector
     blocks, single vectors, scalars), forward and feedback, with weights
-    of mixed magnitudes, so that another summation order would change
-    the sums; zero passes return the phase-1 rates."""
+    of mixed magnitudes (the row-order tests below pin the order itself);
+    zero passes return the phase-1 rates."""
     rng = np.random.default_rng(11)
     dims = (45, 53, 37, 10)
     weights = [rng.standard_normal((dims[i] + 1, dims[i + 1]))
@@ -135,12 +141,8 @@ def test_kernel_equals_reference_on_wide_layers(fa, iterations):
     target = np.eye(10)[rng.integers(0, 10, 3)]
     args = (dims, T, iterations, drive, h, weights, np.ones(10, dtype=bool),
             target, feedback)
-    kwargs = dict(fa=fa, gate_hidden=False, error_gain=2.0,
-                  hidden_error_gain=0.5)
-    with leg("numpy"):
-        ref = rate_phase2_reference(*args, **kwargs)
-    with leg("cext"):
-        got = kernels.rate_phase2(*args, **kwargs)
+    ref, got = _both_legs(args, dict(fa=fa, gate_hidden=False,
+                                     error_gain=2.0, hidden_error_gain=0.5))
     _assert_same_bytes(ref, got)
     if iterations == 0:
         _assert_same_bytes(h, got)
@@ -153,14 +155,6 @@ ORDER_CASES = [  # rows, bias row, row-order sum
     ([1e16, -1e16, 1.0], True, 1.0),       # bias row first: 0
     ([1e16, 1.0, -1e16, 1.0], False, 1.0),  # pairwise or reversed: 0
 ]
-
-
-def _both_legs(args, kwargs):
-    with leg("numpy"):
-        ref = rate_phase2_reference(*args, **kwargs)
-    with leg("cext"):
-        got = kernels.rate_phase2(*args, **kwargs)
-    return ref, got
 
 
 @needs_cext
