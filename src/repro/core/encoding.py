@@ -132,6 +132,16 @@ def encode_label(label: int, n_classes: int, rate: float = 1.0) -> np.ndarray:
     return target
 
 
+def label_indices(labels, n_classes: int) -> np.ndarray:
+    """``labels`` as a C-contiguous ``(B,)`` int64 array; ``ValueError``
+    naming the first label outside ``[0, n_classes)``."""
+    labels = np.ascontiguousarray(labels, dtype=np.int64).reshape(-1)
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        bad = labels[(labels < 0) | (labels >= n_classes)][0]
+        raise ValueError(f"label {bad} out of range for {n_classes} classes")
+    return labels
+
+
 def encode_labels(labels: np.ndarray, n_classes: int,
                   rate: float = 1.0) -> np.ndarray:
     """Batched :func:`encode_label`: ``(B,)`` labels -> ``(B, n_classes)``.
@@ -140,10 +150,7 @@ def encode_labels(labels: np.ndarray, n_classes: int,
     one-hot target block is built in one indexed write so the batched
     engine pays no per-sample Python cost.
     """
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        bad = labels[(labels < 0) | (labels >= n_classes)][0]
-        raise ValueError(f"label {bad} out of range for {n_classes} classes")
+    labels = label_indices(labels, n_classes)
     if not 0.0 < rate <= 1.0:
         raise ValueError("target rate must be in (0, 1]")
     targets = np.zeros((labels.size, n_classes))

@@ -21,14 +21,17 @@ interchangeable backends:
     :func:`spike_present`, which runs one EMSTDP presentation of a
     ``(B, n_in)`` block in one call, and :func:`rate_phase2`, which runs
     every damped phase-2 pass of a rate training solve of a ``(B, n)``
-    block in one call (phase 1, the inference pass, stays on BLAS).
+    block and, given a :class:`RateUpdate`, the Eq. (7) write-back into
+    the weights in place, in one call (phase 1, the inference pass, stays
+    on BLAS).
 ``numpy``
     The pure-NumPy reference implementation — always available.  It has
     no fused loop: the chip runtime and the spike engine step their
     layers one timestep at a time, the chip's learning engine applies
     one rule to one connection at a time, and the rate engine runs its
-    phase-2 passes in NumPy, which is the reference each fused loop is
-    pinned to.
+    phase-2 passes in NumPy and its write-back through
+    ``WeightUpdater``, which is the reference each fused loop is pinned
+    to.
 
 The kernels take exactly what the engines pass: floating-point state is
 float64 only, and each array operand must already be a C-contiguous array
@@ -39,6 +42,9 @@ or broadcast on the way in.  Callers that take outside input
 (``IFLayer.step``, ``TraceState.update``, ...) build that array
 themselves.  The one exception is :func:`sum_of_products`, which stacks
 the learning engine's integer registers into float64 blocks itself.
+:func:`rate_phase2` also takes its weight and feedback matrices as
+:class:`ArrayTable` bindings (:func:`array_table`), whose data addresses
+are read once; it still checks every array in them on every call.
 
 Selection happens once at import: the first available backend in the order
 above wins, with a single ``RuntimeWarning`` if only NumPy is left.  The
@@ -63,6 +69,7 @@ to ``network.rate_phase2_reference`` byte for byte.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import os
 import warnings
@@ -70,17 +77,18 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..quantize import quant_step
 from ._layout import (MICROCODE_CONN_ARRAYS, MICROCODE_CONN_FIELDS,
                       MICROCODE_RULE_FIELDS, NETWORK_CONN_ARRAYS,
                       NETWORK_CONN_FIELDS, NETWORK_GROUP_ARRAYS,
                       NETWORK_GROUP_FIELDS)
 
 __all__ = [
-    "MicrocodeProgram", "available_backends", "backend_name",
-    "backend_provides", "cuba_step", "delta_w", "delta_w_batch",
-    "forced_backend", "if_step", "microcode_epoch", "microcode_program",
-    "network_run", "rate_phase2", "select_backend", "spike_present",
-    "sum_of_products", "trace_update",
+    "ArrayTable", "MicrocodeProgram", "RateUpdate", "array_table",
+    "available_backends", "backend_name", "backend_provides", "cuba_step",
+    "delta_w", "delta_w_batch", "forced_backend", "if_step",
+    "microcode_epoch", "microcode_program", "network_run", "rate_phase2",
+    "select_backend", "spike_present", "sum_of_products", "trace_update",
 ]
 
 #: Autodetection preference order.
@@ -215,7 +223,9 @@ def _operand(name: str, a, dtype, shape=None) -> None:
     """
     if isinstance(a, np.ndarray) and a.dtype == dtype \
             and a.flags.c_contiguous:
-        if shape is None or (a.ndim == len(shape) and all(
+        # A whole-tuple compare first: every operand of a hot call has a
+        # fully known shape but one.
+        if shape is None or a.shape == shape or (a.ndim == len(shape) and all(
                 want is None or got == want
                 for got, want in zip(a.shape, shape))):
             return
@@ -630,20 +640,115 @@ def spike_present(dims, steps: int, drive: np.ndarray, weights,
 
 # -- fused rate-engine phase 2 ------------------------------------------
 
+def _address(a: np.ndarray) -> int:
+    """Data address of an array.
+
+    ``a.ctypes.data`` builds numpy's ctypes helper object on every read
+    (~1.7 us); lending the buffer to a one-byte ctypes object reads the
+    same address in ~0.5 us.  A read-only or empty array cannot lend its
+    buffer so and takes the slow read.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):
+        return a.ctypes.data
+
+
+class ArrayTable(NamedTuple):
+    """Arrays bound once for :func:`rate_phase2` (see :func:`array_table`)."""
+
+    #: The arrays themselves; :func:`rate_phase2` checks each on every call.
+    arrays: Tuple[np.ndarray, ...]
+    #: ``np.uintp`` table of their data addresses.
+    addresses: np.ndarray
+    #: The address of :attr:`addresses` itself.
+    address: int
+
+
+def array_table(arrays) -> ArrayTable:
+    """Read the data addresses of ``arrays`` once, for repeated
+    :func:`rate_phase2` calls (as ``weights`` or ``feedback``).
+
+    Only the addresses are reused: the kernel still checks each array's
+    dtype, shape and layout on every call.  The table holds a reference to
+    every array, so none is freed, and ``ndarray.resize`` refuses to move
+    one, while the table lives.  Bind a new table after replacing an
+    array.
+    """
+    arrays = tuple(arrays)
+    for i, a in enumerate(arrays):
+        if not isinstance(a, np.ndarray):
+            raise TypeError(f"arrays[{i}] must be an array, got {type(a)}")
+    addresses = np.array([_address(a) for a in arrays], dtype=np.uintp)
+    return ArrayTable(arrays, addresses, _address(addresses))
+
+
+class RateUpdate(NamedTuple):
+    """The Eq. (7) write-back :func:`rate_phase2` runs after its passes,
+    with the semantics of :class:`repro.core.learning.WeightUpdater`."""
+
+    #: ``(B, dims[0])`` float64: the input layer's rates, layer 0's
+    #: presynaptic rates.
+    pre: np.ndarray
+    #: The learning rate (any ``lr_scale`` already applied).
+    eta: float
+    #: ``False``: one sample's update, ``WeightUpdater.apply`` (``B`` must
+    #: be 1); ``True``: the batch-ordered mean of ``apply_batch``.
+    mean: bool = False
+    #: ``quantize_weights``' clip range, its grid's bits and, for
+    #: stochastic rounding, its generator (``None``: round to nearest).
+    clip: Optional[float] = None
+    bits: Optional[int] = None
+    rng: Optional[np.random.Generator] = None
+
+
+@functools.lru_cache(maxsize=64)
+def _rate_layout(dims: Tuple[int, ...], batch: int):
+    """``dims`` as a read-only int64 array (which the cache keeps alive)
+    and its address, the result's size and each layer's ``(lo, hi,
+    shape)`` in it, made once per shape."""
+    dims_c = np.array(dims, dtype=np.int64)
+    dims_c.flags.writeable = False
+    edges = np.cumsum((0,) + dims[1:]) * batch
+    parts = tuple((int(lo), int(hi), (batch, n))
+                  for lo, hi, n in zip(edges, edges[1:], dims[1:]))
+    return dims_c, dims_c.ctypes.data, int(edges[-1]), parts
+
+
+def _unbound(operand):
+    """The arrays of ``weights`` or ``feedback``: a sequence of arrays or
+    an :class:`ArrayTable`."""
+    return operand.arrays if isinstance(operand, ArrayTable) else operand
+
+
+def _labels_in_range(labels: np.ndarray, n: int) -> bool:
+    if len(labels) == 1:
+        return 0 <= labels[0] < n
+    return not len(labels) or (labels.min() >= 0 and labels.max() < n)
+
+
+#: Rounding codes of the compiled write-back: no grid, nearest, stochastic.
+_ROUND_NONE, _ROUND_NEAREST, _ROUND_STOCHASTIC = range(3)
+
+
 def rate_phase2(dims, T: float, iterations: int, drive: np.ndarray, h,
                 weights, class_mask: np.ndarray, target: np.ndarray,
                 feedback=(), *, fa: bool = False, bias_unit: bool = True,
                 gate_hidden: bool = True, gate_output: bool = False,
-                error_gain: float = 1.0, hidden_error_gain: float = 1.0):
-    """The rate engine's phase 2 for a ``(B, n)`` block in one call.
+                error_gain: float = 1.0, hidden_error_gain: float = 1.0,
+                update: Optional[RateUpdate] = None):
+    """The rate engine's phase 2 for a ``(B, n)`` block in one call, and
+    optionally its Eq. (7) write-back.
 
     Runs ``iterations`` damped fixed-point passes with the exact
     semantics of :func:`repro.core.network.rate_phase2_reference`, the
     NumPy path it is pinned to, and returns the phase-2 rates of layers
     1..L as ``(B, dims[k])`` float64 arrays.  ``h`` holds the phase-1
     rates of layers 1..L and ``drive`` the first layer's pre-correction
-    rates, ``rate_activation([q0, 1] @ W0)``, which phase 1 computed;
-    ``weights[0]`` is checked but not read.  Each pass:
+    rates, ``rate_activation([q0, 1] @ W0)``, which phase 1 computed.
+    ``target`` is the ``(B, n_out)`` float64 target block, or ``(B,)``
+    int64 label indices standing for ``encode_labels(labels) *
+    class_mask``.  Each pass:
 
     * drives the output error pair with
       ``error_gain * (target - h_hat[L])``; each channel's rate is
@@ -664,10 +769,25 @@ def rate_phase2(dims, T: float, iterations: int, drive: np.ndarray, h,
     inputs, each row times its input, in row order from +0.0 with the
     bias unit's row last — the spike path's rule, which a C loop and the
     NumPy reference both reproduce where a BLAS product's order is not
-    defined.  Every array is checked against ``dims`` before its address
-    reaches the backend: one that is not a C-contiguous array of the
-    right dtype and shape raises ``TypeError``; a wrong number of rate,
-    weight or feedback arrays raises ``ValueError``.  Raises
+    defined.
+
+    Given an ``update``, the weights are then updated in place with the
+    IEEE operations of ``WeightUpdater.apply`` (per sample, ``B = 1``)
+    or ``apply_batch(..., reduction="mean")``: ``delta_w`` /
+    ``delta_w_batch`` of the phase-1 and phase-2 rates, the presynaptic
+    rates being ``update.pre`` for layer 0 and ``h`` above it (with the
+    bias unit's 1), then ``w + dw`` and ``quantize_weights``.  Its
+    stochastic rounding draws ``rng.random`` once per weight matrix, in
+    layer order, ``w.size`` uniforms each, as ``quantize_weights`` does,
+    after every operand is checked.
+
+    ``weights`` and ``feedback`` are sequences of arrays or
+    :class:`ArrayTable` bindings of them.  Every array is checked against
+    ``dims`` on every call, before its address reaches the backend: one
+    that is not a C-contiguous array of the right dtype and shape, or a
+    read-only weight given an update, raises ``TypeError``; a wrong
+    number of rate, weight or feedback arrays, a label out of range or
+    an update that does not fit the block raises ``ValueError``.  Raises
     ``NotImplementedError`` when the active backend has no fused loop
     (see :func:`backend_provides`).
     """
@@ -675,7 +795,7 @@ def rate_phase2(dims, T: float, iterations: int, drive: np.ndarray, h,
         raise NotImplementedError(
             f"kernel backend {_active_name!r} has no fused rate_phase2; "
             f"use repro.core.network.rate_phase2_reference instead")
-    dims = tuple(int(n) for n in dims)
+    dims = tuple(map(int, dims))
     n_layers = len(dims) - 1
     if n_layers < 1 or min(dims) < 1 or int(iterations) < 0 \
             or not float(T) > 0:
@@ -683,32 +803,73 @@ def rate_phase2(dims, T: float, iterations: int, drive: np.ndarray, h,
                          f"iterations >= 0, got {dims}, {T} and {iterations}")
     _operand("drive", drive, _F64, (None, dims[1]))
     batch = len(drive)
-    for name, arrays, count in (("rate", h, n_layers),
-                                ("weight", weights, n_layers),
-                                ("feedback", feedback, n_layers - 1)):
+    for name, arrays, count in (
+            ("rate", h, n_layers), ("weight", _unbound(weights), n_layers),
+            ("feedback", _unbound(feedback), n_layers - 1)):
         if len(arrays) != count:
             raise ValueError(f"{len(arrays)} {name} arrays for {n_layers} "
                              f"layers")
     for k, r in enumerate(h):
         _operand(f"h[{k}]", r, _F64, (batch, dims[k + 1]))
-    for i, w in enumerate(weights):
+    for i, w in enumerate(_unbound(weights)):
         _operand(f"weights[{i}]", w, _F64,
                  (dims[i] + bool(bias_unit), dims[i + 1]))
     _operand("class_mask", class_mask, np.bool_, (dims[-1],))
-    _operand("target", target, _F64, (batch, dims[-1]))
-    for i, b in enumerate(feedback):
+    labels = isinstance(target, np.ndarray) and target.ndim == 1
+    if labels:
+        _operand("target (labels)", target, _I64, (batch,))
+        if not _labels_in_range(target, dims[-1]):
+            raise ValueError(f"labels must be in [0, {dims[-1]}), got "
+                             f"{target.min()} to {target.max()}")
+    else:
+        _operand("target", target, _F64, (batch, dims[-1]))
+    for i, b in enumerate(_unbound(feedback)):
         _operand(f"feedback[{i}]", b, _F64,
                  (dims[i + 2] if fa else dims[-1], dims[i + 1]))
-    out = np.empty(batch * sum(dims[1:]))
+    mode, pre, rounding, step, levels, uniforms = 0, None, 0, 1.0, 0.0, None
+    clip = float("inf")
+    if update is not None:
+        _operand("update.pre", update.pre, _F64, (batch, dims[0]))
+        if update.mean and not batch:
+            raise ValueError("cannot mean-reduce an empty batch")
+        if not update.mean and batch != 1:
+            raise ValueError(f"a per-sample update takes one sample, got "
+                             f"a block of {batch}")
+        for i, w in enumerate(_unbound(weights)):
+            if not w.flags.writeable:
+                raise TypeError(f"weights[{i}] is read-only; the update "
+                                f"writes into it")
+        if update.bits is not None:
+            if update.clip is None:
+                raise ValueError("quantization requires a clip range")
+            step = quant_step(update.bits, update.clip)
+            levels = float(2 ** (update.bits - 1) - 1)
+            rounding = (_ROUND_NEAREST if update.rng is None
+                        else _ROUND_STOCHASTIC)
+        if update.clip is not None:
+            clip = float(update.clip)
+        mode, pre = 1 + bool(update.mean), _address(update.pre)
+        if rounding == _ROUND_STOCHASTIC:
+            sizes = np.cumsum([0] + [w.size for w in _unbound(weights)])
+            uniforms = np.empty(sizes[-1])
+            for lo, hi in zip(sizes, sizes[1:]):
+                update.rng.random(out=uniforms[lo:hi])
+    tables = [array_table(h)] + [a if isinstance(a, ArrayTable)
+                                 else array_table(a)
+                                 for a in (weights, feedback)]
+    _, dims_addr, size, parts = _rate_layout(dims, batch)
+    out = np.empty(size)
     _impl().rate_phase2(
-        np.array(dims, dtype=np.int64), float(T), int(iterations), drive,
-        *(np.array([a.ctypes.data for a in arrays], dtype=np.uintp)
-          for arrays in (h, weights, feedback)),
-        class_mask, target, bool(bias_unit), bool(fa), bool(gate_hidden),
-        bool(gate_output), float(error_gain), float(hidden_error_gain), out)
-    edges = np.cumsum((0,) + dims[1:]) * batch
-    return [out[lo:hi].reshape(batch, n)
-            for lo, hi, n in zip(edges, edges[1:], dims[1:])]
+        n_layers, dims_addr, float(T), int(iterations), batch,
+        _address(drive), *(t.address for t in tables), _address(class_mask),
+        None if labels else _address(target),
+        _address(target) if labels else None, int(bool(bias_unit)),
+        int(bool(fa)), int(bool(gate_hidden)), int(bool(gate_output)),
+        float(error_gain), float(hidden_error_gain), _address(out), mode,
+        pre, float(update.eta) if update is not None else 0.0, clip,
+        rounding, step, levels,
+        None if uniforms is None else _address(uniforms))
+    return [out[lo:hi].reshape(shape) for lo, hi, shape in parts]
 
 
 # Backend bootstrap: the env override wins over autodetection; unknown

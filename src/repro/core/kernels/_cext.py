@@ -211,8 +211,10 @@ for _name, _argtypes in {
                             _c_ssize, _ptr, _ptr, _c_ssize, _ptr, _ptr, _ptr,
                             _ptr, _c_ssize, _c_int64, _c_int64],
     "rate_phase2_f64": [_c_ssize, _ptr, _c_double, _c_int64, _c_ssize, _ptr,
-                        _ptr, _ptr, _ptr, _ptr, _ptr, _c_int, _c_int, _c_int,
-                        _c_int, _c_double, _c_double, _ptr],
+                        _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _c_int, _c_int,
+                        _c_int, _c_int, _c_double, _c_double, _ptr, _c_int,
+                        _ptr, _c_double, _c_double, _c_int, _c_double,
+                        _c_double, _ptr],
 }.items():
     _fn = getattr(_lib, _name)
     _fn.argtypes = _argtypes
@@ -320,18 +322,20 @@ def microcode_epoch(replicas, conns, conn_arrays, rules, scales, offs, kinds,
                           "buffers")
 
 
-def rate_phase2(dims, T, iterations, drive, h, weights, feedback, class_mask,
-                target, bias_unit, fa, gate_hidden, gate_output, error_gain,
-                hidden_error_gain, out):
+def rate_phase2(n_layers, dims, T, iterations, batch, drive, h, weights,
+                feedback, class_mask, target, labels, bias_unit, fa,
+                gate_hidden, gate_output, error_gain, hidden_error_gain, out,
+                update, pre, eta, clip, rounding, step, levels, uniforms):
+    """Every pointer argument arrives as an address (an int) or ``None``:
+    the package reads the addresses of its bound tables once."""
     status = _lib.rate_phase2_f64(
-        len(dims) - 1, dims.ctypes.data, T, iterations, len(drive),
-        drive.ctypes.data, h.ctypes.data, weights.ctypes.data,
-        feedback.ctypes.data, class_mask.ctypes.data, target.ctypes.data,
-        int(bias_unit), int(fa), int(gate_hidden), int(gate_output),
-        error_gain, hidden_error_gain, out.ctypes.data)
+        n_layers, dims, T, iterations, batch, drive, h, weights, feedback,
+        class_mask, target, labels, bias_unit, fa, gate_hidden, gate_output,
+        error_gain, hidden_error_gain, out, update, pre, eta, clip, rounding,
+        step, levels, uniforms)
     if status == -2:
-        raise ValueError("rate_phase2 got a non-positive size or a null "
-                         "address")
+        raise ValueError("rate_phase2 got a non-positive size, a label out "
+                         "of range, a bad update mode or a null address")
     if status:
         raise MemoryError("rate_phase2 could not allocate its scratch "
                           "buffers")

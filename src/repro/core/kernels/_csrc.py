@@ -30,7 +30,11 @@ and sums weight rows in the order the per-step reference in
 (``tests/test_spike_fused.py``).  The fused ``rate_phase2_f64`` loop runs
 the rate engine's clip/quantize chains as the reference's IEEE operations
 in their order and sums its phase-2 products with the same row sums, so
-it reproduces ``network.rate_phase2_reference`` byte for byte
+it reproduces ``network.rate_phase2_reference`` byte for byte; its
+optional Eq. (7) write-back performs ``delta_w_f64``'s or
+``delta_w_batch_f64``'s products and sums in their order, then
+``quantize_weights``' clip and rounding on the same uniforms, so it
+reproduces ``WeightUpdater.apply`` / ``apply_batch`` byte for byte
 (``tests/test_rate_fused.py``).
 """
 
@@ -40,7 +44,7 @@ from ._layout import (MICROCODE_CONN_ARRAYS, MICROCODE_CONN_FIELDS,
                       NETWORK_GROUP_FIELDS)
 
 #: Bump when the C ABI below changes; part of the compile-cache key.
-SOURCE_VERSION = 10
+SOURCE_VERSION = 11
 
 
 def _c_enum(prefix: str, fields) -> str:
@@ -780,9 +784,26 @@ int spike_present_f64(ptrdiff_t n_layers, const int64_t *dims, int64_t T,
  * the nonzero inputs, in row order from +0.0 (the bias unit's row last),
  * through list_signed and sum_rows, as network.accumulate_rows does.
  * Samples are independent under frozen weights, so the loop runs each
- * sample's passes before the next one; h_hat starts as a copy of h.
- * Returns 0; -1 if scratch allocation fails, -2 on a bad size or a null
- * address — both before any output is written.                           */
+ * sample's passes before the next one; h_hat starts as a copy of h.  A
+ * sample's target is its row of target or, given labels instead, the
+ * one-hot row of its label times the class mask (encode_labels(y) * mask:
+ * every product is 0.0 or 1.0, so the row is built without multiplying).
+ *
+ * With an update mode, the Eq. (7) write-back of learning.WeightUpdater
+ * follows once every sample's passes are done: layer by layer, the
+ * presynaptic rates being pre (the input layer's, for layer 0) or the
+ * phase-1 rates below, with the bias unit's 1.0 last.  RATE_SAMPLE is
+ * apply for one sample, w + eta * (p * (h_hat - h)) (delta_w_f64's
+ * product); RATE_MEAN is apply_batch's mean, the per-sample products
+ * p * (h_hat - h) summed from +0.0 in batch order, times eta, over B
+ * (delta_w_batch_f64).  Each sum then goes through rate_project, the
+ * quantize_weights chain, and back into w in place; uniforms holds the
+ * stochastic rounding's draws, one per weight, layer 0's first.
+ * Returns 0; -1 if scratch allocation fails, -2 on a bad size, label or
+ * mode or a null address — both before any output or weight is written. */
+enum { RATE_NO_UPDATE, RATE_SAMPLE, RATE_MEAN };
+enum { ROUND_NONE, ROUND_NEAREST, ROUND_STOCHASTIC };
+
 static double rate_requantize(double r, double T) {
     r = r < 0.0 ? 0.0 : r;
     r = r > 1.0 ? 1.0 : r;
@@ -810,16 +831,56 @@ static void rate_error_pair(double *c, const double *d, double gain,
     }
 }
 
+/* np.clip(x, lo, hi): x stays unless a compare moves it, so a NaN passes
+ * and a zero keeps its sign, as in NumPy's clip.                        */
+static double clip_f64(double x, double lo, double hi) {
+    x = x < lo ? lo : x;
+    return x > hi ? hi : x;
+}
+
+/* quantize_weights of a row x into w (clip = inf for no clip): the clip,
+ * then on the grid x / step, rounded down plus (u < fraction) or to
+ * nearest with ties to even (nearbyint, as np.round), clipped to +-levels
+ * and times step.  floor(-0.0) + 0.0 is +0.0, as NumPy's floor + (u <
+ * frac).  One loop per rounding, so each vectorizes.                    */
+static void rate_project(double *w, const double *x, const double *u,
+                         ptrdiff_t n, double clip, int rounding, double step,
+                         double levels) {
+    if (rounding == ROUND_NONE) {
+        for (ptrdiff_t j = 0; j < n; j++) w[j] = clip_f64(x[j], -clip, clip);
+    } else if (rounding == ROUND_NEAREST) {
+        for (ptrdiff_t j = 0; j < n; j++) {
+            double s = nearbyint(clip_f64(x[j], -clip, clip) / step);
+            w[j] = clip_f64(s, -levels, levels) * step;
+        }
+    } else {
+        for (ptrdiff_t j = 0; j < n; j++) {
+            double s = clip_f64(x[j], -clip, clip) / step;
+            double fl = floor(s);
+            s = fl + (double)(u[j] < s - fl);
+            w[j] = clip_f64(s, -levels, levels) * step;
+        }
+    }
+}
+
 int rate_phase2_f64(ptrdiff_t n_layers, const int64_t *dims, double T,
                     int64_t iterations, ptrdiff_t B, const double *drive,
                     const uintptr_t *h, const uintptr_t *weights,
                     const uintptr_t *feedback, const uint8_t *class_mask,
-                    const double *target, int bias_unit, int fa,
-                    int gate_hidden, int gate_output, double error_gain,
-                    double hidden_error_gain, double *out) {
+                    const double *target, const int64_t *labels,
+                    int bias_unit, int fa, int gate_hidden, int gate_output,
+                    double error_gain, double hidden_error_gain, double *out,
+                    int update, const double *pre, double eta, double clip,
+                    int rounding, double step, double levels,
+                    const double *uniforms) {
     if (n_layers < 1 || iterations < 0 || B < 0 || !dims || !h || !weights
         || !class_mask || (n_layers > 1 && !feedback)
-        || (B && (!drive || !target || !out)))
+        || (B && (!drive || (!target && !labels) || !out))
+        || update < RATE_NO_UPDATE || update > RATE_MEAN
+        || (update == RATE_SAMPLE && B != 1)
+        || (update == RATE_MEAN && B < 1) || (update && !pre)
+        || rounding < ROUND_NONE || rounding > ROUND_STOCHASTIC
+        || (update && rounding == ROUND_STOCHASTIC && !uniforms))
         return -2;
     ptrdiff_t total = 0, widest = 1;
     for (ptrdiff_t k = 1; k <= n_layers; k++) {
@@ -833,13 +894,20 @@ int rate_phase2_f64(ptrdiff_t n_layers, const int64_t *dims, double T,
             || (i < n_layers - 1 && !feedback[i]))
             return -2;
     ptrdiff_t n_out = dims[n_layers];
+    if (!target)
+        for (ptrdiff_t b = 0; b < B; b++)
+            if (labels[b] < 0 || labels[b] >= n_out) return -2;
     /* Per sample: the damped corrections of layers 1..L, then the row
-     * sums, the listed rows' multipliers and the class mask.             */
-    double *buf = (double *)malloc((size_t)(total + 2 * widest + 1 + n_out)
-                                   * sizeof(double));
+     * sums, the listed rows' multipliers (a row per sample in the
+     * write-back), the class mask, the target row built from a label and
+     * the write-back's per-sample h_hat - h of one layer.                */
+    ptrdiff_t listed = update && B > widest ? B : widest + 1;
+    double *buf = (double *)malloc(
+        (size_t)(total + widest + listed + 2 * n_out
+                 + (update ? B * widest : 0)) * sizeof(double));
     ptrdiff_t *off = (ptrdiff_t *)malloc((size_t)(n_layers + 1)
                                          * sizeof(ptrdiff_t));
-    const double **rows = (const double **)malloc((size_t)(widest + 1)
+    const double **rows = (const double **)malloc((size_t)listed
                                                   * sizeof(double *));
     if (!buf || !off || !rows) {
         free(buf);
@@ -848,7 +916,8 @@ int rate_phase2_f64(ptrdiff_t n_layers, const int64_t *dims, double T,
         return -1;
     }
     double *corr = buf, *acc = corr + total, *sign = acc + widest;
-    double *mask = sign + widest + 1;
+    double *mask = sign + listed, *onehot = mask + n_out;
+    double *diff = onehot + n_out;
     for (ptrdiff_t k = 0, o = 0; k <= n_layers; k++) {
         off[k] = o;
         if (k < n_layers) o += dims[k + 1];
@@ -863,7 +932,10 @@ int rate_phase2_f64(ptrdiff_t n_layers, const int64_t *dims, double T,
         for (ptrdiff_t i = 0; i < n_layers; i++)
             memcpy(HAT(i), H1(i), (size_t)dims[i + 1] * sizeof(double));
         memset(corr, 0, (size_t)total * sizeof(double));
-        const double *t = target + b * n_out;
+        const double *t = target ? target + b * n_out : onehot;
+        if (!target)
+            for (ptrdiff_t j = 0; j < n_out; j++)
+                onehot[j] = j == labels[b] ? mask[j] : 0.0;
         for (int64_t it = 0; it < iterations; it++) {
             const double *o = HAT(last);
             for (ptrdiff_t j = 0; j < n_out; j++) acc[j] = t[j] - o[j];
@@ -912,6 +984,41 @@ int rate_phase2_f64(ptrdiff_t n_layers, const int64_t *dims, double T,
                     for (ptrdiff_t j = 0; j < n; j++) r[j] = r[j] * mask[j];
             }
         }
+    }
+
+    /* The write-back.  Per layer, diff holds each sample's h_hat - h; per
+     * weight row, acc gets w + delta, delta being one sample's
+     * eta * (p * diff) or the products p * diff summed from +0.0 in
+     * batch order (sum_rows, the samples' diff rows times their p), times
+     * eta, over B; rate_project writes it back.                          */
+    const double *u = uniforms;
+    for (ptrdiff_t i = 0; update && i < n_layers; i++) {
+        ptrdiff_t n_pre = dims[i], n = dims[i + 1];
+        const double *p_in = i == 0 ? pre : (const double *)h[i - 1];
+        double *w = (double *)weights[i];
+        for (ptrdiff_t b = 0; b < B; b++) {
+            const double *hat = HAT(i), *h1 = H1(i);
+            double *d = diff + b * n;
+            for (ptrdiff_t j = 0; j < n; j++) d[j] = hat[j] - h1[j];
+            rows[b] = d;
+        }
+        for (ptrdiff_t q = 0; q < n_pre + bias_unit; q++, w += n) {
+            if (update == RATE_SAMPLE) {
+                double p = q < n_pre ? p_in[q] : 1.0;
+                for (ptrdiff_t j = 0; j < n; j++)
+                    acc[j] = w[j] + eta * (p * diff[j]);
+            } else {
+                for (ptrdiff_t b = 0; b < B; b++)
+                    sign[b] = q < n_pre ? p_in[b * n_pre + q] : 1.0;
+                for (ptrdiff_t j = 0; j < n; j++) acc[j] = 0.0;
+                sum_rows(acc, rows, sign, B, n);
+                for (ptrdiff_t j = 0; j < n; j++)
+                    acc[j] = w[j] + eta * acc[j] / (double)B;
+            }
+            rate_project(w, acc, u ? u + q * n : NULL, n, clip, rounding,
+                         step, levels);
+        }
+        if (u) u += (n_pre + bias_unit) * n;
     }
 #undef H1
 #undef HAT

@@ -17,17 +17,22 @@ hardware resource constraints.  Two dynamics backends are provided:
     weights are frozen within a solve and the phase-2 corrections enter
     after each layer's quantization, so the first layer's drive is
     computed once per solve: one first-layer product instead of
-    ``1 + phase2_iterations``.  Every phase-2 pass of a training solve
-    then runs in one :func:`repro.core.kernels.rate_phase2` call when the
-    kernel backend provides that loop, else in
-    :func:`rate_phase2_reference`, the NumPy path it is pinned to byte for
-    byte (``tests/test_rate_fused.py``); a single sample goes in as a
-    block of one.  Phase 2's products (the feedback product and each
-    corrected pass's product into layers >= 1) follow the spike path's
-    rule below, row-ordered sums from +0.0, and its clip/quantize chains
-    are the IEEE operations of ``rate_activation`` / ``quantize_rate`` in
-    their order; ``tests/test_rate_oracle.py`` pins every output bit to
-    the unfused solver with those products.
+    ``1 + phase2_iterations``.  When the kernel backend provides the
+    loop, a training sample (or a minibatch) is then phase 1 plus one
+    :func:`repro.core.kernels.rate_phase2` call, which runs every phase-2
+    pass and the Eq. (7) write-back, updating the weights in place; it
+    reads weight and feedback tables the network binds once and rebinds
+    only when an array is replaced.  Otherwise phase 2 runs in
+    :func:`rate_phase2_reference` and the write-back in
+    ``_apply_updates`` (:class:`~repro.core.learning.WeightUpdater`), the
+    NumPy path the call is pinned to byte for byte
+    (``tests/test_rate_fused.py``); a single sample goes in as a block of
+    one.  Phase 2's products (the feedback product and each corrected
+    pass's product into layers >= 1) follow the spike path's rule below,
+    row-ordered sums from +0.0, and its clip/quantize chains are the IEEE
+    operations of ``rate_activation`` / ``quantize_rate`` in their order;
+    ``tests/test_rate_oracle.py`` pins every output bit to the unfused
+    solver with those products.
 
 ``spike``
     Simulates all ``2*T`` timesteps with explicit integrate-and-fire neurons,
@@ -69,6 +74,7 @@ update modes:
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,7 +82,7 @@ import numpy as np
 from . import kernels
 from .config import EMSTDPConfig, validate_dims
 from .encoding import (as_labeled_batch, as_sample_batch, bias_encode,
-                       encode_labels, quantize_to_bins)
+                       encode_labels, label_indices, quantize_to_bins)
 from .feedback import make_dfa_weights, make_fa_weights
 from .learning import WeightUpdater
 from .loss import predict_class, predict_classes
@@ -307,6 +313,12 @@ def rate_phase2_reference(dims, T, iterations, drive, h, weights, class_mask,
     return h_hat
 
 
+def _holds(arrays, table: kernels.ArrayTable) -> bool:
+    """Whether ``arrays`` holds exactly the arrays ``table`` bound."""
+    return len(arrays) == len(table.arrays) and all(
+        map(operator.is_, arrays, table.arrays))
+
+
 class _RateSolve:
     """One rate solve's fixed part and its phase-1 forward pass.
 
@@ -365,6 +377,15 @@ class EMSTDPNetwork:
         Algorithm hyper-parameters; see :class:`repro.core.EMSTDPConfig`.
     rng:
         Optional generator; defaults to one seeded from ``config.seed``.
+
+    Attributes
+    ----------
+    weights:
+        The forward weight matrices, ``(dims[i] + bias, dims[i + 1])``.
+        Training updates these arrays in place, so take ``.copy()`` or
+        :meth:`state_dict` for a snapshot, and do not train a network that
+        another thread is serving.  Assigning a new list or array is
+        seen at the next training call.
     """
 
     def __init__(self, dims: Sequence[int], config: Optional[EMSTDPConfig] = None,
@@ -402,6 +423,9 @@ class EMSTDPNetwork:
         self.class_mask = np.ones(self.n_classes, dtype=bool)
 
         self.samples_seen = 0
+        #: ``(weights, feedback)`` tables of :meth:`_bind`.
+        self._bound: Optional[Tuple[kernels.ArrayTable,
+                                    kernels.ArrayTable]] = None
 
     # ------------------------------------------------------------------
     # Forward path
@@ -449,9 +473,9 @@ class EMSTDPNetwork:
         x = np.asarray(x, dtype=float)
         if self.config.dynamics == "spike":
             h, h_hat = self._spike_two_phase(x, label)
+            self._apply_updates(h, h_hat, lr_scale)
         else:
-            h, h_hat = self._rate_two_phase(x, label)
-        self._apply_updates(h, h_hat, lr_scale)
+            h, h_hat = self._rate_train(x, label, lr_scale)
         self.samples_seen += 1
         pred = predict_class(h[-1])
         return {
@@ -464,18 +488,42 @@ class EMSTDPNetwork:
     def _apply_updates(self, h: List[np.ndarray], h_hat: List[np.ndarray],
                        lr_scale: float) -> None:
         """Eq. (7) write-back of one sample's rates, or of a ``(B, n)``
-        block's: the mean of its per-sample deltas in one projection."""
+        block's: the mean of its per-sample deltas in one projection.  Each
+        result is written into its weight array in place."""
         eta0 = self.updater.eta
         self.updater.eta = eta0 * lr_scale
         try:
-            for i in range(self.n_layers):
-                args = (self.weights[i], h_hat[i + 1], h[i + 1],
-                        self._augment(h[i]))
-                self.weights[i] = (
-                    self.updater.apply(*args) if h[i].ndim == 1 else
-                    self.updater.apply_batch(*args, reduction="mean"))
+            for i, w in enumerate(self._bind()[0].arrays):
+                args = (w, h_hat[i + 1], h[i + 1], self._augment(h[i]))
+                w[...] = (self.updater.apply(*args) if h[i].ndim == 1 else
+                          self.updater.apply_batch(*args, reduction="mean"))
         finally:
             self.updater.eta = eta0
+
+    def _bind(self) -> Tuple[kernels.ArrayTable, kernels.ArrayTable]:
+        """The weight and feedback tables :func:`kernels.rate_phase2`
+        reads, bound once.
+
+        Binds again only when ``weights``, ``feedback_weights`` or an array
+        in them was replaced since (``load_state_dict``, an assignment).
+        An array that is not a writable C-contiguous float64 array is first
+        replaced in its list by such a copy, once: the kernel reads no
+        other layout, and training writes into the weights.
+        """
+        bound = self._bound
+        if bound is not None and _holds(self.weights, bound[0]) \
+                and _holds(self.feedback_weights, bound[1]):
+            return bound
+        for arrays in (self.weights, self.feedback_weights):
+            for i, a in enumerate(arrays):
+                c = np.ascontiguousarray(a, dtype=float)
+                if not c.flags.writeable:
+                    c = c.copy()
+                if c is not a:
+                    arrays[i] = c
+        self._bound = bound = (kernels.array_table(self.weights),
+                               kernels.array_table(self.feedback_weights))
+        return bound
 
     # -- rate backend ---------------------------------------------------
 
@@ -484,11 +532,29 @@ class EMSTDPNetwork:
         """Phase-1 rates ``h`` and phase-2 rates ``h_hat`` with frozen
         weights, for one sample ``x`` and its label or for a ``(B, n_in)``
         block and its ``(B,)`` labels (every sample settles at once)."""
+        return self._rate_solve(x, labels)
+
+    def _rate_train(self, x: np.ndarray, labels, lr_scale: float
+                    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """:meth:`_rate_two_phase` followed by the Eq. (7) write-back of
+        :meth:`_apply_updates`: per sample for one sample ``x``, the batch
+        mean for a block."""
+        return self._rate_solve(x, labels, lr_scale)
+
+    def _rate_solve(self, x: np.ndarray, labels,
+                    lr_scale: Optional[float] = None
+                    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """The two-phase rate solve and, given ``lr_scale``, the write-back.
+
+        When the backend provides the fused loop, phase 2 and the
+        write-back are one :func:`kernels.rate_phase2` call; else phase 2
+        is :func:`rate_phase2_reference` and the write-back
+        :meth:`_apply_updates`, the reference the fused call is pinned to.
+        """
         cfg = self.config
+        labels = label_indices(labels, self.n_classes)
         solve = _RateSolve(self, x)
         h = solve.forward()
-        target = encode_labels(labels, self.n_classes).reshape(
-            h[-1].shape) * solve.mask
 
         # Phase 2 is a closed loop: error spikes raise/lower the forward
         # rates, which in turn changes the error.  The spiking system settles
@@ -507,28 +573,43 @@ class EMSTDPNetwork:
         # weight drift.  The forward-activity gates shut the error channel
         # of a neuron silent in phase 1 (surrogate derivative h' = 0).
         #
-        # Every pass runs in one kernels.rate_phase2 call when the backend
-        # provides it, else in rate_phase2_reference; both take (B, n)
-        # blocks, so one sample goes in as a block of one.
-        phase2 = (kernels.rate_phase2
-                  if kernels.backend_provides("rate_phase2")
-                  else rate_phase2_reference)
+        # Every pass runs in one kernels.rate_phase2 call, on the bound
+        # weight tables and the label indices, when the backend provides
+        # it, else in rate_phase2_reference; both take (B, n) blocks, so
+        # one sample goes in as a block of one.  The tables are bound after
+        # phase 1, which reads the weights as they were assigned.
+        weights, feedback = self._bind()
 
         def block(a):
-            return np.ascontiguousarray(a, dtype=float).reshape(
-                -1, a.shape[-1])
+            return a.reshape(-1, a.shape[-1])
 
-        h_hat = phase2(
-            self.dims, cfg.T, cfg.phase2_iterations, block(solve.drive),
-            [block(r) for r in h[1:]], [block(w) for w in self.weights],
-            self.class_mask, block(target),
-            [block(b) for b in self.feedback_weights],
-            fa=cfg.feedback == "fa", bias_unit=bool(self._bias),
-            gate_hidden=cfg.gate_hidden, gate_output=cfg.gate_output,
-            error_gain=cfg.error_gain,
-            hidden_error_gain=cfg.hidden_error_gain)
-        return h, [h[0]] + [r.reshape(hi.shape)
-                            for r, hi in zip(h_hat, h[1:])]
+        args = (self.dims, cfg.T, cfg.phase2_iterations, block(solve.drive),
+                [block(r) for r in h[1:]])
+        kwargs = dict(fa=cfg.feedback == "fa", bias_unit=bool(self._bias),
+                      gate_hidden=cfg.gate_hidden,
+                      gate_output=cfg.gate_output, error_gain=cfg.error_gain,
+                      hidden_error_gain=cfg.hidden_error_gain)
+        fused = kernels.backend_provides("rate_phase2")
+        if fused:
+            update = None
+            if lr_scale is not None:
+                up = self.updater
+                update = kernels.RateUpdate(
+                    np.ascontiguousarray(block(solve.q0)),
+                    up.eta * lr_scale, h[0].ndim > 1, up.weight_clip,
+                    up.weight_bits, up.rng if up.stochastic_rounding else None)
+            h_hat = kernels.rate_phase2(*args, weights, self.class_mask,
+                                        labels, feedback, update=update,
+                                        **kwargs)
+        else:
+            target = encode_labels(labels, self.n_classes) * solve.mask
+            h_hat = rate_phase2_reference(*args, weights.arrays,
+                                          self.class_mask, target,
+                                          feedback.arrays, **kwargs)
+        h_hat = [h[0]] + [r.reshape(hi.shape) for r, hi in zip(h_hat, h[1:])]
+        if lr_scale is not None and not fused:
+            self._apply_updates(h, h_hat, lr_scale)
+        return h, h_hat
 
     # -- spike backend --------------------------------------------------
 
@@ -595,6 +676,8 @@ class EMSTDPNetwork:
         if update_mode not in ("online", "minibatch"):
             raise ValueError(
                 f"update_mode must be 'online' or 'minibatch', got {update_mode!r}")
+        # Every label is checked before the first sample trains.
+        label_indices(y, self.n_classes)
         if len(X) == 0:
             empty = np.zeros(0, dtype=np.int64)
             return {"predictions": empty, "correct": empty.astype(bool),
@@ -607,9 +690,9 @@ class EMSTDPNetwork:
         elif update_mode == "minibatch":
             if self.config.dynamics == "spike":
                 h, h_hat = self._spike_rates(X, y)
+                self._apply_updates(h, h_hat, lr_scale)
             else:
-                h, h_hat = self._rate_two_phase(X, y)
-            self._apply_updates(h, h_hat, lr_scale)
+                h, h_hat = self._rate_train(X, y, lr_scale)
             self.samples_seen += len(X)
             preds = predict_classes(h[-1])
         correct = preds == y

@@ -15,8 +15,8 @@ from repro.baselines import BackpropMLP
 from repro.core import (EMSTDPConfig, EMSTDPNetwork, IFLayer,
                         SignedErrorLayer, WeightUpdater,
                         delta_w_reference, delta_w_reference_batch,
-                        encode_label, encode_labels, loihi_default_config,
-                        predict_class, predict_classes)
+                        encode_label, encode_labels, full_precision_config,
+                        loihi_default_config, predict_class, predict_classes)
 from repro.data import load_dataset
 
 from conftest import make_blobs
@@ -225,6 +225,27 @@ class TestFitBatch:
             assert np.array_equal(w, s)  # no NaN write-back from a 0/0 mean
         assert net.predict_batch(empty).shape == (0,)
         assert net.evaluate_batch(empty, []) == 0.0
+
+    @pytest.mark.parametrize("dynamics", ["rate", "spike"])
+    @pytest.mark.parametrize("mode", ["online", "minibatch"])
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_bad_label_fails_before_any_sample_trains(self, dynamics, mode,
+                                                      label):
+        """A label outside the 3 classes at position 2 fails before
+        samples 0 and 1 train: nothing counted, every weight byte and the
+        generator state unchanged, in both update modes."""
+        net = EMSTDPNetwork((8, 6, 3), full_precision_config(
+            seed=0, dynamics=dynamics, phase_length=16))
+        xs, ys = make_blobs(8, 3, 3, seed=5)
+        weights = [w.tobytes() for w in net.weights]
+        state = net.rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^label {label} out of range "
+                                             f"for 3 classes$"):
+            net.fit_batch(xs, [int(ys[0]), int(ys[1]), label],
+                          update_mode=mode)
+        assert net.samples_seen == 0
+        assert [w.tobytes() for w in net.weights] == weights
+        assert net.rng.bit_generator.state == state
 
     def test_delta_w_batch_rejects_empty_batch(self):
         with pytest.raises(ValueError):

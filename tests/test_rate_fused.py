@@ -1,13 +1,17 @@
 """Fused ``kernels.rate_phase2`` against the NumPy reference.
 
 With the ``cext`` backend the rate engine's phase 2 (every damped pass of
-a ``(B, n)`` block) is one ``kernels.rate_phase2`` call; otherwise it is
-:func:`repro.core.network.rate_phase2_reference`.  Phase 1 runs the same
-code on both.  The kernel tests call both on the operands phase 1 gives a
-network and compare every output byte (``tobytes``, so signed zeros
-count); the network tests train twin networks, the fused leg with the
-reference patched to fail so that a silent fallback cannot pass.  The
-last tests check the kernel's operand rule.
+a ``(B, n)`` block) and its Eq. (7) write-back are one
+``kernels.rate_phase2`` call; otherwise phase 2 is
+:func:`repro.core.network.rate_phase2_reference` and the write-back
+``WeightUpdater.apply`` / ``apply_batch``.  Phase 1 runs the same code on
+both.  The kernel tests call both on the operands phase 1 gives a network
+and compare every output byte (``tobytes``, so signed zeros count); the
+network tests train twin networks, the fused leg with the reference
+patched to fail so that a silent fallback cannot pass, and compare
+weights and rounding-generator states too, also after the arrays the
+network binds are replaced.  The other tests check the kernel's operand
+rule.
 """
 
 import contextlib
@@ -16,8 +20,8 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core import (EMSTDPNetwork, full_precision_config, kernels,
-                        loihi_default_config)
+from repro.core import (EMSTDPNetwork, WeightUpdater, full_precision_config,
+                        kernels, loihi_default_config)
 from repro.core import network as network_mod
 from repro.core.encoding import encode_labels
 from repro.core.network import _RateSolve, rate_phase2_reference
@@ -297,3 +301,321 @@ def test_numpy_backend_has_no_fused_phase2():
             kernels.rate_phase2((3, 2), 64, 8, np.zeros((1, 2)),
                                 [np.zeros((1, 2))], [np.zeros((4, 2))],
                                 np.ones(2, dtype=bool), np.zeros((1, 2)))
+
+
+# -- the fused Eq. (7) write-back and the bound weight tables -------------
+
+def _state_bytes(net):
+    """Every weight's bytes and the rounding generator's state."""
+    return ([w.tobytes() for w in net.weights],
+            net.rng.bit_generator.state)
+
+
+def _replace(net, how, donor):
+    """Replace the network's arrays between samples, as a user may."""
+    if how == "load_state_dict":
+        net.load_state_dict(donor.state_dict())
+    elif how == "fortran":
+        net.weights = [np.asfortranarray(w) for w in donor.weights]
+    elif how == "strided":
+        # The same values every other column of a wider block.
+        net.weights[-1] = np.repeat(donor.weights[-1], 2, axis=1)[:, ::2]
+        net.feedback_weights[0] = np.repeat(donor.feedback_weights[0], 2,
+                                            axis=0)[::2]
+    elif how == "mask":
+        net.set_class_mask(range(net.n_classes - 2))
+    else:
+        raise AssertionError(how)
+
+
+def _rebind_schedule(backend, cfg, how):
+    """Train online, replace the arrays, train on; every sample's rates,
+    the weights and the generator state after each stage."""
+    dims = DIMS[3]
+    X, y = _inputs(dims[0], dims[-1], 40, seed=9)
+    net = EMSTDPNetwork(dims, cfg)
+    donor = EMSTDPNetwork(dims, cfg.replace(seed=cfg.seed + 1))
+    donor.train_stream(X[20:30], y[20:30])
+    out = []
+    with leg(backend):
+        for k in range(4):
+            out.append(net.train_sample(X[k], int(y[k]))["h_hat"])
+        out.append(_state_bytes(net))
+        _replace(net, how, donor)
+        for k in range(4, 8):
+            out.append(net.train_sample(X[k], int(y[k]),
+                                        lr_scale=0.3)["h_hat"])
+        if how == "mask":
+            net.clear_class_mask()
+        out.append(net.fit_batch(X[8:14], y[8:14], update_mode="minibatch",
+                                 lr_scale=0.3)["predictions"])
+        out.append(net.train_sample(X[14], int(y[14]))["h_hat"])
+        out.append(_state_bytes(net))
+    return net, out
+
+
+def _flat_bytes(value):
+    if isinstance(value, np.ndarray):
+        return [(value.dtype.str, value.shape, value.tobytes())]
+    if isinstance(value, (list, tuple)):
+        return [b for v in value for b in _flat_bytes(v)]
+    return [value]
+
+
+@needs_cext
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("how", ["load_state_dict", "fortran", "strided",
+                                 "mask"])
+def test_tables_rebind_when_arrays_are_replaced(how, config):
+    """Replacing the weights between samples (``load_state_dict``, a new
+    Fortran-ordered list, a strided weight and feedback matrix) or the
+    class mask gives the fused leg the same bytes as the reference: it
+    reads the new arrays, not the ones it bound first.  A copied layout
+    is copied once: afterwards every array is C-contiguous, bound and
+    trained in place."""
+    cfg = CONFIGS[config](seed=7, phase_length=20)
+    ref_net, ref = _rebind_schedule("numpy", cfg, how)
+    net, got = _rebind_schedule("cext", cfg, how)
+    assert _flat_bytes(got) == _flat_bytes(ref)
+    weights, feedback = net._bound
+    for arrays, table in ((net.weights, weights),
+                          (net.feedback_weights, feedback)):
+        assert all(a is b for a, b in zip(arrays, table.arrays))
+        assert all(a.flags.c_contiguous for a in arrays)
+
+
+@needs_cext
+@pytest.mark.parametrize("feedback", ["fa", "dfa"])
+@pytest.mark.parametrize("stochastic", [True, False])
+def test_write_back_draws_the_reference_uniforms(feedback, stochastic):
+    """8-bit weights: after online ``fit_batch``, minibatch ``fit_batch``
+    and ``train_stream`` (at a learning-rate scale that is not a power of
+    two, so ``eta * (p * d)`` and ``(eta * p) * d`` differ) the weights
+    and the rounding generator's state have the reference's bytes."""
+    dims = DIMS[2]
+    X, y = _inputs(dims[0], dims[-1], 30, seed=4)
+    cfg = loihi_default_config(seed=2, feedback=feedback, phase_length=20,
+                               stochastic_rounding=stochastic)
+    legs = {}
+    for backend in ("numpy", "cext"):
+        net = EMSTDPNetwork(dims, cfg)
+        stages = []
+        with leg(backend):
+            net.fit_batch(X[:8], y[:8], update_mode="online", lr_scale=0.3)
+            stages.append(_state_bytes(net))
+            net.fit_batch(X[8:16], y[8:16], update_mode="minibatch",
+                          lr_scale=0.3)
+            stages.append(_state_bytes(net))
+            net.train_stream(X[16:], y[16:], lr_scale=0.3)
+            stages.append(_state_bytes(net))
+        legs[backend] = stages
+    assert legs["cext"] == legs["numpy"]
+    moved = [s[1] != legs["numpy"][0][1] for s in legs["numpy"][1:]]
+    assert all(moved) == stochastic  # only stochastic rounding draws
+
+
+@pytest.mark.parametrize("backend", [
+    "numpy", pytest.param("cext", marks=needs_cext)])
+@pytest.mark.parametrize("config", CONFIGS)
+def test_training_updates_the_weights_in_place(backend, config):
+    """Every training call writes into the weight arrays the network
+    holds: each stays the same object, while a ``state_dict`` taken
+    before training keeps its bytes."""
+    dims = DIMS[2]
+    X, y = _inputs(dims[0], dims[-1], 24, seed=6)
+    net = EMSTDPNetwork(dims, CONFIGS[config](seed=1, phase_length=20))
+    arrays = list(net.weights)
+    snapshot = net.state_dict()
+    before = [w.tobytes() for w in snapshot["weights"]]
+    with leg(backend):
+        net.train_sample(X[0], int(y[0]))
+        net.fit_batch(X[1:8], y[1:8], update_mode="online")
+        net.fit_batch(X[8:16], y[8:16], update_mode="minibatch")
+        net.train_stream(X[16:], y[16:])
+    assert all(a is b for a, b in zip(net.weights, arrays))
+    assert [w.tobytes() for w in snapshot["weights"]] == before
+    assert [w.tobytes() for w in net.weights] != before
+
+
+@needs_cext
+def test_malformed_weight_between_samples_fails_before_the_backend(
+        monkeypatch):
+    """A bound weight reinterpreted in place (same object, so no rebind),
+    a column assigned as the output weights and a wrong-shape feedback
+    matrix each raise ``TypeError`` naming the array before the backend
+    runs, with nothing trained: no sample counted, no weight written, no
+    uniform drawn."""
+    dims = DIMS[2]
+    X, y = _inputs(dims[0], dims[-1], 4, seed=8)
+    cases = (
+        (lambda net: setattr(net.weights[0], "dtype", np.int64),
+         r"weights\[0\] must be .*float64.*got .* int64"),
+        (lambda net: net.weights.__setitem__(
+            1, np.zeros((dims[1] + 1, 1))), r"weights\[1\] .*shape \(10, 1\)"),
+        (lambda net: net.feedback_weights.__setitem__(
+            0, np.zeros((dims[1], dims[-1]))), r"feedback\[0\]"),
+    )
+    for corrupt, match in cases:
+        net = EMSTDPNetwork(dims, loihi_default_config(seed=3,
+                                                        phase_length=20))
+        with kernels.forced_backend("cext"):
+            net.train_sample(X[0], int(y[0]))
+            corrupt(net)
+            before = _state_bytes(net)
+            with monkeypatch.context() as mp:
+                mp.setattr(kernels._impl(), "rate_phase2", _no_fallback)
+                with pytest.raises(TypeError, match=match):
+                    net.train_sample(X[1], int(y[1]))
+        assert net.samples_seen == 1
+        assert _state_bytes(net) == before
+
+
+def _reference_write_back(args, kwargs, update):
+    """``rate_phase2_reference``, then ``WeightUpdater``'s Eq. (7)
+    write-back of its rates into copies of the weights."""
+    h, weights = args[4], args[5]
+    h_hat = rate_phase2_reference(*args, **kwargs)
+    updater = WeightUpdater(update.eta, update.bits, update.clip,
+                            stochastic_rounding=update.rng is not None,
+                            rng=update.rng)
+    pre = [update.pre] + list(h[:-1])
+    new = []
+    for i, w in enumerate(weights):
+        p = pre[i]
+        if kwargs.get("bias_unit", True):
+            p = np.concatenate([p, np.ones((len(p), 1))], axis=1)
+        new.append(updater.apply_batch(w, h_hat[i], h[i], p) if update.mean
+                   else updater.apply(w, h_hat[i][0], h[i][0], p[0]))
+    return h_hat, new
+
+
+def _fused_write_back(args, kwargs, update):
+    """``kernels.rate_phase2`` with the write-back, into copies."""
+    weights = [w.copy() for w in args[5]]
+    with leg("cext"):
+        h_hat = kernels.rate_phase2(*args[:5], weights, *args[6:],
+                                    update=update, **kwargs)
+    return h_hat, weights
+
+
+GRIDS = {"none": {}, "nearest": dict(clip=1.5, bits=8),
+         "stochastic": dict(clip=1.5, bits=6, rng=True)}
+
+
+@needs_cext
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("mean", [False, True])
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_write_back_equals_weight_updater(grid, mean, bias, layers):
+    """The fused write-back has the bytes of ``WeightUpdater.apply`` (one
+    blob sample) or ``apply_batch``'s mean (7 samples, the edge rows
+    first), with no grid, round to nearest and stochastic rounding (the
+    same uniforms drawn: the generators end in one state), at a learning
+    rate that is not a power of two (so ``eta * (p * d)`` and ``(eta *
+    p) * d`` differ) and with a clip that binds."""
+    dims = DIMS[layers]
+    X, y = _inputs(dims[0], dims[-1], 7, seed=layers)
+    cfg = full_precision_config(seed=4, phase_length=20,
+                                use_bias_neuron=bias, init_scale=2.0)
+    net = EMSTDPNetwork(dims, cfg)
+    rows = slice(0, 7) if mean else slice(3, 4)
+    args, kwargs = _operands(net, X[rows], y[rows])
+    pre = _RateSolve(net, X[rows]).q0
+    legs = []
+    for write_back in (_reference_write_back, _fused_write_back):
+        options = dict(GRIDS[grid])
+        if options.get("rng"):
+            options["rng"] = np.random.default_rng(9)
+        update = kernels.RateUpdate(pre, 0.3, mean, **options)
+        h_hat, weights = write_back(args, kwargs, update)
+        legs.append((h_hat, weights, options.get("rng") and
+                     options["rng"].bit_generator.state))
+    (ref_hat, ref_w, ref_rng), (got_hat, got_w, got_rng) = legs
+    _assert_same_bytes(ref_hat, got_hat)
+    _assert_same_bytes(ref_w, got_w)
+    assert got_rng == ref_rng
+    assert any(not np.array_equal(w, w0) for w, w0 in zip(got_w, args[5]))
+
+
+@needs_cext
+@pytest.mark.parametrize("grid", ["none", "nearest", "stochastic"])
+def test_write_back_keeps_the_reference_signed_zeros(grid):
+    """A weight of -0.0 on a silent input gets ``dw = eta * (0 * d)``:
+    -0.0 where the output was pushed down (``d < 0``), +0.0 where it was
+    pushed up.  ``w + dw`` is then -0.0 and +0.0; ``np.round`` and no
+    grid keep the -0.0, and stochastic rounding's ``floor + (u < frac)``
+    turns it into +0.0.  The fused write-back does the same."""
+    dims = (1, 1, 2)
+    # The hidden neuron is silent and output 0 fires (through the bias
+    # row) for a sample of class 1: phase 2 moves output 0 down to 0.5
+    # and output 1 up to 0.5.
+    weights = [np.zeros((2, 1)), np.array([[-0.0, -0.0], [1.0, 0.0]])]
+    args = (dims, 64, 8, np.zeros((1, 1)),
+            [np.zeros((1, 1)), np.array([[1.0, 0.0]])], weights,
+            np.ones(2, dtype=bool), np.array([1]), [np.zeros((2, 1))])
+    kwargs = dict(gate_hidden=False)
+    options = dict(GRIDS[grid])
+    out = []
+    for write_back in (_reference_write_back, _fused_write_back):
+        if options.get("rng"):
+            options["rng"] = np.random.default_rng(3)
+        update = kernels.RateUpdate(np.zeros((1, 1)), 0.3, **options)
+        ref_args = args[:7] + (np.array([[0.0, 1.0]]),) + args[8:]
+        h_hat, new = write_back(
+            ref_args if write_back is _reference_write_back else args,
+            kwargs, update)
+        out.append(new)
+        assert h_hat[1].tolist() == [[0.5, 0.5]]
+    _assert_same_bytes(*out)
+    zeros = out[1][1][0]
+    assert zeros.tolist() == [0.0, 0.0]
+    assert np.signbit(zeros).tolist() == [grid != "stochastic", False]
+
+
+@needs_cext
+def test_update_rejects_what_it_cannot_apply(monkeypatch):
+    """A per-sample update of a block, a mean of no samples, a grid
+    without a clip range and an out-of-range label raise ``ValueError``,
+    and a misshapen ``pre`` or a read-only weight ``TypeError``, before
+    the backend runs or a uniform is drawn."""
+    dims = (3, 4, 2)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+
+    def call(batch, update, labels=None):
+        return kernels.rate_phase2(
+            dims, 64, 8, np.zeros((batch, 4)),
+            [np.zeros((batch, 4)), np.zeros((batch, 2))],
+            [np.zeros((4, 4)), np.zeros((5, 2))], np.ones(2, dtype=bool),
+            np.zeros(batch, dtype=np.int64) if labels is None else labels,
+            [np.zeros((2, 4))], update=update)
+
+    with kernels.forced_backend("cext"):
+        monkeypatch.setattr(kernels._impl(), "rate_phase2", _no_fallback)
+        pre = {b: np.zeros((b, 3)) for b in (0, 1, 2)}
+        for batch, update, labels, match in (
+                (2, kernels.RateUpdate(pre[2], 0.1), None, "one sample"),
+                (0, kernels.RateUpdate(pre[0], 0.1, mean=True), None,
+                 "empty batch"),
+                (1, kernels.RateUpdate(pre[1], 0.1, bits=8, rng=rng), None,
+                 "clip range"),
+                (1, kernels.RateUpdate(pre[1], 0.1, clip=1.0, bits=8,
+                                       rng=rng),
+                 np.array([2]), r"labels must be in \[0, 2\)"),
+                (2, None, np.array([0, -1]), r"labels must be in")):
+            with pytest.raises(ValueError, match=match):
+                call(batch, update, labels)
+        with pytest.raises(TypeError, match=r"update\.pre"):
+            call(1, kernels.RateUpdate(np.zeros((1, 4)), 0.1))
+        frozen = np.zeros((5, 2))
+        frozen.flags.writeable = False
+        with pytest.raises(TypeError, match=r"weights\[1\] is read-only"):
+            kernels.rate_phase2(
+                dims, 64, 8, np.zeros((1, 4)),
+                [np.zeros((1, 4)), np.zeros((1, 2))],
+                [np.zeros((4, 4)), frozen], np.ones(2, dtype=bool),
+                np.zeros(1, dtype=np.int64), [np.zeros((2, 4))],
+                update=kernels.RateUpdate(pre[1], 0.1, clip=1.0, bits=8,
+                                          rng=rng))
+    assert rng.bit_generator.state == state

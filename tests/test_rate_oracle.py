@@ -19,7 +19,9 @@ after ``train_stream``, with and without a class mask.  The
 configurations cover both feedback modes, the full-precision and the
 8-bit stochastically rounded weights (the rounding generator must be
 drawn in the same order), one to three weight layers, the output gate,
-no bias neuron, and phase lengths 64 and 20.
+no bias neuron, and phase lengths 64 and 20.  The oracle trains through
+its frozen solve followed by the NumPy write-back (``_apply_updates``),
+so the library's fused write-back is pinned too.
 
 The twins run on the same machine, so the oracle needs no recorded
 digest: BLAS kernels differ across CPUs, but one process's products of
@@ -104,6 +106,14 @@ class OracleNetwork(EMSTDPNetwork):
                 corrections[i] = prev + damping * ((ep - en) - prev)
                 e_above = corrections[i]
             h_hat = self.forward_rates(x, corrections=corrections)
+        return h, h_hat
+
+    def _rate_train(self, x: np.ndarray, labels, lr_scale: float
+                    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        # Training as it was written: the frozen solve, then the NumPy
+        # write-back (the library's fused kernel does both in one call).
+        h, h_hat = self._rate_two_phase(x, labels)
+        self._apply_updates(h, h_hat, lr_scale)
         return h, h_hat
 
 
