@@ -1,7 +1,7 @@
 """REP002 — kernel boundary: only the public kernel API crosses it.
 
 ``repro.core.kernels`` pins two interchangeable backends bit-identical
-to each other; that guarantee holds *only* for the nine public entry
+to each other; that guarantee holds *only* for the ten public entry
 points, which check every operand's dtype, contiguity and shape before
 dispatch (``sum_of_products`` builds its operand blocks itself).
 Importing a backend module (``_numpy`` / ``_cext`` / ``_csrc``) directly
@@ -23,6 +23,7 @@ from . import dotted
 PUBLIC_KERNELS = {
     "if_step", "cuba_step", "trace_update", "delta_w", "delta_w_batch",
     "sum_of_products", "network_run", "spike_present", "microcode_epoch",
+    "rate_phase2",
 }
 
 #: Private backend modules of the kernels package.

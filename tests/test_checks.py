@@ -153,6 +153,31 @@ def test_rep002_allowed_inside_kernels_package():
     assert check_source(src, "src/repro/loihi/x.py") != []
 
 
+#: Names in ``repro.core.kernels.__all__`` that are not kernel entry
+#: points: backend selection and the helpers that build a kernel's
+#: operands.
+KERNEL_HELPERS = {
+    "ArrayTable", "MicrocodeProgram", "RateUpdate", "array_table",
+    "available_backends", "backend_name", "backend_provides",
+    "forced_backend", "microcode_program", "select_backend",
+}
+
+
+def test_rep002_knows_every_public_kernel():
+    """REP002's list is the package's kernel entry points, each of them
+    flagged when redefined outside the package."""
+    from repro.checks.rules.kernel_boundary import PUBLIC_KERNELS
+    from repro.core import kernels
+
+    assert KERNEL_HELPERS <= set(kernels.__all__)
+    assert PUBLIC_KERNELS == set(kernels.__all__) - KERNEL_HELPERS
+    for name in sorted(PUBLIC_KERNELS):
+        src = f"def {name}(*args):\n    return args\n"
+        findings = check_source(src, "src/repro/serve/x.py",
+                                rules=get_rules(["REP002"]))
+        assert [f.rule for f in findings] == ["REP002"], name
+
+
 def test_hidden_rule_not_in_default_set():
     default_ids = {r.id for r in checks.default_rules()}
     all_ids = {r.id for r in checks.all_rules()}
