@@ -313,13 +313,15 @@ class TaskQueue:
                  "last_seen": l} for w, p, s, l in rows]
 
     def wait_for_workers(self, n: int, timeout_s: float = 10.0,
-                         poll_s: float = 0.02) -> bool:
+                         poll_s: float = 0.005) -> bool:
         """Ready barrier: block until ``n`` workers registered.
 
         Workers call this after registering so a fast starter does not
         drain the whole queue while its peers are still importing numpy
         — which matters for fair benchmarks and for tests that want the
-        tasks spread across processes.  Returns ``False`` on timeout
+        tasks spread across processes.  The last worker to register
+        passes at once and the others within ``poll_s``, so that is its
+        head start: short next to any task.  Returns ``False`` on timeout
         (the caller proceeds anyway; the barrier is best-effort).
         """
         deadline = time.monotonic() + timeout_s
