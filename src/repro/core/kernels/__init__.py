@@ -42,7 +42,7 @@ or broadcast on the way in.  Callers that take outside input
 (``IFLayer.step``, ``TraceState.update``, ...) build that array
 themselves.  The one exception is :func:`sum_of_products`, which stacks
 the learning engine's integer registers into float64 blocks itself.
-:func:`rate_phase2` also takes its weight and feedback matrices as
+:func:`rate_phase2` takes its weight and feedback matrices as
 :class:`ArrayTable` bindings (:func:`array_table`), whose data addresses
 are read once; it still checks every array in them on every call.
 
@@ -654,15 +654,38 @@ def _address(a: np.ndarray) -> int:
         return a.ctypes.data
 
 
-class ArrayTable(NamedTuple):
-    """Arrays bound once for :func:`rate_phase2` (see :func:`array_table`)."""
+def _address_table(arrays) -> Tuple[np.ndarray, int]:
+    """An ``np.uintp`` table of the data addresses of ``arrays`` and the
+    table's own address."""
+    addresses = np.array([_address(a) for a in arrays], dtype=np.uintp)
+    return addresses, _address(addresses)
+
+
+class ArrayTable:
+    """Arrays whose data addresses were read once, for repeated
+    :func:`rate_phase2` calls; made only by :func:`array_table`.
+
+    A table cannot be built from parts or changed, so its addresses are
+    always those of its arrays.  A copy or an unpickled table binds its
+    copied arrays again: another buffer's, or another process's,
+    addresses mean nothing to it.
+    """
+
+    __slots__ = ("arrays", "_addresses", "address")
 
     #: The arrays themselves; :func:`rate_phase2` checks each on every call.
     arrays: Tuple[np.ndarray, ...]
-    #: ``np.uintp`` table of their data addresses.
-    addresses: np.ndarray
-    #: The address of :attr:`addresses` itself.
+    #: The address of the ``np.uintp`` table of their data addresses.
     address: int
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("an ArrayTable is made by kernels.array_table(arrays)")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("an ArrayTable is read-only")
+
+    def __reduce__(self):
+        return array_table, (self.arrays,)
 
 
 def array_table(arrays) -> ArrayTable:
@@ -679,8 +702,13 @@ def array_table(arrays) -> ArrayTable:
     for i, a in enumerate(arrays):
         if not isinstance(a, np.ndarray):
             raise TypeError(f"arrays[{i}] must be an array, got {type(a)}")
-    addresses = np.array([_address(a) for a in arrays], dtype=np.uintp)
-    return ArrayTable(arrays, addresses, _address(addresses))
+    table = object.__new__(ArrayTable)
+    addresses, address = _address_table(arrays)
+    addresses.flags.writeable = False
+    for name, value in (("arrays", arrays), ("_addresses", addresses),
+                        ("address", address)):
+        object.__setattr__(table, name, value)
+    return table
 
 
 class RateUpdate(NamedTuple):
@@ -715,12 +743,6 @@ def _rate_layout(dims: Tuple[int, ...], batch: int):
     return dims_c, dims_c.ctypes.data, int(edges[-1]), parts
 
 
-def _unbound(operand):
-    """The arrays of ``weights`` or ``feedback``: a sequence of arrays or
-    an :class:`ArrayTable`."""
-    return operand.arrays if isinstance(operand, ArrayTable) else operand
-
-
 def _labels_in_range(labels: np.ndarray, n: int) -> bool:
     if len(labels) == 1:
         return 0 <= labels[0] < n
@@ -732,10 +754,11 @@ _ROUND_NONE, _ROUND_NEAREST, _ROUND_STOCHASTIC = range(3)
 
 
 def rate_phase2(dims, T: float, iterations: int, drive: np.ndarray, h,
-                weights, class_mask: np.ndarray, target: np.ndarray,
-                feedback=(), *, fa: bool = False, bias_unit: bool = True,
-                gate_hidden: bool = True, gate_output: bool = False,
-                error_gain: float = 1.0, hidden_error_gain: float = 1.0,
+                weights: ArrayTable, class_mask: np.ndarray,
+                labels: np.ndarray, feedback: ArrayTable, *, fa: bool = False,
+                bias_unit: bool = True, gate_hidden: bool = True,
+                gate_output: bool = False, error_gain: float = 1.0,
+                hidden_error_gain: float = 1.0,
                 update: Optional[RateUpdate] = None):
     """The rate engine's phase 2 for a ``(B, n)`` block in one call, and
     optionally its Eq. (7) write-back.
@@ -746,9 +769,8 @@ def rate_phase2(dims, T: float, iterations: int, drive: np.ndarray, h,
     1..L as ``(B, dims[k])`` float64 arrays.  ``h`` holds the phase-1
     rates of layers 1..L and ``drive`` the first layer's pre-correction
     rates, ``rate_activation([q0, 1] @ W0)``, which phase 1 computed.
-    ``target`` is the ``(B, n_out)`` float64 target block, or ``(B,)``
-    int64 label indices standing for ``encode_labels(labels) *
-    class_mask``.  Each pass:
+    ``labels`` holds the ``(B,)`` int64 class indices; a sample's target
+    is ``encode_labels(labels) * class_mask``.  Each pass:
 
     * drives the output error pair with
       ``error_gain * (target - h_hat[L])``; each channel's rate is
@@ -781,15 +803,16 @@ def rate_phase2(dims, T: float, iterations: int, drive: np.ndarray, h,
     layer order, ``w.size`` uniforms each, as ``quantize_weights`` does,
     after every operand is checked.
 
-    ``weights`` and ``feedback`` are sequences of arrays or
-    :class:`ArrayTable` bindings of them.  Every array is checked against
-    ``dims`` on every call, before its address reaches the backend: one
-    that is not a C-contiguous array of the right dtype and shape, or a
-    read-only weight given an update, raises ``TypeError``; a wrong
-    number of rate, weight or feedback arrays, a label out of range or
-    an update that does not fit the block raises ``ValueError``.  Raises
-    ``NotImplementedError`` when the active backend has no fused loop
-    (see :func:`backend_provides`).
+    ``weights`` and ``feedback`` are :class:`ArrayTable` bindings
+    (:func:`array_table`) of the weight and feedback matrices.  Every
+    array is checked against ``dims`` on every call, before its address
+    reaches the backend: one that is not a C-contiguous array of the
+    right dtype and shape, or a read-only weight given an update, raises
+    ``TypeError``, as does a ``weights`` or ``feedback`` that is not a
+    table; a wrong number of rate, weight or feedback arrays, a label out
+    of range or an update that does not fit the block raises
+    ``ValueError``.  Raises ``NotImplementedError`` when the active
+    backend has no fused loop (see :func:`backend_provides`).
     """
     if not backend_provides("rate_phase2"):
         raise NotImplementedError(
@@ -803,27 +826,27 @@ def rate_phase2(dims, T: float, iterations: int, drive: np.ndarray, h,
                          f"iterations >= 0, got {dims}, {T} and {iterations}")
     _operand("drive", drive, _F64, (None, dims[1]))
     batch = len(drive)
+    for name, table in (("weights", weights), ("feedback", feedback)):
+        if not isinstance(table, ArrayTable):
+            raise TypeError(f"{name} must be an ArrayTable "
+                            f"(kernels.array_table), got {type(table)}")
     for name, arrays, count in (
-            ("rate", h, n_layers), ("weight", _unbound(weights), n_layers),
-            ("feedback", _unbound(feedback), n_layers - 1)):
+            ("rate", h, n_layers), ("weight", weights.arrays, n_layers),
+            ("feedback", feedback.arrays, n_layers - 1)):
         if len(arrays) != count:
             raise ValueError(f"{len(arrays)} {name} arrays for {n_layers} "
                              f"layers")
     for k, r in enumerate(h):
         _operand(f"h[{k}]", r, _F64, (batch, dims[k + 1]))
-    for i, w in enumerate(_unbound(weights)):
+    for i, w in enumerate(weights.arrays):
         _operand(f"weights[{i}]", w, _F64,
                  (dims[i] + bool(bias_unit), dims[i + 1]))
     _operand("class_mask", class_mask, np.bool_, (dims[-1],))
-    labels = isinstance(target, np.ndarray) and target.ndim == 1
-    if labels:
-        _operand("target (labels)", target, _I64, (batch,))
-        if not _labels_in_range(target, dims[-1]):
-            raise ValueError(f"labels must be in [0, {dims[-1]}), got "
-                             f"{target.min()} to {target.max()}")
-    else:
-        _operand("target", target, _F64, (batch, dims[-1]))
-    for i, b in enumerate(_unbound(feedback)):
+    _operand("labels", labels, _I64, (batch,))
+    if not _labels_in_range(labels, dims[-1]):
+        raise ValueError(f"labels must be in [0, {dims[-1]}), got "
+                         f"{labels.min()} to {labels.max()}")
+    for i, b in enumerate(feedback.arrays):
         _operand(f"feedback[{i}]", b, _F64,
                  (dims[i + 2] if fa else dims[-1], dims[i + 1]))
     mode, pre, rounding, step, levels, uniforms = 0, None, 0, 1.0, 0.0, None
@@ -835,7 +858,7 @@ def rate_phase2(dims, T: float, iterations: int, drive: np.ndarray, h,
         if not update.mean and batch != 1:
             raise ValueError(f"a per-sample update takes one sample, got "
                              f"a block of {batch}")
-        for i, w in enumerate(_unbound(weights)):
+        for i, w in enumerate(weights.arrays):
             if not w.flags.writeable:
                 raise TypeError(f"weights[{i}] is read-only; the update "
                                 f"writes into it")
@@ -850,20 +873,17 @@ def rate_phase2(dims, T: float, iterations: int, drive: np.ndarray, h,
             clip = float(update.clip)
         mode, pre = 1 + bool(update.mean), _address(update.pre)
         if rounding == _ROUND_STOCHASTIC:
-            sizes = np.cumsum([0] + [w.size for w in _unbound(weights)])
+            sizes = np.cumsum([0] + [w.size for w in weights.arrays])
             uniforms = np.empty(sizes[-1])
             for lo, hi in zip(sizes, sizes[1:]):
                 update.rng.random(out=uniforms[lo:hi])
-    tables = [array_table(h)] + [a if isinstance(a, ArrayTable)
-                                 else array_table(a)
-                                 for a in (weights, feedback)]
+    rates, rates_addr = _address_table(h)  # ``rates`` lives through the call
     _, dims_addr, size, parts = _rate_layout(dims, batch)
     out = np.empty(size)
     _impl().rate_phase2(
         n_layers, dims_addr, float(T), int(iterations), batch,
-        _address(drive), *(t.address for t in tables), _address(class_mask),
-        None if labels else _address(target),
-        _address(target) if labels else None, int(bool(bias_unit)),
+        _address(drive), rates_addr, weights.address, feedback.address,
+        _address(class_mask), _address(labels), int(bool(bias_unit)),
         int(bool(fa)), int(bool(gate_hidden)), int(bool(gate_output)),
         float(error_gain), float(hidden_error_gain), _address(out), mode,
         pre, float(update.eta) if update is not None else 0.0, clip,

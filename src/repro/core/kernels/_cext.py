@@ -211,10 +211,10 @@ for _name, _argtypes in {
                             _c_ssize, _ptr, _ptr, _c_ssize, _ptr, _ptr, _ptr,
                             _ptr, _c_ssize, _c_int64, _c_int64],
     "rate_phase2_f64": [_c_ssize, _ptr, _c_double, _c_int64, _c_ssize, _ptr,
-                        _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _c_int, _c_int,
-                        _c_int, _c_int, _c_double, _c_double, _ptr, _c_int,
-                        _ptr, _c_double, _c_double, _c_int, _c_double,
-                        _c_double, _ptr],
+                        _ptr, _ptr, _ptr, _ptr, _ptr, _c_int, _c_int, _c_int,
+                        _c_int, _c_double, _c_double, _ptr, _c_int, _ptr,
+                        _c_double, _c_double, _c_int, _c_double, _c_double,
+                        _ptr],
 }.items():
     _fn = getattr(_lib, _name)
     _fn.argtypes = _argtypes
@@ -323,14 +323,14 @@ def microcode_epoch(replicas, conns, conn_arrays, rules, scales, offs, kinds,
 
 
 def rate_phase2(n_layers, dims, T, iterations, batch, drive, h, weights,
-                feedback, class_mask, target, labels, bias_unit, fa,
-                gate_hidden, gate_output, error_gain, hidden_error_gain, out,
-                update, pre, eta, clip, rounding, step, levels, uniforms):
+                feedback, class_mask, labels, bias_unit, fa, gate_hidden,
+                gate_output, error_gain, hidden_error_gain, out, update, pre,
+                eta, clip, rounding, step, levels, uniforms):
     """Every pointer argument arrives as an address (an int) or ``None``:
     the package reads the addresses of its bound tables once."""
     status = _lib.rate_phase2_f64(
         n_layers, dims, T, iterations, batch, drive, h, weights, feedback,
-        class_mask, target, labels, bias_unit, fa, gate_hidden, gate_output,
+        class_mask, labels, bias_unit, fa, gate_hidden, gate_output,
         error_gain, hidden_error_gain, out, update, pre, eta, clip, rounding,
         step, levels, uniforms)
     if status == -2:

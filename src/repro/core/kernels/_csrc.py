@@ -785,9 +785,9 @@ int spike_present_f64(ptrdiff_t n_layers, const int64_t *dims, int64_t T,
  * through list_signed and sum_rows, as network.accumulate_rows does.
  * Samples are independent under frozen weights, so the loop runs each
  * sample's passes before the next one; h_hat starts as a copy of h.  A
- * sample's target is its row of target or, given labels instead, the
- * one-hot row of its label times the class mask (encode_labels(y) * mask:
- * every product is 0.0 or 1.0, so the row is built without multiplying).
+ * sample's target is the one-hot row of its label times the class mask
+ * (encode_labels(y) * mask: every product is 0.0 or 1.0, so the row is
+ * built without multiplying).
  *
  * With an update mode, the Eq. (7) write-back of learning.WeightUpdater
  * follows once every sample's passes are done: layer by layer, the
@@ -867,15 +867,14 @@ int rate_phase2_f64(ptrdiff_t n_layers, const int64_t *dims, double T,
                     int64_t iterations, ptrdiff_t B, const double *drive,
                     const uintptr_t *h, const uintptr_t *weights,
                     const uintptr_t *feedback, const uint8_t *class_mask,
-                    const double *target, const int64_t *labels,
-                    int bias_unit, int fa, int gate_hidden, int gate_output,
+                    const int64_t *labels, int bias_unit, int fa, int gate_hidden, int gate_output,
                     double error_gain, double hidden_error_gain, double *out,
                     int update, const double *pre, double eta, double clip,
                     int rounding, double step, double levels,
                     const double *uniforms) {
     if (n_layers < 1 || iterations < 0 || B < 0 || !dims || !h || !weights
         || !class_mask || (n_layers > 1 && !feedback)
-        || (B && (!drive || (!target && !labels) || !out))
+        || (B && (!drive || !labels || !out))
         || update < RATE_NO_UPDATE || update > RATE_MEAN
         || (update == RATE_SAMPLE && B != 1)
         || (update == RATE_MEAN && B < 1) || (update && !pre)
@@ -894,9 +893,8 @@ int rate_phase2_f64(ptrdiff_t n_layers, const int64_t *dims, double T,
             || (i < n_layers - 1 && !feedback[i]))
             return -2;
     ptrdiff_t n_out = dims[n_layers];
-    if (!target)
-        for (ptrdiff_t b = 0; b < B; b++)
-            if (labels[b] < 0 || labels[b] >= n_out) return -2;
+    for (ptrdiff_t b = 0; b < B; b++)
+        if (labels[b] < 0 || labels[b] >= n_out) return -2;
     /* Per sample: the damped corrections of layers 1..L, then the row
      * sums, the listed rows' multipliers (a row per sample in the
      * write-back), the class mask, the target row built from a label and
@@ -932,13 +930,11 @@ int rate_phase2_f64(ptrdiff_t n_layers, const int64_t *dims, double T,
         for (ptrdiff_t i = 0; i < n_layers; i++)
             memcpy(HAT(i), H1(i), (size_t)dims[i + 1] * sizeof(double));
         memset(corr, 0, (size_t)total * sizeof(double));
-        const double *t = target ? target + b * n_out : onehot;
-        if (!target)
-            for (ptrdiff_t j = 0; j < n_out; j++)
-                onehot[j] = j == labels[b] ? mask[j] : 0.0;
+        for (ptrdiff_t j = 0; j < n_out; j++)
+            onehot[j] = j == labels[b] ? mask[j] : 0.0;
         for (int64_t it = 0; it < iterations; it++) {
             const double *o = HAT(last);
-            for (ptrdiff_t j = 0; j < n_out; j++) acc[j] = t[j] - o[j];
+            for (ptrdiff_t j = 0; j < n_out; j++) acc[j] = onehot[j] - o[j];
             rate_error_pair(e_out, acc, error_gain, H1(last), gate_output,
                             mask, T, n_out);
             /* Hidden errors: FA relays down the chain from the layer

@@ -246,22 +246,24 @@ def _damp(c: np.ndarray, new: np.ndarray) -> None:
 
 
 def rate_phase2_reference(dims, T, iterations, drive, h, weights, class_mask,
-                          target, feedback=(), *, fa=False, bias_unit=True,
+                          labels, feedback, *, fa=False, bias_unit=True,
                           gate_hidden=True, gate_output=False,
                           error_gain=1.0, hidden_error_gain=1.0):
     """NumPy reference of :func:`repro.core.kernels.rate_phase2`.
 
-    Same arguments and result: ``iterations`` damped fixed-point passes
-    of the rate engine's phase 2 for a ``(B, n)`` block, starting from
-    the phase-1 rates ``h`` of layers 1..L and the first layer's
-    pre-correction rates ``drive``; returns the phase-2 rates of layers
-    1..L.  Every chain is the IEEE operations of ``rate_activation`` /
-    ``quantize_rate`` in their order, and every phase-2 product (the
-    feedback product and each corrected pass's layer >= 1 product) goes
-    through :func:`accumulate_rows`.
+    Same arguments (``weights`` and ``feedback`` as sequences of arrays)
+    and result: ``iterations`` damped fixed-point passes of the rate
+    engine's phase 2 for a ``(B, n)`` block, starting from the phase-1
+    rates ``h`` of layers 1..L and the first layer's pre-correction rates
+    ``drive``; returns the phase-2 rates of layers 1..L.  The target is
+    ``encode_labels(labels) * class_mask``.  Every chain is the IEEE
+    operations of ``rate_activation`` / ``quantize_rate`` in their order,
+    and every phase-2 product (the feedback product and each corrected
+    pass's layer >= 1 product) goes through :func:`accumulate_rows`.
     """
     T = np.array(float(T))
     mask = class_mask.astype(float)
+    target = encode_labels(labels, dims[-1]) * mask
     n_layers = len(dims) - 1
     batch = len(drive)
     # ``gates[i]`` belongs to layer ``i + 1``; a 0/1 float multiplies like
@@ -475,7 +477,7 @@ class EMSTDPNetwork:
             h, h_hat = self._spike_two_phase(x, label)
             self._apply_updates(h, h_hat, lr_scale)
         else:
-            h, h_hat = self._rate_train(x, label, lr_scale)
+            h, h_hat = self._rate_solve(x, label, lr_scale)
         self.samples_seen += 1
         pred = predict_class(h[-1])
         return {
@@ -534,17 +536,12 @@ class EMSTDPNetwork:
         block and its ``(B,)`` labels (every sample settles at once)."""
         return self._rate_solve(x, labels)
 
-    def _rate_train(self, x: np.ndarray, labels, lr_scale: float
-                    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """:meth:`_rate_two_phase` followed by the Eq. (7) write-back of
-        :meth:`_apply_updates`: per sample for one sample ``x``, the batch
-        mean for a block."""
-        return self._rate_solve(x, labels, lr_scale)
-
     def _rate_solve(self, x: np.ndarray, labels,
                     lr_scale: Optional[float] = None
                     ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """The two-phase rate solve and, given ``lr_scale``, the write-back.
+        """The two-phase rate solve and, given ``lr_scale``, the Eq. (7)
+        write-back: per sample for one sample ``x``, the batch mean for a
+        block.
 
         When the backend provides the fused loop, phase 2 and the
         write-back are one :func:`kernels.rate_phase2` call; else phase 2
@@ -574,10 +571,11 @@ class EMSTDPNetwork:
         # of a neuron silent in phase 1 (surrogate derivative h' = 0).
         #
         # Every pass runs in one kernels.rate_phase2 call, on the bound
-        # weight tables and the label indices, when the backend provides
-        # it, else in rate_phase2_reference; both take (B, n) blocks, so
-        # one sample goes in as a block of one.  The tables are bound after
-        # phase 1, which reads the weights as they were assigned.
+        # weight tables, when the backend provides it, else in
+        # rate_phase2_reference; both take (B, n) blocks and the label
+        # indices, so one sample goes in as a block of one.  The tables are
+        # bound after phase 1, which reads the weights as they were
+        # assigned.
         weights, feedback = self._bind()
 
         def block(a):
@@ -602,9 +600,8 @@ class EMSTDPNetwork:
                                         labels, feedback, update=update,
                                         **kwargs)
         else:
-            target = encode_labels(labels, self.n_classes) * solve.mask
             h_hat = rate_phase2_reference(*args, weights.arrays,
-                                          self.class_mask, target,
+                                          self.class_mask, labels,
                                           feedback.arrays, **kwargs)
         h_hat = [h[0]] + [r.reshape(hi.shape) for r, hi in zip(h_hat, h[1:])]
         if lr_scale is not None and not fused:
@@ -692,7 +689,7 @@ class EMSTDPNetwork:
                 h, h_hat = self._spike_rates(X, y)
                 self._apply_updates(h, h_hat, lr_scale)
             else:
-                h, h_hat = self._rate_train(X, y, lr_scale)
+                h, h_hat = self._rate_solve(X, y, lr_scale)
             self.samples_seen += len(X)
             preds = predict_classes(h[-1])
         correct = preds == y

@@ -10,12 +10,14 @@ and compare every output byte (``tobytes``, so signed zeros count); the
 network tests train twin networks, the fused leg with the reference
 patched to fail so that a silent fallback cannot pass, and compare
 weights and rounding-generator states too, also after the arrays the
-network binds are replaced.  The other tests check the kernel's operand
-rule.
+network binds are replaced and after the network is copied.  The other
+tests check the kernel's operand rule and its bound tables.
 """
 
 import contextlib
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ import pytest
 from repro.core import (EMSTDPNetwork, WeightUpdater, full_precision_config,
                         kernels, loihi_default_config)
 from repro.core import network as network_mod
-from repro.core.encoding import encode_labels
+from repro.core.encoding import label_indices
 from repro.core.network import _RateSolve, rate_phase2_reference
 from repro.data import make_blobs
 
@@ -59,13 +61,14 @@ def _inputs(n_in, n_classes, n, seed):
 
 
 def _operands(net, X, y):
-    """The phase-2 arguments phase 1 gives ``net`` for the block ``X``."""
+    """The phase-2 arguments phase 1 gives ``net`` for the block ``X``,
+    the weights and feedback as lists (the reference's form)."""
     cfg = net.config
     solve = _RateSolve(net, X)
     h = solve.forward()
-    target = encode_labels(y, net.n_classes) * solve.mask
     args = (net.dims, cfg.T, cfg.phase2_iterations, solve.drive, h[1:],
-            net.weights, net.class_mask, target, net.feedback_weights)
+            net.weights, net.class_mask, label_indices(y, net.n_classes),
+            net.feedback_weights)
     kwargs = dict(fa=cfg.feedback == "fa", bias_unit=bool(net._bias),
                   gate_hidden=cfg.gate_hidden, gate_output=cfg.gate_output,
                   error_gain=cfg.error_gain,
@@ -73,12 +76,19 @@ def _operands(net, X, y):
     return args, kwargs
 
 
+def _bound(args):
+    """Reference ``args`` as the kernel takes them: the weights and the
+    feedback bound into tables."""
+    return (args[:5] + (kernels.array_table(args[5]),) + args[6:8]
+            + (kernels.array_table(args[8]),))
+
+
 def _both_legs(args, kwargs):
     """The reference's and the kernel's result for the same call."""
     with leg("numpy"):
         ref = rate_phase2_reference(*args, **kwargs)
     with leg("cext"):
-        got = kernels.rate_phase2(*args, **kwargs)
+        got = kernels.rate_phase2(*_bound(args), **kwargs)
     return ref, got
 
 
@@ -142,9 +152,9 @@ def test_kernel_equals_reference_on_wide_layers(fa, iterations):
     drive = np.floor(rng.uniform(0, 1, (3, 53)) * T) / T
     h = [drive, np.floor(rng.uniform(0, 1, (3, 37)) * T) / T,
          np.floor(rng.uniform(0, 1, (3, 10)) * T) / T]
-    target = np.eye(10)[rng.integers(0, 10, 3)]
+    labels = rng.integers(0, 10, 3)
     args = (dims, T, iterations, drive, h, weights, np.ones(10, dtype=bool),
-            target, feedback)
+            labels, feedback)
     ref, got = _both_legs(args, dict(fa=fa, gate_hidden=False,
                                      error_gain=2.0, hidden_error_gain=0.5))
     _assert_same_bytes(ref, got)
@@ -177,7 +187,7 @@ def test_corrected_pass_sums_rows_in_row_order(rows, bias, total, cols):
                np.repeat(np.array(rows)[:, None], cols, axis=1)]
     args = (dims, 64, 1, np.ones((1, k)), [np.ones((1, k)),
                                            np.zeros((1, cols))],
-            weights, np.ones(cols, dtype=bool), np.zeros((1, cols)),
+            weights, np.ones(cols, dtype=bool), np.array([0]),
             [np.zeros((cols, k))])
     ref, got = _both_legs(args, dict(bias_unit=bias, error_gain=0.0))
     _assert_same_bytes(ref, got)
@@ -189,16 +199,21 @@ def test_corrected_pass_sums_rows_in_row_order(rows, bias, total, cols):
 @pytest.mark.parametrize("rows, total", [(rows, total) for rows, bias, total
                                          in ORDER_CASES if not bias])
 def test_feedback_product_sums_rows_in_row_order(rows, total, cols):
-    """One DFA pass: every output error is 1, so its damped correction is
-    0.5, and the hidden drive is the row-order sum of twice the feedback
-    rows; a hidden correction of 0.5 shows the sum was 1."""
+    """One DFA pass: the label's output is silent and every other output
+    saturated, so each output error is +1 or -1 and its damped correction
+    +0.5 or -0.5.  The feedback rows are twice the rows with the same
+    signs, so each product is exactly its row, and the hidden drive is
+    the row-order sum of the rows; a hidden correction of 0.5 shows the
+    sum was 1."""
     m = len(rows)
     dims = (1, cols, m)
-    feedback = np.repeat(2.0 * np.array(rows)[:, None], cols, axis=1)
-    args = (dims, 64, 1, np.zeros((1, cols)), [np.zeros((1, cols)),
-                                               np.zeros((1, m))],
+    signs = np.where(np.arange(m) == 0, 1.0, -1.0)  # label 0
+    feedback = np.repeat((2.0 * signs * np.array(rows))[:, None], cols,
+                         axis=1)
+    args = (dims, 64, 1, np.zeros((1, cols)),
+            [np.zeros((1, cols)), (signs < 0)[None].astype(float)],
             [np.zeros((2, cols)), np.zeros((cols + 1, m))],
-            np.ones(m, dtype=bool), np.ones((1, m)), [feedback])
+            np.ones(m, dtype=bool), np.array([0]), [feedback])
     ref, got = _both_legs(args, dict(gate_hidden=False))
     _assert_same_bytes(ref, got)
     assert got[0].tolist() == [[0.5 * total] * cols]
@@ -245,19 +260,20 @@ def test_network_fused_equals_reference(feedback, config):
 @needs_cext
 def test_rejects_malformed_operands_before_the_backend(monkeypatch):
     """A wrong dtype, shape or layout raises ``TypeError`` naming the
-    operand, and a wrong array count ``ValueError``, before the backend
-    is called."""
+    operand, as do weights or feedback not bound into a table, and a
+    wrong array count ``ValueError``, before the backend is called."""
     dims = (3, 4, 2)
     good = dict(drive=np.zeros((2, 4)), h=[np.zeros((2, 4)), np.zeros((2, 2))],
                 weights=[np.zeros((4, 4)), np.zeros((5, 2))],
-                class_mask=np.ones(2, dtype=bool), target=np.zeros((2, 2)),
+                class_mask=np.ones(2, dtype=bool),
+                labels=np.zeros(2, dtype=np.int64),
                 feedback=[np.zeros((2, 4))])
 
-    def call(**changes):
+    def call(bind=kernels.array_table, **changes):
         ops = dict(good, **changes)
         return kernels.rate_phase2(
-            dims, 64, 8, ops["drive"], ops["h"], ops["weights"],
-            ops["class_mask"], ops["target"], ops["feedback"])
+            dims, 64, 8, ops["drive"], ops["h"], bind(ops["weights"]),
+            ops["class_mask"], ops["labels"], bind(ops["feedback"]))
 
     with kernels.forced_backend("cext"):
         assert [r.shape for r in call()] == [(2, 4), (2, 2)]
@@ -279,11 +295,16 @@ def test_rejects_malformed_operands_before_the_backend(monkeypatch):
                 ({"feedback": [np.zeros((4, 2))]}, "feedback\\[0\\]"),
                 ({"class_mask": np.ones(2)}, "class_mask.*float64"),
                 ({"class_mask": np.ones(3, dtype=bool)}, "class_mask"),
-                ({"target": np.zeros((3, 2))}, "target"),
-                ({"target": np.zeros((2, 4))[:, ::2]},
-                 "target.*non-contiguous"),
+                ({"labels": np.zeros(3, dtype=np.int64)}, "labels"),
+                ({"labels": np.zeros(4, dtype=np.int64)[::2]},
+                 "labels.*non-contiguous"),
+                ({"labels": np.zeros(2)}, "labels.*float64"),
                 ({"drive": np.zeros(4)}, "drive"),
-                ({"drive": [[0.0] * 4] * 2}, "drive.*list")):
+                ({"drive": [[0.0] * 4] * 2}, "drive.*list"),
+                ({"bind": list}, "weights must be an ArrayTable"),
+                ({"bind": lambda a: (a if a is good["feedback"]
+                                     else kernels.array_table(a))},
+                 "feedback must be an ArrayTable")):
             with pytest.raises(TypeError, match=match):
                 call(**changes)
         for changes, match in (
@@ -299,8 +320,11 @@ def test_numpy_backend_has_no_fused_phase2():
         assert not kernels.backend_provides("rate_phase2")
         with pytest.raises(NotImplementedError, match="rate_phase2"):
             kernels.rate_phase2((3, 2), 64, 8, np.zeros((1, 2)),
-                                [np.zeros((1, 2))], [np.zeros((4, 2))],
-                                np.ones(2, dtype=bool), np.zeros((1, 2)))
+                                [np.zeros((1, 2))],
+                                kernels.array_table([np.zeros((4, 2))]),
+                                np.ones(2, dtype=bool),
+                                np.zeros(1, dtype=np.int64),
+                                kernels.array_table([]))
 
 
 # -- the fused Eq. (7) write-back and the bound weight tables -------------
@@ -382,6 +406,53 @@ def test_tables_rebind_when_arrays_are_replaced(how, config):
                           (net.feedback_weights, feedback)):
         assert all(a is b for a, b in zip(arrays, table.arrays))
         assert all(a.flags.c_contiguous for a in arrays)
+
+
+def test_array_table_is_sealed_and_copies_bind_their_own_arrays():
+    """A table is made only by ``array_table`` and cannot be changed, so
+    its addresses are those of its arrays; a copy, a deep copy and an
+    unpickled table each hold their arrays' addresses."""
+    arrays = [np.arange(6.0).reshape(2, 3), np.ones((4, 1))]
+    table = kernels.array_table(arrays)
+    with pytest.raises(TypeError, match="array_table"):
+        kernels.ArrayTable(table.arrays, table._addresses, table.address)
+    with pytest.raises(AttributeError, match="read-only"):
+        table.arrays = (np.zeros((2, 3)), arrays[1])
+    with pytest.raises(ValueError, match="read-only"):
+        table._addresses[0] = 0
+    for twin in (table, copy.copy(table), copy.deepcopy(table),
+                 pickle.loads(pickle.dumps(table))):
+        assert isinstance(twin, kernels.ArrayTable)
+        assert [a.tobytes() for a in twin.arrays] == [
+            a.tobytes() for a in arrays]
+        assert twin._addresses.tolist() == [
+            a.ctypes.data for a in twin.arrays]
+        assert twin.address == twin._addresses.ctypes.data
+
+
+@needs_cext
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_copied_network_trains_its_own_weights(how, config):
+    """A deep copy or an unpickled copy of a trained network binds its
+    own weights: training it leaves the original's bytes as they were,
+    and it ends where a twin trained without copying ends."""
+    dims = DIMS[2]
+    X, y = _inputs(dims[0], dims[-1], 18, seed=10)
+    cfg = CONFIGS[config](seed=5, phase_length=20)
+    with leg("cext"):
+        original, twin = EMSTDPNetwork(dims, cfg), EMSTDPNetwork(dims, cfg)
+        for net in (original, twin):
+            net.fit_batch(X[:6], y[:6], update_mode="online")
+        clone = (copy.deepcopy(original) if how == "deepcopy"
+                 else pickle.loads(pickle.dumps(original)))
+        before = _state_bytes(original)
+        for net in (clone, twin):
+            net.fit_batch(X[6:12], y[6:12], update_mode="online")
+            net.fit_batch(X[12:], y[12:], update_mode="minibatch")
+    assert _state_bytes(original) == before
+    assert _state_bytes(clone) == _state_bytes(twin)
+    assert _state_bytes(clone)[0] != before[0]
 
 
 @needs_cext
@@ -493,7 +564,7 @@ def _fused_write_back(args, kwargs, update):
     """``kernels.rate_phase2`` with the write-back, into copies."""
     weights = [w.copy() for w in args[5]]
     with leg("cext"):
-        h_hat = kernels.rate_phase2(*args[:5], weights, *args[6:],
+        h_hat = kernels.rate_phase2(*_bound(args[:5] + (weights,) + args[6:]),
                                     update=update, **kwargs)
     return h_hat, weights
 
@@ -561,10 +632,7 @@ def test_write_back_keeps_the_reference_signed_zeros(grid):
         if options.get("rng"):
             options["rng"] = np.random.default_rng(3)
         update = kernels.RateUpdate(np.zeros((1, 1)), 0.3, **options)
-        ref_args = args[:7] + (np.array([[0.0, 1.0]]),) + args[8:]
-        h_hat, new = write_back(
-            ref_args if write_back is _reference_write_back else args,
-            kwargs, update)
+        h_hat, new = write_back(args, kwargs, update)
         out.append(new)
         assert h_hat[1].tolist() == [[0.5, 0.5]]
     _assert_same_bytes(*out)
@@ -583,13 +651,14 @@ def test_update_rejects_what_it_cannot_apply(monkeypatch):
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
 
-    def call(batch, update, labels=None):
+    def call(batch, update, labels=None, weights=None):
+        weights = weights or [np.zeros((4, 4)), np.zeros((5, 2))]
         return kernels.rate_phase2(
             dims, 64, 8, np.zeros((batch, 4)),
             [np.zeros((batch, 4)), np.zeros((batch, 2))],
-            [np.zeros((4, 4)), np.zeros((5, 2))], np.ones(2, dtype=bool),
+            kernels.array_table(weights), np.ones(2, dtype=bool),
             np.zeros(batch, dtype=np.int64) if labels is None else labels,
-            [np.zeros((2, 4))], update=update)
+            kernels.array_table([np.zeros((2, 4))]), update=update)
 
     with kernels.forced_backend("cext"):
         monkeypatch.setattr(kernels._impl(), "rate_phase2", _no_fallback)
@@ -611,11 +680,7 @@ def test_update_rejects_what_it_cannot_apply(monkeypatch):
         frozen = np.zeros((5, 2))
         frozen.flags.writeable = False
         with pytest.raises(TypeError, match=r"weights\[1\] is read-only"):
-            kernels.rate_phase2(
-                dims, 64, 8, np.zeros((1, 4)),
-                [np.zeros((1, 4)), np.zeros((1, 2))],
-                [np.zeros((4, 4)), frozen], np.ones(2, dtype=bool),
-                np.zeros(1, dtype=np.int64), [np.zeros((2, 4))],
-                update=kernels.RateUpdate(pre[1], 0.1, clip=1.0, bits=8,
-                                          rng=rng))
+            call(1, kernels.RateUpdate(pre[1], 0.1, clip=1.0, bits=8,
+                                       rng=rng),
+                 weights=[np.zeros((4, 4)), frozen])
     assert rng.bit_generator.state == state

@@ -108,12 +108,14 @@ class OracleNetwork(EMSTDPNetwork):
             h_hat = self.forward_rates(x, corrections=corrections)
         return h, h_hat
 
-    def _rate_train(self, x: np.ndarray, labels, lr_scale: float
+    def _rate_solve(self, x: np.ndarray, labels,
+                    lr_scale: Optional[float] = None
                     ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
         # Training as it was written: the frozen solve, then the NumPy
         # write-back (the library's fused kernel does both in one call).
         h, h_hat = self._rate_two_phase(x, labels)
-        self._apply_updates(h, h_hat, lr_scale)
+        if lr_scale is not None:
+            self._apply_updates(h, h_hat, lr_scale)
         return h, h_hat
 
 
