@@ -205,16 +205,22 @@ def claim_loop(db_path: Union[str, "Path"], worker_id: str,
                ) -> None:
     """Pull tasks until the queue is drained.
 
-    ``expected_workers`` arms the ready barrier (see
-    :meth:`TaskQueue.wait_for_workers`); ``on_result`` fires after each
+    ``expected_workers`` arms the ready and fan-out barriers (see
+    :meth:`TaskQueue.wait_for_workers` and
+    :meth:`TaskQueue.wait_for_fan_out`); ``on_result`` fires after each
     successful ``complete`` — the inline (single-process) execution path
     uses it to stream progress without polling the DB.
     """
     queue = TaskQueue(db_path)
     queue.register_worker(worker_id, os.getpid())
-    if expected_workers is not None and expected_workers > 1:
+    fan_out = expected_workers is not None and expected_workers > 1
+    if fan_out:
         queue.wait_for_workers(expected_workers)
+    claimed = False
     while True:
+        if claimed and fan_out:
+            queue.wait_for_fan_out(expected_workers)
+            fan_out = False
         task = queue.claim(worker_id, lease_s)
         if task is None:
             if queue.remaining() == 0:
@@ -222,6 +228,7 @@ def claim_loop(db_path: Union[str, "Path"], worker_id: str,
             queue.worker_seen(worker_id)
             time.sleep(poll_s)
             continue
+        claimed = True
         keeper = LeaseKeeper(queue, task.task_id, worker_id, lease_s)
         keeper.start()
         try:

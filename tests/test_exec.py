@@ -116,6 +116,23 @@ def test_release_requeues_a_dead_workers_leases(tmp_path):
     assert q.release("w0") == []
 
 
+def test_fan_out_barrier_waits_for_every_worker_to_claim(tmp_path):
+    """With a task pending, the barrier holds until ``n`` workers hold or
+    finished one; with none pending it passes at once."""
+    q = TaskQueue(tmp_path / QUEUE_DB_NAME)
+    tids = [q.enqueue("k", {"i": i}) for i in range(3)]
+    assert not q.wait_for_fan_out(1, timeout_s=0.05)
+    q.claim("w0", lease_s=30.0)
+    assert q.complete(tids[0], "w0")
+    assert q.wait_for_fan_out(1, timeout_s=0.05)
+    assert not q.wait_for_fan_out(2, timeout_s=0.05)
+    q.claim("w1", lease_s=30.0)
+    assert q.wait_for_fan_out(2, timeout_s=0.05)
+    assert not q.wait_for_fan_out(3, timeout_s=0.05)
+    q.claim("w0", lease_s=30.0)
+    assert q.wait_for_fan_out(3, timeout_s=0.05)  # nothing pending
+
+
 def test_worker_registry_and_ready_barrier(tmp_path):
     q = TaskQueue(tmp_path / QUEUE_DB_NAME)
     assert not q.wait_for_workers(1, timeout_s=0.1)
