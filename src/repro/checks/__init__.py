@@ -3,9 +3,11 @@
 Stdlib-only (``ast`` + ``tokenize``) enforcement of the conventions this
 codebase's correctness arguments lean on but Python cannot express:
 deterministic seeding (REP001), the kernel bit-identity boundary
-(REP002), ``# guarded-by:`` lock discipline (REP003), the cluster wire
-protocol (REP004), and ``obs`` metric naming (REP005) — plus a hidden
-advisory dead-symbol sweep (REP000, ``--rule REP000``).
+(REP002), ``# guarded-by:`` lock discipline (REP003) and ``obs`` metric
+naming (REP005) — plus a hidden advisory dead-symbol sweep (REP000,
+``--rule REP000``).  The wire protocols are checked at runtime instead,
+where each message is built or read (``protocol.MESSAGES`` in
+``repro.cluster`` and ``repro.exec``).
 
 Run it as ``python -m repro check [paths]``; suppress one line with
 ``# repro: ignore[REP001]`` (bare ``# repro: ignore`` silences every

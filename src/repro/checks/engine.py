@@ -62,11 +62,9 @@ class Finding:
 class FileContext:
     """Everything the rules need to know about one source file."""
 
-    def __init__(self, rel: str, source: str,
-                 real_path: Optional[Path] = None):
+    def __init__(self, rel: str, source: str):
         self.rel = rel.replace("\\", "/")
         self.source = source
-        self.real_path = real_path
         self.tree = ast.parse(source, filename=self.rel)
         self.lines = source.splitlines()
         #: line number -> full comment text (including the leading ``#``).
@@ -311,7 +309,7 @@ def run_checks(paths: Sequence[str],
             rel = path.as_posix()
         try:
             source = path.read_text(encoding="utf-8")
-            ctx = FileContext(rel, source, real_path=path)
+            ctx = FileContext(rel, source)
         except (OSError, SyntaxError, ValueError) as exc:
             errors.append(f"{rel}: {type(exc).__name__}: {exc}")
             continue

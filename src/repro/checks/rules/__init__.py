@@ -7,7 +7,6 @@ REP000    dead symbols (hidden advisory pass)
 REP001    determinism: no unseeded randomness / wall-clock
 REP002    kernel boundary: only the public kernel API
 REP003    lock discipline: ``# guarded-by:`` annotations
-REP004    wire-protocol arity between cluster processes
 REP005    metric naming for the ``obs`` registry
 ========  ====================================================
 """
@@ -33,4 +32,4 @@ def dotted(node: ast.AST) -> Optional[str]:
 # Imported last, after the helpers above exist: each submodule registers
 # its rule with the engine as a side effect of this import.
 from . import (dead, determinism, kernel_boundary,  # noqa: E402,F401
-               lock_discipline, metric_naming, wire_protocol)
+               lock_discipline, metric_naming)

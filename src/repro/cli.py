@@ -49,8 +49,8 @@ Subcommands::
         The full span tree of a trace, with events, durations and pids.
     check [paths] [--rule REPNNN] [--json] [--baseline FILE]
         Repo-native static analyzer (``repro.checks``): determinism,
-        kernel boundaries, lock discipline, wire protocol, metric
-        naming.  Exit 1 on any non-baselined finding.
+        kernel boundaries, lock discipline, metric naming.  Exit 1 on
+        any non-baselined finding.
 
 All table output renders through :mod:`repro.analysis.reporting`, the same
 dependency-free formatter the benchmarks use.
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check", help="repo-native static analyzer (determinism, locks, "
-                      "kernel boundary, wire protocol, metric naming)")
+                      "kernel boundary, metric naming)")
     check.add_argument("paths", nargs="*", metavar="path",
                        help="files or directories to analyze (default: "
                             "src benchmarks examples under the repo root)")

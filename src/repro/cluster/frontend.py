@@ -110,6 +110,9 @@ class ClusterService:
             except WorkerDied:
                 handle.release()
                 continue  # never delivered: safe to try another worker
+            except ValueError:  # a message the protocol does not allow
+                handle.release()
+                raise
             break
         else:
             self.telemetry.record_error()

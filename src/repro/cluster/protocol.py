@@ -21,6 +21,9 @@ worker -> parent
     ``("resp", id, {"ok": False, "status": ..., "error": ...})`` — the
     answer to any parent request, matched by ``msg_id``.
 
+Every tuple is built by :func:`message`, which checks it against
+:data:`MESSAGES` before it reaches a pipe.
+
 The :class:`WorkerSpec` is the complete, picklable recipe for one worker:
 workers never receive live model objects — they *self-load* their models
 from the checkpoint source, so a restarted worker is bitwise-equivalent to
@@ -32,6 +35,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from ..exec.protocol import check_payload
+
 #: worker -> parent message kinds that are not responses.
 READY, HEARTBEAT, FATAL, RESPONSE = "ready", "hb", "fatal", "resp"
 
@@ -39,13 +44,11 @@ READY, HEARTBEAT, FATAL, RESPONSE = "ready", "hb", "fatal", "resp"
 PREDICT, PREDICT_MANY, METRICS, SWAP, DRAIN = (
     "predict", "predict_many", "metrics", "swap", "drain")
 
-#: Declarative payload contract per message kind, checked statically by
-#: ``repro.checks`` rule REP004 against every send site in worker.py /
-#: frontend.py / supervisor.py.  Each value is either ``None`` (payload
-#: is free-form, e.g. a stats snapshot) or a pair
-#: ``(required_keys, allowed_keys)`` — every literal payload dict must
-#: carry all required keys and nothing outside the allowed set.  Keep
-#: this in lockstep with the prose contract in the module docstring.
+#: Payload contract per message kind.  Each value is either ``None``
+#: (payload is free-form, e.g. a stats snapshot) or a pair
+#: ``(required_keys, allowed_keys)``: a payload carries every required
+#: key and nothing outside the allowed set.  Keep this in lockstep with
+#: the prose contract in the module docstring.
 MESSAGES = {
     PREDICT: (("input",), ("input", "model", "version", "use_cache")),
     PREDICT_MANY: (("inputs",),
@@ -58,6 +61,14 @@ MESSAGES = {
     FATAL: (("error",), ("error",)),
     RESPONSE: (("ok",), ("ok", "value", "status", "error")),
 }
+
+
+def message(kind: str, msg_id: int, payload) -> tuple:
+    """The ``(kind, msg_id, payload)`` tuple for a pipe; ``ValueError``
+    naming the kind or the field when :data:`MESSAGES` does not allow
+    it.  Every send site in the cluster goes through here."""
+    check_payload(MESSAGES, kind, payload)
+    return (kind, msg_id, payload)
 
 
 @dataclasses.dataclass(frozen=True)

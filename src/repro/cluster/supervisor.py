@@ -149,7 +149,8 @@ class WorkerHandle:
 
         The caller owns in-flight accounting (``acquire``/``release``) for
         data-plane requests; control-plane requests (metrics, swap, drain)
-        bypass it.
+        bypass it.  A message :data:`protocol.MESSAGES` does not allow
+        raises ``ValueError`` and is not sent.
         """
         future: Future = Future()
         with self._lock:
@@ -157,9 +158,10 @@ class WorkerHandle:
                 raise WorkerDied(
                     f"worker {self.slot} (pid {self.pid}) is dead")
             msg_id = next(self._msg_ids)
+            message = protocol.message(kind, msg_id, payload)
             self._pending[msg_id] = future
         try:
-            self.conn.send((kind, msg_id, payload))
+            self.conn.send(message)
         except (BrokenPipeError, OSError):
             with self._lock:
                 self._pending.pop(msg_id, None)

@@ -61,9 +61,10 @@ class _Worker:
 
     # -- plumbing --------------------------------------------------------
 
-    def send(self, message) -> None:
+    def send(self, kind: str, msg_id: int, payload) -> None:
         """Pipe writes come from handler threads and the heartbeat thread;
         ``Connection.send`` is not thread-safe, so serialize them."""
+        message = protocol.message(kind, msg_id, payload)
         with self._send_lock:
             try:
                 self.conn.send(message)
@@ -90,7 +91,7 @@ class _Worker:
 
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self.spec.heartbeat_s):
-            self.send((protocol.HEARTBEAT, 0, self.stats()))
+            self.send(protocol.HEARTBEAT, 0, self.stats())
 
     # -- request handlers ------------------------------------------------
 
@@ -109,18 +110,18 @@ class _Worker:
                     version=body.get("version"),
                     use_cache=body.get("use_cache", True))
         except KeyError as exc:  # unknown model/version
-            self.send((protocol.RESPONSE, msg_id, {
-                "ok": False, "status": 404, "error": str(exc.args[0])}))
+            self.send(protocol.RESPONSE, msg_id, {
+                "ok": False, "status": 404, "error": str(exc.args[0])})
         except InvalidInput as exc:  # not a sample the model takes
-            self.send((protocol.RESPONSE, msg_id, {
-                "ok": False, "status": 400, "error": str(exc)}))
+            self.send(protocol.RESPONSE, msg_id, {
+                "ok": False, "status": 400, "error": str(exc)})
         except Exception as exc:
-            self.send((protocol.RESPONSE, msg_id, {
+            self.send(protocol.RESPONSE, msg_id, {
                 "ok": False, "status": 500,
-                "error": f"{type(exc).__name__}: {exc}"}))
+                "error": f"{type(exc).__name__}: {exc}"})
         else:
-            self.send((protocol.RESPONSE, msg_id,
-                       {"ok": True, "value": value}))
+            self.send(protocol.RESPONSE, msg_id,
+                      {"ok": True, "value": value})
         finally:
             with self._inflight_lock:
                 self._inflight -= 1
@@ -147,18 +148,18 @@ class _Worker:
                     source, store_root=body.get("store_root",
                                                 self.spec.store_root))
         except Exception as exc:
-            self.send((protocol.RESPONSE, msg_id, {
+            self.send(protocol.RESPONSE, msg_id, {
                 "ok": False, "status": 500,
-                "error": f"{type(exc).__name__}: {exc}"}))
+                "error": f"{type(exc).__name__}: {exc}"})
         else:
-            self.send((protocol.RESPONSE, msg_id, {
+            self.send(protocol.RESPONSE, msg_id, {
                 "ok": True,
-                "value": {"versions": self.registry.active_versions()}}))
+                "value": {"versions": self.registry.active_versions()}})
 
     # -- main loop -------------------------------------------------------
 
     def run(self) -> None:
-        self.send((protocol.READY, 0, self.stats()))
+        self.send(protocol.READY, 0, self.stats())
         heartbeat = threading.Thread(target=self._heartbeat_loop,
                                      name="cluster-heartbeat", daemon=True)
         heartbeat.start()
@@ -173,17 +174,17 @@ class _Worker:
                     self._pool.submit(self._handle_predict, kind, msg_id,
                                       body)
                 elif kind == protocol.METRICS:
-                    self.send((protocol.RESPONSE, msg_id,
-                               {"ok": True, "value": self.service.metrics()}))
+                    self.send(protocol.RESPONSE, msg_id,
+                              {"ok": True, "value": self.service.metrics()})
                 elif kind == protocol.SWAP:
                     self._handle_swap(msg_id, body)
                 elif kind == protocol.DRAIN:
                     drain_msg_id = msg_id
                     break
-                else:
-                    self.send((protocol.RESPONSE, msg_id, {
+                else:  # a declared kind that is not a request
+                    self.send(protocol.RESPONSE, msg_id, {
                         "ok": False, "status": 400,
-                        "error": f"unknown message kind {kind!r}"}))
+                        "error": f"{kind!r} is not a worker request"})
         finally:
             self._stop.set()
             # Answer everything already accepted before reporting drained:
@@ -192,8 +193,8 @@ class _Worker:
             self._pool.shutdown(wait=True)
             drained = self.service.shutdown(timeout=30.0)
             if drain_msg_id is not None:
-                self.send((protocol.RESPONSE, drain_msg_id,
-                           {"ok": True, "value": {"drained": drained}}))
+                self.send(protocol.RESPONSE, drain_msg_id,
+                          {"ok": True, "value": {"drained": drained}})
             heartbeat.join(timeout=2.0)
             try:
                 self.conn.close()
@@ -208,8 +209,8 @@ def worker_main(conn, spec: WorkerSpec) -> None:
         worker = _Worker(conn, spec)
     except Exception as exc:
         try:
-            conn.send((protocol.FATAL, 0,
-                       {"error": f"{type(exc).__name__}: {exc}"}))
+            conn.send(protocol.message(
+                protocol.FATAL, 0, {"error": f"{type(exc).__name__}: {exc}"}))
             conn.close()
         except OSError:
             pass

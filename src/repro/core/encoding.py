@@ -142,6 +142,25 @@ def label_indices(labels, n_classes: int) -> np.ndarray:
     return labels
 
 
+def active_class_mask(active_classes, n_classes: int) -> np.ndarray:
+    """The ``(n_classes,)`` bool mask enabling ``active_classes``;
+    ``ValueError`` naming a class that is not an integer in
+    ``[0, n_classes)`` (a bool too: a mask is not a class list), or when
+    no class is active."""
+    mask = np.zeros(n_classes, dtype=bool)
+    for c in active_classes:
+        if isinstance(c, (bool, np.bool_)) \
+                or not isinstance(c, (int, np.integer)):
+            raise ValueError(f"class {c!r} is not an integer")
+        if not 0 <= c < n_classes:
+            raise ValueError(f"class {c} out of range for {n_classes} "
+                             f"classes")
+        mask[c] = True
+    if not mask.any():
+        raise ValueError("at least one class must stay active")
+    return mask
+
+
 def encode_labels(labels: np.ndarray, n_classes: int,
                   rate: float = 1.0) -> np.ndarray:
     """Batched :func:`encode_label`: ``(B,)`` labels -> ``(B, n_classes)``.

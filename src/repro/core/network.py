@@ -81,8 +81,9 @@ import numpy as np
 
 from . import kernels
 from .config import EMSTDPConfig, validate_dims
-from .encoding import (as_labeled_batch, as_sample_batch, bias_encode,
-                       encode_labels, label_indices, quantize_to_bins)
+from .encoding import (active_class_mask, as_labeled_batch,
+                       as_sample_batch, bias_encode, encode_labels,
+                       label_indices, quantize_to_bins)
 from .feedback import make_dfa_weights, make_fa_weights
 from .learning import WeightUpdater
 from .loss import predict_class, predict_classes
@@ -529,13 +530,6 @@ class EMSTDPNetwork:
 
     # -- rate backend ---------------------------------------------------
 
-    def _rate_two_phase(self, x: np.ndarray, labels
-                        ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """Phase-1 rates ``h`` and phase-2 rates ``h_hat`` with frozen
-        weights, for one sample ``x`` and its label or for a ``(B, n_in)``
-        block and its ``(B,)`` labels (every sample settles at once)."""
-        return self._rate_solve(x, labels)
-
     def _rate_solve(self, x: np.ndarray, labels,
                     lr_scale: Optional[float] = None
                     ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
@@ -767,12 +761,9 @@ class EMSTDPNetwork:
     # ------------------------------------------------------------------
 
     def set_class_mask(self, active_classes: Sequence[int]) -> None:
-        """Enable only ``active_classes`` output neurons (IOL step 1)."""
-        mask = np.zeros(self.n_classes, dtype=bool)
-        mask[list(active_classes)] = True
-        if not mask.any():
-            raise ValueError("at least one class must stay active")
-        self.class_mask = mask
+        """Enable only ``active_classes`` output neurons (IOL step 1);
+        ``ValueError`` for a class :func:`active_class_mask` refuses."""
+        self.class_mask = active_class_mask(active_classes, self.n_classes)
 
     def clear_class_mask(self) -> None:
         """Re-enable every output neuron."""

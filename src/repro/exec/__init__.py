@@ -11,9 +11,10 @@ lands.  Results land in the existing ``runs/`` store byte-compatibly.
 The queue file is ephemeral per invocation (rebuilt from the durable
 resume state each start) but left on disk afterwards for inspection.
 
-See :mod:`repro.exec.protocol` for the task wire format (REP004-checked)
-and :mod:`repro.exec.queue` for the lease/requeue lifecycle that makes
-preemption (SIGKILL a worker mid-task) safe.
+See :mod:`repro.exec.protocol` for the task wire format (checked by the
+worker on every claimed task) and :mod:`repro.exec.queue` for the
+lease/requeue lifecycle that makes preemption (SIGKILL a worker
+mid-task) safe.
 """
 
 from .planner import SeedGroup, enqueue_seed, run_seed_groups

@@ -7,9 +7,8 @@ every outstanding seed as a ``run_seed`` task on one fresh queue, drains
 the queue with a :class:`~repro.exec.pool.WorkerPool`, and settles each
 group through a callback once its last seed has landed.
 
-This is the only module that calls ``queue.enqueue`` — keeping every
-enqueue site here means REP004 has one small file to statically verify
-against :data:`repro.exec.protocol.MESSAGES`.
+This is the only module that calls ``queue.enqueue``; the worker checks
+every task it claims against :data:`repro.exec.protocol.MESSAGES`.
 """
 
 from __future__ import annotations

@@ -37,10 +37,11 @@ results (worker -> queue, free-form by design)
     dying) and therefore did not re-run it.
 
 The ``MESSAGES`` dict below is the machine-readable half of this
-contract; ``repro.checks`` rule REP004 verifies every
-``queue.enqueue(kind, payload)`` site in ``planner.py`` against it, the
-same discipline ``cluster/protocol.py`` applies to the serving tier's
-pipe messages.
+contract.  The queue file outlives its writer, so the worker checks a
+claimed row against it (:func:`check_payload`) before running it: a
+corrupt or foreign row ends as an error result naming the kind or the
+field.  ``cluster/protocol.py`` checks the serving tier's pipe messages
+with the same function.
 """
 
 from __future__ import annotations
@@ -48,12 +49,10 @@ from __future__ import annotations
 #: The one task kind the executor runs today.
 RUN_SEED = "run_seed"
 
-#: Declarative payload contract per task kind, checked statically by
-#: ``repro.checks`` rule REP004 against every enqueue site.  Each value
-#: is either ``None`` (free-form payload) or a pair
-#: ``(required_keys, allowed_keys)`` — every literal payload dict must
-#: carry all required keys and nothing outside the allowed set.  Keep
-#: this in lockstep with the prose contract in the module docstring.
+#: Payload contract per task kind.  Each value is either ``None``
+#: (free-form payload) or a pair ``(required_keys, allowed_keys)``: a
+#: payload carries every required key and nothing outside the allowed
+#: set.  Keep this in lockstep with the prose contract above.
 MESSAGES = {
     RUN_SEED: (
         ("experiment", "run_id", "run_dir", "spec", "seed"),
@@ -61,3 +60,27 @@ MESSAGES = {
          "repro_version", "point_id", "queue_parent"),
     ),
 }
+
+
+def check_payload(messages: dict, kind, payload) -> None:
+    """``ValueError`` naming the kind or the field unless ``payload`` is
+    what ``messages[kind]`` declares (see :data:`MESSAGES`)."""
+    if kind not in messages:
+        raise ValueError(f"message kind {kind!r} is not declared in "
+                         f"protocol.MESSAGES")
+    spec = messages[kind]
+    if spec is None:
+        return
+    if not isinstance(payload, dict):
+        raise ValueError(f"{kind!r} payload is a "
+                         f"{type(payload).__name__}, not a dict")
+    required, allowed = spec
+    for field in required:
+        if field not in payload:
+            raise ValueError(f"{kind!r} payload is missing required "
+                             f"field {field!r}")
+    for field in payload:
+        if field not in allowed:
+            raise ValueError(f"{kind!r} payload has undeclared field "
+                             f"{field!r} (allowed: "
+                             f"{', '.join(allowed) or 'none'})")

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from .. import obs
-from .protocol import RUN_SEED
+from .protocol import MESSAGES, check_payload
 from .queue import Task, TaskQueue
 
 #: Test hook: seconds to sleep inside the task span on a task's *first*
@@ -192,10 +192,14 @@ def _run_seed(queue: TaskQueue, task: Task, worker_id: str,
 
 def execute_task(queue: TaskQueue, task: Task, worker_id: str,
                  keeper: Optional[LeaseKeeper]) -> dict:
-    if task.kind == RUN_SEED:
-        return _run_seed(queue, task, worker_id, keeper)
-    return {"status": "error",
-            "error": f"unknown task kind {task.kind!r}"}
+    """Run one claimed task.  A row :data:`protocol.MESSAGES` does not
+    allow (a corrupt or foreign queue file) is not run: it ends as an
+    error result naming the kind or the field."""
+    try:
+        check_payload(MESSAGES, task.kind, task.payload)
+    except ValueError as exc:
+        return {"status": "error", "error": str(exc)}
+    return _run_seed(queue, task, worker_id, keeper)  # the one kind
 
 
 def claim_loop(db_path: Union[str, "Path"], worker_id: str,

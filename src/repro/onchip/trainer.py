@@ -39,8 +39,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.encoding import (as_labeled_batch, as_sample_batch,
-                             encode_labels, quantize_to_bins)
+from ..core.encoding import (active_class_mask, as_labeled_batch,
+                             as_sample_batch, encode_labels,
+                             quantize_to_bins)
 from ..loihi.chip import LoihiChip
 from ..loihi.energy import EnergyModel, EnergyReport, RunStats
 from ..loihi.mapping import Mapping
@@ -164,11 +165,9 @@ class LoihiEMSTDPTrainer:
     # -- class masking (incremental learning) -----------------------------------
 
     def set_class_mask(self, active_classes: Sequence[int]) -> None:
-        """Disable the classifier (and error) neurons of inactive classes."""
-        mask = np.zeros(self.model.dims[-1], dtype=bool)
-        mask[list(active_classes)] = True
-        if not mask.any():
-            raise ValueError("at least one class must stay active")
+        """Disable the classifier (and error) neurons of inactive classes;
+        ``ValueError`` for a class :func:`active_class_mask` refuses."""
+        mask = active_class_mask(active_classes, self.model.dims[-1])
         self._class_mask = mask
         net = self.model.network
         net.group(self.model.output_name).mask = mask.copy()

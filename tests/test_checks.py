@@ -63,44 +63,6 @@ def test_rule_silent_on_good_fixture(rule_id):
     assert findings == []
 
 
-def _cluster_tree(tmp_path: Path, fixture: str) -> Path:
-    """The repo's real protocol.py + a fixture worker, as a mini tree."""
-    pkg = tmp_path / "src" / "repro" / "cluster"
-    pkg.mkdir(parents=True)
-    shutil.copy(REPO / "src" / "repro" / "cluster" / "protocol.py",
-                pkg / "protocol.py")
-    (pkg / "worker.py").write_text(_fixture(fixture), encoding="utf-8")
-    return tmp_path
-
-
-def test_rep004_fires_on_bad_fixture(tmp_path):
-    root = _cluster_tree(tmp_path, "rep004_bad")
-    result = run_checks([str(root)], rules=get_rules(["REP004"]), root=root)
-    assert len(result.findings) == 5
-    assert {f.rule for f in result.findings} == {"REP004"}
-    messages = " | ".join(f.message for f in result.findings)
-    assert "expected 3" in messages          # arity
-    assert "predictt" in messages            # unknown literal kind
-    assert "REBALANCE" in messages           # undeclared constant
-    assert "missing required field 'ok'" in messages
-    assert "undeclared field 'force'" in messages
-
-
-def test_rep004_silent_on_good_fixture(tmp_path):
-    root = _cluster_tree(tmp_path, "rep004_good")
-    result = run_checks([str(root)], rules=get_rules(["REP004"]), root=root)
-    assert result.findings == []
-
-
-def test_rep004_checks_the_real_cluster_sources():
-    """The real worker/frontend/supervisor conform to their own contract."""
-    cluster = REPO / "src" / "repro" / "cluster"
-    result = run_checks([str(cluster)], rules=get_rules(["REP004"]),
-                        root=REPO)
-    assert result.findings == []
-    assert result.files_checked >= 4
-
-
 # ---------------------------------------------------------------------------
 # suppressions
 # ---------------------------------------------------------------------------
@@ -183,8 +145,7 @@ def test_hidden_rule_not_in_default_set():
     all_ids = {r.id for r in checks.all_rules()}
     assert "REP000" not in default_ids
     assert "REP000" in all_ids
-    assert {"REP001", "REP002", "REP003", "REP004",
-            "REP005"} <= default_ids
+    assert {"REP001", "REP002", "REP003", "REP005"} <= default_ids
 
 
 def test_unknown_rule_id_is_an_error():
@@ -281,14 +242,18 @@ def test_syntax_error_is_reported_not_raised(tmp_path):
 
 
 def test_reporters(tmp_path):
-    root = _cluster_tree(tmp_path, "rep004_bad")
-    result = run_checks([str(root)], rules=get_rules(["REP004"]), root=root)
+    stem, hint, expected = CASES["REP003"]
+    path = tmp_path / hint
+    path.parent.mkdir(parents=True)
+    path.write_text(_fixture(f"{stem}_bad"), encoding="utf-8")
+    result = run_checks([str(tmp_path)], rules=get_rules(["REP003"]),
+                        root=tmp_path)
     text = render_text(result)
-    assert "REP004" in text and "finding(s)" in text
+    assert "REP003" in text and "finding(s)" in text
     payload = json.loads(render_json(result))
     assert payload["ok"] is False
-    assert len(payload["findings"]) == 5
-    assert payload["rules_run"] == ["REP004"]
+    assert len(payload["findings"]) == expected
+    assert payload["rules_run"] == ["REP003"]
     assert {"rule", "severity", "path", "line", "col",
             "message"} <= set(payload["findings"][0])
 
@@ -321,7 +286,7 @@ def test_cli_json_artifact_shape():
     assert payload["findings"] == []
     assert payload["files_checked"] > 50
     assert payload["rules_run"] == [
-        "REP001", "REP002", "REP003", "REP004", "REP005"]
+        "REP001", "REP002", "REP003", "REP005"]
 
 
 def test_cli_single_rule_selection():

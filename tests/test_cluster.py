@@ -8,6 +8,7 @@ A module-scoped cluster keeps the spawn cost paid once; tests that kill
 workers wait for recovery before handing the cluster to the next test.
 """
 
+import itertools
 import json
 import os
 import signal
@@ -15,12 +16,15 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.cluster import (ClusterError, ClusterService, Supervisor,
-                           WorkerSpec, backoff_delay)
+                           WorkerHandle, WorkerSpec, backoff_delay,
+                           protocol)
+from repro.cluster.worker import _Worker
 from repro.core import EMSTDPNetwork, full_precision_config
 from repro.data.synth import make_blobs
 from repro.persist import save_checkpoint
@@ -93,6 +97,95 @@ def test_backoff_doubles_per_failure_and_caps():
 
 
 # ---------------------------------------------------------------------------
+# wire protocol: every pipe message is built by protocol.message
+# ---------------------------------------------------------------------------
+
+class _Pipe:
+    """Stands in for a ``Connection``: records what reaches the pipe."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+
+
+def _worker_send(pipe, *args):
+    """``_Worker.send``, the worker's one pipe writer, on a fake pipe."""
+    worker = SimpleNamespace(conn=pipe, _send_lock=threading.Lock(),
+                             _stop=threading.Event())
+    _Worker.send(worker, *args)
+
+
+def _handle(pipe):
+    """A ready ``WorkerHandle``'s state on a fake pipe, no process."""
+    return SimpleNamespace(conn=pipe, slot=0, pid=1, _state="ready",
+                           _lock=threading.Lock(), _pending={},
+                           _msg_ids=itertools.count(1))
+
+
+#: Each way a send site can break the contract, as the site would run it
+#: -> (exception, text it must name).  Arity is structural: the senders
+#: take (kind, msg_id, payload) as three arguments, so a 2- or 4-element
+#: message is a ``TypeError``.  An undeclared constant fails where it is
+#: read, before the builder runs.
+VIOLATIONS = {
+    "two_element": (lambda pipe: _worker_send(pipe, protocol.READY, 0),
+                    TypeError, "payload"),
+    "four_element": (lambda pipe: _worker_send(
+        pipe, protocol.RESPONSE, 1, {"ok": True}, "extra"),
+        TypeError, "positional"),
+    "unknown_kind_literal": (lambda pipe: _worker_send(
+        pipe, "predictt", 1, {}), ValueError, "'predictt'"),
+    "undeclared_constant": (lambda pipe: _worker_send(
+        pipe, protocol.REBALANCE, 1, {}), AttributeError, "REBALANCE"),
+    "missing_required_field": (lambda pipe: _worker_send(
+        pipe, protocol.RESPONSE, 1, {"value": 41}),
+        ValueError, "'resp' payload is missing required field 'ok'"),
+    "undeclared_field": (lambda pipe: WorkerHandle.request(
+        _handle(pipe), protocol.SWAP,
+        {"source": "ckpt/model", "force": True}),
+        ValueError, "'swap' payload has undeclared field 'force'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VIOLATIONS))
+def test_protocol_violation_raises_before_the_pipe(case):
+    send, exc_type, text = VIOLATIONS[case]
+    pipe = _Pipe()
+    with pytest.raises(exc_type) as excinfo:
+        send(pipe)
+    assert text in str(excinfo.value)
+    assert pipe.sent == []
+
+
+def test_message_builder_accepts_every_declared_shape():
+    assert protocol.message(protocol.READY, 0, {"pid": 1}) == \
+        (protocol.READY, 0, {"pid": 1})
+    for kind, payload in (
+            (protocol.RESPONSE, {"ok": True, "value": 1}),
+            (protocol.RESPONSE, {"ok": False, "status": 500,
+                                 "error": "boom"}),
+            (protocol.PREDICT, {"input": [1.0], "model": None,
+                                "use_cache": True}),
+            (protocol.PREDICT_MANY, {"inputs": [[1.0]]}),
+            (protocol.SWAP, {"source": "s", "store_root": "runs"}),
+            (protocol.METRICS, {}), (protocol.DRAIN, {}),
+            (protocol.FATAL, {"error": "boom"})):
+        assert protocol.message(kind, 7, payload) == (kind, 7, payload)
+    with pytest.raises(ValueError, match="'metrics' payload is a list"):
+        protocol.message(protocol.METRICS, 1, [])
+    # A refused request leaves nothing pending on the handle.
+    pipe = _Pipe()
+    handle = _handle(pipe)
+    WorkerHandle.request(handle, protocol.DRAIN, {})
+    with pytest.raises(ValueError, match="undeclared field 'x'"):
+        WorkerHandle.request(handle, protocol.DRAIN, {"x": 1})
+    assert list(handle._pending) == [1]
+    assert pipe.sent == [(protocol.DRAIN, 1, {})]
+
+
+# ---------------------------------------------------------------------------
 # routing + data plane
 # ---------------------------------------------------------------------------
 
@@ -136,6 +229,47 @@ def test_malformed_input_is_400_through_the_cluster(cluster):
         assert excinfo.value.code == 400, body
         excinfo.value.read()
     assert service.predict(xs[0])["prediction"] in range(DIMS[-1])
+
+
+def test_unknown_model_is_404_through_the_cluster(cluster):
+    """The worker's 404 answer comes back as the in-process KeyError."""
+    service, xs = cluster["service"], cluster["xs"]
+    with pytest.raises(KeyError, match="'nope'"):
+        service.predict(xs[0], model="nope")
+    body = json.dumps({"input": [0.5] * DIMS[0], "model": "nope"}).encode()
+    request = urllib.request.Request(
+        cluster["server"].url + "/predict", data=body, method="POST",
+        headers={"Content-Type": "application/json"})
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=10)
+    assert excinfo.value.code == 404
+    assert "'nope'" in json.loads(excinfo.value.read())["error"]
+
+
+def test_model_failure_is_500_through_the_cluster(cluster):
+    """Any other exception in the worker's predict answers 500 with its
+    type, which the front end raises as a RuntimeError."""
+    service, xs = cluster["service"], cluster["xs"]
+    with pytest.raises(RuntimeError, match="TypeError: unhashable"):
+        service.predict(xs[0], model=["model_a"])
+    assert service.predict(xs[0])["model"] == "model_a"
+
+
+def test_worker_refuses_a_kind_that_is_not_a_request(cluster):
+    handle = cluster["supervisor"].live_handles()[0]
+    response = handle.request(protocol.READY, {}).result(timeout=10)
+    assert response == {"ok": False, "status": 400,
+                        "error": "'ready' is not a worker request"}
+
+
+def test_workers_heartbeat_after_ready(cluster):
+    """Heartbeats (every 0.1 s here) keep arriving after a worker's ready
+    message: the reader stamps ``last_heartbeat`` past ``ready_at``."""
+    handles = cluster["supervisor"].live_handles()
+    assert len(handles) == 2
+    assert _wait(lambda: all(h.last_heartbeat > h.ready_at
+                             for h in handles), timeout_s=10.0)
+    assert all("obs" in h.stats for h in handles)
 
 
 def test_http_round_trip_and_load_spread_over_workers(cluster):
@@ -310,6 +444,22 @@ def test_no_accepted_request_is_silently_dropped_on_worker_death(cluster):
 # rolling hot-swap
 # ---------------------------------------------------------------------------
 
+def test_failed_swap_is_500_and_the_worker_keeps_serving(cluster, tmp_path):
+    """A worker that cannot load the swap source answers 500 naming the
+    error and keeps its current model (the supervisor then replaces it
+    during a rolling swap; here the request goes to the worker alone)."""
+    handle = cluster["supervisor"].live_handles()[0]
+    response = handle.request(
+        protocol.SWAP, {"source": str(tmp_path / "nope")}
+    ).result(timeout=30)
+    assert response["ok"] is False and response["status"] == 500
+    assert response["error"].startswith("CheckpointError: ")
+    assert "nope" in response["error"]
+    versions = handle.request(protocol.METRICS, {}).result(
+        timeout=10)["value"]["active_versions"]
+    assert set(versions) == {"model_a"}
+
+
 def test_rolling_swap_serves_continuously_and_bumps_version(cluster):
     service, supervisor = cluster["service"], cluster["supervisor"]
     url = cluster["server"].url
@@ -392,7 +542,9 @@ def test_drain_answers_inflight_and_reports_drained(checkpoints):
 def test_bad_checkpoint_fails_startup_with_worker_error(tmp_path):
     spec = WorkerSpec(source=str(tmp_path / "nope"), heartbeat_s=0.1)
     supervisor = Supervisor(spec, n_workers=1, start_timeout_s=60.0)
-    with pytest.raises(ClusterError, match="worker 0 failed to start"):
+    # The worker's fatal message names its error.
+    with pytest.raises(ClusterError, match="worker 0 failed to start: "
+                                           "CheckpointError: .*nope"):
         supervisor.start(wait=True)
     assert supervisor.live_count() == 0
 

@@ -100,7 +100,7 @@ class TestPhases:
     def test_phase2_moves_output_toward_target(self):
         net = EMSTDPNetwork((8, 16, 3), small_cfg())
         x = np.full(8, 0.6)
-        h, h_hat = net._rate_two_phase(x, 0)
+        h, h_hat = net._rate_solve(x, 0)
         # target class rate must not decrease; rival classes must not rise
         assert h_hat[-1][0] >= h[-1][0]
         assert h_hat[-1][1] <= h[-1][1] + 1e-9
@@ -110,7 +110,7 @@ class TestPhases:
         cfg = small_cfg(feedback="fa", gate_hidden=True)
         net = EMSTDPNetwork((8, 16, 3), cfg)
         x = np.zeros(8)  # with zero input only bias drives; most units silent
-        h, h_hat = net._rate_two_phase(x, 0)
+        h, h_hat = net._rate_solve(x, 0)
         dead = h[1] == 0
         # corrections cannot excite dead hidden neurons through FA
         assert np.all(h_hat[1][dead] <= h[1][dead] + 1e-9)
@@ -118,7 +118,7 @@ class TestPhases:
     def test_rates_always_on_grid(self):
         net = EMSTDPNetwork((8, 16, 3), small_cfg())
         T = net.config.T
-        h, h_hat = net._rate_two_phase(np.full(8, 0.37), 2)
+        h, h_hat = net._rate_solve(np.full(8, 0.37), 2)
         for r in h + h_hat:  # phase-1 and phase-2 rates are grid rates
             assert np.allclose(r * T, np.round(r * T), atol=1e-9)
 

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.exec import (DEFAULT_WORKERS_ENV, INJECT_DELAY_ENV,
-                        QUEUE_DB_NAME, TaskQueue, WorkerPool,
+                        QUEUE_DB_NAME, RUN_SEED, TaskQueue, WorkerPool,
                         default_workers, enqueue_seed, claim_loop)
 from repro.experiments import Runner, get_scenario
 from repro.experiments.store import RECORDS_NAME, append_jsonl, read_jsonl
@@ -181,6 +181,34 @@ def test_claim_loop_completes_unknown_kind_as_error(tmp_path):
     assert results and results[0][0] == tid
     assert results[0][1]["status"] == "error"
     assert q.get(tid).status == "done"  # infrastructure stayed healthy
+
+
+@pytest.mark.parametrize("field,change,text", [
+    ("seed", "drop", "'run_seed' payload is missing required field 'seed'"),
+    ("run_dir", "drop",
+     "'run_seed' payload is missing required field 'run_dir'"),
+    ("force", "add", "'run_seed' payload has undeclared field 'force'"),
+], ids=["missing-seed", "missing-run_dir", "extra-force"])
+def test_run_seed_row_off_the_protocol_ends_as_error(tmp_path, field,
+                                                     change, text):
+    """A corrupt or foreign row is checked against exec.protocol.MESSAGES
+    when claimed: it ends as an error result naming the field, and the
+    seed never runs (no record, no run directory)."""
+    run_dir = tmp_path / "run"
+    payload = {"experiment": "offline_accuracy", "run_id": "r-test",
+               "run_dir": str(run_dir), "spec": {}, "seed": 0}
+    if change == "drop":
+        del payload[field]
+    else:
+        payload[field] = True
+    q = TaskQueue(tmp_path / QUEUE_DB_NAME)
+    tid = q.enqueue(RUN_SEED, payload)
+    results = []
+    claim_loop(q.path, "w0", on_result=lambda t, r: results.append(r))
+    (result,) = results
+    assert result["status"] == "error" and result["error"].startswith(text)
+    assert q.get(tid).status == "done"
+    assert not run_dir.exists()
 
 
 def test_worker_dedupes_already_recorded_seed(tmp_path):

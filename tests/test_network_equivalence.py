@@ -63,7 +63,7 @@ class TestRateVsSpike:
         b = EMSTDPNetwork((8, 12, 3), small_cfg(dynamics="spike", **kw))
         b.load_state_dict(a.state_dict())
         x = np.full(8, 0.6)
-        for net, two_phase in ((a, a._rate_two_phase), (b, b._spike_two_phase)):
+        for net, two_phase in ((a, a._rate_solve), (b, b._spike_two_phase)):
             h, h_hat = two_phase(x, 0)
             assert h_hat[-1][0] >= h[-1][0] - 1e-9
             assert h_hat[-1][1] <= h[-1][1] + 2.0 / 64
@@ -153,7 +153,7 @@ class TestBatchedVsSequential:
         a.fit_batch(xs, ys, update_mode="minibatch")
         deltas = [np.zeros_like(w) for w in b.weights]
         for x, y in zip(xs, ys):
-            h, h_hat = b._rate_two_phase(x, int(y))
+            h, h_hat = b._rate_solve(x, int(y))
             for i in range(b.n_layers):
                 deltas[i] += np.outer(b._augment(h[i]), h_hat[i + 1] - h[i + 1])
         for i, w in enumerate(b.weights):

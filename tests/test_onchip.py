@@ -26,6 +26,53 @@ def small_model(feedback="dfa", T=32, **cfg_overrides):
     return ref, model
 
 
+def _engine(kind):
+    """The reference network or the chip trainer of one small model."""
+    ref, model = small_model("dfa")
+    return ref if kind == "reference" else LoihiEMSTDPTrainer(model)
+
+
+@pytest.mark.parametrize("kind", ["reference", "chip"])
+class TestClassMaskRule:
+    """Both engines take a class list through one rule
+    (``encoding.active_class_mask``)."""
+
+    @pytest.mark.parametrize("classes,text", [
+        ([-1], "class -1 out of range for 3 classes"),
+        ([-4], "class -4 out of range for 3 classes"),
+        ([3], "class 3 out of range for 3 classes"),
+        ([1.0], "class 1.0 is not an integer"),
+        ([True, False, True], "class True is not an integer"),
+        (np.array([True, False, True]), "is not an integer"),
+        ([], "at least one class must stay active"),
+    ], ids=["minus1", "minus4", "n_classes", "float", "bools",
+            "bool_array", "empty"])
+    def test_bad_class_list_raises_and_keeps_the_mask(self, kind, classes,
+                                                      text):
+        engine = _engine(kind)
+        engine.set_class_mask([0, 2])
+        with pytest.raises(ValueError, match=text):
+            engine.set_class_mask(classes)
+        np.testing.assert_array_equal(engine.state_dict()["class_mask"],
+                                      [True, False, True])
+
+    def test_protocol_class_lists_give_the_same_masks(self, kind):
+        """The lists ``IncrementalOnlineLearner`` passes (slices of a
+        generator's permutation, their sums, ``range``) and the trainer's
+        checkpoint restore (``np.flatnonzero``) set the mask that indexing
+        a zero mask with them sets."""
+        engine = _engine(kind)
+        order = list(np.random.default_rng(0).permutation(3))
+        for classes in (order[:1], order[1:2], order[:1] + order[1:2],
+                        order[2:], order, range(3),
+                        list(np.flatnonzero([True, False, True]))):
+            expected = np.zeros(3, dtype=bool)
+            expected[list(classes)] = True
+            engine.set_class_mask(classes)
+            np.testing.assert_array_equal(
+                engine.state_dict()["class_mask"], expected)
+
+
 class TestScaleScheme:
     def test_roundtrip(self):
         s = ScaleScheme()

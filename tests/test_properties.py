@@ -22,7 +22,7 @@ class TestRateInvariants:
         """Every layer's h and h_hat stay on [0, 1] for any input."""
         cfg = EMSTDPConfig(seed=0, phase_length=T)
         net = EMSTDPNetwork((len(x), 6, 3), cfg)
-        h, h_hat = net._rate_two_phase(np.array(x), label)
+        h, h_hat = net._rate_solve(np.array(x), label)
         for rates in list(h) + list(h_hat):
             assert (rates >= 0).all() and (rates <= 1).all()
 

@@ -227,7 +227,7 @@ def _train(backend, dims, cfg, X, y):
     out = {}
     with leg(backend):
         for name, xs, ys in (("x", X[3], int(y[3])), ("B7", X[:7], y[:7])):
-            h, h_hat = net._rate_two_phase(xs, ys)
+            h, h_hat = net._rate_solve(xs, ys)
             out.update({f"{name}_h_hat{i}": r for i, r in enumerate(h_hat)})
         res = net.fit_batch(X[:8], y[:8], update_mode="minibatch")
         out["minibatch"] = res["predictions"]

@@ -2,9 +2,9 @@
 
 :class:`OracleNetwork` carries the rate solver as it was written before
 the first layer's drive was cached and the clip/quantize chains fused:
-``forward_rates`` and ``_rate_two_phase`` are copied verbatim, one
-``np.clip`` / ``quantize_rate`` call at a time and nine first-layer
-products per solve, with one change: phase 2's products, the feedback
+``forward_rates`` and the two-phase solve (``_frozen_solve``) are
+copied verbatim, one ``np.clip`` / ``quantize_rate`` call at a time and
+nine first-layer products per solve, with one change: phase 2's products, the feedback
 product and each corrected pass's product into layers >= 1, go through
 :func:`repro.core.network.accumulate_rows`.  That is the rule the engine
 defines for them (row-ordered sums from +0.0 over the nonzero inputs, the
@@ -71,8 +71,8 @@ class OracleNetwork(EMSTDPNetwork):
             rates.append(r)
         return rates
 
-    def _rate_two_phase(self, x: np.ndarray, labels
-                        ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    def _frozen_solve(self, x: np.ndarray, labels
+                      ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
         cfg = self.config
         T = cfg.T
         h = self.forward_rates(x)
@@ -113,7 +113,7 @@ class OracleNetwork(EMSTDPNetwork):
                     ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
         # Training as it was written: the frozen solve, then the NumPy
         # write-back (the library's fused kernel does both in one call).
-        h, h_hat = self._rate_two_phase(x, labels)
+        h, h_hat = self._frozen_solve(x, labels)
         if lr_scale is not None:
             self._apply_updates(h, h_hat, lr_scale)
         return h, h_hat
@@ -133,7 +133,7 @@ def _solves(net, X, y, tag):
     for name, xs, ys in ((f"{tag}_x", X[3], int(y[3])),
                          (f"{tag}_B1", X[3:4], y[3:4]),
                          (f"{tag}_B7", X[:7], y[:7])):
-        h, h_hat = net._rate_two_phase(xs, ys)
+        h, h_hat = net._rate_solve(xs, ys)
         out.update({f"{name}_h{i}": r for i, r in enumerate(h)})
         out.update({f"{name}_h_hat{i}": r for i, r in enumerate(h_hat)})
     return out
