@@ -40,25 +40,17 @@ class EMSTDPConfig:
         one error neuron per forward neuron) or ``"dfa"`` for direct feedback
         alignment (errors broadcast straight from the output-layer error
         neurons).
-    feedback_scale:
-        Standard deviation scale of the fixed random feedback weights.  The
-        effective std of each feedback matrix is
-        ``feedback_scale / sqrt(fan_in)``.
     error_gain:
         Loop gain ``g`` of the output error neurons: the rate of an error
         neuron is ``clip(g * |target - predicted|, 0, 1)`` quantized to the
         ``1/T`` grid.  Values above 1 push the phase-2 rates closer to the
         true targets at the cost of oscillation; the closed loop settles at
         ``g / (1 + g)`` of the raw error for one-to-one correction wiring.
-    hidden_error_gain:
-        Gain of the hidden-layer error neurons on the FA path.
     gate_hidden:
         Apply the surrogate-derivative gate ``h' = [h > 0]`` to hidden-layer
         error neurons (the multi-compartment AND gate of Section III-A).
-    gate_output:
-        Gate the *output* error neurons by forward activity as well.  The
-        paper's loss layer (Eq. 6) carries no ``h'`` factor, so this defaults
-        to ``False``.
+        The output error neurons are never gated: the paper's loss layer
+        (Eq. 6) carries no ``h'`` factor.
     use_bias_neuron:
         Append an always-on (rate 1) bias unit to every trainable layer; its
         outgoing weights are learned with the same local rule, which is how a
@@ -68,9 +60,6 @@ class EMSTDPConfig:
         ``1/T`` grid (fast, used for long experiments); ``"spike"`` simulates
         every timestep with integrate-and-fire neurons (used to validate that
         the closed form matches the actual dynamics).
-    phase2_iterations:
-        Number of fixed-point iterations used by the rate backend to settle
-        the closed loop of phase 2.
     weight_clip:
         Clamp for forward weights, in normalized potential units.  ``None``
         disables clipping (full precision).
@@ -82,8 +71,6 @@ class EMSTDPConfig:
         Use stochastic rounding when quantizing weight updates; deterministic
         rounding-to-nearest otherwise.  Essential for small updates to make
         progress on coarse grids.
-    init_scale:
-        He-style scale for forward weight initialization.
     seed:
         Seed for all randomness (init, feedback matrices, rounding).
     """
@@ -91,18 +78,13 @@ class EMSTDPConfig:
     phase_length: int = 64
     learning_rate: float = 2.0 ** -3
     feedback: str = "dfa"
-    feedback_scale: float = 1.0
     error_gain: float = 1.0
-    hidden_error_gain: float = 1.0
     gate_hidden: bool = True
-    gate_output: bool = False
     use_bias_neuron: bool = True
     dynamics: str = "rate"
-    phase2_iterations: int = 8
     weight_clip: Optional[float] = None
     weight_bits: Optional[int] = None
     stochastic_rounding: bool = True
-    init_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -123,8 +105,6 @@ class EMSTDPConfig:
         if self.weight_bits is not None and self.weight_clip is None:
             # A quantization grid needs a finite range.
             raise ValueError("weight_bits requires weight_clip to be set")
-        if self.phase2_iterations < 1:
-            raise ValueError("phase2_iterations must be >= 1")
 
     @property
     def T(self) -> int:

@@ -16,8 +16,8 @@ from typing import List, Sequence
 import numpy as np
 
 
-def make_fa_weights(dims: Sequence[int], rng: np.random.Generator,
-                    scale: float = 1.0) -> List[np.ndarray]:
+def make_fa_weights(dims: Sequence[int],
+                    rng: np.random.Generator) -> List[np.ndarray]:
     """Random feedback matrices for FA.
 
     ``dims = (n_in, n_1, ..., n_L)``.  Returns ``B[i]`` of shape
@@ -26,18 +26,18 @@ def make_fa_weights(dims: Sequence[int], rng: np.random.Generator,
     per *hidden* layer, standing in for ``W^T`` in Eq. (5).
 
     Weights are uniform, zero-mean (the paper samples from a uniform
-    distribution), with std ``scale / sqrt(fan_in)``.
+    distribution), with std ``1 / sqrt(fan_in)``.
     """
     dims = tuple(int(d) for d in dims)
     mats = []
     for i in range(len(dims) - 2):
         fan_in = dims[i + 2]
-        limit = scale * np.sqrt(3.0 / fan_in)
+        limit = np.sqrt(3.0 / fan_in)
         mats.append(rng.uniform(-limit, limit, size=(dims[i + 2], dims[i + 1])))
     return mats
 
-def make_dfa_weights(dims: Sequence[int], rng: np.random.Generator,
-                     scale: float = 1.0) -> List[np.ndarray]:
+def make_dfa_weights(dims: Sequence[int],
+                     rng: np.random.Generator) -> List[np.ndarray]:
     """Random feedback matrices for DFA.
 
     Returns ``D[i]`` of shape ``(n_out, dims[i+1])`` connecting the output
@@ -50,7 +50,7 @@ def make_dfa_weights(dims: Sequence[int], rng: np.random.Generator,
     n_out = dims[-1]
     mats = []
     for i in range(len(dims) - 2):
-        limit = scale * np.sqrt(3.0 / n_out)
+        limit = np.sqrt(3.0 / n_out)
         mats.append(rng.uniform(-limit, limit, size=(n_out, dims[i + 1])))
     return mats
 

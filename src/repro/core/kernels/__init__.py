@@ -557,8 +557,7 @@ def microcode_epoch(replicas: int, conns: np.ndarray, conn_arrays: np.ndarray,
 def spike_present(dims, steps: int, drive: np.ndarray, weights,
                   class_mask: np.ndarray, target: Optional[np.ndarray] = None,
                   feedback=(), *, fa: bool = False, bias_unit: bool = True,
-                  gate_hidden: bool = True, gate_output: bool = False,
-                  error_gain: float = 1.0, hidden_error_gain: float = 1.0):
+                  gate_hidden: bool = True, error_gain: float = 1.0):
     """One EMSTDP spike-domain presentation of a ``(B, n_in)`` block.
 
     Runs ``steps`` timesteps of phase 1 (the inference pass) and, given a
@@ -580,12 +579,11 @@ def spike_present(dims, steps: int, drive: np.ndarray, weights,
       spikes of its error pair (the output pair's masked by
       ``class_mask``); a label layer driven by ``target``; the output
       error pair, driven by ``error_gain * (label - masked output)``;
-      and one error pair per hidden layer, driven by
-      ``hidden_error_gain`` times the error spikes through
-      ``feedback[i]``: the layer above's with ``fa`` (shape
+      and one error pair per hidden layer, driven by the error spikes
+      through ``feedback[i]``: the layer above's with ``fa`` (shape
       ``(dims[i+2], dims[i+1])``), the output's without (shape
-      ``(dims[-1], dims[i+1])``).  ``gate_output`` / ``gate_hidden``
-      shut the error spikes of neurons silent in phase 1.
+      ``(dims[-1], dims[i+1])``).  ``gate_hidden`` shuts the hidden error
+      spikes of neurons silent in phase 1.
 
     Returns ``(phase1, phase2)``: per layer, the ``(B, dims[k])`` int64
     spike counts of each phase (``phase2`` is ``None`` without a target).
@@ -629,8 +627,7 @@ def spike_present(dims, steps: int, drive: np.ndarray, weights,
     _impl().spike_present(np.array(dims, dtype=np.int64), int(steps), drive,
                           weight_addr, feedback_addr, class_mask, target,
                           bool(fa), bool(bias_unit), bool(gate_hidden),
-                          bool(gate_output), float(error_gain),
-                          float(hidden_error_gain), counts[0],
+                          float(error_gain), counts[0],
                           counts[1] if two_phase else None)
     edges = np.cumsum((0,) + dims)
     phases = [[c[:, lo:hi] for lo, hi in zip(edges, edges[1:])]
@@ -757,9 +754,7 @@ def rate_phase2(dims, T: float, iterations: int, drive: np.ndarray, h,
                 weights: ArrayTable, class_mask: np.ndarray,
                 labels: np.ndarray, feedback: ArrayTable, *, fa: bool = False,
                 bias_unit: bool = True, gate_hidden: bool = True,
-                gate_output: bool = False, error_gain: float = 1.0,
-                hidden_error_gain: float = 1.0,
-                update: Optional[RateUpdate] = None):
+                error_gain: float = 1.0, update: Optional[RateUpdate] = None):
     """The rate engine's phase 2 for a ``(B, n)`` block in one call, and
     optionally its Eq. (7) write-back.
 
@@ -774,11 +769,11 @@ def rate_phase2(dims, T: float, iterations: int, drive: np.ndarray, h,
 
     * drives the output error pair with
       ``error_gain * (target - h_hat[L])``; each channel's rate is
-      ``quantize_rate(clip(±d, 0, 1), T)``, times the phase-1 gate with
-      ``gate_output``, and their difference times the class mask is
-      damped into the output's correction, ``c + 0.5 * (new - c)``;
-    * drives each hidden error pair with ``hidden_error_gain`` times a
-      correction through ``feedback[i]``: the layer above's with ``fa``
+      ``quantize_rate(clip(±d, 0, 1), T)``, and their difference times
+      the class mask is damped into the output's correction,
+      ``c + 0.5 * (new - c)``;
+    * drives each hidden error pair with a correction through
+      ``feedback[i]``: the layer above's with ``fa``
       (top layer first; shape ``(dims[i+2], dims[i+1])``), the output's
       without (shape ``(dims[-1], dims[i+1])``), gated with
       ``gate_hidden`` and damped the same way;
@@ -884,11 +879,10 @@ def rate_phase2(dims, T: float, iterations: int, drive: np.ndarray, h,
         n_layers, dims_addr, float(T), int(iterations), batch,
         _address(drive), rates_addr, weights.address, feedback.address,
         _address(class_mask), _address(labels), int(bool(bias_unit)),
-        int(bool(fa)), int(bool(gate_hidden)), int(bool(gate_output)),
-        float(error_gain), float(hidden_error_gain), _address(out), mode,
-        pre, float(update.eta) if update is not None else 0.0, clip,
-        rounding, step, levels,
-        None if uniforms is None else _address(uniforms))
+        int(bool(fa)), int(bool(gate_hidden)), float(error_gain),
+        _address(out), mode, pre,
+        float(update.eta) if update is not None else 0.0, clip, rounding,
+        step, levels, None if uniforms is None else _address(uniforms))
     return [out[lo:hi].reshape(shape) for lo, hi, shape in parts]
 
 

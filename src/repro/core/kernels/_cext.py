@@ -205,16 +205,15 @@ for _name, _argtypes in {
     "network_run_i64": [_c_int64, _c_int64, _c_ssize, _ptr, _ptr, _ptr,
                         _c_ssize, _ptr, _ptr, _ptr, _c_int64],
     "spike_present_f64": [_c_ssize, _ptr, _c_int64, _c_ssize, _ptr, _ptr,
-                          _ptr, _ptr, _ptr, _c_int, _c_int, _c_int, _c_int,
-                          _c_double, _c_double, _ptr, _ptr],
+                          _ptr, _ptr, _ptr, _c_int, _c_int, _c_int,
+                          _c_double, _ptr, _ptr],
     "microcode_epoch_i64": [_c_int64, _c_ssize, _ptr, _ptr, _c_ssize, _ptr,
                             _c_ssize, _ptr, _ptr, _c_ssize, _ptr, _ptr, _ptr,
                             _ptr, _c_ssize, _c_int64, _c_int64],
     "rate_phase2_f64": [_c_ssize, _ptr, _c_double, _c_int64, _c_ssize, _ptr,
                         _ptr, _ptr, _ptr, _ptr, _ptr, _c_int, _c_int, _c_int,
-                        _c_int, _c_double, _c_double, _ptr, _c_int, _ptr,
-                        _c_double, _c_double, _c_int, _c_double, _c_double,
-                        _ptr],
+                        _c_double, _ptr, _c_int, _ptr, _c_double, _c_double,
+                        _c_int, _c_double, _c_double, _ptr],
 }.items():
     _fn = getattr(_lib, _name)
     _fn.argtypes = _argtypes
@@ -289,14 +288,12 @@ def network_run(steps, replicas, groups, group_arrays, conns, conn_arrays,
 
 
 def spike_present(dims, steps, drive, weights, feedback, class_mask, target,
-                  fa, bias_unit, gate_hidden, gate_output, error_gain,
-                  hidden_error_gain, counts1, counts2):
+                  fa, bias_unit, gate_hidden, error_gain, counts1, counts2):
     status = _lib.spike_present_f64(
         len(dims) - 1, dims.ctypes.data, steps, len(drive), drive.ctypes.data,
         weights.ctypes.data, feedback.ctypes.data, class_mask.ctypes.data,
         None if target is None else target.ctypes.data, int(bias_unit),
-        int(fa), int(gate_hidden), int(gate_output), error_gain,
-        hidden_error_gain, counts1.ctypes.data,
+        int(fa), int(gate_hidden), error_gain, counts1.ctypes.data,
         None if counts2 is None else counts2.ctypes.data)
     if status == -2:
         raise ValueError("spike_present got a non-positive size or a null "
@@ -324,15 +321,14 @@ def microcode_epoch(replicas, conns, conn_arrays, rules, scales, offs, kinds,
 
 def rate_phase2(n_layers, dims, T, iterations, batch, drive, h, weights,
                 feedback, class_mask, labels, bias_unit, fa, gate_hidden,
-                gate_output, error_gain, hidden_error_gain, out, update, pre,
-                eta, clip, rounding, step, levels, uniforms):
+                error_gain, out, update, pre, eta, clip, rounding, step,
+                levels, uniforms):
     """Every pointer argument arrives as an address (an int) or ``None``:
     the package reads the addresses of its bound tables once."""
     status = _lib.rate_phase2_f64(
         n_layers, dims, T, iterations, batch, drive, h, weights, feedback,
-        class_mask, labels, bias_unit, fa, gate_hidden, gate_output,
-        error_gain, hidden_error_gain, out, update, pre, eta, clip, rounding,
-        step, levels, uniforms)
+        class_mask, labels, bias_unit, fa, gate_hidden, error_gain, out,
+        update, pre, eta, clip, rounding, step, levels, uniforms)
     if status == -2:
         raise ValueError("rate_phase2 got a non-positive size, a label out "
                          "of range, a bad update mode or a null address")

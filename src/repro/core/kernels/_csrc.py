@@ -44,7 +44,7 @@ from ._layout import (MICROCODE_CONN_ARRAYS, MICROCODE_CONN_FIELDS,
                       NETWORK_GROUP_FIELDS)
 
 #: Bump when the C ABI below changes; part of the compile-cache key.
-SOURCE_VERSION = 11
+SOURCE_VERSION = 12
 
 
 def _c_enum(prefix: str, fields) -> str:
@@ -647,8 +647,7 @@ int spike_present_f64(ptrdiff_t n_layers, const int64_t *dims, int64_t T,
                       const uintptr_t *weights, const uintptr_t *feedback,
                       const uint8_t *class_mask, const double *target,
                       int bias_unit, int fa, int gate_hidden,
-                      int gate_output, double error_gain,
-                      double hidden_error_gain, int64_t *counts1,
+                      double error_gain, int64_t *counts1,
                       int64_t *counts2) {
     if (n_layers < 1 || T < 0 || B < 0 || !dims || !weights || !class_mask
         || !counts1 || (B && !drive)
@@ -738,9 +737,8 @@ int spike_present_f64(ptrdiff_t n_layers, const int64_t *dims, int64_t T,
                 for (ptrdiff_t j = 0; j < n_out; j++)
                     d[j] = error_gain * ((double)s_label[j]
                                          - (double)spk[last + j] * mask[j]);
-                error_pair_step(v_opos, v_oneg, d, neg_d, sp, sn,
-                                gate_output ? c1 + last : NULL, mask,
-                                pend_out, n_out);
+                error_pair_step(v_opos, v_oneg, d, neg_d, sp, sn, NULL,
+                                mask, pend_out, n_out);
                 /* Hidden errors: FA relays down the chain from the layer
                  * above, DFA broadcasts the output error to every layer. */
                 const double *e_above = pend_out;
@@ -753,9 +751,7 @@ int spike_present_f64(ptrdiff_t n_layers, const int64_t *dims, int64_t T,
                         (const double *)feedback[i], fa ? n_above : n_out, n);
                     for (ptrdiff_t j = 0; j < n; j++) acc[j] = 0.0;
                     sum_rows(acc, rows, sign, active, n);
-                    for (ptrdiff_t j = 0; j < n; j++)
-                        d[j] = hidden_error_gain * acc[j];
-                    error_pair_step(v_hpos + h, v_hneg + h, d, neg_d, sp, sn,
+                    error_pair_step(v_hpos + h, v_hneg + h, acc, neg_d, sp, sn,
                                     gate_hidden ? c1 + off[i + 1] : NULL,
                                     NULL, pend_hid + h, n);
                     e_above = pend_hid + h;
@@ -817,15 +813,15 @@ static double rate_activate(double p, double T) {
     return p / T;
 }
 
-/* One pair's damped step from drive d: net gated rate, then
- * c + (new - c) * 0.5; scale is the class mask for the output pair.     */
-static void rate_error_pair(double *c, const double *d, double gain,
-                            const double *h1, int gated, const double *scale,
-                            double T, ptrdiff_t n) {
+/* One pair's damped step from drive x: net rate, gated by the phase-1
+ * rates gate (NULL: ungated), then c + (new - c) * 0.5; scale is the
+ * class mask for the output pair.                                        */
+static void rate_error_pair(double *c, const double *x, const double *gate,
+                            const double *scale, double T, ptrdiff_t n) {
     for (ptrdiff_t j = 0; j < n; j++) {
-        double x = d[j] * gain;
-        double g = gated && !(h1[j] > 0.0) ? 0.0 : 1.0;
-        double e = rate_requantize(x, T) * g - rate_requantize(-x, T) * g;
+        double g = gate && !(gate[j] > 0.0) ? 0.0 : 1.0;
+        double e = rate_requantize(x[j], T) * g
+                   - rate_requantize(-x[j], T) * g;
         if (scale) e = e * scale[j];
         c[j] = c[j] + (e - c[j]) * 0.5;
     }
@@ -867,8 +863,8 @@ int rate_phase2_f64(ptrdiff_t n_layers, const int64_t *dims, double T,
                     int64_t iterations, ptrdiff_t B, const double *drive,
                     const uintptr_t *h, const uintptr_t *weights,
                     const uintptr_t *feedback, const uint8_t *class_mask,
-                    const int64_t *labels, int bias_unit, int fa, int gate_hidden, int gate_output,
-                    double error_gain, double hidden_error_gain, double *out,
+                    const int64_t *labels, int bias_unit, int fa,
+                    int gate_hidden, double error_gain, double *out,
                     int update, const double *pre, double eta, double clip,
                     int rounding, double step, double levels,
                     const double *uniforms) {
@@ -934,9 +930,9 @@ int rate_phase2_f64(ptrdiff_t n_layers, const int64_t *dims, double T,
             onehot[j] = j == labels[b] ? mask[j] : 0.0;
         for (int64_t it = 0; it < iterations; it++) {
             const double *o = HAT(last);
-            for (ptrdiff_t j = 0; j < n_out; j++) acc[j] = onehot[j] - o[j];
-            rate_error_pair(e_out, acc, error_gain, H1(last), gate_output,
-                            mask, T, n_out);
+            for (ptrdiff_t j = 0; j < n_out; j++)
+                acc[j] = (onehot[j] - o[j]) * error_gain;
+            rate_error_pair(e_out, acc, NULL, mask, T, n_out);
             /* Hidden errors: FA relays down the chain from the layer
              * above, DFA broadcasts the output error to every layer.     */
             const double *e_above = e_out;
@@ -949,8 +945,8 @@ int rate_phase2_f64(ptrdiff_t n_layers, const int64_t *dims, double T,
                     (const double *)feedback[i], fa ? n_above : n_out, n);
                 for (ptrdiff_t j = 0; j < n; j++) acc[j] = 0.0;
                 sum_rows(acc, rows, sign, active, n);
-                rate_error_pair(corr + off[i], acc, hidden_error_gain, H1(i),
-                                gate_hidden, NULL, T, n);
+                rate_error_pair(corr + off[i], acc,
+                                gate_hidden ? H1(i) : NULL, NULL, T, n);
                 e_above = corr + off[i];
                 n_above = n;
             }

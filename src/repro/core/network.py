@@ -17,7 +17,7 @@ hardware resource constraints.  Two dynamics backends are provided:
     weights are frozen within a solve and the phase-2 corrections enter
     after each layer's quantization, so the first layer's drive is
     computed once per solve: one first-layer product instead of
-    ``1 + phase2_iterations``.  When the kernel backend provides the
+    ``1 + PHASE2_ITERATIONS``.  When the kernel backend provides the
     loop, a training sample (or a minibatch) is then phase 1 plus one
     :func:`repro.core.kernels.rate_phase2` call, which runs every phase-2
     pass and the Eq. (7) write-back, updating the weights in place; it
@@ -89,6 +89,10 @@ from .learning import WeightUpdater
 from .loss import predict_class, predict_classes
 from .neuron import IFLayer, SignedErrorLayer
 
+#: Damped fixed-point passes the rate engine runs to settle the closed
+#: loop of phase 2.
+PHASE2_ITERATIONS = 8
+
 
 def accumulate_rows(spikes: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``spikes @ w`` as the spike path defines it, for ``(B, n_rows)``
@@ -115,8 +119,7 @@ def accumulate_rows(spikes: np.ndarray, w: np.ndarray) -> np.ndarray:
 def spike_present_reference(dims, steps, drive, weights, class_mask,
                             target=None, feedback=(), *, fa=False,
                             bias_unit=True, gate_hidden=True,
-                            gate_output=False, error_gain=1.0,
-                            hidden_error_gain=1.0):
+                            error_gain=1.0):
     """Per-step NumPy reference of :func:`repro.core.kernels.spike_present`.
 
     Same arguments and result: phase 1 for ``steps`` timesteps, then, given
@@ -172,12 +175,10 @@ def spike_present_reference(dims, steps, drive, weights, class_mask,
         out = forward(pending_hidden + [pending_out * class_mask])
         label = label_layer.step(target).astype(float)
         pending_out = out_err.step(
-            error_gain * (label - out * class_mask),
-            gate=gates[-1] if gate_output else None) * class_mask
+            error_gain * (label - out * class_mask)) * class_mask
         e_above = pending_out
         for i in (reversed(order) if fa else order):
-            d = hidden_error_gain * accumulate_rows(
-                e_above if fa else pending_out, feedback[i])
+            d = accumulate_rows(e_above if fa else pending_out, feedback[i])
             pending_hidden[i] = hidden_err[i].step(
                 d, gate=gates[i + 1] if gate_hidden else None)
             e_above = pending_hidden[i]
@@ -223,8 +224,8 @@ def _requantize(r: np.ndarray, T: np.ndarray) -> np.ndarray:
     return np.divide(r, T, out=r)
 
 
-def _signed_error(e: np.ndarray, T: np.ndarray, gate: Optional[np.ndarray]
-                  ) -> np.ndarray:
+def _signed_error(e: np.ndarray, T: np.ndarray,
+                  gate: Optional[np.ndarray] = None) -> np.ndarray:
     """Net rate of an IF error pair, ``e_pos - e_neg``, into ``e[0]``.
 
     ``e`` stacks the two channels; ``e[0]`` holds the drive ``d`` on entry.
@@ -248,8 +249,7 @@ def _damp(c: np.ndarray, new: np.ndarray) -> None:
 
 def rate_phase2_reference(dims, T, iterations, drive, h, weights, class_mask,
                           labels, feedback, *, fa=False, bias_unit=True,
-                          gate_hidden=True, gate_output=False,
-                          error_gain=1.0, hidden_error_gain=1.0):
+                          gate_hidden=True, error_gain=1.0):
     """NumPy reference of :func:`repro.core.kernels.rate_phase2`.
 
     Same arguments (``weights`` and ``feedback`` as sequences of arrays)
@@ -280,20 +280,18 @@ def rate_phase2_reference(dims, T, iterations, drive, h, weights, class_mask,
     inputs = [np.ones((batch, n + 1)) for n in dims[1:-1]]
     h_hat = [np.array(r) for r in h]
     e_out = corrections[-1]
-    gain, hidden_gain = (np.array(float(g)) for g in
-                         (error_gain, hidden_error_gain))
+    gain = np.array(float(error_gain))
     order = range(n_layers - 1)
     for _ in range(iterations):
         e = channels[-1]
         np.subtract(target, h_hat[-1], out=e[0])
         np.multiply(e[0], gain, out=e[0])
-        _signed_error(e, T, gates[-1] if gate_output else None)
+        _signed_error(e, T)
         _damp(e_out, np.multiply(e[0], mask, out=e[0]))
         e_above = e_out
         for i in (reversed(order) if fa else order):
             e = channels[i]
             e[0] = accumulate_rows(e_above if fa else e_out, feedback[i])
-            np.multiply(e[0], hidden_gain, out=e[0])
             _damp(corrections[i], _signed_error(
                 e, T, gates[i] if gate_hidden else None))
             e_above = corrections[i]
@@ -410,16 +408,13 @@ class EMSTDPNetwork:
         self.weights: List[np.ndarray] = []
         for i in range(self.n_layers):
             fan_in = self.dims[i] + self._bias
-            limit = self.config.init_scale * np.sqrt(6.0 / fan_in)
+            limit = np.sqrt(6.0 / fan_in)
             w = self.rng.uniform(-limit, limit, size=(fan_in, self.dims[i + 1]))
             self.weights.append(self.updater.project(w))
 
-        if self.config.feedback == "fa":
-            self.feedback_weights = make_fa_weights(
-                self.dims, self.rng, self.config.feedback_scale)
-        else:
-            self.feedback_weights = make_dfa_weights(
-                self.dims, self.rng, self.config.feedback_scale)
+        maker = (make_fa_weights if self.config.feedback == "fa"
+                 else make_dfa_weights)
+        self.feedback_weights = maker(self.dims, self.rng)
 
         # Masked output classes are "disabled classifier neurons" used by the
         # incremental-learning protocol: they neither fire nor receive error.
@@ -575,12 +570,10 @@ class EMSTDPNetwork:
         def block(a):
             return a.reshape(-1, a.shape[-1])
 
-        args = (self.dims, cfg.T, cfg.phase2_iterations, block(solve.drive),
+        args = (self.dims, cfg.T, PHASE2_ITERATIONS, block(solve.drive),
                 [block(r) for r in h[1:]])
         kwargs = dict(fa=cfg.feedback == "fa", bias_unit=bool(self._bias),
-                      gate_hidden=cfg.gate_hidden,
-                      gate_output=cfg.gate_output, error_gain=cfg.error_gain,
-                      hidden_error_gain=cfg.hidden_error_gain)
+                      gate_hidden=cfg.gate_hidden, error_gain=cfg.error_gain)
         fused = kernels.backend_provides("rate_phase2")
         if fused:
             update = None
@@ -722,9 +715,7 @@ class EMSTDPNetwork:
             c_order(self.weights), self.class_mask, target,
             c_order(self.feedback_weights),
             fa=cfg.feedback == "fa", bias_unit=bool(self._bias),
-            gate_hidden=cfg.gate_hidden, gate_output=cfg.gate_output,
-            error_gain=cfg.error_gain,
-            hidden_error_gain=cfg.hidden_error_gain)
+            gate_hidden=cfg.gate_hidden, error_gain=cfg.error_gain)
         h, h_hat = (None if phase is None else
                     [c / T for c in phase[:-1]]
                     + [phase[-1] / T * self.class_mask] for phase in counts)

@@ -312,34 +312,18 @@ class TaskQueue:
         return [{"worker_id": w, "pid": p, "started_at": s,
                  "last_seen": l} for w, p, s, l in rows]
 
-    def wait_for_workers(self, n: int, timeout_s: float = 10.0,
-                         poll_s: float = 0.02) -> bool:
-        """Ready barrier: block until ``n`` workers registered.
-
-        Workers call this after registering so a fast starter does not
-        drain the whole queue while its peers are still importing numpy
-        — which matters for fair benchmarks and for tests that want the
-        tasks spread across processes.  Returns ``False`` on timeout
-        (the caller proceeds anyway; the barrier is best-effort).
-        """
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if len(self.workers()) >= n:
-                return True
-            time.sleep(poll_s)
-        return False
-
     def wait_for_fan_out(self, n: int, timeout_s: float = 10.0,
                          poll_s: float = 0.02) -> bool:
         """Fan-out barrier: block while a task is pending and fewer than
         ``n`` workers hold or finished one.
 
-        A worker that passed the ready barrier calls this before its
-        second claim, so every worker gets one of the first ``n`` tasks
-        however soon the first of them finishes (the last worker through
-        the ready barrier otherwise starts a poll interval ahead of its
-        peers).  Returns ``False`` on timeout: a worker that died before
-        its first claim must not stall the others.
+        A worker calls this before its second claim, so every worker
+        gets one of the first ``n`` tasks however soon the first of them
+        finishes, and a fast starter does not drain the queue while its
+        peers are still importing numpy — which matters for fair
+        benchmarks and for tests that want the tasks spread across
+        processes.  Returns ``False`` on timeout: a worker that died
+        before its first claim must not stall the others.
         """
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:

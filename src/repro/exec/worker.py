@@ -101,7 +101,7 @@ def _run_seed(queue: TaskQueue, task: Task, worker_id: str,
                                      append_jsonl, final_records)
 
     p = task.payload
-    seed = int(p["seed"])
+    seed = p["seed"]
     run_dir = Path(p["run_dir"])
     queue_parent = p.get("queue_parent")
     wait_ms = round((task.queue_wait_s or 0.0) * 1000.0, 3)
@@ -190,13 +190,26 @@ def _run_seed(queue: TaskQueue, task: Task, worker_id: str,
     return result
 
 
+#: The ``run_seed`` fields the worker uses before running the seed, and
+#: the JSON type each must have.
+_FIELD_TYPES = (("seed", int), ("run_dir", str))
+
+
 def execute_task(queue: TaskQueue, task: Task, worker_id: str,
                  keeper: Optional[LeaseKeeper]) -> dict:
     """Run one claimed task.  A row :data:`protocol.MESSAGES` does not
-    allow (a corrupt or foreign queue file) is not run: it ends as an
-    error result naming the kind or the field."""
+    allow, or whose ``seed`` or ``run_dir`` has the wrong type (a corrupt
+    or foreign queue file), is not run: it ends as an error result naming
+    the kind or the field."""
     try:
         check_payload(MESSAGES, task.kind, task.payload)
+        for field, want in _FIELD_TYPES:
+            value = task.payload[field]
+            if not isinstance(value, want) or isinstance(value, bool):
+                raise ValueError(
+                    f"{task.kind!r} payload field {field!r} must be "
+                    f"{want.__name__}, got {type(value).__name__} "
+                    f"{value!r}")
     except ValueError as exc:
         return {"status": "error", "error": str(exc)}
     return _run_seed(queue, task, worker_id, keeper)  # the one kind
@@ -209,17 +222,16 @@ def claim_loop(db_path: Union[str, "Path"], worker_id: str,
                ) -> None:
     """Pull tasks until the queue is drained.
 
-    ``expected_workers`` arms the ready and fan-out barriers (see
-    :meth:`TaskQueue.wait_for_workers` and
-    :meth:`TaskQueue.wait_for_fan_out`); ``on_result`` fires after each
-    successful ``complete`` — the inline (single-process) execution path
-    uses it to stream progress without polling the DB.
+    ``expected_workers`` arms the fan-out barrier
+    (:meth:`TaskQueue.wait_for_fan_out`) before this worker's second
+    claim, so a fast starter cannot drain the queue while its peers are
+    still starting; ``on_result`` fires after each successful
+    ``complete`` — the inline (single-process) execution path uses it to
+    stream progress without polling the DB.
     """
     queue = TaskQueue(db_path)
     queue.register_worker(worker_id, os.getpid())
     fan_out = expected_workers is not None and expected_workers > 1
-    if fan_out:
-        queue.wait_for_workers(expected_workers)
     claimed = False
     while True:
         if claimed and fan_out:

@@ -31,7 +31,7 @@ class GroupPlacement:
     n: int
     neurons_per_core: int
     slices: List[Tuple[int, int, int]]
-    packing_hint: object = None
+    packing_hint: Optional[str] = None
 
     @property
     def cores(self) -> List[int]:
@@ -99,18 +99,15 @@ class Mapper:
         Packing applied to groups whose ``packing`` hint is ``"sweep"`` (the
         trainable dense layers).  ``None`` lets the resource-derived optimum
         be used everywhere.
-    share_cores:
-        If ``False`` (default, matching the paper's layer-at-a-time flow),
-        every group starts on a fresh core; cores are never shared between
-        layers.
+
+    Every group starts on a fresh core, as in the paper's layer-at-a-time
+    flow: cores are never shared between layers.
     """
 
-    def __init__(self, neurons_per_core: Optional[int] = None,
-                 share_cores: bool = False):
+    def __init__(self, neurons_per_core: Optional[int] = None):
         if neurons_per_core is not None and neurons_per_core < 1:
             raise ValueError("neurons_per_core must be >= 1")
         self.neurons_per_core = neurons_per_core
-        self.share_cores = bool(share_cores)
 
     def _auto_packing(self, chip: LoihiChip, fanin: int, fanout: int) -> int:
         spec = chip.spec.core
@@ -125,13 +122,13 @@ class Mapper:
         return packing
 
     def map_groups(self, chip: LoihiChip,
-                   groups: List[Tuple[str, int, int, int, Optional[object],
+                   groups: List[Tuple[str, int, int, int, Optional[str],
                                       Optional[str]]],
                    ) -> Mapping:
         """Map ``(name, n, fanin, fanout, packing_hint, colocate)`` tuples.
 
-        ``packing_hint`` is ``None`` (auto), an int (fixed neurons/core) or
-        the string ``"sweep"`` (use the mapper's ``neurons_per_core``).
+        ``packing_hint`` is ``None`` (auto) or the string ``"sweep"`` (use
+        the mapper's ``neurons_per_core``).
         ``colocate`` names an already-placed host group: the group's
         compartments are placed on the *same cores*, index-aligned — the
         mapping of a multi-compartment neuron's auxiliary/dendrite
@@ -157,13 +154,9 @@ class Mapper:
                     name, n, host.neurons_per_core, slices,
                     packing_hint=host.packing_hint)
                 continue
-            auto = self._auto_packing(chip, fanin, fanout)
+            packing = self._auto_packing(chip, fanin, fanout)
             if hint == "sweep" and self.neurons_per_core is not None:
-                packing = min(auto, self.neurons_per_core)
-            elif isinstance(hint, int):
-                packing = min(auto, hint)
-            else:
-                packing = auto
+                packing = min(packing, self.neurons_per_core)
             slices: List[Tuple[int, int, int]] = []
             placed = 0
             while placed < n:
@@ -171,22 +164,17 @@ class Mapper:
                     raise CoreResourceError(
                         f"network does not fit: ran out of cores placing {name!r}")
                 core = chip.cores[next_core]
-                room = packing - (core.n_compartments if self.share_cores else 0)
-                take = min(room, n - placed)
-                if take < 1 or not core.can_fit(take, fanin, fanout):
+                take = min(packing, n - placed)
+                if not core.can_fit(take, fanin, fanout):
                     next_core += 1
                     continue
                 core.allocate(name, placed, placed + take, fanin, fanout)
                 slices.append((next_core, placed, placed + take))
                 placed += take
-                if take == room or not self.share_cores:
-                    # This core is full for our packing target (or cores are
-                    # not shared between layers): move on.
-                    if placed < n:
-                        next_core += 1
+                if placed < n:  # this core holds its packing's worth
+                    next_core += 1
             # Layer-at-a-time: the next group starts on a fresh core.
-            if not self.share_cores and chip.cores[min(
-                    next_core, chip.spec.n_cores - 1)].occupied:
+            if chip.cores[min(next_core, chip.spec.n_cores - 1)].occupied:
                 next_core += 1
             placements[name] = GroupPlacement(name, n, packing, slices,
                                               packing_hint=hint)

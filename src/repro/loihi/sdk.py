@@ -42,13 +42,12 @@ class Network:
     # -- declaration --------------------------------------------------------
 
     def create_group(self, n: int, proto: CompartmentPrototype, name: str,
-                     packing: Optional[object] = None,
+                     packing: Optional[str] = None,
                      colocate: Optional[str] = None) -> CompartmentGroup:
         """Add a compartment group.
 
-        ``packing`` is the mapping hint: ``None`` (resource-derived),
-        an int (fixed neurons/core) or ``"sweep"`` (participates in the
-        Fig. 3 neurons-per-core sweep).  ``colocate`` names a same-sized
+        ``packing`` is the mapping hint: ``None`` (resource-derived) or
+        ``"sweep"`` (participates in the Fig. 3 neurons-per-core sweep).  ``colocate`` names a same-sized
         host group whose cores this group shares — the auxiliary/dendrite
         compartments of multi-compartment neurons.
         """

@@ -6,8 +6,9 @@ calls —
 
 ``POST /predict``
     Body ``{"input": [...], "model": "...", "version": "...",
-    "use_cache": true}`` (model, version and use_cache optional;
-    ``"inputs": [[...], ...]`` answers a list in one request).
+    "use_cache": true}`` (model, version and use_cache optional, model
+    and version strings or null; ``"inputs": [[...], ...]`` answers a
+    list in one request).
     ``"use_cache": false`` forces real inference past the prediction
     cache (the fresh result still refreshes the cache).  Response is the
     service's prediction dict (or a list of them).
@@ -217,6 +218,12 @@ class _Handler(BaseHTTPRequestHandler):
             return
         model = request.get("model")
         version = request.get("version")
+        for name, value in (("model", model), ("version", version)):
+            if value is not None and not isinstance(value, str):
+                self._send_error_json(
+                    400, f'"{name}" must be a JSON string or null, got '
+                         f'{value!r}')
+                return
         use_cache = request.get("use_cache", True)
         if not isinstance(use_cache, bool):
             # bool("false") is True: a silently miscoerced string would

@@ -13,7 +13,7 @@ Models come from three sources:
 * :meth:`register` — an already-constructed object (anything with
   ``predict_batch``);
 * :meth:`load` — a ``repro.persist`` checkpoint stem.  Checkpoints are
-  self-describing (the state dict carries ``dims`` and, since this PR, the
+  self-describing (the state dict carries ``dims`` and the
   ``EMSTDPConfig``), so the registry rebuilds the exact model family the
   checkpoint was written from: ``EMSTDPNetwork``, ``BackpropMLP``, or
   ``LoihiEMSTDPTrainer`` (rebuilt on a fresh simulated chip, then the
@@ -30,6 +30,9 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .. import obs
+from ..core.config import (EMSTDPConfig, full_precision_config,
+                           loihi_default_config)
+from ..core.network import PHASE2_ITERATIONS, EMSTDPNetwork
 from ..persist import CheckpointError, checkpoint_paths, load_checkpoint
 from .telemetry import estimate_request_energy_mj
 
@@ -53,12 +56,40 @@ class ModelEntry:
         return self.dims[-1]
 
 
+#: Retired ``EMSTDPConfig`` fields, which checkpoints written before
+#: their removal carry, each at the one value the code implements.
+_RETIRED_CONFIG = {"gate_output": False, "hidden_error_gain": 1.0,
+                   "phase2_iterations": PHASE2_ITERATIONS,
+                   "feedback_scale": 1.0, "init_scale": 1.0}
+
+
+def _checkpoint_config(cfg: dict, stem) -> EMSTDPConfig:
+    """The config stamped in checkpoint ``stem``, less the retired fields
+    at their value; a retired field at another value, a field
+    ``EMSTDPConfig`` lacks or a value it refuses raises
+    ``CheckpointError`` naming it."""
+    fields = {f.name for f in dataclasses.fields(EMSTDPConfig)}
+    for key, value in cfg.items():
+        if key in _RETIRED_CONFIG and value != _RETIRED_CONFIG[key]:
+            raise CheckpointError(
+                f"checkpoint {stem} sets config field {key!r} to {value!r}; "
+                f"the field is retired at {_RETIRED_CONFIG[key]!r}")
+        if key not in _RETIRED_CONFIG and key not in fields:
+            raise CheckpointError(
+                f"checkpoint {stem} has an unknown config field {key!r}")
+    try:
+        return EMSTDPConfig(**{k: v for k, v in cfg.items() if k in fields})
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {stem} config: {exc}") from exc
+
+
 def model_from_checkpoint(stem: Union[str, Path]):
     """Reconstruct the checkpointed model object from its stem.
 
     Returns ``(model, manifest)``.  The model class comes from the
     manifest; its construction parameters come from the state dict
-    (``dims``, ``config``/``lr``).  Checkpoints written before configs were
+    (``dims``, ``config``/``lr``); a stamped config is read by
+    ``_checkpoint_config``.  Checkpoints written before configs were
     stamped into the state fall back to the family's default config, with
     the bias neuron inferred from the stored weight shapes.
     """
@@ -71,13 +102,10 @@ def model_from_checkpoint(stem: Union[str, Path]):
             f"manifest {checkpoint_paths(stem)[1]} has no valid state entry "
             f"'dims'") from exc
 
+    cfg_dict = state.get("config")
     if cls == "EMSTDPNetwork":
-        from ..core.config import EMSTDPConfig, full_precision_config
-        from ..core.network import EMSTDPNetwork
-
-        cfg_dict = state.get("config")
         if cfg_dict is not None:
-            config = EMSTDPConfig(**cfg_dict)
+            config = _checkpoint_config(cfg_dict, stem)
         else:  # legacy checkpoint: infer what the weight shapes reveal
             has_bias = state["weights"][0].shape[0] == dims[0] + 1
             config = full_precision_config(use_bias_neuron=has_bias)
@@ -87,12 +115,10 @@ def model_from_checkpoint(stem: Union[str, Path]):
 
         model = BackpropMLP(dims, lr=float(state.get("lr", 0.05)))
     elif cls == "LoihiEMSTDPTrainer":
-        from ..core.config import EMSTDPConfig, loihi_default_config
         from ..onchip import LoihiEMSTDPTrainer, build_emstdp_network
 
-        cfg_dict = state.get("config")
-        config = (EMSTDPConfig(**cfg_dict) if cfg_dict is not None
-                  else loihi_default_config())
+        config = (_checkpoint_config(cfg_dict, stem)
+                  if cfg_dict is not None else loihi_default_config())
         # Serve through the batch-parallel replicated runtime: the
         # micro-batcher takes up to its max batch in one predict_batch
         # call, so the replica width matches the default serving batch.

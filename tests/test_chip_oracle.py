@@ -173,8 +173,7 @@ def _stepped_run(self, steps):
 
 
 def _trainer(feedback):
-    cfg = loihi_default_config(seed=5, phase_length=T, feedback=feedback,
-                               gate_output=True)
+    cfg = loihi_default_config(seed=5, phase_length=T, feedback=feedback)
     trainer = LoihiEMSTDPTrainer(build_emstdp_network(DIMS, cfg),
                                  neurons_per_core=6, batch_replicas=16)
     trainer.set_class_mask([0, 1, 3])

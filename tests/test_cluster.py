@@ -206,7 +206,8 @@ def test_predict_routes_to_workers_and_stamps_attribution(cluster):
 
 def test_malformed_input_is_400_through_the_cluster(cluster):
     """A worker's input check comes back as InvalidInput (a string fails
-    in the front end already), and the HTTP layer answers 400."""
+    in the front end already), and the HTTP layer answers 400, as it does
+    a ``model`` or ``version`` that is not a string."""
     service, xs = cluster["service"], cluster["xs"]
     with pytest.raises(InvalidInput, match=r"shape \(13,\)"):
         service.predict(np.zeros(DIMS[0] + 1))
@@ -218,9 +219,12 @@ def test_malformed_input_is_400_through_the_cluster(cluster):
     assert service.metrics()["errors"] == errors + 1
     nan = ", ".join(["NaN"] + ["0.5"] * (DIMS[0] - 1))
     inf = ", ".join(["0.5"] * (DIMS[0] - 1) + ["Infinity"])
+    fine = ", ".join(["0.5"] * DIMS[0])
     url = cluster["server"].url + "/predict"
     for body in ('{"input": [0.5, 0.5]}', '{"input": [%s]}' % nan,
-                 '{"input": [%s]}' % inf, '{"input": "0.5"}'):
+                 '{"input": [%s]}' % inf, '{"input": "0.5"}',
+                 '{"input": [%s], "model": ["model_a"]}' % fine,
+                 '{"input": [%s], "version": {"a": 1}}' % fine):
         request = urllib.request.Request(
             url, data=body.encode(), method="POST",
             headers={"Content-Type": "application/json"})

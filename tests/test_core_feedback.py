@@ -40,13 +40,6 @@ class TestStatistics:
         # uniform: bounded support
         assert np.abs(m).max() <= np.sqrt(3.0 / 10) + 1e-12
 
-    def test_scale_parameter(self):
-        rng1 = np.random.default_rng(3)
-        rng2 = np.random.default_rng(3)
-        m1 = make_fa_weights((5, 500, 10), rng1, scale=1.0)[0]
-        m2 = make_fa_weights((5, 500, 10), rng2, scale=2.0)[0]
-        assert np.allclose(m2, 2.0 * m1)
-
     def test_deterministic_given_seed(self):
         a = make_dfa_weights(DIMS, np.random.default_rng(5))
         b = make_dfa_weights(DIMS, np.random.default_rng(5))

@@ -133,11 +133,10 @@ def test_fan_out_barrier_waits_for_every_worker_to_claim(tmp_path):
     assert q.wait_for_fan_out(3, timeout_s=0.05)  # nothing pending
 
 
-def test_worker_registry_and_ready_barrier(tmp_path):
+def test_worker_registry(tmp_path):
     q = TaskQueue(tmp_path / QUEUE_DB_NAME)
-    assert not q.wait_for_workers(1, timeout_s=0.1)
+    assert q.workers() == []
     q.register_worker("w0", pid=1234)
-    assert q.wait_for_workers(1, timeout_s=1.0)
     (entry,) = q.workers()
     assert entry["worker_id"] == "w0" and entry["pid"] == 1234
     time.sleep(0.01)
@@ -183,31 +182,42 @@ def test_claim_loop_completes_unknown_kind_as_error(tmp_path):
     assert q.get(tid).status == "done"  # infrastructure stayed healthy
 
 
-@pytest.mark.parametrize("field,change,text", [
-    ("seed", "drop", "'run_seed' payload is missing required field 'seed'"),
-    ("run_dir", "drop",
+DROP = object()  # a field the row leaves out
+
+
+@pytest.mark.parametrize("field,value,text", [
+    ("seed", DROP, "'run_seed' payload is missing required field 'seed'"),
+    ("run_dir", DROP,
      "'run_seed' payload is missing required field 'run_dir'"),
-    ("force", "add", "'run_seed' payload has undeclared field 'force'"),
-], ids=["missing-seed", "missing-run_dir", "extra-force"])
+    ("force", True, "'run_seed' payload has undeclared field 'force'"),
+    ("seed", "x", "'run_seed' payload field 'seed' must be int, got str"),
+    ("seed", 1.5, "'run_seed' payload field 'seed' must be int, got float"),
+    ("seed", True, "'run_seed' payload field 'seed' must be int, got bool"),
+    ("run_dir", 5, "'run_seed' payload field 'run_dir' must be str, got int"),
+    ("run_dir", None,
+     "'run_seed' payload field 'run_dir' must be str, got NoneType"),
+], ids=["missing-seed", "missing-run_dir", "extra-force", "seed-str",
+        "seed-float", "seed-bool", "run_dir-int", "run_dir-null"])
 def test_run_seed_row_off_the_protocol_ends_as_error(tmp_path, field,
-                                                     change, text):
-    """A corrupt or foreign row is checked against exec.protocol.MESSAGES
-    when claimed: it ends as an error result naming the field, and the
-    seed never runs (no record, no run directory)."""
+                                                     value, text):
+    """A corrupt or foreign row is checked when claimed, against
+    exec.protocol.MESSAGES and the types of the fields the worker reads
+    first: the claim loop returns, the row ends as an error result naming
+    the field, and the seed never runs (no record, no run directory)."""
     run_dir = tmp_path / "run"
     payload = {"experiment": "offline_accuracy", "run_id": "r-test",
                "run_dir": str(run_dir), "spec": {}, "seed": 0}
-    if change == "drop":
+    if value is DROP:
         del payload[field]
     else:
-        payload[field] = True
+        payload[field] = value
     q = TaskQueue(tmp_path / QUEUE_DB_NAME)
     tid = q.enqueue(RUN_SEED, payload)
     results = []
     claim_loop(q.path, "w0", on_result=lambda t, r: results.append(r))
     (result,) = results
     assert result["status"] == "error" and result["error"].startswith(text)
-    assert q.get(tid).status == "done"
+    assert q.get(tid).status == "done" and q.remaining() == 0
     assert not run_dir.exists()
 
 

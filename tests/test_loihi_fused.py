@@ -124,10 +124,8 @@ DIMS = (12, 10, 8, 4)
 T = 8
 
 
-def _trainer(feedback="dfa", gate_output=False, gate_hidden=True,
-             frontend=False):
+def _trainer(feedback="dfa", gate_hidden=True, frontend=False):
     cfg = loihi_default_config(seed=3, phase_length=T, feedback=feedback,
-                               gate_output=gate_output,
                                gate_hidden=gate_hidden)
     layers = None
     if frontend:
@@ -165,13 +163,11 @@ def _both_legs(make, drive):
 
 
 @pytest.mark.parametrize("feedback", ["dfa", "fa"])
-@pytest.mark.parametrize("gate_output", [False, True])
 @pytest.mark.parametrize("gate_hidden", [False, True])
-def test_emstdp_trainer_fused_equals_per_step(feedback, gate_output,
-                                              gate_hidden):
+def test_emstdp_trainer_fused_equals_per_step(feedback, gate_hidden):
     X, y = make_blobs(DIMS[0], DIMS[-1], 22, seed=4)
     trainer = _both_legs(
-        lambda: _trainer(feedback, gate_output, gate_hidden),
+        lambda: _trainer(feedback, gate_hidden),
         lambda t: _drive_trainer(t, X, y))
     assert 16 in trainer._twins  # the R=16 twin really ran
     assert trainer.runtime.stats.spikes > 0
@@ -577,13 +573,11 @@ def _assert_trainers_identical(ref, got):
 
 
 @pytest.mark.parametrize("feedback", ["dfa", "fa"])
-@pytest.mark.parametrize("gate_output", [False, True])
 @pytest.mark.parametrize("gate_hidden", [False, True])
-def test_emstdp_trainer_epochs_equal_apply_all(feedback, gate_output,
-                                               gate_hidden):
+def test_emstdp_trainer_epochs_equal_apply_all(feedback, gate_hidden):
     X, y = make_blobs(DIMS[0], DIMS[-1], 24, seed=5)
     ref, got, calls = _epoch_legs(
-        lambda: _trainer(feedback, gate_output, gate_hidden),
+        lambda: _trainer(feedback, gate_hidden),
         lambda t: _learn(t, X, y))
     _assert_trainers_identical(ref, got)
     # Two epochs per online sample, two per minibatch chunk.

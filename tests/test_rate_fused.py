@@ -26,7 +26,8 @@ from repro.core import (EMSTDPNetwork, WeightUpdater, full_precision_config,
                         kernels, loihi_default_config)
 from repro.core import network as network_mod
 from repro.core.encoding import label_indices
-from repro.core.network import _RateSolve, rate_phase2_reference
+from repro.core.network import (PHASE2_ITERATIONS, _RateSolve,
+                                rate_phase2_reference)
 from repro.data import make_blobs
 
 needs_cext = pytest.mark.skipif(
@@ -66,13 +67,11 @@ def _operands(net, X, y):
     cfg = net.config
     solve = _RateSolve(net, X)
     h = solve.forward()
-    args = (net.dims, cfg.T, cfg.phase2_iterations, solve.drive, h[1:],
+    args = (net.dims, cfg.T, PHASE2_ITERATIONS, solve.drive, h[1:],
             net.weights, net.class_mask, label_indices(y, net.n_classes),
             net.feedback_weights)
     kwargs = dict(fa=cfg.feedback == "fa", bias_unit=bool(net._bias),
-                  gate_hidden=cfg.gate_hidden, gate_output=cfg.gate_output,
-                  error_gain=cfg.error_gain,
-                  hidden_error_gain=cfg.hidden_error_gain)
+                  gate_hidden=cfg.gate_hidden, error_gain=cfg.error_gain)
     return args, kwargs
 
 
@@ -102,23 +101,22 @@ def _assert_same_bytes(ref, got):
 
 @needs_cext
 @pytest.mark.parametrize(
-    "feedback, gate_hidden, gate_output, bias, layers",
-    list(itertools.product(("fa", "dfa"), (True, False), (False, True),
-                           (True, False), (1, 2, 3))))
-def test_kernel_equals_reference(feedback, gate_hidden, gate_output, bias,
-                                 layers):
+    "feedback, gate_hidden, bias, layers",
+    list(itertools.product(("fa", "dfa"), (True, False), (True, False),
+                           (1, 2, 3))))
+def test_kernel_equals_reference(feedback, gate_hidden, bias, layers):
     """Every pass's rates, for B = 0, 1 and 7 (the first three rows the
-    edge rows), T = 64 and 20, full-precision and 8-bit weights, with
-    every class enabled and with two masked out."""
+    edge rows), T = 64 and 20, full-precision and 8-bit weights scaled
+    by 1.5 (on their grid) so that rates saturate, with every class
+    enabled and with two masked out."""
     dims = DIMS[layers]
     X, y = _inputs(dims[0], dims[-1], 12, seed=layers)
     moved = 0
     for T, config in itertools.product((64, 20), CONFIGS):
         cfg = CONFIGS[config](seed=3, phase_length=T, feedback=feedback,
-                              gate_hidden=gate_hidden,
-                              gate_output=gate_output, use_bias_neuron=bias,
-                              init_scale=1.5)
+                              gate_hidden=gate_hidden, use_bias_neuron=bias)
         net = EMSTDPNetwork(dims, cfg)
+        net.weights = [net.updater.project(1.5 * w) for w in net.weights]
         for masked, batch in itertools.product((False, True), (0, 1, 7)):
             if masked:
                 net.set_class_mask(range(dims[-1] - 2))
@@ -156,7 +154,7 @@ def test_kernel_equals_reference_on_wide_layers(fa, iterations):
     args = (dims, T, iterations, drive, h, weights, np.ones(10, dtype=bool),
             labels, feedback)
     ref, got = _both_legs(args, dict(fa=fa, gate_hidden=False,
-                                     error_gain=2.0, hidden_error_gain=0.5))
+                                     error_gain=2.0))
     _assert_same_bytes(ref, got)
     if iterations == 0:
         _assert_same_bytes(h, got)
@@ -588,8 +586,9 @@ def test_write_back_equals_weight_updater(grid, mean, bias, layers):
     dims = DIMS[layers]
     X, y = _inputs(dims[0], dims[-1], 7, seed=layers)
     cfg = full_precision_config(seed=4, phase_length=20,
-                                use_bias_neuron=bias, init_scale=2.0)
+                                use_bias_neuron=bias)
     net = EMSTDPNetwork(dims, cfg)
+    net.weights = [net.updater.project(2.0 * w) for w in net.weights]
     rows = slice(0, 7) if mean else slice(3, 4)
     args, kwargs = _operands(net, X[rows], y[rows])
     pre = _RateSolve(net, X[rows]).q0

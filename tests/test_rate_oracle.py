@@ -18,8 +18,8 @@ blocks, inference, minibatch and online ``fit_batch``, and the weights
 after ``train_stream``, with and without a class mask.  The
 configurations cover both feedback modes, the full-precision and the
 8-bit stochastically rounded weights (the rounding generator must be
-drawn in the same order), one to three weight layers, the output gate,
-no bias neuron, and phase lengths 64 and 20.  The oracle trains through
+drawn in the same order), one to three weight layers, no bias neuron,
+and phase lengths 64 and 20.  The oracle trains through
 its frozen solve followed by the NumPy write-back (``_apply_updates``),
 so the library's fused write-back is pinned too.
 
@@ -38,7 +38,7 @@ from repro.core import (EMSTDPNetwork, full_precision_config,
                         loihi_default_config)
 from repro.core.encoding import encode_labels, quantize_to_bins
 from repro.core.loss import signed_error_rates
-from repro.core.network import accumulate_rows
+from repro.core.network import PHASE2_ITERATIONS, accumulate_rows
 from repro.core.neuron import quantize_rate, rate_activation
 from repro.data import make_blobs
 
@@ -85,18 +85,14 @@ class OracleNetwork(EMSTDPNetwork):
         damping = 0.5
         e_out = np.zeros(h[-1].shape)
         corrections: List[Optional[np.ndarray]] = [None] * self.n_layers
-        for _ in range(cfg.phase2_iterations):
+        for _ in range(PHASE2_ITERATIONS):
             e_pos, e_neg = signed_error_rates(target, h_hat[-1], cfg.error_gain, T)
-            if cfg.gate_output:
-                e_pos = e_pos * gates[-1]
-                e_neg = e_neg * gates[-1]
             e_new = (e_pos - e_neg) * self.class_mask
             e_out = e_out + damping * (e_new - e_out)
             corrections[-1] = e_out
             e_above = e_out
             for i in (reversed(order) if fa else order):
-                eps = cfg.hidden_error_gain * _rows(
-                    e_above if fa else e_out, self.feedback_weights[i])
+                eps = _rows(e_above if fa else e_out, self.feedback_weights[i])
                 ep = quantize_rate(np.clip(eps, 0.0, 1.0), T)
                 en = quantize_rate(np.clip(-eps, 0.0, 1.0), T)
                 if cfg.gate_hidden:
@@ -199,16 +195,15 @@ def _check(dims, cfg, n=48, seed=0):
 
 
 @pytest.mark.parametrize(
-    "feedback,config,layers,gate_output,T,bias",
+    "feedback,config,layers,T,bias",
     [(*combo, T, bias) for combo in itertools.product(
-        ("fa", "dfa"), CONFIGS, DIMS, (False, True))
+        ("fa", "dfa"), CONFIGS, DIMS)
      for T, bias in ((64, True), (20, True), (64, False))])
-def test_solver_matches_the_oracle(feedback, config, layers, gate_output, T,
-                                   bias):
+def test_solver_matches_the_oracle(feedback, config, layers, T, bias):
     """T = 64 is the paper's phase; at T = 20 the 1/T grid is not exact in
     binary, so ``floor(r*T + 1e-9)`` needs its 1e-9."""
-    cfg = CONFIGS[config](seed=3, feedback=feedback, gate_output=gate_output,
-                          phase_length=T, use_bias_neuron=bias)
+    cfg = CONFIGS[config](seed=3, feedback=feedback, phase_length=T,
+                          use_bias_neuron=bias)
     _check(DIMS[layers], cfg)
 
 

@@ -27,11 +27,12 @@ from repro.baselines import BackpropMLP
 from repro.core import EMSTDPNetwork, full_precision_config, loihi_default_config
 from repro.data.synth import make_blobs
 from repro.onchip import LoihiEMSTDPTrainer, build_emstdp_network
-from repro.persist import CheckpointError, save_checkpoint
+from repro.persist import CheckpointError, checkpoint_paths, save_checkpoint
 from repro.serve import (InferenceHTTPServer, InferenceService, InvalidInput,
                          MicroBatcher, ModelRegistry, Overloaded,
                          PredictionCache, estimate_request_energy_mj,
-                         http_predict_fn, run_load, service_predict_fn)
+                         http_predict_fn, model_from_checkpoint, run_load,
+                         service_predict_fn)
 
 DIMS = (12, 10, 4)
 
@@ -449,6 +450,120 @@ def test_registry_rejects_unserveable_checkpoint(tmp_path):
     save_checkpoint(Odd(), tmp_path / "odd")
     with pytest.raises(CheckpointError, match="Odd"):
         ModelRegistry().load(tmp_path / "odd")
+
+
+#: The retired ``EMSTDPConfig`` fields at the one value the code
+#: implements, as every checkpoint written before their removal has them.
+RETIRED_AT_DEFAULT = {"gate_output": False, "hidden_error_gain": 1.0,
+                      "phase2_iterations": 8, "feedback_scale": 1.0,
+                      "init_scale": 1.0}
+
+
+def _trained_chip():
+    trainer = LoihiEMSTDPTrainer(build_emstdp_network(
+        DIMS, loihi_default_config(seed=4, phase_length=8)))
+    xs, ys = _task()
+    trainer.train_stream(xs[:8], ys[:8])
+    return trainer
+
+
+#: One checkpointed model of each family whose state carries a config.
+CONFIG_MODELS = {"EMSTDPNetwork": _trained_net,
+                 "LoihiEMSTDPTrainer": _trained_chip}
+
+
+def _save_with_config(model, stem, **changes):
+    """Checkpoint ``model`` at ``stem``, ``changes`` written into the
+    config entry of its manifest."""
+    save_checkpoint(model, stem)
+    path = checkpoint_paths(stem)[1]
+    manifest = json.loads(path.read_text())
+    manifest["state"]["config"].update(changes)
+    path.write_text(json.dumps(manifest))
+
+
+def _outputs(model):
+    """Inference on held-out blobs, then one more training pass and the
+    resulting state: every array the model computes."""
+    xs, ys = _task(seed=9)
+    out = [model.predict_batch(xs)]
+    out.append(model.output_rates_batch(xs) if hasattr(
+        model, "output_rates_batch") else model.infer_batch(xs))
+    model.train_stream(xs[:4], ys[:4])
+    state = model.state_dict()
+    for key in sorted(state):
+        value = state[key]
+        out += value if isinstance(value, list) else [value]
+    return [v for v in out if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("cls", CONFIG_MODELS)
+def test_checkpoint_with_retired_fields_at_their_value_loads(tmp_path, cls):
+    """A config carrying the five retired fields at the value the code
+    implements rebuilds the same model as one without them, and it
+    predicts and trains byte for byte alike."""
+    model = CONFIG_MODELS[cls]()
+    save_checkpoint(model, tmp_path / "plain")
+    _save_with_config(model, tmp_path / "old", **RETIRED_AT_DEFAULT)
+    (plain, manifest), (old, _) = (model_from_checkpoint(tmp_path / stem)
+                                   for stem in ("plain", "old"))
+    assert manifest["model_class"] == cls
+    config = getattr(plain, "model", plain).config
+    assert getattr(old, "model", old).config == config
+    wanted, got_all = _outputs(plain), _outputs(old)
+    assert len(got_all) == len(wanted)
+    for want, got in zip(wanted, got_all):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cls", CONFIG_MODELS)
+@pytest.mark.parametrize("field,value", [
+    ("gate_output", True), ("hidden_error_gain", 0.5),
+    ("phase2_iterations", 4)])
+def test_checkpoint_with_a_retired_field_off_its_value_is_refused(
+        tmp_path, cls, field, value):
+    _save_with_config(CONFIG_MODELS[cls](), tmp_path / "ckpt",
+                      **{field: value})
+    with pytest.raises(CheckpointError,
+                       match=f"config field '{field}' to {value!r}; the "
+                             f"field is retired at "):
+        model_from_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("cls", CONFIG_MODELS)
+def test_checkpoint_with_an_unknown_config_field_is_refused(tmp_path, cls):
+    """A CheckpointError naming the field, not EMSTDPConfig's TypeError."""
+    _save_with_config(CONFIG_MODELS[cls](), tmp_path / "ckpt", momentum=0.9)
+    with pytest.raises(CheckpointError,
+                       match="unknown config field 'momentum'"):
+        model_from_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_with_a_config_value_it_refuses_is_refused(tmp_path):
+    """EMSTDPConfig's own ValueError comes back as a CheckpointError."""
+    _save_with_config(_trained_net(), tmp_path / "ckpt", feedback="bp")
+    with pytest.raises(CheckpointError, match="feedback must be one of"):
+        model_from_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("change,text", [
+    ({"gate_output": True}, "'gate_output'"),
+    ({"momentum": 0.9}, "'momentum'"),
+], ids=["retired", "unknown"])
+def test_cli_serve_refuses_a_config_it_cannot_rebuild(tmp_path, capsys,
+                                                      monkeypatch, change,
+                                                      text):
+    """Exit 2 with an ``error:`` line, before any server starts."""
+    def no_server(*args, **kwargs):
+        raise AssertionError("the checkpoint loaded")
+
+    monkeypatch.setattr(repro.serve, "InferenceHTTPServer", no_server)
+    _save_with_config(_trained_net(), tmp_path / "ckpt", **change)
+    assert cli.main(["serve", str(tmp_path / "ckpt"), "--port", "0",
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and text in err
 
 
 def test_registry_load_source_directory_and_bad_source(tmp_path):
@@ -993,6 +1108,26 @@ def test_http_error_statuses(http_server):
     with pytest.raises(urllib.error.HTTPError) as err:
         _get(http_server.url + "/nothing")
     assert err.value.code == 404
+
+
+@pytest.mark.parametrize("field,value", [
+    ("model", ["net"]), ("model", {"a": 1}), ("model", 5),
+    ("version", {"a": 1}), ("version", ["v1"]), ("version", True),
+], ids=["model-list", "model-object", "model-number", "version-object",
+        "version-list", "version-bool"])
+def test_http_model_and_version_must_be_strings(http_server, field, value):
+    """A ``model`` or ``version`` that is neither absent, null nor a
+    string is answered 400 naming the field, not 500."""
+    body = {"input": [0.0] * DIMS[0], field: value}
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _post(http_server.url + "/predict", body)
+    assert err.value.code == 400
+    assert json.loads(err.value.read())["error"].startswith(
+        f'"{field}" must be a JSON string or null')
+    status, payload = _post(http_server.url + "/predict",
+                            {"input": [0.0] * DIMS[0], "model": None,
+                             "version": None})
+    assert status == 200 and payload["model"] == "net"
 
 
 def test_http_non_object_json_body_is_400(http_server):
