@@ -162,8 +162,15 @@ def _both_legs(make, drive):
     return trainer
 
 
-@pytest.mark.parametrize("feedback", ["dfa", "fa"])
-@pytest.mark.parametrize("gate_hidden", [False, True])
+# The ids keep a False slot where the retired gate_output axis stood, so
+# each case keeps the name it had while that axis existed.
+TRAINER_CASES = [pytest.param(feedback, gate_hidden,
+                              id=f"{gate_hidden}-False-{feedback}")
+                 for feedback in ("dfa", "fa")
+                 for gate_hidden in (False, True)]
+
+
+@pytest.mark.parametrize("feedback, gate_hidden", TRAINER_CASES)
 def test_emstdp_trainer_fused_equals_per_step(feedback, gate_hidden):
     X, y = make_blobs(DIMS[0], DIMS[-1], 22, seed=4)
     trainer = _both_legs(
@@ -572,8 +579,7 @@ def _assert_trainers_identical(ref, got):
     assert trainer_streams(ref) == trainer_streams(got)
 
 
-@pytest.mark.parametrize("feedback", ["dfa", "fa"])
-@pytest.mark.parametrize("gate_hidden", [False, True])
+@pytest.mark.parametrize("feedback, gate_hidden", TRAINER_CASES)
 def test_emstdp_trainer_epochs_equal_apply_all(feedback, gate_hidden):
     X, y = make_blobs(DIMS[0], DIMS[-1], 24, seed=5)
     ref, got, calls = _epoch_legs(
