@@ -404,9 +404,12 @@ def network_run(steps: int, replicas: int, groups: np.ndarray,
     bit:
 
     1. **deliver** — each connection in order adds
-       ``spikes @ weight * weight_scale`` (int64) from its source's
+       ``(spikes @ weight) * weight_scale`` (int64) from its source's
        previous-step spikes into its destination's input, and counts
-       ``active sources x dst.n`` synaptic events when the source fired;
+       ``active sources x dst.n`` synaptic events when the source fired.
+       Per replica, the active rows are listed once and summed in blocks
+       of columns, then scaled once per destination element: integer
+       sums are exact in any order, so this is the per-step result;
     2. **integrate** — each group in order runs :func:`cuba_step`
        semantics; a disabled group holds its state and emits no spikes, a
        non-spiking one integrates and emits none; otherwise the spikes are
@@ -469,7 +472,12 @@ class MicrocodeProgram(NamedTuple):
 
 def microcode_program(rule_lists: Sequence[Sequence]) -> MicrocodeProgram:
     """Flatten one rule list per connection for :func:`microcode_epoch`,
-    rules in list order and, within a list, in program order."""
+    rules in list order and, within a list, in program order.
+
+    A rule whose term scales (``2^k``, ``k >= 0``) and factor constants
+    are all integers is flagged ``integer``: on integer registers its
+    ``dz`` is an integer, which no rounding changes, so the epoch adds it
+    without a uniform."""
     spans, rules = [], []
     parts = ([], [], [], [], [])  # scales, offs, kinds, idxs, consts
     n_terms = n_factors = 0
@@ -481,6 +489,8 @@ def microcode_program(rule_lists: Sequence[Sequence]) -> MicrocodeProgram:
             row[_MR["target"]] = int(rule.target == "t")
             row[_MR["term_lo"]] = n_terms
             row[_MR["term_hi"]] = n_terms + len(scales)
+            row[_MR["integer"]] = int(all(
+                np.all(np.floor(a) == a) for a in (scales, consts)))
             rules.append(row)
             for part, a in zip(parts, (scales, offs[:-1] + n_factors, kinds,
                                        idxs, consts)):
@@ -517,17 +527,23 @@ def microcode_epoch(replicas: int, conns: np.ndarray, conn_arrays: np.ndarray,
     per replica's stochastic-rounding stream, a rule consumes the next
     ``n_src * n_dst`` uniforms of each row and rounds ``dz`` down, or up
     where the uniform is below its fraction; without, it rounds to nearest
-    with ties to even, as ``np.round``.  ``draws`` must be the sum over
-    connections of rules times ``n_src * n_dst``.
+    with ties to even, as ``np.round``.  A rule flagged ``integer`` by
+    :func:`microcode_program` adds its ``dz`` as it is and consumes no
+    uniform (its fraction is 0: ``u < 0`` never holds, and ``np.round``
+    keeps an integer), so ``draws`` must be the sum over connections of
+    the unflagged rules times ``n_src * n_dst``.  The reference draws a
+    block for every rule; a caller that wants its streams to end where
+    the reference's do moves them past each flagged rule's block itself.
 
     The caller owns the pointed-to arrays (C-contiguous, of the dtypes
     and ``R * n`` / ``R * n_src * n_dst`` sizes ``MICROCODE_CONN_ARRAYS``
     gives) and must keep them alive for the call.  Table and program
-    dtypes and shapes are checked here; sizes, slices, factor codes, the
-    draw count and null addresses by the backend before the first
-    dereference, raising ``ValueError``.  Raises ``NotImplementedError``
-    when the active backend has no fused loop (see
-    :func:`backend_provides`).
+    dtypes and shapes are checked here; sizes, slices, factor codes, an
+    ``integer`` flag that a non-integer scale or constant of its rule
+    contradicts, the draw count and null addresses by the backend before
+    the first dereference, raising ``ValueError``.  Raises
+    ``NotImplementedError`` when the active backend has no fused loop
+    (see :func:`backend_provides`).
     """
     if not backend_provides("microcode_epoch"):
         raise NotImplementedError(

@@ -44,7 +44,7 @@ from ._layout import (MICROCODE_CONN_ARRAYS, MICROCODE_CONN_FIELDS,
                       NETWORK_GROUP_FIELDS)
 
 #: Bump when the C ABI below changes; part of the compile-cache key.
-SOURCE_VERSION = 12
+SOURCE_VERSION = 13
 
 
 def _c_enum(prefix: str, fields) -> str:
@@ -239,15 +239,141 @@ void sop_eval_f64(const double *scales, const int32_t *offs,
     free(syn_f);
 }
 
+/* Row sums.  acc[j] += sign[q] * rows[q][j] for q = 0, 1, ... k-1 in that
+ * order; the signs are +1 or -1, so each product is exact.  The columns go
+ * in blocks whose running sums stay in vector registers across all k rows
+ * instead of making a load/store round trip through acc per row.  Each
+ * lane still adds one row at a time in list order, the same scalar IEEE
+ * adds as a plain row loop, so no vector width can change a bit.  The
+ * chip's delivery sums its int64 weight rows the same way (sum_rows_i64),
+ * where integer adds make any order exact.                               */
+#if defined(__AVX__)
+#define VEC_BYTES 32
+#else
+#define VEC_BYTES 16
+#endif
+typedef double vec_f64 __attribute__((vector_size(VEC_BYTES)));
+typedef int64_t vec_i64 __attribute__((vector_size(VEC_BYTES)));
+enum { LANES = VEC_BYTES / sizeof(double), BLOCK = 4 * LANES };
+
+static vec_f64 vec_load(const double *p) {
+    vec_f64 x;
+    memcpy(&x, p, sizeof x);
+    return x;
+}
+
+static void sum_rows(double *restrict acc, const double *const *rows,
+                     const double *sign, ptrdiff_t k, ptrdiff_t cols) {
+    ptrdiff_t j = 0;
+    for (; j + BLOCK <= cols; j += BLOCK) {
+        vec_f64 a[4];
+        for (int u = 0; u < 4; u++) a[u] = vec_load(acc + j + u * LANES);
+        for (ptrdiff_t q = 0; q < k; q++)
+            for (int u = 0; u < 4; u++)
+                a[u] += sign[q] * vec_load(rows[q] + j + u * LANES);
+        memcpy(acc + j, a, sizeof a);
+    }
+    for (; j + LANES <= cols; j += LANES) {
+        vec_f64 a = vec_load(acc + j);
+        for (ptrdiff_t q = 0; q < k; q++) a += sign[q] * vec_load(rows[q] + j);
+        memcpy(acc + j, &a, sizeof a);
+    }
+    for (; j < cols; j++) {
+        double a = acc[j];
+        for (ptrdiff_t q = 0; q < k; q++) a += sign[q] * rows[q][j];
+        acc[j] = a;
+    }
+}
+
+/* List the rows of w (cols wide) whose spike is nonzero, in row order,
+ * with the spike as the sign; returns how many.  Branchless (every row is
+ * written, only an active one advances the count): spikes are close to
+ * random, so a branch per row would mispredict about every other time.   */
+static ptrdiff_t list_spiking(const double **rows, double *sign,
+                              const uint8_t *s, const double *w,
+                              ptrdiff_t n, ptrdiff_t cols) {
+    ptrdiff_t k = 0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        rows[k] = w + i * cols;
+        sign[k] = 1.0;
+        k += s[i] != 0;
+    }
+    return k;
+}
+
+static ptrdiff_t list_signed(const double **rows, double *sign,
+                             const double *s, const double *w, ptrdiff_t n,
+                             ptrdiff_t cols) {
+    ptrdiff_t k = 0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        rows[k] = w + i * cols;
+        sign[k] = s[i];
+        k += s[i] != 0.0;
+    }
+    return k;
+}
+
+static vec_i64 vec_load_i64(const int64_t *p) {
+    vec_i64 x;
+    memcpy(&x, p, sizeof x);
+    return x;
+}
+
+static void vec_add_store_i64(int64_t *p, vec_i64 x) {
+    x += vec_load_i64(p);
+    memcpy(p, &x, sizeof x);
+}
+
+/* out[j] += scale * (rows[0][j] + ... + rows[k-1][j]): the column sums stay
+ * in vector registers across all k rows, as in sum_rows, and each is
+ * scaled once.  Exact int64: the chip's weights, fan-ins and scales keep
+ * every sum far inside 2^63, so this equals a multiply per row.          */
+static void sum_rows_i64(int64_t *restrict out, const int64_t *const *rows,
+                         ptrdiff_t k, ptrdiff_t cols, int64_t scale) {
+    ptrdiff_t j = 0;
+    for (; j + BLOCK <= cols; j += BLOCK) {
+        vec_i64 a[4] = {{0}};
+        for (ptrdiff_t q = 0; q < k; q++)
+            for (int u = 0; u < 4; u++)
+                a[u] += vec_load_i64(rows[q] + j + u * LANES);
+        for (int u = 0; u < 4; u++)
+            vec_add_store_i64(out + j + u * LANES, a[u] * scale);
+    }
+    for (; j + LANES <= cols; j += LANES) {
+        vec_i64 a = {0};
+        for (ptrdiff_t q = 0; q < k; q++) a += vec_load_i64(rows[q] + j);
+        vec_add_store_i64(out + j, a * scale);
+    }
+    for (; j < cols; j++) {
+        int64_t a = 0;
+        for (ptrdiff_t q = 0; q < k; q++) a += rows[q][j];
+        out[j] += a * scale;
+    }
+}
+
+/* list_spiking for int64 rows: the rows of w whose spike is set.        */
+static ptrdiff_t list_active_i64(const int64_t **rows, const uint8_t *s,
+                                 const int64_t *w, ptrdiff_t n,
+                                 ptrdiff_t cols) {
+    ptrdiff_t k = 0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        rows[k] = w + i * cols;
+        k += s[i] != 0;
+    }
+    return k;
+}
+
 /* -- Fused network run (loihi/runtime.py: Runtime.run) ----------------- *
  * Advances a flattened network `steps` timesteps in one call with the
  * exact semantics of that many Runtime.step() calls; the table layouts
  * are kernels.NETWORK_* (one row per group / connection, declaration
  * order), whose column enums are generated from those tuples.  Every
  * step:
- *   deliver   — each connection adds spikes @ W * weight_scale from its
- *               source's previous-step spikes (int64: exact in any order)
- *               and counts active * dst.n synaptic events;
+ *   deliver   — each connection adds (spikes @ W) * weight_scale from
+ *               its source's previous-step spikes and counts active *
+ *               dst.n synaptic events: per replica, the active rows are
+ *               listed once and summed by sum_rows_i64 (int64: exact in
+ *               any order, scaled once per destination element);
  *   integrate — each group runs cuba_step_i64, then ANDs gate.v > 0, ORs
  *               the merge group's spikes as currently stored and ANDs the
  *               mask; disabled groups hold state and emit nothing,
@@ -311,10 +437,14 @@ int network_run_i64(int64_t steps, int64_t R, ptrdiff_t n_groups,
     int64_t *cur = (int64_t *)malloc((size_t)(total > 0 ? total : 1)
                                      * sizeof(int64_t));
     uint8_t *fired = (uint8_t *)malloc((size_t)widest);
-    if (!cur || !fired) {
+    /* A replica's active source rows; no group is wider than widest.    */
+    const int64_t **rows = (const int64_t **)malloc((size_t)widest
+                                                    * sizeof(int64_t *));
+    if (!cur || !fired || !rows) {
         free(off);
         free(cur);
         free(fired);
+        free(rows);
         return -1;
     }
     for (int64_t t = 0; t < steps; t++) {
@@ -322,25 +452,18 @@ int network_run_i64(int64_t steps, int64_t R, ptrdiff_t n_groups,
         for (ptrdiff_t k = 0; k < n_conns; k++) {            /* deliver */
             const int64_t *ck = c + k * C_FIELDS;
             int64_t src = ck[C_SRC], dst = ck[C_DST];
-            int64_t scale = ck[C_WEIGHT_SCALE];
             ptrdiff_t S = g[src * G_FIELDS + G_N];
             ptrdiff_t D = g[dst * G_FIELDS + G_N];
             const uint8_t *sp = GROUP_ARRAY(const uint8_t, src, GA_SPIKES);
-            int64_t active = 0;
-            for (ptrdiff_t i = 0; i < R * S; i++) active += sp[i];
-            if (!active) continue;
-            c_events[k] += active * D;
             const int64_t *w = (const int64_t *)ca[k * CA_FIELDS + CA_WEIGHT];
             for (int64_t r = 0; r < R; r++) {
-                const int64_t *wr = ck[C_PLASTIC] ? w + r * S * D : w;
-                const uint8_t *spr = sp + r * S;
-                int64_t *out = cur + off[dst] + r * D;
-                for (ptrdiff_t s = 0; s < S; s++) {
-                    if (!spr[s]) continue;
-                    const int64_t *row = wr + s * D;
-                    for (ptrdiff_t d = 0; d < D; d++)
-                        out[d] += row[d] * scale;
-                }
+                ptrdiff_t active = list_active_i64(
+                    rows, sp + r * S, ck[C_PLASTIC] ? w + r * S * D : w, S,
+                    D);
+                if (!active) continue;
+                c_events[k] += active * D;
+                sum_rows_i64(cur + off[dst] + r * D, rows, active, D,
+                             ck[C_WEIGHT_SCALE]);
             }
         }
         for (ptrdiff_t k = 0; k < n_groups; k++) {          /* integrate */
@@ -398,6 +521,7 @@ int network_run_i64(int64_t steps, int64_t R, ptrdiff_t n_groups,
     free(off);
     free(cur);
     free(fired);
+    free(rows);
     return 0;
 }
 
@@ -415,15 +539,21 @@ int network_run_i64(int64_t steps, int64_t R, ptrdiff_t n_groups,
  * its target in place and clamped to +-weight_max (w) or +-tag_max (t).
  * With hardware-bounded operands (see sop_eval_f64) every dz is a signed
  * power-of-two multiple of an integer far inside 2^53, so floor, the
- * subtraction and nearbyint are exact, as in the reference.
+ * subtraction and nearbyint are exact, as in the reference.  A rule
+ * flagged MR_INTEGER (every term scale and factor constant an integer)
+ * has an integer dz, which both roundings return unchanged (its fraction
+ * is 0 and no uniform is below 0): it is added as it is and reads no
+ * uniform, so only unflagged rules count toward n_draws.
  * Returns 0; -1 if scratch allocation fails, -2 if a table holds an
- * out-of-range size, slice, factor code or draw count, or a null
+ * out-of-range size, slice, factor code or draw count, a flag that a
+ * non-integer scale or constant of its rule contradicts, or a null
  * address — both before any state is touched.                            */
 static int microcode_tables_ok(int64_t R, ptrdiff_t n_conns, const int64_t *c,
                                const uintptr_t *ca, ptrdiff_t n_rules,
                                const int64_t *rl, ptrdiff_t n_terms,
-                               const int32_t *offs, ptrdiff_t n_factors,
-                               const int32_t *kinds, const int32_t *idxs,
+                               const double *scales, const int32_t *offs,
+                               ptrdiff_t n_factors, const int32_t *kinds,
+                               const int32_t *idxs, const double *consts,
                                int stochastic, ptrdiff_t n_draws) {
     if (R < 1 || offs[0] < 0 || offs[n_terms] > n_factors) return 0;
     for (ptrdiff_t t = 0; t < n_terms; t++)
@@ -435,8 +565,15 @@ static int microcode_tables_ok(int64_t R, ptrdiff_t n_conns, const int64_t *c,
     for (ptrdiff_t q = 0; q < n_rules; q++) {
         const int64_t *rq = rl + q * MR_FIELDS;
         if (rq[MR_TARGET] < 0 || rq[MR_TARGET] > 1 || rq[MR_TERM_LO] < 0
-            || rq[MR_TERM_LO] > rq[MR_TERM_HI] || rq[MR_TERM_HI] > n_terms)
+            || rq[MR_TERM_LO] > rq[MR_TERM_HI] || rq[MR_TERM_HI] > n_terms
+            || rq[MR_INTEGER] < 0 || rq[MR_INTEGER] > 1)
             return 0;
+        for (int64_t t = rq[MR_TERM_LO]; rq[MR_INTEGER] && t < rq[MR_TERM_HI];
+             t++) {
+            if (scales[t] != floor(scales[t])) return 0;
+            for (int32_t f = offs[t]; f < offs[t + 1]; f++)
+                if (consts[f] != floor(consts[f])) return 0;
+        }
     }
     ptrdiff_t draws = 0;
     for (ptrdiff_t k = 0; k < n_conns; k++) {
@@ -446,8 +583,9 @@ static int microcode_tables_ok(int64_t R, ptrdiff_t n_conns, const int64_t *c,
             return 0;
         for (int f = 0; f < MA_FIELDS; f++)
             if (!ca[k * MA_FIELDS + f]) return 0;
-        draws += (ck[MC_RULE_HI] - ck[MC_RULE_LO]) * ck[MC_N_SRC]
-                 * ck[MC_N_DST];
+        for (int64_t q = ck[MC_RULE_LO]; q < ck[MC_RULE_HI]; q++)
+            if (!rl[q * MR_FIELDS + MR_INTEGER])
+                draws += ck[MC_N_SRC] * ck[MC_N_DST];
     }
     return !stochastic || draws == n_draws;
 }
@@ -460,8 +598,9 @@ int microcode_epoch_i64(int64_t R, ptrdiff_t n_conns, const int64_t *c,
                         const int32_t *idxs, const double *consts,
                         const double *u, ptrdiff_t n_draws,
                         int64_t weight_max, int64_t tag_max) {
-    if (!microcode_tables_ok(R, n_conns, c, ca, n_rules, rl, n_terms, offs,
-                             n_factors, kinds, idxs, u != NULL, n_draws))
+    if (!microcode_tables_ok(R, n_conns, c, ca, n_rules, rl, n_terms, scales,
+                             offs, n_factors, kinds, idxs, consts, u != NULL,
+                             n_draws))
         return -2;
     ptrdiff_t widest_pre = 1, widest_post = 1, widest_syn = 1;
     for (ptrdiff_t k = 0; k < n_conns; k++) {
@@ -520,19 +659,22 @@ int microcode_epoch_i64(int64_t R, ptrdiff_t n_conns, const int64_t *c,
                          hi - lo, pre, post, syn, dz, R, S, D);
             int64_t *z = rq[MR_TARGET] ? tag : w;
             int64_t bound = rq[MR_TARGET] ? tag_max : weight_max;
+            int integer = (int)rq[MR_INTEGER];
             for (int64_t r = 0; r < R; r++) {
-                const double *ur = u ? u + r * n_draws + drawn : NULL;
+                const double *ur = u && !integer ? u + r * n_draws + drawn
+                                                 : NULL;
                 int64_t *zr = z + r * SD;
                 const double *dr = dz + r * SD;
                 for (ptrdiff_t e = 0; e < SD; e++) {
                     double d = dr[e], fl = floor(d);
-                    double step = ur ? fl + (double)(ur[e] < d - fl)
-                                     : nearbyint(d);
+                    double step = integer ? d
+                                  : ur ? fl + (double)(ur[e] < d - fl)
+                                       : nearbyint(d);
                     int64_t x = zr[e] + (int64_t)step;
                     zr[e] = x < -bound ? -bound : (x > bound ? bound : x);
                 }
             }
-            drawn += SD;
+            if (!integer) drawn += SD;
         }
     }
     free(pre);
@@ -555,76 +697,6 @@ int microcode_epoch_i64(int64_t R, ptrdiff_t n_conns, const int64_t *c,
  * each sample's whole presentation before the next one.
  * Returns 0; -1 if scratch allocation fails, -2 on a bad size or a null
  * address — both before any output is written.                           */
-/* Row sums.  acc[j] += sign[q] * rows[q][j] for q = 0, 1, ... k-1 in that
- * order; the signs are +1 or -1, so each product is exact.  The columns go
- * in blocks whose running sums stay in vector registers across all k rows
- * instead of making a load/store round trip through acc per row.  Each
- * lane still adds one row at a time in list order, the same scalar IEEE
- * adds as a plain row loop, so no vector width can change a bit.         */
-#if defined(__AVX__)
-typedef double vec_f64 __attribute__((vector_size(32)));
-#else
-typedef double vec_f64 __attribute__((vector_size(16)));
-#endif
-enum { LANES = sizeof(vec_f64) / sizeof(double), BLOCK = 4 * LANES };
-
-static vec_f64 vec_load(const double *p) {
-    vec_f64 x;
-    memcpy(&x, p, sizeof x);
-    return x;
-}
-
-static void sum_rows(double *restrict acc, const double *const *rows,
-                     const double *sign, ptrdiff_t k, ptrdiff_t cols) {
-    ptrdiff_t j = 0;
-    for (; j + BLOCK <= cols; j += BLOCK) {
-        vec_f64 a[4];
-        for (int u = 0; u < 4; u++) a[u] = vec_load(acc + j + u * LANES);
-        for (ptrdiff_t q = 0; q < k; q++)
-            for (int u = 0; u < 4; u++)
-                a[u] += sign[q] * vec_load(rows[q] + j + u * LANES);
-        memcpy(acc + j, a, sizeof a);
-    }
-    for (; j + LANES <= cols; j += LANES) {
-        vec_f64 a = vec_load(acc + j);
-        for (ptrdiff_t q = 0; q < k; q++) a += sign[q] * vec_load(rows[q] + j);
-        memcpy(acc + j, &a, sizeof a);
-    }
-    for (; j < cols; j++) {
-        double a = acc[j];
-        for (ptrdiff_t q = 0; q < k; q++) a += sign[q] * rows[q][j];
-        acc[j] = a;
-    }
-}
-
-/* List the rows of w (cols wide) whose spike is nonzero, in row order,
- * with the spike as the sign; returns how many.  Branchless (every row is
- * written, only an active one advances the count): spikes are close to
- * random, so a branch per row would mispredict about every other time.   */
-static ptrdiff_t list_spiking(const double **rows, double *sign,
-                              const uint8_t *s, const double *w,
-                              ptrdiff_t n, ptrdiff_t cols) {
-    ptrdiff_t k = 0;
-    for (ptrdiff_t i = 0; i < n; i++) {
-        rows[k] = w + i * cols;
-        sign[k] = 1.0;
-        k += s[i] != 0;
-    }
-    return k;
-}
-
-static ptrdiff_t list_signed(const double **rows, double *sign,
-                             const double *s, const double *w, ptrdiff_t n,
-                             ptrdiff_t cols) {
-    ptrdiff_t k = 0;
-    for (ptrdiff_t i = 0; i < n; i++) {
-        rows[k] = w + i * cols;
-        sign[k] = s[i];
-        k += s[i] != 0.0;
-    }
-    return k;
-}
-
 /* A signed error pair: the positive channel integrates d, the negative
  * one -d; out = gated positive spike - gated negative spike, times scale
  * (the class mask for the output pair, 1 otherwise).                     */

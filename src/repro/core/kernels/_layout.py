@@ -42,6 +42,8 @@ MICROCODE_CONN_FIELDS = ("n_src", "n_dst", "rule_lo", "rule_hi")
 MICROCODE_CONN_ARRAYS = ("src_spikes", "pre_trace", "dst_spikes",
                          "post_trace", "tag", "weight")
 
-#: Columns of its int64 rule table: the target (0 = ``w``, 1 = ``t``) and
-#: the rule's ``[term_lo, term_hi)`` slice of the term arrays.
-MICROCODE_RULE_FIELDS = ("target", "term_lo", "term_hi")
+#: Columns of its int64 rule table: the target (0 = ``w``, 1 = ``t``),
+#: the rule's ``[term_lo, term_hi)`` slice of the term arrays and
+#: ``integer``, 1 when every term scale and factor constant of the rule is
+#: an integer, so its ``dz`` is one and rounding it draws no uniform.
+MICROCODE_RULE_FIELDS = ("target", "term_lo", "term_hi", "integer")

@@ -114,6 +114,19 @@ def _run_seed(queue: TaskQueue, task: Task, worker_id: str,
             obs.event("task_claim", task_id=task.task_id, seed=seed,
                       worker=worker_id, attempt=task.attempts,
                       queue_wait_ms=wait_ms)
+            # The run's trace, checkpoints and record all live in run_dir:
+            # a row whose run_dir cannot be a directory ends here.
+            try:
+                run_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                if tsp is not None:
+                    tsp.set(status="error")
+                obs.event("task_done", task_id=task.task_id, seed=seed,
+                          status="error")
+                return {"seed": seed, "status": "error",
+                        "error": f"'run_seed' payload field 'run_dir' "
+                                 f"{p['run_dir']!r} cannot be made a "
+                                 f"directory: {exc}"}
             counted = final_records(run_dir, [seed]).get(seed, {})
             if counted.get("status") == "ok":
                 result = {"seed": seed, "status": "ok", "deduped": True,

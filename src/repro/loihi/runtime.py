@@ -27,22 +27,31 @@ phase; when the active kernel backend provides the fused
 :func:`~repro.core.kernels.network_run` (``cext``), it is one C call over
 a flattened copy of the network (:class:`_NetworkPlan`), built once per
 runtime and re-bound to the host's arrays before every call.  Under the
-``numpy`` backend ``run`` loops over ``step``.  Delivery is int64 and the
-loop reuses the per-step compartment and trace kernels, so the two paths
-are bit-identical — ``tests/test_loihi_fused.py`` pins weights, spikes,
-counts, traces, tags and stats with ``array_equal``.
+``numpy`` backend ``run`` loops over ``step``.  Delivery is int64: the
+loop sums each replica's active weight rows and scales the sum once per
+destination element, where ``ConnectionGroup.propagate`` multiplies a
+spike vector by the weights and scales the product, and integer sums are
+exact in any order.  It reuses the per-step compartment and trace
+kernels, so the two paths are bit-identical — ``tests/test_loihi_fused.py``
+pins weights, spikes, counts, traces, tags and stats with ``array_equal``.
 
 :meth:`Runtime.learning_epoch` likewise applies every plastic
 connection's rule list in one :func:`~repro.core.kernels.microcode_epoch`
-call under ``cext`` (:class:`_EpochPlan`, one per epoch name), with the
-stochastic-rounding uniforms drawn in NumPy beforehand, one block per
-replica stream; under ``numpy`` it calls
-:meth:`~repro.loihi.microcode.LearningEngine.apply_all` per connection,
-the reference the same tests pin it to, weights, tags and generator
-states alike.  The fused epoch writes weights and tags in place, so the
-next run's bind stays on its identity fast path.  The rest of the host
-work between runs (programming biases, masks and enable flags, resets)
-stays in Python: it happens a few times per sample, not every step.
+call under ``cext`` (:class:`_EpochPlan`, one per epoch name); under
+``numpy`` it calls :meth:`~repro.loihi.microcode.LearningEngine.apply_all`
+per connection, the reference the same tests pin it to, weights, tags and
+generator states alike.  The reference draws one uniform per synapse for
+every rule.  The fused epoch draws, in NumPy beforehand, only those of
+rules that can round: a rule whose scales and constants are all integers
+(the tag rule ``dt = y1``) has an integer ``dz``, which no uniform
+changes, and the plan moves each stream past that rule's block instead —
+with ``advance`` for a PCG64 or PCG64DXSM stream holding no buffered
+32-bit half, by drawing the block for any other — so every stream ends in
+the reference's state.  The fused epoch writes weights and tags in place,
+so the next run's bind stays on its identity fast path.  The rest of the
+host work between runs (programming biases, masks and enable flags,
+resets) stays in Python: it happens a few times per sample, not every
+step.
 """
 
 from __future__ import annotations
@@ -102,6 +111,27 @@ _G = _columns(kernels.NETWORK_GROUP_FIELDS)
 _C = _columns(kernels.NETWORK_CONN_FIELDS)
 _CA = _columns(kernels.NETWORK_CONN_ARRAYS)
 _MC = _columns(kernels.MICROCODE_CONN_FIELDS)
+_MR = _columns(kernels.MICROCODE_RULE_FIELDS)
+
+#: Bit generators that step once per 64-bit output, which one float64
+#: draw takes, and can jump ahead in O(log n).
+_ADVANCING = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def _advances(bit_generator) -> bool:
+    """Whether ``bit_generator.advance(n)`` leaves the state that ``n``
+    float64 draws leave.
+
+    Only a :data:`_ADVANCING` type qualifies, and only with no 32-bit half
+    buffered (a float32 or 32-bit integer draw leaves one, and its value
+    stays in the state after the buffer is used): advancing clears the
+    buffer where drawing keeps it.  Philox counts its advance in blocks of
+    four outputs, and MT19937 and SFC64 cannot advance.
+    """
+    if type(bit_generator) not in _ADVANCING:
+        return False
+    state = bit_generator.state
+    return state["has_uint32"] == 0 and state["uinteger"] == 0
 
 
 class _NetworkPlan:
@@ -251,10 +281,18 @@ class _EpochPlan:
         self.conns[:, _MC["n_dst"]] = [c.dst.n for c in self.conn_objs]
         self.conns[:, _MC["rule_lo"]] = self.program.spans[:, 0]
         self.conns[:, _MC["rule_hi"]] = self.program.spans[:, 1]
-        #: Uniforms one epoch draws from each replica's rounding stream.
-        self.draws = int(np.sum(np.diff(self.program.spans, axis=1)[:, 0]
-                                * self.conns[:, _MC["n_src"]]
-                                * self.conns[:, _MC["n_dst"]]))
+        #: The reference's draws from each stream, one ``(rounds, n)``
+        #: block per rule in epoch order: the kernel reads a rounding
+        #: rule's ``n = n_src * n_dst`` uniforms, never an ``integer``
+        #: rule's.
+        self.blocks = [(not integer, conn.n_synapses)
+                       for (lo, hi), conn in zip(self.program.spans.tolist(),
+                                                 self.conn_objs)
+                       for integer in self.program.rules[lo:hi,
+                                                         _MR["integer"]]]
+        #: The uniforms the kernel reads, one row per replica's stream.
+        self.uniforms = np.empty(
+            (replicas, sum(n for rounds, n in self.blocks if rounds)))
         self.conn_arrays = np.zeros(
             (len(work), len(kernels.MICROCODE_CONN_ARRAYS)), dtype=np.uintp)
         self._seen = [()] * len(work)
@@ -307,16 +345,32 @@ class _EpochPlan:
         return True
 
     def run(self, streams, stochastic: bool) -> None:
-        """One ``microcode_epoch`` call, rounding with one block of
-        uniforms per stream (replica order) when ``stochastic``."""
-        uniforms = None
+        """One ``microcode_epoch`` call, rounding with each stream's row
+        of :attr:`uniforms` (replica order) when ``stochastic``."""
         if stochastic:
-            uniforms = np.empty((len(streams), self.draws))
-            for row, rng in zip(uniforms, streams):
-                rng.random(out=row)
+            for row, rng in zip(self.uniforms, streams):
+                self._draw(rng, row)
         kernels.microcode_epoch(self.replicas, self.conns, self.conn_arrays,
-                                self.program, uniforms, WEIGHT_MANT_MAX,
-                                TAG_MAX)
+                                self.program,
+                                self.uniforms if stochastic else None,
+                                WEIGHT_MANT_MAX, TAG_MAX)
+
+    def _draw(self, rng, row) -> None:
+        """Fill ``row`` with one ``random(out=)`` per rounding block and
+        move ``rng`` past each ``integer`` block, so it ends where the
+        reference's draws leave it: by ``advance`` where
+        :func:`_advances` allows, else by drawing the block."""
+        jump = rng.bit_generator.advance \
+            if _advances(rng.bit_generator) else None
+        lo = 0
+        for rounds, n in self.blocks:
+            if rounds:
+                rng.random(out=row[lo:lo + n])
+                lo += n
+            elif jump is not None:
+                jump(n)
+            else:
+                rng.random(n)
 
 
 class Runtime:
@@ -442,11 +496,12 @@ class Runtime:
         (nothing applied) if the operands cannot be expressed in its
         tables.
 
-        The engine draws its uniforms in the reference's order: per
-        connection, per rule, one ``(src.n, dst.n)`` block from each
-        replica's stream.  A stream's blocks are consecutive draws, so the
-        plan takes them as one ``random`` call per stream, which gives the
-        same values and leaves the stream in the same state.
+        The reference draws its uniforms per connection, per rule, one
+        ``(src.n, dst.n)`` block from each replica's stream.  The plan
+        draws a stream's rounding blocks into one buffer, which gives the
+        same values, and moves the stream past its ``integer`` blocks
+        (their uniforms cannot change a bit), which leaves it in the same
+        state.
         """
         plan = self._epochs.get(epoch)
         if plan is None or not plan.matches(work):

@@ -145,6 +145,11 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray
     return float(loss), grad
 
 
+#: Images per block of an inference pass (``pretrain``'s final pass,
+#: ``features``, ``head_accuracy``).
+INFERENCE_BLOCK = 64
+
+
 @dataclasses.dataclass
 class PretrainResult:
     train_accuracy: float
@@ -183,9 +188,22 @@ class ConvFrontend:
         return x
 
     def _conv_forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        for layer in self.conv_layers:
-            x = layer.forward(x, train=train)
-        return x.reshape(len(x), -1)
+        """Flattened conv features of ``x``.  A training pass (one
+        minibatch) runs whole and caches what ``backward`` reads; an
+        inference pass runs :data:`INFERENCE_BLOCK` images at a time, so
+        its columns and activations stay one block's size.  An image's
+        features are the same bits either way."""
+        if train:
+            for layer in self.conv_layers:
+                x = layer.forward(x, train=True)
+            return x.reshape(len(x), -1)
+        out = np.empty((len(x), self.n_features))
+        for lo in range(0, len(x), INFERENCE_BLOCK):
+            block = x[lo:lo + INFERENCE_BLOCK]
+            for layer in self.conv_layers:
+                block = layer.forward(block)
+            out[lo:lo + len(block)] = block.reshape(len(block), -1)
+        return out
 
     def pretrain(self, images: np.ndarray, labels: np.ndarray,
                  epochs: int = 5, batch_size: int = 32, lr: float = 0.05,

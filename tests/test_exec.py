@@ -221,6 +221,27 @@ def test_run_seed_row_off_the_protocol_ends_as_error(tmp_path, field,
     assert not run_dir.exists()
 
 
+def test_run_dir_that_cannot_be_a_directory_ends_as_error(tmp_path):
+    """A well-formed row whose run_dir lies under a regular file: the
+    claim loop returns, the row ends as an error result naming the field,
+    and no lease is left behind."""
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    run_dir = blocker / "run"
+    q = TaskQueue(tmp_path / QUEUE_DB_NAME)
+    tid = enqueue_seed(q, experiment="offline_accuracy", run_id="r-test",
+                       run_dir=str(run_dir), spec={}, seed=0)
+    results = []
+    claim_loop(q.path, "w0", on_result=lambda t, r: results.append(r))
+    (result,) = results
+    assert result["status"] == "error"
+    assert result["error"].startswith(
+        f"'run_seed' payload field 'run_dir' {str(run_dir)!r} cannot be "
+        f"made a directory")
+    assert q.get(tid).status == "done" and q.remaining() == 0
+    assert blocker.read_text() == "not a directory"
+
+
 def test_worker_dedupes_already_recorded_seed(tmp_path):
     run_dir = tmp_path / "run"
     run_dir.mkdir()

@@ -10,7 +10,10 @@ reference patched to fail, so a silent fallback cannot pass.  The two end
 states are compared with ``np.array_equal``: membranes, spikes, spike
 counts, traces, tags, weights, per-connection synaptic events,
 ``RunStats``, the sharded runtime's per-shard and merged stats and, for
-epochs, the state of every stochastic-rounding generator.
+epochs, the state of every stochastic-rounding generator.  The fused
+epoch reads uniforms only for rules that can round and moves each stream
+past the other rules' blocks, so the epoch tests run it on every kind of
+bit generator, some of which it advances and some of which it draws.
 """
 
 import contextlib
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 from repro.core import kernels, loihi_default_config
 from repro.loihi import (CompartmentPrototype, LearningEngine, LoihiChip,
                          Network, Runtime, ShardedRuntime, parse_rule)
+from repro.loihi import runtime as runtime_module
 from repro.loihi.traces import TRACE_MAX
 from repro.onchip import LoihiEMSTDPTrainer, build_emstdp_network
 
@@ -485,6 +489,43 @@ def test_random_networks_fused_equals_per_step(spec):
     assert_identical(ref, got)
 
 
+@pytest.mark.parametrize("width", [1, 7, 33, 100])
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_wide_destinations_fused_equals_per_step(width, replicas):
+    """Delivery sums a replica's active rows in blocks of vector lanes and
+    scales each sum once: a destination narrower than one vector, one
+    with a tail past whole vectors, one past whole blocks and the paper's
+    hidden width, each into plastic and static connections, with a wide
+    source feeding back."""
+    def play():
+        rng = np.random.default_rng(width + 10 * replicas)
+        net = Network("wide", replicas=replicas)
+        proto = CompartmentPrototype(vth_mant=4)
+        src = net.create_group(37, proto, "src")
+        dst = net.create_group(width, proto, "dst")
+        src.set_bias(rng.integers(0, proto.vth, src.state_shape))
+        net.connect(src, dst, rng.integers(-127, 128, (37, width)),
+                    weight_scale=3, plastic=True, learning_rule="r")
+        net.connect(src, dst, rng.integers(-40, 128, (37, width)),
+                    weight_scale=5)
+        net.connect(dst, src, rng.integers(-127, 128, (width, 37)),
+                    weight_scale=2)
+        rt = _runtime(net)
+        rt.register_rule("r", RULES)
+        for steps in (12, 5):
+            rt.run(steps)
+            rt.learning_epoch("end")
+        return snapshot(net, rt)
+
+    with per_step():
+        ref = play()
+    with fused() as calls:
+        got = play()
+    assert calls == [12, 5]
+    assert_identical(ref, got)
+    assert got["dst.spike_count"].any() and got["src.spike_count"].any()
+
+
 # ----------------------------------------------------------------------
 # Fused learning epochs against LearningEngine.apply_all
 # ----------------------------------------------------------------------
@@ -821,9 +862,82 @@ def test_random_rules_epochs_equal_apply_all(replicas, rules, other,
     assert ref["streams"] == got["streams"]
 
 
+INTEGER = kernels.MICROCODE_RULE_FIELDS.index("integer")
+
+
+#: Rounding-stream kinds -> whether the fused epoch moves them past an
+#: integer rule's block with ``advance`` (else it draws the block).
+STREAMS = {"pcg64": True, "pcg64dxsm": True, "pcg64-float32": False,
+           "pcg64-float32x2": False, "mt19937": False, "philox": False}
+
+
+def _stream(kind, seed):
+    bits = {"pcg64dxsm": np.random.PCG64DXSM, "mt19937": np.random.MT19937,
+            "philox": np.random.Philox}.get(kind, np.random.PCG64)
+    rng = np.random.Generator(bits(seed))
+    if kind.startswith("pcg64-float32"):
+        # One leaves a 32-bit half buffered; two leave its value behind.
+        rng.random(1 + kind.endswith("x2"), dtype=np.float32)
+    return rng
+
+
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k])
+                                            for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("kind", STREAMS)
+def test_streams_advance_only_where_advancing_equals_drawing(kind):
+    """``runtime._advances`` holds exactly where ``advance(n)`` leaves the
+    state ``n`` float64 draws leave, for this NumPy's bit generators."""
+    drawn, jumped = _stream(kind, 7), _stream(kind, 7)
+    assert runtime_module._advances(jumped.bit_generator) is STREAMS[kind]
+    drawn.random(1000)
+    if hasattr(jumped.bit_generator, "advance"):
+        jumped.bit_generator.advance(1000)
+        assert _same_state(drawn.bit_generator.state,
+                           jumped.bit_generator.state) is STREAMS[kind]
+    else:
+        assert not STREAMS[kind]
+
+
+@pytest.mark.parametrize("kind", STREAMS)
+@pytest.mark.parametrize("replicas", [1, 4])
+def test_epoch_streams_equal_apply_all(kind, replicas):
+    """The fused epoch reads uniforms only for rounding rules and moves
+    each stream past an integer rule's block, by ``advance`` or by
+    drawing it: weights, tags and every stream's state equal
+    ``apply_all``'s, whose every rule draws."""
+    rules = [parse_rule("dt = y1"),
+             parse_rule("dw = 2^-3 * y1 * x1 - 2^-4 * t * x1"),
+             parse_rule("dt = 2 * x0 - t"),
+             parse_rule("dw = 2^-1 * (w + 1)")]
+
+    def play():
+        net = _two_plastic_net(replicas)
+        rt = Runtime(net, rng=[_stream(kind, (3, r))
+                               for r in range(replicas)])
+        rt.register_rule("r", {"end": rules})
+        rt.register_rule("s", {"end": rules[::-1]})
+        for steps in (9, 4):
+            rt.run(steps)
+            rt.learning_epoch("end")
+        return {"state": snapshot(net, rt), "streams": stream_states(rt)}
+
+    ref, got, calls = _epoch_legs(play, lambda out: out["state"])
+    assert calls == [replicas] * 2
+    assert _same_state(dict(enumerate(ref["streams"])),
+                       dict(enumerate(got["streams"])))
+
+
 def _epoch_tables(tag, w, draws):
     """A one-connection epoch over ``(2, 3)`` blocks: its tables, program
-    and uniforms, as ``Runtime`` builds them."""
+    and uniforms, as ``Runtime`` builds them.  ``dt = y1`` is flagged
+    ``integer`` and reads no uniform, so the epoch reads 6."""
     spikes_src, spikes_dst = np.ones(2, bool), np.ones(3, bool)
     pre = np.array([3, 5], dtype=np.int64)
     post = np.array([2, 4, 6], dtype=np.int64)
@@ -845,7 +959,8 @@ def cext():
 def test_microcode_epoch_rejects_malformed_tables(cext):
     tag = np.zeros((2, 3), dtype=np.int64)
     w = np.zeros((2, 3), dtype=np.int64)
-    conns, addresses, program, uniforms, keep = _epoch_tables(tag, w, 12)
+    conns, addresses, program, uniforms, keep = _epoch_tables(tag, w, 6)
+    assert program.rules[:, INTEGER].tolist() == [1, 0]
     bad_rules = program._replace(rules=program.rules.copy())
     bad_rules.rules[1, 2] = 99  # term slice past the end
     bad_kinds = program._replace(kinds=program.kinds.copy())
@@ -860,7 +975,9 @@ def test_microcode_epoch_rejects_malformed_tables(cext):
             ((1, conns, addresses[:, :5].copy(), program, uniforms),
              TypeError),
             ((2, conns, addresses, program, uniforms), TypeError),
-            ((1, conns, addresses, program, uniforms[:, :11].copy()),
+            ((1, conns, addresses, program, uniforms[:, :5].copy()),
+             ValueError),
+            ((1, conns, addresses, program, np.full((1, 12), 0.5)),
              ValueError),
             ((1, conns, addresses, bad_rules, uniforms), ValueError),
             ((1, conns, addresses, bad_kinds, uniforms), ValueError),
@@ -875,3 +992,23 @@ def test_microcode_epoch_rejects_malformed_tables(cext):
     with kernels.forced_backend("numpy"), pytest.raises(NotImplementedError):
         kernels.microcode_epoch(1, conns, addresses, program, uniforms, 127,
                                 255)
+
+
+def test_microcode_epoch_rejects_a_contradicted_integer_flag(cext):
+    """An ``integer`` flag on a rule with a fractional scale or constant
+    (or a flag that is not 0 or 1) would add an unrounded ``dz``: the
+    kernel refuses the tables before writing anything."""
+    tag = np.zeros((2, 3), dtype=np.int64)
+    w = np.zeros((2, 3), dtype=np.int64)
+    conns, addresses, program, uniforms, keep = _epoch_tables(tag, w, 6)
+    fractional_scale = program._replace(rules=program.rules.copy())
+    fractional_scale.rules[1, INTEGER] = 1  # dw = 2^-1 * t * x1
+    fractional_const = program._replace(consts=program.consts.copy())
+    fractional_const.consts[0] = 0.5  # dt = (y1 + 0.5)
+    two = program._replace(rules=program.rules.copy())
+    two.rules[0, INTEGER] = 2
+    for bad in (fractional_scale, fractional_const, two):
+        for u in (uniforms, uniforms[:, :0].copy(), None):
+            with pytest.raises(ValueError):
+                kernels.microcode_epoch(1, conns, addresses, bad, u, 127, 255)
+            assert not tag.any() and not w.any()

@@ -12,7 +12,8 @@ registered dataset over seeds, sample counts, sides and a class subset;
 both template renderers for every class, distorted and not, including
 how many values they draw; ``im2col`` over kernel/stride shapes; and the
 pre-trained front end's weights, momenta, losses, feature scale and
-features for greyscale and colour inputs.
+features for greyscale and colour inputs, against a forward pass that
+runs every image set whole.
 
 The twins run in one process, so the oracle needs no recorded digest.
 """
@@ -298,12 +299,18 @@ class OracleConvLayer(ConvLayer):
 
 class OracleFrontend(ConvFrontend):
     """:class:`ConvFrontend` on :class:`OracleConvLayer` with the frozen
-    ``pretrain`` loop, which backpropagates through every conv layer."""
+    ``pretrain`` loop, which backpropagates through every conv layer, and
+    the frozen forward, which runs every pass on the whole batch."""
 
     def __init__(self, topology: str, seed: int = 0):
         super().__init__(topology, seed=seed)
         for layer in self.conv_layers:
             layer.__class__ = OracleConvLayer
+
+    def _conv_forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        for layer in self.conv_layers:
+            x = layer.forward(x, train=train)
+        return x.reshape(len(x), -1)
 
     def pretrain(self, images: np.ndarray, labels: np.ndarray,
                  epochs: int = 5, batch_size: int = 32, lr: float = 0.05,
@@ -365,7 +372,8 @@ def _pretrained(cls, topology, images, labels, seed):
 @pytest.mark.parametrize("dataset,side,channels", [
     ("mnist_like", 16, 1), ("mnist_like", 28, 1), ("cifar_like", 16, 3)])
 def test_pretrain_matches_the_oracle(dataset, side, channels):
-    # 70 samples: two full batches of 32 and a short one of 6.
+    # 70 samples: two full batches of 32 and a short one of 6; the
+    # inference passes run a block of 64 images and one of 6.
     train, _ = load_dataset(dataset, 70, 1, side=side, seed=4)
     topology = paper_topology(side, channels)
     want = _pretrained(OracleFrontend, topology, train.images,
